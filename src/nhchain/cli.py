@@ -90,7 +90,6 @@ def parse_config(raw: dict) -> dict:
         cfg["base_energy"] = _to_complex(raw["base_energy"], "base_energy")
     cfg["threshold"] = float(raw.get("threshold", 0.5))
     cfg["n_list"] = [int(n) for n in raw.get("n_list", [])]
-    cfg["seed"] = int(raw.get("seed", 0))
     cfg["output"] = str(raw.get("output", "run"))
     return cfg
 
@@ -524,7 +523,6 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="seed override")
         sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--tolerance", type=float, default=1e-7)
     args = parser.parse_args(argv)
@@ -540,8 +538,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"invalid config: {exc}\n")
         return 2
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     if args.command == "validate":
         report = validate(cfg, args.tolerance)
         sys.stdout.write(json.dumps(report, default=_json_default, sort_keys=True) + "\n")

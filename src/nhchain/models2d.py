@@ -8,6 +8,14 @@ the stacking boundary mode:
 * BC2  -- the similarity-transformable pair: corners delta2^{-1} C and
   delta2 B, which reduce to Bloch blocks carrying omega_j delta2^{1/N2};
 * OPEN -- no corner blocks (numeric route only).
+
+BC1/BC2 spectra come from the N2 Bloch blocks A + s_j B + s_j^{-1} C, solved
+together by one batched eigvals (provenance "bloch-oracle"); each block's
+shifted wavenumbers are then recovered from its eigenvalues through the
+dispersion relation of the block's effective chain.  Those wavenumbers lose
+digits near alpha_tilde = 0 and pi, where arccos is ill-conditioned; they get
+no Newton polish, as no caller uses stacked wavenumbers beyond their count.
+The closed forms carry the balance verdicts and the envelope curves.
 """
 from __future__ import annotations
 
@@ -18,7 +26,7 @@ import numpy as np
 
 from .alphasolver import AlphaSet
 from .core import ChainStencil, Spectrum, build_chain_matrix, dense_spectrum
-from .models1d import HNParams, SSHParams, hn_spectrum, ssh_matrix, ssh_spectrum
+from .models1d import SSHParams, ssh_matrix
 
 __all__ = [
     "Stacked2DSpec",
@@ -188,57 +196,95 @@ def _stack_h_coeffs(spec: Stacked2DSpec, s: complex) -> dict:
     }
 
 
-def stacked_hn_spectrum(spec: Stacked2DSpec):
-    """Analytic spectrum of an HN (or triangular) stack under BC1/BC2.
+def _bloch_spectrum(spec: Stacked2DSpec, hop_keys: tuple, wavenumbers):
+    """(Spectrum, per-block AlphaSet or None) from one batched eigensolve.
 
-    Per stacking factor s_j the block is a nearest-neighbour chain with
-    h_d, h_l, h_r; its eigenvalues are h_d + 2 sqrt(h_l) sqrt(h_r)
-    cos(alpha_tilde).  Blocks with a vanishing h_l or h_r fall back to the
-    dense oracle and are flagged in the returned alpha-set list as None.
+    All N2 Bloch blocks go through a single eigvals call; the eigenvalues
+    are kept in block order j.  A block whose hoppings `hop_keys` are all
+    nonzero gets the wavenumbers that `wavenumbers(h, lam)` recovers from
+    its eigenvalues: given the effective coefficients (arrays over those
+    blocks) and their eigenvalue rows, it returns (cos alpha_tilde rows,
+    shifts).  The other blocks get None.
+    """
+    lam = np.linalg.eigvals(np.stack(bc_reduce(spec)))
+    h = _stack_h_coeffs(spec, spec.stack_factors())
+    scale = max(abs(v) for v in spec.params.values()) or 1.0
+    ok = np.min([np.abs(h[k]) for k in hop_keys], axis=0) >= 1e-12 * scale
+    cos_alpha, shift = wavenumbers({k: v[ok] for k, v in h.items()}, lam[ok])
+    alpha_sets: list[Optional[AlphaSet]] = [None] * spec.n2
+    for j, c, sh in zip(np.flatnonzero(ok), cos_alpha, shift):
+        alpha_sets[j] = AlphaSet(np.arccos(c), np.ones(len(c), dtype=int), sh, "bloch-eig")
+    meta = {"model": f"stacked-{spec.family}", "n1": spec.n1, "n2": spec.n2, "mode": spec.mode}
+    return Spectrum(lam.ravel(), "bloch-oracle", meta), alpha_sets
+
+
+def _hn_wavenumbers(h: dict, lam: np.ndarray):
+    """Invert lambda = h_d + 2 sqrt(h_l) sqrt(h_r) cos(alpha_tilde): N1 per block."""
+    sl, sr = np.sqrt(h["h_l"]), np.sqrt(h["h_r"])
+    return (lam - h["h_d"][:, None]) / (2.0 * sl * sr)[:, None], 1j * np.log(sr / sl)
+
+
+def _ssh_wavenumbers(h: dict, lam: np.ndarray):
+    """Invert the two-band relation: one alpha_tilde per +- pair, N1/2 per block.
+
+    (lambda - m)^2 = v^2 + h_l1 h_r1 + h_l2 h_r2 + 2 cos(alpha_tilde)
+    sqrt(h_l1) sqrt(h_r1) sqrt(h_l2) sqrt(h_r2), with m and v the mean and
+    half-difference of the two on-site terms.
+    """
+    mid, v = (h["hd1"] + h["hd2"]) / 2.0, (h["hd1"] - h["hd2"]) / 2.0
+    sl1, sl2, sr1, sr2 = (np.sqrt(h[k]) for k in ("hl1", "hl2", "hr1", "hr2"))
+    base = v * v + h["hl1"] * h["hr1"] + h["hl2"] * h["hr2"]
+    c = ((lam - mid[:, None]) ** 2 - base[:, None]) / (2.0 * sl1 * sr1 * sl2 * sr2)[:, None]
+    return _one_per_pair(c), 1j * np.log((sr1 * sr2) / (sl1 * sl2))
+
+
+def _one_per_pair(c: np.ndarray) -> np.ndarray:
+    """Half of every row of c, keeping one value of each near-equal pair.
+
+    Greedy from the lexicographically smallest value: keep it and drop the
+    remaining value closest to it.  A wrong partner can only be one closer
+    than the rounding error, so the kept multiset does not depend on it.
+    """
+    c = np.sort(c, axis=1)
+    rows = np.arange(len(c))
+    out = np.empty((len(c), c.shape[1] // 2), dtype=complex)
+    for k in range(out.shape[1]):
+        i = np.argmax(~np.isnan(c), axis=1)
+        out[:, k] = c[rows, i]
+        c[rows, i] = np.nan
+        c[rows, np.nanargmin(np.abs(c - out[:, k, None]), axis=1)] = np.nan
+    return out
+
+
+def stacked_hn_spectrum(spec: Stacked2DSpec):
+    """Spectrum of an HN (or triangular) stack under BC1/BC2.
+
+    Per stacking factor s_j the Bloch block is a nearest-neighbour chain
+    with h_d, h_l, h_r.  All N2 blocks are solved by one batched eigvals
+    (provenance "bloch-oracle"), rows in block order j.  Each block's
+    shifted wavenumbers are recovered from its eigenvalues through
+    cos(alpha_tilde) = (lambda - h_d) / (2 sqrt(h_l) sqrt(h_r)), N1 per
+    block; a block with a vanishing h_l or h_r has none and gets None.
+    arccos loses digits near alpha_tilde = 0 and pi; there is no Newton
+    polish, since no caller uses stacked wavenumbers beyond their count.
     """
     if spec.family not in ("hn", "triangular"):
         raise ValueError(f"stacked_hn_spectrum expects an hn-like family, got {spec.family!r}")
-    lams = []
-    alpha_sets: list[Optional[AlphaSet]] = []
-    scale = max(abs(v) for v in spec.params.values()) or 1.0
-    A, B, C = blocks(spec)
-    for s in spec.stack_factors():
-        h = _stack_h_coeffs(spec, s)
-        if min(abs(h["h_l"]), abs(h["h_r"])) < 1e-12 * scale:
-            block = A + s * B + C / s
-            lams.append(dense_spectrum(block).eigenvalues)
-            alpha_sets.append(None)
-            continue
-        sp, aset = hn_spectrum(HNParams(h["h_l"], h["h_r"], h["h_d"]), spec.n1, spec.delta1)
-        lams.append(sp.eigenvalues)
-        alpha_sets.append(aset)
-    prov = "analytic" if all(a is not None for a in alpha_sets) else "analytic+oracle"
-    meta = {"model": f"stacked-{spec.family}", "n1": spec.n1, "n2": spec.n2, "mode": spec.mode}
-    return Spectrum(np.concatenate(lams), prov, meta), alpha_sets
+    return _bloch_spectrum(spec, ("h_l", "h_r"), _hn_wavenumbers)
 
 
 def stacked_ssh_spectrum(spec: Stacked2DSpec):
-    """Analytic spectrum of an SSH stack under BC1/BC2 (even N1)."""
+    """Spectrum of an SSH stack under BC1/BC2 (even N1).
+
+    Solved like `stacked_hn_spectrum`: one batched eigvals over the Bloch
+    blocks, provenance "bloch-oracle".  Wavenumbers come from the two-band
+    relation of each block's effective chain (`_ssh_wavenumbers`): one
+    alpha_tilde per +- pair, N1/2 per block, None where an effective hopping
+    vanishes.  As there, they lose digits near 0 and pi with no Newton polish.
+    """
     if spec.family != "ssh":
         raise ValueError(f"stacked_ssh_spectrum expects family 'ssh', got {spec.family!r}")
-    lams = []
-    alpha_sets: list[Optional[AlphaSet]] = []
-    scale = max(abs(v) for v in spec.params.values()) or 1.0
-    A, B, C = blocks(spec)
-    for s in spec.stack_factors():
-        h = _stack_h_coeffs(spec, s)
-        if min(abs(h["hl1"]), abs(h["hl2"]), abs(h["hr1"]), abs(h["hr2"])) < 1e-12 * scale:
-            block = A + s * B + C / s
-            lams.append(dense_spectrum(block).eigenvalues)
-            alpha_sets.append(None)
-            continue
-        pj = SSHParams(h["hl1"], h["hr1"], h["hl2"], h["hr2"], h["hd1"], h["hd2"])
-        sp, aset = ssh_spectrum(pj, spec.n1, spec.delta1)
-        lams.append(sp.eigenvalues)
-        alpha_sets.append(aset)
-    prov = "analytic" if all(a is not None for a in alpha_sets) else "analytic+oracle"
-    meta = {"model": "stacked-ssh", "n1": spec.n1, "n2": spec.n2, "mode": spec.mode}
-    return Spectrum(np.concatenate(lams), prov, meta), alpha_sets
+    return _bloch_spectrum(spec, ("hl1", "hl2", "hr1", "hr2"), _ssh_wavenumbers)
 
 
 # ---------------------------------------------------------------------------

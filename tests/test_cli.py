@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nhchain
 from nhchain.cli import ConfigError, main, parse_config, run, validate
 
 
@@ -215,3 +220,54 @@ class TestMain:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_seed_flag_removed(self, tmp_path):
+        path = write_config(tmp_path, "c.json", HN_SWEEP)
+        with pytest.raises(SystemExit):
+            main(["run", "--config", str(path), "--out", str(tmp_path), "--seed", "3"])
+
+    def test_seed_key_still_parses(self):
+        cfg = parse_config(dict(HN_SWEEP, seed=7))
+        assert "seed" not in cfg
+
+
+STACKED_SWEEPS = {
+    "stacked_hn_small": {
+        "model": "stacked-hn", "task": "sweep",
+        "params": {"t_d": 1, "t_l": 2, "t_r": 2, "u_d": 2, "v_dl": 4, "v_dr": 3,
+                   "u_u": -3, "v_ul": 3, "v_ur": 4},
+        "sizes": {"N1": 12, "N2": 10}, "mode": "bc1",
+        "delta": {"start": 0.0, "stop": 1.0, "step": 0.25},
+    },
+    "stacked_ssh_small": {
+        "model": "stacked-ssh", "task": "sweep",
+        "params": dict(zip(
+            [f"{b}{i}" for b in ("td", "tl", "tr", "ud", "vdl", "vdr", "uu", "vul", "vur")
+             for i in (1, 2)],
+            [1, 4, 2, 1, 1, 2, 3, 6, 6, 5, 3, 4, 2, 5, 4, 3, 5, 6])),
+        "sizes": {"N1": 10, "N2": 8}, "mode": "bc2", "delta2": 0.6,
+        "delta": {"start": 0.0, "stop": 1.0, "step": 0.25},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_SWEEPS))
+def test_stacked_csv_independent_of_blas_threads(tmp_path, name):
+    """Stacked sweeps write the same bytes at 1 and 2 BLAS threads.
+
+    The thread count is fixed when numpy loads, so each run is a fresh
+    process with OPENBLAS_NUM_THREADS set in its environment.
+    """
+    src = Path(nhchain.__file__).resolve().parent.parent
+    path = write_config(tmp_path, f"{name}.json", dict(STACKED_SWEEPS[name], output=name))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "nhchain.cli", "run", "--config", str(path),
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / f"{name}.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert "bloch-oracle" in outputs[0].decode()

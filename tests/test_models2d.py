@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from nhchain.cli import parse_config, validate
 from nhchain.core import dense_spectrum, match_spectra, spectral_mismatch
 from nhchain.models1d import HNParams, SSHParams, hn_matrix, hn_spectrum, ssh_matrix, ssh_spectrum
 from nhchain.models2d import (
     Stacked2DSpec,
+    _one_per_pair,
+    _stack_h_coeffs,
     bc_reduce,
     blocks,
     build_stacked_matrix,
@@ -389,3 +392,81 @@ class TestSeparableSquare:
         sa, _ = hn_spectrum(pa, 6, 0.4)
         spec = separable_square_spectrum(sa, [0.7 + 0.1j])
         assert match_spectra(spec, sa.eigenvalues + 0.7 + 0.1j) < 1e-12
+
+
+class TestBlochRoute:
+    """Stacked BC1/BC2 spectra from one batched eigensolve of the Bloch blocks."""
+
+    def test_near_delta_one_matches_full_lattice(self):
+        # the per-block closed form was 1.2e-5 off here
+        spec2d = Stacked2DSpec("hn", STACK_HN_CASE1, 8, 8, 1 - 1e-4, "bc1")
+        spec, asets = stacked_hn_spectrum(spec2d)
+        oracle = dense_spectrum(build_stacked_matrix(spec2d))
+        assert spectral_mismatch(spec, oracle) < 1e-10
+        assert spec.provenance == "bloch-oracle"
+        assert [len(a) for a in asets] == [8] * 8
+
+    def test_validate_passes_near_delta_one(self):
+        cfg = parse_config({
+            "model": "stacked-hn", "task": "sweep", "params": STACK_HN_CASE1,
+            "sizes": {"N1": 30, "N2": 30}, "mode": "bc1", "delta": 0.9999,
+            "output": "near_one",
+        })
+        report = validate(cfg)
+        assert report["status"] == "pass", report
+
+    @staticmethod
+    def _rel_match(a, b):
+        b = np.asarray(b)
+        return match_spectra(a, b) / np.abs(b).max()
+
+    @pytest.mark.parametrize("mode,delta2", [("bc1", 1.0), ("bc2", 0.7 - 0.4j)])
+    def test_hn_wavenumbers_match_block_closed_form(self, mode, delta2):
+        spec2d = Stacked2DSpec("hn", HN_P, 7, 5, 0.37, mode, delta2)
+        spec, asets = stacked_hn_spectrum(spec2d)
+        for j, (block, s) in enumerate(zip(bc_reduce(spec2d), spec2d.stack_factors())):
+            h = _stack_h_coeffs(spec2d, s)
+            alphas = asets[j].expand()
+            assert len(alphas) == 7
+            back = h["h_d"] + 2 * np.sqrt(h["h_l"]) * np.sqrt(h["h_r"]) * np.cos(alphas)
+            assert self._rel_match(back, np.linalg.eigvals(block)) < 1e-10
+            assert self._rel_match(back, spec.eigenvalues[j * 7:(j + 1) * 7]) < 1e-10
+            _, closed = hn_spectrum(HNParams(h["h_l"], h["h_r"], h["h_d"]), 7, 0.37)
+            assert match_spectra(np.cos(alphas), np.cos(closed.expand())) < 1e-8
+
+    @pytest.mark.parametrize("mode,delta2", [("bc1", 1.0), ("bc2", 0.7 - 0.4j)])
+    def test_ssh_wavenumbers_match_block_closed_form(self, mode, delta2):
+        spec2d = Stacked2DSpec("ssh", STACK_SSH_CASE4, 8, 5, 0.37, mode, delta2)
+        spec, asets = stacked_ssh_spectrum(spec2d)
+        for j, (block, s) in enumerate(zip(bc_reduce(spec2d), spec2d.stack_factors())):
+            h = _stack_h_coeffs(spec2d, s)
+            alphas = asets[j].expand()
+            assert len(alphas) == 4
+            mid, v = (h["hd1"] + h["hd2"]) / 2, (h["hd1"] - h["hd2"]) / 2
+            c1 = np.sqrt(h["hl1"]) * np.sqrt(h["hr1"]) * np.sqrt(h["hl2"]) * np.sqrt(h["hr2"])
+            r = np.sqrt(v * v + h["hl1"] * h["hr1"] + h["hl2"] * h["hr2"] + 2 * np.cos(alphas) * c1)
+            back = np.concatenate([mid + r, mid - r])
+            assert self._rel_match(back, np.linalg.eigvals(block)) < 1e-10
+            assert self._rel_match(back, spec.eigenvalues[j * 8:(j + 1) * 8]) < 1e-10
+            pj = SSHParams(h["hl1"], h["hr1"], h["hl2"], h["hr2"], h["hd1"], h["hd2"])
+            _, closed = ssh_spectrum(pj, 8, 0.37)
+            assert match_spectra(np.cos(alphas), np.cos(closed.expand())) < 1e-8
+
+    def test_vanishing_hopping_block_has_no_wavenumbers(self):
+        # h_l = s - 1/s vanishes at s = 1 (j = 0) and s = -1 (j = 2)
+        p = dict(HN_P, t_l=0.0, v_dl=1.0, v_ul=-1.0)
+        spec2d = Stacked2DSpec("hn", p, 6, 4, 0.37, "bc1")
+        spec, asets = stacked_hn_spectrum(spec2d)
+        assert [a is None for a in asets] == [True, False, True, False]
+        assert len(spec) == 24
+        oracle = dense_spectrum(build_stacked_matrix(spec2d))
+        assert spectral_mismatch(spec, oracle) < 1e-10
+
+    def test_one_per_pair_with_equal_real_parts(self):
+        # a conjugate pair of wavenumbers, each seen twice with rounding noise
+        # in the real part: keeping every other sorted value would drop one
+        a, b = 0.3 + 0.5j, 0.3 - 0.5j
+        row = np.array([[a, b, a + 5.6e-17, b + 5.6e-17]])
+        kept = _one_per_pair(row)
+        assert kept.shape == (1, 2)
+        assert match_spectra(kept[0], [a, b]) < 1e-15
