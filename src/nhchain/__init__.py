@@ -11,7 +11,9 @@ from .alphasolver import (
 )
 from .core import (
     ChainStencil,
+    EigensolverError,
     LocalizationReport,
+    NumericalError,
     Spectrum,
     StateProfiles,
     build_chain_matrix,
@@ -28,14 +30,17 @@ from .models1d import (
     SSHParams,
     bloch_1d,
     hn_balanced,
+    hn_closed_form,
     hn_eigenvector,
     hn_matrix,
     hn_spectrum,
     impurity_states,
+    mixed_longrange_closed_form,
     mixed_longrange_matrix,
     mixed_longrange_spectrum,
     nonwinding_family,
     ssh_balanced,
+    ssh_closed_form,
     ssh_matrix,
     ssh_spectrum,
     ssh_zero_mode_predicate,

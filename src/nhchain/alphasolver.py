@@ -6,12 +6,23 @@ a Laurent polynomial in y.  Known trivial factors (the anti-palindromic
 y = +-1 artifacts, the squared corner factors of odd chains, the spurious
 cubic of the mixed long-range chain) are divided out before root finding, so
 the remaining roots encode exactly the physical wavenumbers.
+
+This is the paper's route to the chain spectra.  The models1d closed-form
+entries (`hn_closed_form`, `ssh_closed_form`, `mixed_longrange_closed_form`)
+run it, and the command line checks them against the dense oracle at a
+reduced size; the production chain spectra come from the dense eigensolver.
+The route loses digits as the chain grows (root pairing fails from N of
+about 50 for unbalanced chains), and such failures raise `NumericalError`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .core import NumericalError
+from .core import as_corner_pair as _pair
+from .core import principal_sqrt as _sq
 
 __all__ = [
     "AlphaSet",
@@ -118,7 +129,7 @@ def _deflate(coeffs: np.ndarray, root: complex, what: str) -> np.ndarray:
         out[i] = acc
     rem = desc[-1] + acc * root
     if abs(rem) > 1e-7 * np.abs(coeffs).max():
-        raise ValueError(f"expected factor {what} is not a factor (remainder {abs(rem):.3g})")
+        raise NumericalError(f"expected factor {what} is not a factor (remainder {abs(rem):.3g})")
     return out[::-1]
 
 
@@ -126,19 +137,6 @@ def _scaled_companion_roots(coeffs: np.ndarray, scale: float) -> np.ndarray:
     """Roots via the companion matrix of the polynomial in y = scale * z."""
     b = coeffs * scale ** np.arange(len(coeffs))
     return scale * np.roots(b[::-1] / np.abs(b).max())
-
-
-def _sq(z) -> complex:
-    """Principal branch square root; the split-radical convention means
-    products like sqrt(a)*sqrt(b) are never collapsed to sqrt(a*b)."""
-    return complex(np.sqrt(complex(z)))
-
-
-def _pair(delta) -> tuple[complex, complex]:
-    if np.isscalar(delta):
-        return complex(delta), complex(delta)
-    dl, dr = delta
-    return complex(dl), complex(dr)
 
 
 def _sinpoly(coeffs: np.ndarray, m: int, weight: complex, size: int) -> None:
@@ -334,7 +332,7 @@ def _mixed_poly(params: dict, N: int, delta) -> PolyY:
         # generous tolerance: when the spurious root coincides with a genuine
         # multiple root the companion splits the cluster by ~eps^(1/m)
         if abs(all_roots[j] - target) > 1e-4 * max(1.0, abs(target)):
-            raise ValueError(
+            raise NumericalError(
                 f"spurious cubic root {target:.6g} not found among the equation roots"
             )
         keep.remove(j)
@@ -343,7 +341,7 @@ def _mixed_poly(params: dict, N: int, delta) -> PolyY:
     kept = _newton_vec(desc, d1, kept, iters=12, mask=single)
     quotient = np.polymul(np.poly(kept), [P[-1]])[::-1]
     if quotient.size - 1 != 3 * N:
-        raise ValueError(
+        raise NumericalError(
             f"degenerate mixed-chain polynomial: degree {quotient.size - 1}, "
             f"expected {3 * N}"
         )
@@ -410,25 +408,11 @@ def _merge_root_clusters(ys: np.ndarray, desc=None, radius: float = 5e-5):
     simple roots (for example two root loci crossing during a sweep).
     """
     n = len(ys)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(ys[i] - ys[j]) < radius * max(1.0, abs(ys[i])):
-                parent[find(i)] = find(j)
     out = ys.copy()
     single = np.ones(n, dtype=bool)
-    clusters = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
     derivs = [None if desc is None else np.asarray(desc, dtype=complex)]
-    for members in clusters.values():
+    linked = lambda i, j: abs(ys[i] - ys[j]) < radius * max(1.0, abs(ys[i]))
+    for members in _link_clusters(n, linked):
         m = len(members)
         if m < 2:
             continue
@@ -466,7 +450,7 @@ def _s_reduction_roots(kind: str, full: np.ndarray) -> np.ndarray:
     half = n // 2
     sign = -1.0 if kind == "anti" else 1.0
     if np.abs(c - sign * c[::-1]).max() > 1e-9 * np.abs(c).max():
-        raise ValueError(f"polynomial is not {kind}-palindromic")
+        raise NumericalError(f"polynomial is not {kind}-palindromic")
     if kind == "anti":
         # (y^j - y^-j)/(y - 1/y): q_1 = 1, q_2 = s, q_{j+1} = s q_j - q_{j-1}
         R = np.zeros(half, dtype=complex)
@@ -495,7 +479,7 @@ def _s_reduction_roots(kind: str, full: np.ndarray) -> np.ndarray:
         for target in (2.0, -2.0):
             j = min(range(len(svals)), key=lambda i: abs(svals[i] - target))
             if abs(svals[j] - target) > 1e-4:
-                raise ValueError(
+                raise NumericalError(
                     f"expected trivial wavenumber at s = {target:+.0f} not found"
                 )
             svals.pop(j)
@@ -570,9 +554,8 @@ def roots(poly: PolyY) -> np.ndarray:
     return ys[order]
 
 
-def _key_clusters(keys: np.ndarray, tau: float):
-    """Connected clusters of keys under pairwise linking distance tau."""
-    n = len(keys)
+def _link_clusters(n: int, linked) -> list:
+    """Connected components of range(n) under the pair predicate linked(i, j)."""
     parent = list(range(n))
 
     def find(i):
@@ -583,7 +566,7 @@ def _key_clusters(keys: np.ndarray, tau: float):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(keys[i] - keys[j]) <= tau:
+            if linked(i, j):
                 parent[find(i)] = find(j)
     clusters = {}
     for i in range(n):
@@ -597,12 +580,13 @@ def _divisible_clusters(keys: np.ndarray, size: int, tol: float):
     scale = max(1.0, np.abs(keys).max())
     last = None
     for factor in (1.0, 10.0, 100.0, 1e3, 1e4):
-        clusters = _key_clusters(keys, factor * tol * scale)
+        tau = factor * tol * scale
+        clusters = _link_clusters(len(keys), lambda i, j: abs(keys[i] - keys[j]) <= tau)
         last = clusters
         if all(len(c) % size == 0 for c in clusters):
             return clusters
     sizes = sorted(len(c) for c in last if len(c) % size)
-    raise ValueError(
+    raise NumericalError(
         f"grouping into sets of {size} failed: cluster sizes {sizes} are not "
         f"multiples of {size} (linking distance up to {1e4 * tol * scale:.3g})"
     )
@@ -652,8 +636,8 @@ def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None,
                 alphas.append(-1j * np.log(y))
     alphas = np.array(alphas)
     if expected is not None and len(alphas) != expected:
-        raise ValueError(f"reduced to {len(alphas)} wavenumbers, expected {expected}")
-    values, mult = _dedup(alphas)
+        raise NumericalError(f"reduced to {len(alphas)} wavenumbers, expected {expected}")
+    values, mult = dedup_sorted(alphas)
     return AlphaSet(values, mult, 0.0 + 0.0j, pairing)
 
 
@@ -681,7 +665,7 @@ def _pair_by_inversion(ys: np.ndarray) -> list:
             if d < best_d:
                 best, best_d = j, d
         if best < 0 or best_d > 0.2 * max(1.0, abs(target)):
-            raise ValueError(
+            raise NumericalError(
                 f"no inversion partner for root {ys[i]:.6g} "
                 f"(nearest candidate off by {best_d:.3g})"
             )
@@ -700,12 +684,20 @@ def _canonical_member(members: np.ndarray, pairing: str) -> complex:
         if pos:
             return max(pos, key=abs)
         return a
-    # triples: deterministic representative
-    order = np.lexsort((members.imag, members.real, -np.abs(members)))
-    return members[order[0]]
+    return canonical_triple(members)
 
 
-def _dedup(alphas: np.ndarray, tol: float = DEDUP_TOL):
+def canonical_triple(members: np.ndarray) -> np.ndarray:
+    """Deterministic representative of each root triple (last axis): the
+    largest |y|, then the smallest real part, then the smallest imaginary part."""
+    order = np.lexsort((members.imag, members.real, -np.abs(members)), axis=-1)
+    return np.take_along_axis(members, order[..., :1], axis=-1)[..., 0]
+
+
+def dedup_sorted(alphas: np.ndarray, tol: float = DEDUP_TOL):
+    """Sorted distinct values and their multiplicities; a value within tol of
+    the first value of the current group joins it."""
+    alphas = np.asarray(alphas, dtype=complex)
     order = np.lexsort((alphas.imag, alphas.real))
     vals, mult = [], []
     for a in alphas[order]:

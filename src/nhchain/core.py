@@ -23,6 +23,8 @@ from scipy.spatial.distance import cdist
 
 __all__ = [
     "ChainStencil",
+    "EigensolverError",
+    "NumericalError",
     "Spectrum",
     "StateProfiles",
     "LocalizationReport",
@@ -37,12 +39,18 @@ __all__ = [
 EIGVEC_CONDITION_LIMIT = 1e8
 
 
-def _as_corner_pair(corner_deform) -> tuple[complex, complex]:
+def as_corner_pair(corner_deform) -> tuple[complex, complex]:
     """Normalize a scalar delta or a (delta_l, delta_r) pair."""
     if np.isscalar(corner_deform):
         return complex(corner_deform), complex(corner_deform)
     dl, dr = corner_deform
     return complex(dl), complex(dr)
+
+
+def principal_sqrt(z) -> complex:
+    """Principal branch square root; the split-radical convention means
+    products like sqrt(a)*sqrt(b) are never collapsed to sqrt(a*b)."""
+    return complex(np.sqrt(complex(z)))
 
 
 @dataclass(frozen=True)
@@ -97,7 +105,7 @@ class ChainStencil:
 
     @property
     def corner_pair(self) -> tuple[complex, complex]:
-        return _as_corner_pair(self.corner_deform)
+        return as_corner_pair(self.corner_deform)
 
 
 def build_chain_matrix(stencil: ChainStencil) -> np.ndarray:
@@ -172,7 +180,13 @@ def spectral_mismatch(a, b) -> float:
     return match_spectra(va, vb) / scale
 
 
-class EigensolverError(RuntimeError):
+class NumericalError(ValueError):
+    """A solver failed on valid input: roots that do not pair or group as
+    the model's symmetry requires, or an eigensolver that did not converge.
+    The command line reports these with their own exit code (4)."""
+
+
+class EigensolverError(NumericalError, RuntimeError):
     pass
 
 

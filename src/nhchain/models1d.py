@@ -1,10 +1,26 @@
-"""Closed-form spectra and eigenvectors for the solvable 1D chains.
+"""Spectra, shifted wavenumbers and eigenvectors of the solvable 1D chains.
 
 Covered models: nearest-neighbour asymmetric chain (with optional end
 on-site energies and asymmetric corners), the two-band alternating chain of
 even or odd length (with alternating on-site potentials and a zero-mode
 criterion), the unidirectional and mixed long-range chains, and the scalar
 Bloch functions with their three non-winding parameter families.
+
+`hn_spectrum`, `ssh_spectrum` and `mixed_longrange_spectrum` take their
+eigenvalues from one dense eigensolve of the chain matrix (provenance
+"oracle") and recover the shifted wavenumbers from them: cos(alpha_tilde) =
+(lambda - t_d) / (2 sqrt(t_l) sqrt(t_r)) for the one-band chain, the
+lambda^2 relation for the two-band chain (one alpha_tilde per +- pair at even
+length), and the root of largest modulus of u_l y^3 - lambda y + t_r = 0,
+y = e^{i alpha_tilde}, for the mixed long-range chain.  The exact
+wavenumber sets stay analytic: the plain one-band chain at delta = 0 and
++-1 and the open odd two-band chain.  The stacked lattices of models2d
+recover their Bloch blocks' wavenumbers with the same inversion helpers.
+
+The paper's boundary-equation route (alphasolver) is kept behind
+`hn_closed_form`, `ssh_closed_form` and `mixed_longrange_closed_form`.  The
+command line checks it against the dense oracle at a reduced size (N <= 12);
+at large N it loses digits or raises `NumericalError`.
 """
 from __future__ import annotations
 
@@ -13,8 +29,18 @@ from typing import Optional
 
 import numpy as np
 
-from .alphasolver import AlphaSet, alpha_from_roots, dirichlet_ratio, polynomialize, roots
+from .alphasolver import (
+    AlphaSet,
+    alpha_from_roots,
+    canonical_triple,
+    dedup_sorted,
+    dirichlet_ratio,
+    polynomialize,
+    roots,
+)
 from .core import ChainStencil, Spectrum, build_chain_matrix, dense_spectrum
+from .core import as_corner_pair as _pair
+from .core import principal_sqrt as _sq
 
 __all__ = [
     "HNParams",
@@ -23,30 +49,78 @@ __all__ = [
     "hn_stencil",
     "hn_matrix",
     "hn_spectrum",
+    "hn_closed_form",
     "hn_eigenvector",
     "hn_balanced",
     "ssh_matrix",
     "ssh_spectrum",
+    "ssh_closed_form",
     "ssh_zero_mode_predicate",
     "ssh_balanced",
     "unidirectional_matrix",
     "unidirectional_spectrum",
     "mixed_longrange_matrix",
     "mixed_longrange_spectrum",
+    "mixed_longrange_closed_form",
     "bloch_1d",
     "nonwinding_family",
 ]
 
 
-def _sq(z) -> complex:
-    return complex(np.sqrt(complex(z)))
+def _zero_hopping_fallback(matrix) -> tuple[Spectrum, AlphaSet]:
+    """Dense spectrum and no wavenumbers, for a chain with a vanishing hopping."""
+    spec = dense_spectrum(matrix, parameters={"fallback": "zero hopping"})
+    return spec, AlphaSet(np.empty(0), np.empty(0, dtype=int), 0.0, "oracle-fallback")
 
 
-def _pair(delta) -> tuple[complex, complex]:
-    if np.isscalar(delta):
-        return complex(delta), complex(delta)
-    dl, dr = delta
-    return complex(dl), complex(dr)
+def _alpha_set_from_cos(cos_alpha: np.ndarray, shift: complex, generator: str) -> AlphaSet:
+    """One shifted wavenumber per value of cos(alpha_tilde), Re in [0, pi]."""
+    return AlphaSet(np.arccos(cos_alpha), np.ones(len(cos_alpha), dtype=int), shift, generator)
+
+
+def _hn_wavenumbers(h: dict, lam: np.ndarray):
+    """Invert lambda = h_d + 2 sqrt(h_l) sqrt(h_r) cos(alpha_tilde).
+
+    h holds arrays of the chain coefficients, one entry per chain (Bloch
+    block); lam holds one row of eigenvalues per chain.  Returns the
+    cos(alpha_tilde) rows and the shifts.
+    """
+    sl, sr = np.sqrt(h["h_l"]), np.sqrt(h["h_r"])
+    return (lam - h["h_d"][:, None]) / (2.0 * sl * sr)[:, None], 1j * np.log(sr / sl)
+
+
+def _ssh_wavenumbers(h: dict, lam: np.ndarray, pairs: bool = True):
+    """Invert the two-band relation, like `_hn_wavenumbers`.
+
+    (lambda - m)^2 = v^2 + h_l1 h_r1 + h_l2 h_r2 + 2 cos(alpha_tilde)
+    sqrt(h_l1) sqrt(h_r1) sqrt(h_l2) sqrt(h_r2), with m and v the mean and
+    half-difference of the two on-site terms hd1, hd2.  With `pairs`
+    (even length, eigenvalues in +- pairs about m) one value per pair is
+    kept; otherwise one per eigenvalue.
+    """
+    mid, v = (h["hd1"] + h["hd2"]) / 2.0, (h["hd1"] - h["hd2"]) / 2.0
+    sl1, sl2, sr1, sr2 = (np.sqrt(h[k]) for k in ("hl1", "hl2", "hr1", "hr2"))
+    base = v * v + h["hl1"] * h["hr1"] + h["hl2"] * h["hr2"]
+    c = ((lam - mid[:, None]) ** 2 - base[:, None]) / (2.0 * sl1 * sr1 * sl2 * sr2)[:, None]
+    return _one_per_pair(c) if pairs else c, 1j * np.log((sr1 * sr2) / (sl1 * sl2))
+
+
+def _one_per_pair(c: np.ndarray) -> np.ndarray:
+    """Half of every row of c, keeping one value of each near-equal pair.
+
+    Greedy from the lexicographically smallest value: keep it and drop the
+    remaining value closest to it.  A wrong partner can only be one closer
+    than the rounding error, so the kept multiset does not depend on it.
+    """
+    c = np.sort(c, axis=1)
+    rows = np.arange(len(c))
+    out = np.empty((len(c), c.shape[1] // 2), dtype=complex)
+    for k in range(out.shape[1]):
+        i = np.argmax(~np.isnan(c), axis=1)
+        out[:, k] = c[rows, i]
+        c[rows, i] = np.nan
+        c[rows, np.nanargmin(np.abs(c - out[:, k, None]), axis=1)] = np.nan
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +165,11 @@ def _hn_lambda(p: HNParams, alphas: np.ndarray) -> np.ndarray:
     return p.t_d + 2.0 * _sq(p.t_l) * _sq(p.t_r) * np.cos(alphas)
 
 
-def hn_alpha_set(p: HNParams, N: int, delta) -> AlphaSet:
-    """Shifted wavenumbers of the nearest-neighbour chain.
-
-    delta = 0 and delta = +-1 (plain chain, symmetric corners) use the exact
-    wavenumber sets; every other boundary value goes through the cleared
-    polynomial.  The plane-wave solutions at delta = +-1 exist because the
-    boundary equations then admit single-exponential eigenvectors.
-    """
+def _hn_exact_alpha_set(p: HNParams, N: int, delta) -> Optional[AlphaSet]:
+    """The exact wavenumber sets of the plain chain with symmetric corners at
+    delta = 0 and delta = +-1, or None for any other boundary.  The
+    plane-wave solutions at delta = +-1 exist because the boundary equations
+    then admit single-exponential eigenvectors."""
     dl, dr = _pair(delta)
     shift = p.shift
     if p.is_plain and dl == dr:
@@ -109,37 +180,59 @@ def hn_alpha_set(p: HNParams, N: int, delta) -> AlphaSet:
         if dl in (1.0 + 0j, -1.0 + 0j):
             k = np.arange(N)
             alph = (2 * np.pi * k + (0.0 if dl == 1 else np.pi)) / N
-            vals, mult = _dedup_sorted(alph + shift)
+            vals, mult = dedup_sorted(alph + shift)
             return AlphaSet(vals, mult, shift, "hn-fourier")
+    return None
+
+
+def hn_alpha_set(p: HNParams, N: int, delta) -> AlphaSet:
+    """Shifted wavenumbers of the nearest-neighbour chain, closed form.
+
+    delta = 0 and delta = +-1 (plain chain, symmetric corners) use the exact
+    wavenumber sets; every other boundary value goes through the cleared
+    polynomial.
+    """
+    exact = _hn_exact_alpha_set(p, N, delta)
+    if exact is not None:
+        return exact
     poly = polynomialize(
-        "hn", {"t_l": p.t_l, "t_r": p.t_r, "eps1": p.eps1, "epsN": p.epsN}, N, (dl, dr)
+        "hn", {"t_l": p.t_l, "t_r": p.t_r, "eps1": p.eps1, "epsN": p.epsN}, N, _pair(delta)
     )
     aset = alpha_from_roots(roots(poly), "pairs", expected=N)
-    return AlphaSet(aset.values, aset.multiplicity, shift, "hn-equation")
+    return AlphaSet(aset.values, aset.multiplicity, p.shift, "hn-equation")
 
 
-def _dedup_sorted(vals: np.ndarray, tol: float = 1e-9):
-    vals = np.asarray(vals, dtype=complex)
-    order = np.lexsort((vals.imag, vals.real))
-    out, mult = [], []
-    for v in vals[order]:
-        if out and abs(v - out[-1]) < tol:
-            mult[-1] += 1
-        else:
-            out.append(v)
-            mult.append(1)
-    return np.array(out, dtype=complex), np.array(mult, dtype=int)
-
-
-def hn_spectrum(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
-    """Eigenvalues lambda = t_d + 2 sqrt(t_l) sqrt(t_r) cos(alpha_tilde)."""
+def hn_closed_form(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
+    """The paper's route: wavenumbers from the boundary equation (alphasolver),
+    eigenvalues lambda = t_d + 2 sqrt(t_l) sqrt(t_r) cos(alpha_tilde),
+    provenance "analytic".  Reliable at small N only; see `hn_spectrum`."""
     if p.t_l == 0 or p.t_r == 0:
-        spec = dense_spectrum(hn_matrix(p, N, delta), parameters={"fallback": "zero hopping"})
-        return spec, AlphaSet(np.empty(0), np.empty(0, dtype=int), 0.0, "oracle-fallback")
+        return _zero_hopping_fallback(hn_matrix(p, N, delta))
     aset = hn_alpha_set(p, N, delta)
     lam = _hn_lambda(p, aset.expand())
     params = {"model": "hn", "N": N, "delta": _pair(delta)}
     return Spectrum(lam, "analytic", params), aset
+
+
+def hn_spectrum(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
+    """Eigenvalues lambda = t_d + 2 sqrt(t_l) sqrt(t_r) cos(alpha_tilde).
+
+    The plain chain with symmetric corners at delta = 0 and +-1 has exact
+    wavenumber sets and an "analytic" spectrum.  Otherwise the eigenvalues
+    come from a dense eigensolve (provenance "oracle") and each gets the
+    alpha_tilde that `_hn_wavenumbers` recovers from it (generator "hn-eig").
+    A vanishing hopping leaves the dense spectrum without wavenumbers.
+    """
+    if p.t_l == 0 or p.t_r == 0:
+        return _zero_hopping_fallback(hn_matrix(p, N, delta))
+    params = {"model": "hn", "N": N, "delta": _pair(delta)}
+    exact = _hn_exact_alpha_set(p, N, delta)
+    if exact is not None:
+        return Spectrum(_hn_lambda(p, exact.expand()), "analytic", params), exact
+    spec = dense_spectrum(hn_matrix(p, N, delta), parameters=params)
+    h = {"h_d": np.array([p.t_d]), "h_l": np.array([p.t_l]), "h_r": np.array([p.t_r])}
+    cos_alpha, shift = _hn_wavenumbers(h, spec.eigenvalues[None, :])
+    return spec, _alpha_set_from_cos(cos_alpha[0], shift[0], "hn-eig")
 
 
 def hn_eigenvector(p: HNParams, alpha_tilde: complex, delta, N: int) -> np.ndarray:
@@ -230,15 +323,41 @@ def _ssh_lambda2(p: SSHParams, alphas: np.ndarray) -> np.ndarray:
 def ssh_spectrum(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     """Full eigenvalue multiset of the alternating chain.
 
-    Even N: lambda = (v1+v2)/2 +- sqrt(v^2 + tl1 tr1 + tl2 tr2 +
-    2 cos(a) sqrt(tl1) sqrt(tr1) sqrt(tl2) sqrt(tr2)), one +- pair per
-    wavenumber.  Odd N: one eigenvalue per wavenumber, sign resolved by the
-    sign factor of the odd-chain equation (oracle fallback if it is
-    numerically unstable); zero modes arise as ordinary equation roots.
+    Eigenvalues lambda = (v1+v2)/2 +- sqrt(v^2 + tl1 tr1 + tl2 tr2 +
+    2 cos(a) sqrt(tl1) sqrt(tr1) sqrt(tl2) sqrt(tr2)).  The open odd chain
+    has an exact wavenumber set and an "analytic" spectrum.  Otherwise the
+    eigenvalues come from a dense eigensolve (provenance "oracle") and the
+    wavenumbers are recovered from them by `_ssh_wavenumbers` (generator
+    "ssh-eig"): one per +- pair for even N, one per eigenvalue for odd N.
+    Odd chains take no on-site potentials; a vanishing hopping leaves the
+    dense spectrum without wavenumbers.
     """
     if not p.hoppings_nonzero:
-        spec = dense_spectrum(ssh_matrix(p, N, delta), parameters={"fallback": "zero hopping"})
-        return spec, AlphaSet(np.empty(0), np.empty(0, dtype=int), 0.0, "oracle-fallback")
+        return _zero_hopping_fallback(ssh_matrix(p, N, delta))
+    if N % 2 and (p.v1 != 0 or p.v2 != 0):
+        raise ValueError("odd-length chains are solved without on-site potentials")
+    dl, dr = _pair(delta)
+    meta = {"model": "ssh", "N": N, "delta": (dl, dr)}
+    if N % 2 and dl == 0 and dr == 0:
+        return _ssh_odd_open(p, N, meta)
+    spec = dense_spectrum(ssh_matrix(p, N, delta), parameters=meta)
+    h = {"hd1": p.v1, "hd2": p.v2, "hl1": p.tl1, "hl2": p.tl2, "hr1": p.tr1, "hr2": p.tr2}
+    cos_alpha, shift = _ssh_wavenumbers({k: np.array([v]) for k, v in h.items()},
+                                        spec.eigenvalues[None, :], pairs=N % 2 == 0)
+    return spec, _alpha_set_from_cos(cos_alpha[0], shift[0], "ssh-eig")
+
+
+def ssh_closed_form(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
+    """The paper's route for the alternating chain, provenance "analytic".
+
+    Even N: one +- pair of eigenvalues per wavenumber of the boundary
+    equation (alphasolver).  Odd N: one eigenvalue per wavenumber, sign
+    resolved by the sign factor of the odd-chain equation (oracle fallback
+    if it is numerically unstable); zero modes arise as ordinary equation
+    roots.  Reliable at small N only; see `ssh_spectrum`.
+    """
+    if not p.hoppings_nonzero:
+        return _zero_hopping_fallback(ssh_matrix(p, N, delta))
     dl, dr = _pair(delta)
     shift = p.shift
     params = {"tl1": p.tl1, "tr1": p.tr1, "tl2": p.tl2, "tr2": p.tr2}
@@ -253,19 +372,7 @@ def ssh_spectrum(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     if p.v1 != 0 or p.v2 != 0:
         raise ValueError("odd-length chains are solved without on-site potentials")
     if dl == 0 and dr == 0:
-        # open odd chain: exact zero mode plus symmetric +- pairs
-        k = np.arange(1, N + 1)
-        k = k[k != (N + 1) // 2]
-        alph = 2.0 * np.pi * k / (N + 1)
-        uniq = alph[: (N - 1) // 2]
-        lam2 = _ssh_lambda2(p, uniq)
-        s = np.sqrt(lam2)
-        lam = np.concatenate([[0.0], s, -s])
-        vals = np.concatenate([uniq + 0j, [_zero_mode_alpha(p)]])
-        return (
-            Spectrum(lam, "analytic", meta),
-            AlphaSet(vals, np.ones(len(vals), dtype=int), shift, "ssh-odd-open"),
-        )
+        return _ssh_odd_open(p, N, meta)
     poly = polynomialize("ssh-odd", params, N, (dl, dr))
     ys = roots(poly)
     aset = alpha_from_roots(ys, "pairs", expected=N)
@@ -281,6 +388,22 @@ def ssh_spectrum(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     return (
         Spectrum(signs * lam_plus, "analytic", meta),
         AlphaSet(aset.values, aset.multiplicity, shift, "ssh-odd"),
+    )
+
+
+def _ssh_odd_open(p: SSHParams, N: int, meta: dict) -> tuple[Spectrum, AlphaSet]:
+    """Open odd chain: exact zero mode plus symmetric +- pairs."""
+    k = np.arange(1, N + 1)
+    k = k[k != (N + 1) // 2]
+    alph = 2.0 * np.pi * k / (N + 1)
+    uniq = alph[: (N - 1) // 2]
+    lam2 = _ssh_lambda2(p, uniq)
+    s = np.sqrt(lam2)
+    lam = np.concatenate([[0.0], s, -s])
+    vals = np.concatenate([uniq + 0j, [_zero_mode_alpha(p)]])
+    return (
+        Spectrum(lam, "analytic", meta),
+        AlphaSet(vals, np.ones(len(vals), dtype=int), p.shift, "ssh-odd-open"),
     )
 
 
@@ -403,10 +526,36 @@ def mixed_longrange_matrix(t_r, u_l, delta, N: int) -> np.ndarray:
 
 
 def mixed_longrange_spectrum(t_r, u_l, delta, N: int) -> tuple[Spectrum, AlphaSet]:
-    """Spectrum of the chain with +2 and -1 hops from the degree-3N polynomial.
+    """Spectrum of the chain with +2 and -1 hops, lambda = u_l y^2 + t_r / y.
+
+    The eigenvalues come from a dense eigensolve (provenance "oracle").  Each
+    has three roots y of u_l y^3 - lambda y + t_r = 0, found for all
+    eigenvalues at once as the eigenvalues of their 3 x 3 companion
+    matrices; the triple rule of the closed form (`canonical_triple`) picks
+    one, and alpha_tilde = -i log(y) (generator "mixed-eig", no shift).
+    A vanishing hopping leaves the dense spectrum without wavenumbers.
+    """
+    t_r, u_l = complex(t_r), complex(u_l)
+    H = mixed_longrange_matrix(t_r, u_l, delta, N)
+    if t_r == 0 or u_l == 0:
+        return _zero_hopping_fallback(H)
+    meta = {"model": "mixed-longrange", "N": N, "delta": complex(delta)}
+    spec = dense_spectrum(H, parameters=meta)
+    companion = np.zeros((N, 3, 3), dtype=complex)
+    companion[:, 0, 1] = spec.eigenvalues / u_l
+    companion[:, 0, 2] = -t_r / u_l
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    ys = canonical_triple(np.linalg.eigvals(companion))
+    return spec, AlphaSet(-1j * np.log(ys), np.ones(N, dtype=int), 0.0, "mixed-eig")
+
+
+def mixed_longrange_closed_form(t_r, u_l, delta, N: int) -> tuple[Spectrum, AlphaSet]:
+    """The paper's route: the degree-3N boundary polynomial, provenance "analytic".
 
     The 3N roots group into triples sharing one eigenvalue
-    lambda = u_l y^2 + t_r / y.
+    lambda = u_l y^2 + t_r / y; the Spectrum parameters record the degree
+    and the removed factor.  Reliable at small N only; see
+    `mixed_longrange_spectrum`.
     """
     t_r, u_l = complex(t_r), complex(u_l)
     poly = polynomialize("mixed-longrange", {"t_r": t_r, "u_l": u_l}, N, complex(delta))
@@ -414,7 +563,8 @@ def mixed_longrange_spectrum(t_r, u_l, delta, N: int) -> tuple[Spectrum, AlphaSe
     key = lambda y: u_l * y * y + t_r / y
     aset = alpha_from_roots(ys, "triples", value_key=key, expected=N)
     lam = np.array([key(np.exp(1j * a)) for a in aset.expand()])
-    meta = {"model": "mixed-longrange", "N": N, "delta": complex(delta)}
+    meta = {"model": "mixed-longrange", "N": N, "delta": complex(delta),
+            "degree": poly.degree, "removed_factor": poly.removed_factors[0]}
     return Spectrum(lam, "analytic", meta), aset
 
 

@@ -12,7 +12,8 @@ the stacking boundary mode:
 BC1/BC2 spectra come from the N2 Bloch blocks A + s_j B + s_j^{-1} C, solved
 together by one batched eigvals (provenance "bloch-oracle"); each block's
 shifted wavenumbers are then recovered from its eigenvalues through the
-dispersion relation of the block's effective chain.  Those wavenumbers lose
+dispersion relation of the block's effective chain, by the same inversion
+helpers as the 1D chains (models1d).  Those wavenumbers lose
 digits near alpha_tilde = 0 and pi, where arccos is ill-conditioned; they get
 no Newton polish, as no caller uses stacked wavenumbers beyond their count.
 The closed forms carry the balance verdicts and the envelope curves.
@@ -26,7 +27,8 @@ import numpy as np
 
 from .alphasolver import AlphaSet
 from .core import ChainStencil, Spectrum, build_chain_matrix, dense_spectrum
-from .models1d import SSHParams, ssh_matrix
+from .models1d import SSHParams, _alpha_set_from_cos, _hn_wavenumbers, _ssh_wavenumbers, ssh_matrix
+from .models1d import _one_per_pair  # noqa: F401  (re-exported: tests import it from here)
 
 __all__ = [
     "Stacked2DSpec",
@@ -213,47 +215,9 @@ def _bloch_spectrum(spec: Stacked2DSpec, hop_keys: tuple, wavenumbers):
     cos_alpha, shift = wavenumbers({k: v[ok] for k, v in h.items()}, lam[ok])
     alpha_sets: list[Optional[AlphaSet]] = [None] * spec.n2
     for j, c, sh in zip(np.flatnonzero(ok), cos_alpha, shift):
-        alpha_sets[j] = AlphaSet(np.arccos(c), np.ones(len(c), dtype=int), sh, "bloch-eig")
+        alpha_sets[j] = _alpha_set_from_cos(c, sh, "bloch-eig")
     meta = {"model": f"stacked-{spec.family}", "n1": spec.n1, "n2": spec.n2, "mode": spec.mode}
     return Spectrum(lam.ravel(), "bloch-oracle", meta), alpha_sets
-
-
-def _hn_wavenumbers(h: dict, lam: np.ndarray):
-    """Invert lambda = h_d + 2 sqrt(h_l) sqrt(h_r) cos(alpha_tilde): N1 per block."""
-    sl, sr = np.sqrt(h["h_l"]), np.sqrt(h["h_r"])
-    return (lam - h["h_d"][:, None]) / (2.0 * sl * sr)[:, None], 1j * np.log(sr / sl)
-
-
-def _ssh_wavenumbers(h: dict, lam: np.ndarray):
-    """Invert the two-band relation: one alpha_tilde per +- pair, N1/2 per block.
-
-    (lambda - m)^2 = v^2 + h_l1 h_r1 + h_l2 h_r2 + 2 cos(alpha_tilde)
-    sqrt(h_l1) sqrt(h_r1) sqrt(h_l2) sqrt(h_r2), with m and v the mean and
-    half-difference of the two on-site terms.
-    """
-    mid, v = (h["hd1"] + h["hd2"]) / 2.0, (h["hd1"] - h["hd2"]) / 2.0
-    sl1, sl2, sr1, sr2 = (np.sqrt(h[k]) for k in ("hl1", "hl2", "hr1", "hr2"))
-    base = v * v + h["hl1"] * h["hr1"] + h["hl2"] * h["hr2"]
-    c = ((lam - mid[:, None]) ** 2 - base[:, None]) / (2.0 * sl1 * sr1 * sl2 * sr2)[:, None]
-    return _one_per_pair(c), 1j * np.log((sr1 * sr2) / (sl1 * sl2))
-
-
-def _one_per_pair(c: np.ndarray) -> np.ndarray:
-    """Half of every row of c, keeping one value of each near-equal pair.
-
-    Greedy from the lexicographically smallest value: keep it and drop the
-    remaining value closest to it.  A wrong partner can only be one closer
-    than the rounding error, so the kept multiset does not depend on it.
-    """
-    c = np.sort(c, axis=1)
-    rows = np.arange(len(c))
-    out = np.empty((len(c), c.shape[1] // 2), dtype=complex)
-    for k in range(out.shape[1]):
-        i = np.argmax(~np.isnan(c), axis=1)
-        out[:, k] = c[rows, i]
-        c[rows, i] = np.nan
-        c[rows, np.nanargmin(np.abs(c - out[:, k, None]), axis=1)] = np.nan
-    return out
 
 
 def stacked_hn_spectrum(spec: Stacked2DSpec):
@@ -278,7 +242,7 @@ def stacked_ssh_spectrum(spec: Stacked2DSpec):
 
     Solved like `stacked_hn_spectrum`: one batched eigvals over the Bloch
     blocks, provenance "bloch-oracle".  Wavenumbers come from the two-band
-    relation of each block's effective chain (`_ssh_wavenumbers`): one
+    relation of each block's effective chain (`models1d._ssh_wavenumbers`): one
     alpha_tilde per +- pair, N1/2 per block, None where an effective hopping
     vanishes.  As there, they lose digits near 0 and pi with no Newton polish.
     """
@@ -592,7 +556,14 @@ def separable_square_matrix(chain_a: np.ndarray, chain_b: np.ndarray) -> np.ndar
 
 
 def separable_square_spectrum(spectrum_a, spectrum_b) -> Spectrum:
-    """Minkowski sum of two solved 1D spectra: all pairwise lambda_a + lambda_b."""
+    """Minkowski sum of two solved 1D spectra: all pairwise lambda_a + lambda_b.
+
+    The sum is "analytic" when both inputs are (bare arrays count as
+    analytic), else "oracle": the 1D chain spectra mostly come from the
+    dense eigensolver.
+    """
     va = np.asarray(getattr(spectrum_a, "eigenvalues", spectrum_a), dtype=complex).ravel()
     vb = np.asarray(getattr(spectrum_b, "eigenvalues", spectrum_b), dtype=complex).ravel()
-    return Spectrum((va[:, None] + vb[None, :]).ravel(), "analytic", {"model": "separable-square"})
+    analytic = all(getattr(s, "provenance", "analytic") == "analytic" for s in (spectrum_a, spectrum_b))
+    return Spectrum((va[:, None] + vb[None, :]).ravel(), "analytic" if analytic else "oracle",
+                    {"model": "separable-square"})

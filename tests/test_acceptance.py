@@ -372,3 +372,46 @@ def test_criterion_11_determinism(tmp_path):
         assert (out_a / f"{name}.json").read_bytes() == (out_b / f"{name}.json").read_bytes()
     _report(11, f"{len(configs)} shipped configs byte-reproduce their outputs",
             time.time() - t0)
+
+
+def test_criterion_1_closed_forms_match_oracle():
+    # criterion 1's draws, in its order, through the paper's closed-form
+    # entries, which the spectra of criterion 1 no longer take
+    rng = np.random.default_rng(11)
+    t0 = time.time()
+    deltas = (0.0, 0.3, 1.0)
+    checked = 0
+
+    def check(closed, H):
+        nonlocal checked
+        spec, _ = closed
+        assert spec.provenance == "analytic"
+        assert nh.spectral_mismatch(spec, nh.dense_spectrum(H)) < REL_TOL
+        checked += 1
+
+    for _ in range(50):
+        p = nh.HNParams(_cdraw(rng), _cdraw(rng), _cdraw(rng))
+        N = int(rng.integers(3, 31))
+        for d in deltas:
+            check(nh.hn_closed_form(p, N, d), nh.hn_matrix(p, N, d))
+        pg = nh.HNParams(_cdraw(rng), _cdraw(rng), 0.0, _cdraw(rng), _cdraw(rng))
+        pair = (_cdraw(rng, 0.6), _cdraw(rng, 0.6))
+        check(nh.hn_closed_form(pg, N, pair), nh.hn_matrix(pg, N, pair))
+        ps = nh.SSHParams(_cdraw(rng), _cdraw(rng), _cdraw(rng), _cdraw(rng))
+        Ne = 2 * int(rng.integers(2, 16))
+        for d in deltas + ((_cdraw(rng, 0.6), _cdraw(rng, 0.6)),):
+            check(nh.ssh_closed_form(ps, Ne, d), nh.ssh_matrix(ps, Ne, d))
+        pv = nh.SSHParams(ps.tl1, ps.tr1, ps.tl2, ps.tr2, _cdraw(rng), _cdraw(rng))
+        check(nh.ssh_closed_form(pv, Ne, 0.3), nh.ssh_matrix(pv, Ne, 0.3))
+        No = 2 * int(rng.integers(2, 15)) + 1
+        for d in deltas + ((_cdraw(rng, 0.6), _cdraw(rng, 0.6)),):
+            check(nh.ssh_closed_form(ps, No, d), nh.ssh_matrix(ps, No, d))
+        # the unidirectional draws (a closed form in both routes)
+        _cdraw(rng), _cdraw(rng), rng.integers(3, 31)
+        t_r, u_l2 = _cdraw(rng), _cdraw(rng)
+        Nm = int(rng.integers(4, 31))
+        for d in deltas:
+            check(nh.mixed_longrange_closed_form(t_r, u_l2, d, Nm),
+                  nh.mixed_longrange_matrix(t_r, u_l2, d, Nm))
+    elapsed = time.time() - t0
+    _report("1b", f"1D closed forms match the dense oracle ({checked} comparisons)", elapsed)

@@ -215,3 +215,29 @@ def _set_distance(a, b):
     C = np.abs(A[:, None] - B[None, :])
     r, c = linear_sum_assignment(C)
     return C[r, c].max()
+
+
+class TestClosedFormInvariants:
+    """TestInvariants' draws through the closed-form entry `hn_closed_form`."""
+
+    def test_closed_form_matches_oracle_random(self, rng):
+        from nhchain.core import spectral_mismatch
+        from nhchain.models1d import HNParams, hn_closed_form, hn_matrix
+
+        for _ in range(10):
+            N = int(rng.integers(3, 25))
+            p = HNParams(cnormal(rng), cnormal(rng), cnormal(rng))
+            delta = cnormal(rng, scale=0.6)
+            spec, aset = hn_closed_form(p, N, delta)
+            assert spec.provenance == "analytic" and aset.generator == "hn-equation"
+            oracle = dense_spectrum(hn_matrix(p, N, delta))
+            assert spectral_mismatch(spec, oracle) < 1e-7
+
+    def test_closed_form_balanced_alpha_real(self, rng):
+        from nhchain.models1d import HNParams, hn_closed_form
+
+        for delta in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            theta = float(rng.uniform(-np.pi, np.pi))
+            p = HNParams(1.0, np.exp(1j * theta))
+            _, aset = hn_closed_form(p, 16, delta)
+            assert np.abs(aset.expand().imag).max() < 1e-8

@@ -271,3 +271,97 @@ def test_stacked_csv_independent_of_blas_threads(tmp_path, name):
         outputs.append((out / f"{name}.csv").read_bytes())
     assert outputs[0] == outputs[1]
     assert "bloch-oracle" in outputs[0].decode()
+
+
+MIXED_STIFF = {
+    # the closed form's root triples do not group at this hopping ratio
+    "model": "mixed-longrange", "task": "spectrum",
+    "params": {"t_r": 1.0, "u_l": 1e6},
+    "sizes": {"N": 10}, "delta": 0.3, "output": "stiff",
+}
+
+
+class TestExitCodes:
+    """0 success, 2 configuration error, 3 validation failure, 4 numerical failure."""
+
+    def test_validation_failure_exits_3(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", HN_SWEEP)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path),
+                     "--tolerance", "0"]) == 3
+        assert "validation failure" in capsys.readouterr().err
+        assert main(["validate", "--config", str(path), "--tolerance", "0"]) == 3
+
+    def test_numerical_failure_exits_4(self, tmp_path, capsys):
+        path = write_config(tmp_path, "stiff.json", MIXED_STIFF)
+        assert main(["validate", "--config", str(path)]) == 4
+        assert "numerical failure: grouping into sets of 3 failed" in capsys.readouterr().err
+
+    def test_numerical_failures_share_one_family(self):
+        from nhchain.core import EigensolverError, NumericalError
+
+        assert issubclass(EigensolverError, NumericalError)
+        assert issubclass(NumericalError, ValueError)
+        assert not issubclass(ConfigError, NumericalError)
+
+
+LONG_CHAINS = {
+    # (model, params, N): the boundary-equation route raised here, or (hn at
+    # N = 120) returned a spectrum 0.25 off labelled "analytic"
+    "hn_tr1.5_N60": ("hn", {"t_l": 1.0, "t_r": 1.5}, 60),
+    "hn_tr1.5_N120": ("hn", {"t_l": 1.0, "t_r": 1.5}, 120),
+    "twoband_balanced_N120": ("ssh", {"tl1": [0.0, -1.0], "tr1": 0.5, "tl2": 4.0, "tr2": 8.0}, 120),
+    "mixed_ul1_tr2_N60": ("mixed-longrange", {"u_l": 1.0, "t_r": 2.0}, 60),
+    "mixed_ul1_tr2_N120": ("mixed-longrange", {"u_l": 1.0, "t_r": 2.0}, 120),
+}
+
+
+def _chain_matrix(cfg, delta):
+    p, n = cfg["params"], cfg["sizes"]["N"]
+    if cfg["model"] == "hn":
+        return nhchain.hn_matrix(nhchain.HNParams(p["t_l"], p["t_r"]), n, delta)
+    if cfg["model"] == "ssh":
+        return nhchain.ssh_matrix(nhchain.SSHParams(p["tl1"], p["tr1"], p["tl2"], p["tr2"]), n, delta)
+    return nhchain.mixed_longrange_matrix(p["t_r"], p["u_l"], delta, n)
+
+
+@pytest.mark.parametrize("name", sorted(LONG_CHAINS))
+def test_long_chain_run_matches_oracle(tmp_path, name):
+    model, params, n = LONG_CHAINS[name]
+    cfg = parse_config({"model": model, "task": "spectrum", "params": params,
+                        "sizes": {"N": n}, "delta": 0.3, "output": name})
+    assert run(cfg, tmp_path) == 0
+    rows = [line.split(",") for line in (tmp_path / f"{name}.csv").read_text().splitlines()[1:]]
+    vals = np.array([complex(float(r[2]), float(r[3])) for r in rows])
+    oracle = nhchain.dense_spectrum(_chain_matrix(cfg, 0.3))
+    assert nhchain.spectral_mismatch(vals, oracle) < 1e-10
+    assert {r[4] for r in rows} == {"oracle"}
+    side = json.loads((tmp_path / f"{name}.json").read_text())
+    assert side["validation"]["status"] == "pass"
+
+
+CHAIN_SWEEPS = {
+    "hn_N120": {"model": "hn", "params": {"t_l": 1.0, "t_r": 1.5}},
+    "twoband_N120": {"model": "ssh", "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}},
+    "mixed_N120": {"model": "mixed-longrange", "params": {"u_l": 1.0, "t_r": 2.0}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_SWEEPS))
+def test_chain_csv_independent_of_blas_threads(tmp_path, name):
+    """Chain sweeps at N = 120 write the same bytes at 1 and 2 BLAS threads,
+    each run a fresh process with OPENBLAS_NUM_THREADS in its environment."""
+    src = Path(nhchain.__file__).resolve().parent.parent
+    payload = dict(CHAIN_SWEEPS[name], task="sweep", sizes={"N": 120}, output=name,
+                   delta={"start": 0.1, "stop": 0.9, "step": 0.2})
+    path = write_config(tmp_path, f"{name}.json", payload)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "nhchain.cli", "run", "--config", str(path),
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / f"{name}.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].decode().count("\n") == 1 + 5 * 120

@@ -255,3 +255,85 @@ class TestLongRange:
     def test_nonreal_inputs_rejected(self):
         with pytest.raises(ValueError, match="real"):
             nonwinding_family(1, 1.0 + 1j, 1.0, 0.0, 0.0, 0.0)
+
+
+class TestEigRoute:
+    """Chain spectra from the dense eigensolver, wavenumbers recovered from them."""
+
+    N = 120
+
+    @staticmethod
+    def _rel_match(a, b):
+        b = np.asarray(getattr(b, "eigenvalues", b))
+        return match_spectra(a, b) / np.abs(b).max()
+
+    @pytest.mark.parametrize("p,delta", [
+        (HNParams(1.0, 1.5), 0.3),
+        (HNParams(1.0, 4.0, 0.2 - 0.1j), 0.7),
+        (HNParams(1.1 + 0.4j, -0.7 + 0.9j, 0.0, 0.3, -0.2j), (0.4, -0.25)),
+    ])
+    def test_hn_wavenumbers_map_back(self, p, delta):
+        spec, aset = hn_spectrum(p, self.N, delta)
+        assert spec.provenance == "oracle" and aset.generator == "hn-eig"
+        assert aset.shift == pytest.approx(p.shift)
+        oracle = dense_spectrum(hn_matrix(p, self.N, delta))
+        assert spectral_mismatch(spec, oracle) < 1e-10
+        back = p.t_d + 2 * np.sqrt(p.t_l) * np.sqrt(p.t_r) * np.cos(aset.expand())
+        assert self._rel_match(back, spec) < 1e-10
+
+    @pytest.mark.parametrize("N,p,delta", [
+        (120, SSHParams(-1j, 0.5, 4.0, 8.0), 0.3),
+        (120, SSHParams(1.0, 2.0, 3.0, 4.0, 0.8, -0.6), (0.2, 0.9)),
+        (121, SSHParams(1.0, 2.0, 3.0, 4.0), 0.3),
+    ])
+    def test_ssh_wavenumbers_map_back(self, N, p, delta):
+        spec, aset = ssh_spectrum(p, N, delta)
+        assert spec.provenance == "oracle" and aset.generator == "ssh-eig"
+        assert len(aset) == (N // 2 if N % 2 == 0 else N)
+        oracle = dense_spectrum(ssh_matrix(p, N, delta))
+        assert spectral_mismatch(spec, oracle) < 1e-10
+        c1 = np.sqrt(p.tl1) * np.sqrt(p.tr1) * np.sqrt(p.tl2) * np.sqrt(p.tr2)
+        lam2 = p.v**2 + p.tl1 * p.tr1 + p.tl2 * p.tr2 + 2 * np.cos(aset.expand()) * c1
+        mid = (p.v1 + p.v2) / 2
+        if N % 2 == 0:
+            back = np.concatenate([mid + np.sqrt(lam2), mid - np.sqrt(lam2)])
+            assert self._rel_match(back, spec) < 1e-10
+        else:
+            assert self._rel_match(lam2, spec.eigenvalues**2) < 1e-10
+
+    @pytest.mark.parametrize("t_r,u_l,delta", [(2.0, 1.0, 0.3), (1.0, 2.0, 0.9), (0.7 - 0.5j, 1.2j, 0.05)])
+    def test_mixed_wavenumbers_map_back(self, t_r, u_l, delta):
+        spec, aset = mixed_longrange_spectrum(t_r, u_l, delta, self.N)
+        assert spec.provenance == "oracle" and aset.generator == "mixed-eig"
+        oracle = dense_spectrum(mixed_longrange_matrix(t_r, u_l, delta, self.N))
+        assert spectral_mismatch(spec, oracle) < 1e-10
+        y = np.exp(1j * aset.expand())
+        assert self._rel_match(u_l * y * y + t_r / y, spec) < 1e-10
+        # the closed form's triple rule: the root of largest modulus
+        for yk, lam in zip(y, spec.eigenvalues):
+            others = np.roots([u_l, 0.0, -lam, t_r])
+            assert abs(yk) >= np.abs(others).max() * (1 - 1e-9)
+
+    def test_balanced_long_chain_wavenumbers_real(self):
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for theta in rng.uniform(-np.pi, np.pi, 6):
+            p = HNParams(1.0, np.exp(1j * theta))
+            for delta in (-0.9, -0.5, 0.3, 0.5, 0.999):
+                _, aset = hn_spectrum(p, self.N, delta)
+                worst = max(worst, float(np.abs(aset.expand().imag).max()))
+        assert worst < 1e-8
+
+    def test_exact_sets_stay_analytic(self):
+        p = HNParams(1.0, 1.5)
+        for delta, generator in ((0.0, "hn-delta0"), (1.0, "hn-fourier"), (-1.0, "hn-fourier")):
+            spec, aset = hn_spectrum(p, self.N, delta)
+            assert spec.provenance == "analytic" and aset.generator == generator
+        spec, aset = ssh_spectrum(SSHParams(1.0, 2.0, 3.0, 4.0), 121, 0.0)
+        assert spec.provenance == "analytic" and aset.generator == "ssh-odd-open"
+
+    def test_mixed_zero_hopping_falls_back_to_oracle(self):
+        spec, aset = mixed_longrange_spectrum(0.0, 1.0, 0.5, 9)
+        assert spec.parameters["fallback"] == "zero hopping" and len(aset) == 0
+        oracle = dense_spectrum(mixed_longrange_matrix(0.0, 1.0, 0.5, 9))
+        assert match_spectra(spec, oracle) == 0.0

@@ -3,7 +3,16 @@ import pytest
 
 from nhchain.cli import parse_config, validate
 from nhchain.core import dense_spectrum, match_spectra, spectral_mismatch
-from nhchain.models1d import HNParams, SSHParams, hn_matrix, hn_spectrum, ssh_matrix, ssh_spectrum
+from nhchain.models1d import (
+    HNParams,
+    SSHParams,
+    hn_closed_form,
+    hn_matrix,
+    hn_spectrum,
+    ssh_closed_form,
+    ssh_matrix,
+    ssh_spectrum,
+)
 from nhchain.models2d import (
     Stacked2DSpec,
     _one_per_pair,
@@ -393,6 +402,12 @@ class TestSeparableSquare:
         spec = separable_square_spectrum(sa, [0.7 + 0.1j])
         assert match_spectra(spec, sa.eigenvalues + 0.7 + 0.1j) < 1e-12
 
+    def test_provenance_follows_inputs(self):
+        exact, _ = hn_spectrum(HNParams(1.0, 2.0), 6, 0.0)
+        dense, _ = hn_spectrum(HNParams(1.0, 2.0), 6, 0.4)
+        assert separable_square_spectrum(exact, [0.5]).provenance == "analytic"
+        assert separable_square_spectrum(exact, dense).provenance == "oracle"
+
 
 class TestBlochRoute:
     """Stacked BC1/BC2 spectra from one batched eigensolve of the Bloch blocks."""
@@ -451,6 +466,30 @@ class TestBlochRoute:
             pj = SSHParams(h["hl1"], h["hr1"], h["hl2"], h["hr2"], h["hd1"], h["hd2"])
             _, closed = ssh_spectrum(pj, 8, 0.37)
             assert match_spectra(np.cos(alphas), np.cos(closed.expand())) < 1e-8
+
+    # The two tests above reach the block wavenumbers through `hn_spectrum`
+    # and `ssh_spectrum`, which share the stack's eigenvalue-to-wavenumber
+    # helpers; these compare the stacked wavenumbers with the paper's route.
+    @pytest.mark.parametrize("mode,delta2", [("bc1", 1.0), ("bc2", 0.7 - 0.4j)])
+    def test_hn_wavenumbers_match_block_paper_route(self, mode, delta2):
+        spec2d = Stacked2DSpec("hn", HN_P, 7, 5, 0.37, mode, delta2)
+        _, asets = stacked_hn_spectrum(spec2d)
+        for j, s in enumerate(spec2d.stack_factors()):
+            h = _stack_h_coeffs(spec2d, s)
+            _, closed = hn_closed_form(HNParams(h["h_l"], h["h_r"], h["h_d"]), 7, 0.37)
+            assert closed.generator != "hn-eig"
+            assert match_spectra(np.cos(asets[j].expand()), np.cos(closed.expand())) < 1e-8
+
+    @pytest.mark.parametrize("mode,delta2", [("bc1", 1.0), ("bc2", 0.7 - 0.4j)])
+    def test_ssh_wavenumbers_match_block_paper_route(self, mode, delta2):
+        spec2d = Stacked2DSpec("ssh", STACK_SSH_CASE4, 8, 5, 0.37, mode, delta2)
+        _, asets = stacked_ssh_spectrum(spec2d)
+        for j, s in enumerate(spec2d.stack_factors()):
+            h = _stack_h_coeffs(spec2d, s)
+            pj = SSHParams(h["hl1"], h["hr1"], h["hl2"], h["hr2"], h["hd1"], h["hd2"])
+            _, closed = ssh_closed_form(pj, 8, 0.37)
+            assert closed.generator != "ssh-eig"
+            assert match_spectra(np.cos(asets[j].expand()), np.cos(closed.expand())) < 1e-8
 
     def test_vanishing_hopping_block_has_no_wavenumbers(self):
         # h_l = s - 1/s vanishes at s = 1 (j = 0) and s = -1 (j = 2)
