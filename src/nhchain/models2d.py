@@ -28,7 +28,6 @@ import numpy as np
 from .alphasolver import AlphaSet
 from .core import ChainStencil, Spectrum, build_chain_matrix, dense_spectrum
 from .models1d import SSHParams, _alpha_set_from_cos, _hn_wavenumbers, _ssh_wavenumbers, ssh_matrix
-from .models1d import _one_per_pair  # noqa: F401  (re-exported: tests import it from here)
 
 __all__ = [
     "Stacked2DSpec",

@@ -27,6 +27,16 @@ HN_SWEEP = {
 }
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported where it is used, not when the command line loads."""
+    src = Path(nhchain.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", "import sys, nhchain.cli; print('scipy' in sys.modules)"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestParseConfig:
     def test_unknown_parameter_rejected(self):
         bad = dict(HN_SWEEP, params={"t_l": 1.0, "t_r": 2.0, "bogus": 1.0})

@@ -3,6 +3,7 @@ import pytest
 
 from nhchain.core import (
     ChainStencil,
+    EigensolverError,
     build_chain_matrix,
     dense_spectrum,
     expectation_profiles,
@@ -84,7 +85,7 @@ class TestDenseSpectrum:
         spec = dense_spectrum(H)
         assert np.abs(spec.eigenvalues.imag).max() < 1e-10
 
-    def test_left_vectors_from_transpose(self, rng):
+    def test_left_vector_convention(self, rng):
         H = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         spec, vr, vl, reliable = dense_spectrum(H, want_vectors=True)
         for k in range(8):
@@ -102,6 +103,36 @@ class TestDenseSpectrum:
         G = vl.conj().T @ vr
         off = G - np.diag(np.diag(G))
         assert np.abs(off).max() < 1e-8 * np.abs(np.diag(G)).min()
+
+    def test_real_matrix_spectrum(self, rng):
+        # real entries stored as complex go through real arithmetic: complex
+        # eigenvalues come in exact conjugate pairs
+        H = rng.normal(size=(30, 30)).astype(complex)
+        vals = dense_spectrum(H).eigenvalues
+        assert np.abs(vals.imag).max() > 0.1
+        assert match_spectra(vals, vals.conj()) == 0.0
+        assert spectral_mismatch(vals, np.linalg.eigvals(H)) < 1e-12
+
+    def test_real_matrix_vectors(self, rng):
+        H = rng.normal(size=(10, 10)).astype(complex)
+        spec, vr, vl, reliable = dense_spectrum(H, want_vectors=True)
+        lam = spec.eigenvalues
+        assert reliable and np.abs(lam.imag).max() > 0.1
+        assert np.abs(H @ vr - vr * lam).max() < 1e-10
+        assert np.abs(vl.conj().T @ H - lam[:, None] * vl.conj().T).max() < 1e-10
+        G = vl.conj().T @ vr
+        off = G - np.diag(np.diag(G))
+        assert np.abs(off).max() < 1e-8 * np.abs(np.diag(G)).min()
+
+    def test_vector_failure_is_eigensolver_error(self, monkeypatch):
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eig algorithm did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eig", fail)
+        with pytest.raises(EigensolverError, match="did not converge"):
+            dense_spectrum(np.eye(3), want_vectors=True)
 
     def test_nonfinite_rejected(self):
         M = np.eye(3) * np.nan

@@ -6,6 +6,7 @@ from nhchain.core import dense_spectrum, match_spectra, spectral_mismatch
 from nhchain.models1d import (
     HNParams,
     SSHParams,
+    _one_per_pair,
     hn_closed_form,
     hn_matrix,
     hn_spectrum,
@@ -15,7 +16,6 @@ from nhchain.models1d import (
 )
 from nhchain.models2d import (
     Stacked2DSpec,
-    _one_per_pair,
     _stack_h_coeffs,
     bc_reduce,
     blocks,
