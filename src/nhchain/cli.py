@@ -8,7 +8,10 @@ reproduces the CSV byte for byte.
 Exit codes of `nhchain`: 0 success, 2 configuration error, 3 validation
 failure (closed form and oracle disagree at the reduced size), 4 numerical
 failure (`core.NumericalError`: roots that do not pair or group, or an
-eigensolver that did not converge).
+eigensolver that did not converge).  A closed form that raises during the
+validation of `run` does not stop the run: the sidecar records validation
+status "closed-form-failed" with the reason, and the spectra still come from
+the eigensolver route.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ import numpy as np
 
 from . import models1d, models2d, sensitivity, topology
 from .core import (
+    EigensolverError,
     NumericalError,
     Spectrum,
     dense_spectrum,
@@ -298,8 +302,10 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list, rows: list) -> None:
+    """Write the header and the sorted rows; a row is a formatted line or a
+    tuple of cells."""
     lines = [",".join(header)]
-    lines += sorted(",".join(str(c) for c in row) for row in rows)
+    lines += sorted(row if isinstance(row, str) else ",".join(str(c) for c in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -329,11 +335,9 @@ def _delta_label(delta) -> str:
 def _spectrum_rows(cfg, deltas, threads: int) -> list:
     def one(d):
         spec, js = spectrum_for(cfg, d)
-        lab = _delta_label(d)
-        return [
-            (lab, j, _fmt(z.real), _fmt(z.imag), spec.provenance)
-            for j, z in zip(js, spec.eigenvalues)
-        ]
+        lab, prov, lam = _delta_label(d), spec.provenance, spec.eigenvalues
+        return [f"{lab},{j},{re:.17g},{im:.17g},{prov}"
+                for j, re, im in zip(js, lam.real.tolist(), lam.imag.tolist())]
 
     if threads > 1 and len(deltas) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -410,7 +414,13 @@ def run(cfg: dict, out_dir, threads: int = 1, tolerance: float = 1e-7) -> int:
 
     needs_validation = task in ("spectrum", "sweep", "envelope", "sensitivity") and cfg["model"] != "kagome"
     if needs_validation:
-        report = validate(cfg, tolerance)
+        try:
+            report = validate(cfg, tolerance)
+        except EigensolverError:
+            raise
+        except NumericalError as exc:
+            # the closed form failed, not the eigensolver route the run takes
+            report = {"status": "closed-form-failed", "reason": str(exc)}
         sidecar["validation"] = report
         if report["status"] == "fail":
             sys.stderr.write(

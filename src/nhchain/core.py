@@ -34,9 +34,6 @@ __all__ = [
     "localization_report",
 ]
 
-EIGVEC_CONDITION_LIMIT = 1e8
-
-
 def as_corner_pair(corner_deform) -> tuple[complex, complex]:
     """Normalize a scalar delta or a (delta_l, delta_r) pair."""
     if np.isscalar(corner_deform):
@@ -205,11 +202,8 @@ def dense_spectrum(matrix, want_vectors: bool = False, parameters=None):
 
     Returns
     -------
-    Spectrum                          if not want_vectors
-    (Spectrum, vr, vl, reliable)      otherwise; vr/vl have eigenvectors in
-                                      columns, `reliable` is False when the
-                                      eigenvector condition number exceeds
-                                      1e8 (exceptional-point proximity).
+    Spectrum              if not want_vectors
+    (Spectrum, vr, vl)    otherwise; vr/vl have eigenvectors in columns.
     """
     M = np.asarray(matrix, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -227,13 +221,7 @@ def dense_spectrum(matrix, want_vectors: bool = False, parameters=None):
     except np.linalg.LinAlgError as exc:
         fingerprint = f"shape={M.shape}, frob={np.linalg.norm(M):.6g}"
         raise EigensolverError(f"eigensolver failed ({fingerprint}): {exc}") from exc
-    cond = np.linalg.cond(vr)
-    return (
-        Spectrum(vals, "oracle", dict(parameters or {})),
-        vr,
-        vl,
-        bool(cond < EIGVEC_CONDITION_LIMIT),
-    )
+    return Spectrum(vals, "oracle", dict(parameters or {})), vr, vl
 
 
 @dataclass(frozen=True)

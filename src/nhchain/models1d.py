@@ -38,7 +38,7 @@ from .alphasolver import (
     polynomialize,
     roots,
 )
-from .core import ChainStencil, Spectrum, build_chain_matrix, dense_spectrum
+from .core import ChainStencil, NumericalError, Spectrum, build_chain_matrix, dense_spectrum
 from .core import as_corner_pair as _pair
 from .core import principal_sqrt as _sq
 
@@ -555,9 +555,13 @@ def mixed_longrange_closed_form(t_r, u_l, delta, N: int) -> tuple[Spectrum, Alph
     The 3N roots group into triples sharing one eigenvalue
     lambda = u_l y^2 + t_r / y; the Spectrum parameters record the degree
     and the removed factor.  Reliable at small N only; see
-    `mixed_longrange_spectrum`.
+    `mixed_longrange_spectrum`.  A vanishing t_r or u_l raises
+    `NumericalError`: the polynomial does not exist there, but the
+    eigensolver route does.
     """
     t_r, u_l = complex(t_r), complex(u_l)
+    if t_r == 0 or u_l == 0:
+        raise NumericalError("the mixed long-range closed form needs nonzero t_r and u_l")
     poly = polynomialize("mixed-longrange", {"t_r": t_r, "u_l": u_l}, N, complex(delta))
     ys = roots(poly)
     key = lambda y: u_l * y * y + t_r / y
@@ -636,7 +640,7 @@ def impurity_states(p: HNParams, N: int, delta, mass_threshold: float = 0.5):
     from .core import dense_spectrum, expectation_profiles
 
     H = hn_matrix(p, N, delta)
-    spec, vr, vl, _ = dense_spectrum(H, want_vectors=True)
+    spec, vr, vl = dense_spectrum(H, want_vectors=True)
     found = []
     masses = []
     for k in range(N):

@@ -9,8 +9,12 @@ the stacking boundary mode:
   delta2 B, which reduce to Bloch blocks carrying omega_j delta2^{1/N2};
 * OPEN -- no corner blocks (numeric route only).
 
-BC1/BC2 spectra come from the N2 Bloch blocks A + s_j B + s_j^{-1} C, solved
-together by one batched eigvals (provenance "bloch-oracle"); each block's
+BC1/BC2 spectra come from the N2 Bloch blocks A + s_j B + s_j^{-1} C,
+solved by batched eigvals (provenance "bloch-oracle").  With real hoppings
+and delta1, and stacking factors in conjugate pairs (BC1, or BC2 with a real
+delta2 > 0), block N2-j is the conjugate of block j: each pair is solved
+once, and the self-conjugate blocks (j = 0 and N2/2) in real arithmetic;
+otherwise all N2 blocks are solved in one complex batch.  Each block's
 shifted wavenumbers are then recovered from its eigenvalues through the
 dispersion relation of the block's effective chain, by the same inversion
 helpers as the 1D chains (models1d).  Those wavenumbers lose
@@ -98,9 +102,18 @@ class Stacked2DSpec:
         return 1.0 / self.delta2, self.delta2
 
     def stack_factors(self) -> np.ndarray:
-        """s_j multiplying B in the reduced blocks (1/s_j multiplies C)."""
-        j = np.arange(self.n2)
-        omega = np.exp(2j * np.pi * j / self.n2)
+        """s_j multiplying B in the reduced blocks (1/s_j multiplies C).
+
+        The roots of unity omega_j are computed for j <= N2/2 and completed
+        by conjugation: omega_0 = 1 and omega_{N2/2} = -1 are exactly real,
+        and omega_{N2-j} = conj(omega_j) exactly.
+        """
+        half = self.n2 // 2
+        omega = np.exp(2j * np.pi * np.arange(half + 1) / self.n2)
+        omega[0] = 1.0
+        if self.n2 % 2 == 0:
+            omega[half] = -1.0
+        omega = np.concatenate([omega, omega[1:(self.n2 + 1) // 2][::-1].conj()])
         if self.mode == "bc1":
             return omega
         if self.mode == "bc2":
@@ -197,18 +210,47 @@ def _stack_h_coeffs(spec: Stacked2DSpec, s: complex) -> dict:
     }
 
 
-def _bloch_spectrum(spec: Stacked2DSpec, hop_keys: tuple, wavenumbers):
-    """(Spectrum, per-block AlphaSet or None) from one batched eigensolve.
+def _bloch_eigvals(spec: Stacked2DSpec, s: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the N2 Bloch blocks, one row per block j.
 
-    All N2 Bloch blocks go through a single eigvals call; the eigenvalues
-    are kept in block order j.  A block whose hoppings `hop_keys` are all
-    nonzero gets the wavenumbers that `wavenumbers(h, lam)` recovers from
-    its eigenvalues: given the effective coefficients (arrays over those
-    blocks) and their eigenvalue rows, it returns (cos alpha_tilde rows,
-    shifts).  The other blocks get None.
+    With real hoppings and delta1, and stacking factors in conjugate pairs
+    (BC1, or BC2 with a real delta2 > 0), block N2-j is the conjugate of
+    block j, so only j = 0..N2/2 are solved: the self-conjugate blocks
+    (j = 0, and N2/2 for even N2) in real arithmetic, the others in one
+    complex batch whose conjugates fill rows N2-j.  Otherwise all N2 blocks
+    go through one complex batched eigvals.
     """
-    lam = np.linalg.eigvals(np.stack(bc_reduce(spec)))
-    h = _stack_h_coeffs(spec, spec.stack_factors())
+    real = all(v.imag == 0 for v in spec.params.values()) and complex(spec.delta1).imag == 0
+    paired = spec.mode == "bc1" or (spec.delta2.imag == 0 and spec.delta2.real > 0)
+    if not (real and paired):
+        return np.linalg.eigvals(np.stack(bc_reduce(spec)))
+    n2 = spec.n2
+    A, B, C = (M.real for M in blocks(spec))
+    lam = np.empty((n2, spec.n1), dtype=complex)
+    selfconj = [0, n2 // 2] if n2 % 2 == 0 else [0]
+    r = s[selfconj].real[:, None, None]
+    lam[selfconj] = np.linalg.eigvals(A + r * B + C / r)
+    pairs = np.arange(1, (n2 + 1) // 2)
+    if len(pairs):
+        t = s[pairs][:, None, None]
+        lam[pairs] = np.linalg.eigvals(A + t * B + C / t)
+        lam[n2 - pairs] = lam[pairs].conj()
+    return lam
+
+
+def _bloch_spectrum(spec: Stacked2DSpec, hop_keys: tuple, wavenumbers):
+    """(Spectrum, per-block AlphaSet or None) from the batched Bloch eigensolve.
+
+    The eigenvalues of all N2 blocks come from `_bloch_eigvals` and are kept
+    in block order j.  A block whose hoppings `hop_keys` are all nonzero
+    gets the wavenumbers that `wavenumbers(h, lam)` recovers from its
+    eigenvalues: given the effective coefficients (arrays over those blocks)
+    and their eigenvalue rows, it returns (cos alpha_tilde rows, shifts).
+    The other blocks get None.
+    """
+    s = spec.stack_factors()
+    lam = _bloch_eigvals(spec, s)
+    h = _stack_h_coeffs(spec, s)
     scale = max(abs(v) for v in spec.params.values()) or 1.0
     ok = np.min([np.abs(h[k]) for k in hop_keys], axis=0) >= 1e-12 * scale
     cos_alpha, shift = wavenumbers({k: v[ok] for k, v in h.items()}, lam[ok])
@@ -223,7 +265,7 @@ def stacked_hn_spectrum(spec: Stacked2DSpec):
     """Spectrum of an HN (or triangular) stack under BC1/BC2.
 
     Per stacking factor s_j the Bloch block is a nearest-neighbour chain
-    with h_d, h_l, h_r.  All N2 blocks are solved by one batched eigvals
+    with h_d, h_l, h_r.  The blocks are solved by `_bloch_eigvals`
     (provenance "bloch-oracle"), rows in block order j.  Each block's
     shifted wavenumbers are recovered from its eigenvalues through
     cos(alpha_tilde) = (lambda - h_d) / (2 sqrt(h_l) sqrt(h_r)), N1 per
@@ -239,11 +281,12 @@ def stacked_hn_spectrum(spec: Stacked2DSpec):
 def stacked_ssh_spectrum(spec: Stacked2DSpec):
     """Spectrum of an SSH stack under BC1/BC2 (even N1).
 
-    Solved like `stacked_hn_spectrum`: one batched eigvals over the Bloch
-    blocks, provenance "bloch-oracle".  Wavenumbers come from the two-band
-    relation of each block's effective chain (`models1d._ssh_wavenumbers`): one
-    alpha_tilde per +- pair, N1/2 per block, None where an effective hopping
-    vanishes.  As there, they lose digits near 0 and pi with no Newton polish.
+    Solved like `stacked_hn_spectrum`: batched eigvals over the Bloch
+    blocks (`_bloch_eigvals`), provenance "bloch-oracle".  Wavenumbers come
+    from the two-band relation of each block's effective chain
+    (`models1d._ssh_wavenumbers`): one alpha_tilde per +- pair, N1/2 per
+    block, None where an effective hopping vanishes.  As there, they lose
+    digits near 0 and pi with no Newton polish.
     """
     if spec.family != "ssh":
         raise ValueError(f"stacked_ssh_spectrum expects family 'ssh', got {spec.family!r}")
@@ -458,7 +501,7 @@ def representative_state(matrix):
     eigensolver output; only an eigenvalue degenerate within the tolerance
     leaves the eigenvector to that order.
     """
-    spec, vr, vl, reliable = dense_spectrum(matrix, want_vectors=True)
+    spec, vr, vl = dense_spectrum(matrix, want_vectors=True)
     lam = spec.eigenvalues
     mags = np.abs(lam)
     tol = STATE_TIE_RTOL * mags.max()

@@ -308,7 +308,7 @@ def test_criterion_9_triangular_skin_effect():
         # state's edge weight depends on a tie convention.  Sum the
         # unit-normalised |psi|^2 of every right eigenvector instead; without
         # a skin effect the sum is uniform.
-        _, vr, _, _ = nh.dense_spectrum(H, want_vectors=True)
+        _, vr, _ = nh.dense_spectrum(H, want_vectors=True)
         dens = (np.abs(vr) ** 2 / np.linalg.norm(vr, axis=0) ** 2).sum(axis=1)
         prof = nh.models2d.profile_along_chain(np.sqrt(dens), 30, n2)
         p = prof / prof.sum()

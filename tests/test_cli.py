@@ -375,3 +375,27 @@ def test_chain_csv_independent_of_blas_threads(tmp_path, name):
         outputs.append((out / f"{name}.csv").read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].decode().count("\n") == 1 + 5 * 120
+
+
+class TestValidationDoesNotBlockRun:
+    """A closed form that raises at the reduced size leaves `run` on the
+    eigensolver route, with the failure in the sidecar."""
+
+    def test_stiff_mixed_chain_runs(self, tmp_path):
+        path = write_config(tmp_path, "stiff_config.json", MIXED_STIFF)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        side = json.loads((tmp_path / "stiff.json").read_text())
+        assert side["validation"]["status"] == "closed-form-failed"
+        assert "grouping into sets of 3 failed" in side["validation"]["reason"]
+        rows = [line.split(",") for line in (tmp_path / "stiff.csv").read_text().splitlines()[1:]]
+        vals = np.array([complex(float(r[2]), float(r[3])) for r in rows])
+        oracle = nhchain.dense_spectrum(nhchain.mixed_longrange_matrix(1.0, 1e6, 0.3, 10))
+        assert nhchain.spectral_mismatch(vals, oracle) < 1e-10
+
+    def test_zero_hopping_mixed_chain_runs(self, tmp_path):
+        payload = dict(MIXED_STIFF, params={"t_r": 0.0, "u_l": 1.0}, output="zero")
+        path = write_config(tmp_path, "zero_config.json", payload)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        side = json.loads((tmp_path / "zero.json").read_text())
+        assert side["validation"]["status"] == "closed-form-failed"
+        assert (tmp_path / "zero.csv").read_text().count("\n") == 1 + 10

@@ -509,3 +509,54 @@ class TestBlochRoute:
         kept = _one_per_pair(row)
         assert kept.shape == (1, 2)
         assert match_spectra(kept[0], [a, b]) < 1e-15
+
+    @pytest.mark.parametrize("n2", [1, 2, 3, 7, 8])
+    @pytest.mark.parametrize("family", ["hn", "ssh", "triangular"])
+    def test_conjugate_pairs_match_full_lattice(self, family, n2):
+        if family == "hn":
+            spec2d, solve = Stacked2DSpec("hn", HN_P, 5, n2, 0.37, "bc1"), stacked_hn_spectrum
+        elif family == "ssh":
+            spec2d, solve = Stacked2DSpec("ssh", STACK_SSH_CASE4, 6, n2, 0.37, "bc1"), stacked_ssh_spectrum
+        else:
+            spec2d, solve = triangular_spec(1.0, 2.5, 5, n2, 0.37), triangular_spectrum
+        spec, asets = solve(spec2d)
+        assert len(asets) == n2
+        assert spectral_mismatch(spec, dense_spectrum(build_stacked_matrix(spec2d))) < 1e-12
+        rows = spec.eigenvalues.reshape(n2, -1)
+        for j in range(n2 // 2 + 1, n2):
+            assert np.array_equal(rows[j], rows[n2 - j].conj())
+
+    @staticmethod
+    def _blocks_solved(monkeypatch, solve, spec2d):
+        """(result of solve(spec2d), number of Bloch blocks given to eigvals)."""
+        solved = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            solved.append(1 if np.ndim(a) == 2 else len(a))
+            return eigvals(a)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvals", counting)
+            out = solve(spec2d)
+        return out, sum(solved)
+
+    @pytest.mark.parametrize("mode,delta2,t_l,conjugate", [
+        ("bc1", 1.0, 3.0, True),
+        ("bc2", 0.5, 3.0, True),
+        ("bc2", -0.5, 3.0, False),
+        ("bc2", 0.5 + 0.2j, 3.0, False),
+        ("bc1", 1.0, 3.0 + 0.5j, False),
+    ])
+    @pytest.mark.parametrize("n2", [7, 8])
+    def test_conjugate_route_only_for_real_input(self, monkeypatch, n2, mode, delta2, t_l, conjugate):
+        spec2d = Stacked2DSpec("hn", dict(HN_P, t_l=t_l), 5, n2, 0.37, mode, delta2)
+        (spec, _), solved = self._blocks_solved(monkeypatch, stacked_hn_spectrum, spec2d)
+        assert solved == (n2 // 2 + 1 if conjugate else n2)
+        assert spectral_mismatch(spec, dense_spectrum(build_stacked_matrix(spec2d))) < 1e-12
+
+    def test_conjugate_route_counts_ssh_blocks(self, monkeypatch):
+        real = Stacked2DSpec("ssh", STACK_SSH_CASE4, 6, 8, 0.37, "bc1")
+        cplx = Stacked2DSpec("ssh", dict(STACK_SSH_CASE4, tl1=1 + 0.5j), 6, 8, 0.37, "bc1")
+        assert self._blocks_solved(monkeypatch, stacked_ssh_spectrum, real)[1] == 5
+        assert self._blocks_solved(monkeypatch, stacked_ssh_spectrum, cplx)[1] == 8
