@@ -5,6 +5,13 @@ a CSV table (17 significant digits, lexicographically ordered rows) plus a
 JSON sidecar with the config echo and any verdicts.  Re-running a config
 reproduces the CSV byte for byte.
 
+Each model is one `Model` row of the `MODELS` table: its required and
+optional params, its size keys, its matrix and spectrum, its closed form or
+validation kind, its reduced validation size, and its Bloch function,
+balance condition and envelope curves where it has them.  Parsing,
+validation and every task read the row, so no function below the table
+names a model; a task whose entry a model lacks exits 2.
+
 Exit codes of `nhchain`: 0 success, 2 configuration error, 3 validation
 failure (closed form and oracle disagree at the reduced size), 4 numerical
 failure (`core.NumericalError`: roots that do not pair or group, or an
@@ -18,16 +25,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import models1d, models2d, sensitivity, topology
+from .alphasolver import verify_generic
 from .core import (
+    ChainStencil,
     EigensolverError,
     NumericalError,
     Spectrum,
+    build_chain_matrix,
     dense_spectrum,
     expectation_profiles,
     localization_report,
@@ -35,91 +47,83 @@ from .core import (
 )
 
 TASKS = ("spectrum", "states", "winding", "gap", "envelope", "sweep", "sensitivity", "balance")
-MODELS = (
-    "hn", "hn-general", "ssh", "ssh-odd", "unidirectional", "mixed-longrange",
-    "general-chain", "stacked-hn", "stacked-ssh", "triangular", "kagome",
-    "separable-square",
-)
-
-MODEL_PARAMS = {
-    "hn": ({"t_l", "t_r"}, {"t_d"}),
-    "hn-general": ({"t_l", "t_r"}, {"t_d", "eps1", "epsN"}),
-    "ssh": ({"tl1", "tr1", "tl2", "tr2"}, {"v1", "v2"}),
-    "ssh-odd": ({"tl1", "tr1", "tl2", "tr2"}, set()),
-    "unidirectional": ({"t_l", "u_l"}, set()),
-    "mixed-longrange": ({"t_r", "u_l"}, set()),
-    "general-chain": (set(), {"t_m2", "t_m1", "t_0", "t_p1", "t_p2"}),
-    "stacked-hn": (set(models2d.HN_KEYS), set()),
-    "stacked-ssh": (set(models2d.SSH_KEYS), set()),
-    "triangular": ({"t_l", "t_r"}, set()),
-    "kagome": ({"t_l", "t_r"}, {"inter_scale", "delta2p"}),
-    "separable-square": ({"a_t_l", "a_t_r", "b_t_l", "b_t_r"}, {"a_t_d", "b_t_d"}),
-}
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _number(kind, value, where: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+
+
+def _field(raw: dict, key: str, kind: type):
+    """raw[key], empty when absent; a ConfigError unless it is a `kind`."""
+    value = raw.get(key) or kind()
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key}: expected a JSON {'object' if kind is dict else 'array'}, got {value!r}")
+    return value
+
+
 def _to_complex(value, where: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_number(float, value[0], where), _number(float, value[1], where))
     raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
 def parse_config(raw: dict) -> dict:
     """Validate a raw JSON config into a normalized dict."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config: expected a JSON object, got {type(raw).__name__}")
     cfg = {}
     model = raw.get("model")
-    if model not in MODELS:
-        raise ConfigError(f"model: expected one of {MODELS}, got {model!r}")
+    m = MODELS.get(model) if isinstance(model, str) else None
+    if m is None:
+        raise ConfigError(f"model: expected one of {tuple(MODELS)}, got {model!r}")
     task = raw.get("task")
     if task not in TASKS:
         raise ConfigError(f"task: expected one of {TASKS}, got {task!r}")
     cfg["model"] = model
     cfg["task"] = task
-    required, optional = MODEL_PARAMS[model]
     params = {}
-    for name, value in (raw.get("params") or {}).items():
-        if name not in required | optional:
+    for name, value in _field(raw, "params", dict).items():
+        if name not in m.required | m.optional:
             raise ConfigError(f"params.{name}: unknown parameter for model {model!r}")
         params[name] = _to_complex(value, f"params.{name}")
-    missing = required - set(params)
+    missing = m.required - set(params)
     if missing:
         raise ConfigError(f"params: missing {sorted(missing)} for model {model!r}")
     cfg["params"] = params
-    sizes = raw.get("sizes") or {}
-    if model.startswith("stacked") or model in ("triangular", "kagome", "separable-square"):
-        if "N1" not in sizes or "N2" not in sizes:
-            raise ConfigError("sizes: 2D models need N1 and N2")
-        cfg["sizes"] = {"N1": int(sizes["N1"]), "N2": int(sizes["N2"])}
-    else:
-        if "N" not in sizes:
-            raise ConfigError("sizes: need N")
-        cfg["sizes"] = {"N": int(sizes["N"])}
+    sizes = _field(raw, "sizes", dict)
+    if any(key not in sizes for key in m.sizes):
+        raise ConfigError(f"sizes: model {model!r} needs {' and '.join(m.sizes)}")
+    cfg["sizes"] = {key: _number(int, sizes[key], f"sizes.{key}") for key in m.sizes}
     cfg["delta"] = _parse_delta(raw.get("delta", 0.0))
     cfg["mode"] = raw.get("mode", "bc1")
     cfg["delta2"] = _to_complex(raw.get("delta2", 1.0), "delta2")
     if "base_energy" in raw:
         cfg["base_energy"] = _to_complex(raw["base_energy"], "base_energy")
-    cfg["threshold"] = float(raw.get("threshold", 0.5))
-    cfg["n_list"] = [int(n) for n in raw.get("n_list", [])]
+    cfg["threshold"] = _number(float, raw.get("threshold", 0.5), "threshold")
+    cfg["n_list"] = [_number(int, n, "n_list") for n in _field(raw, "n_list", list)]
     cfg["output"] = str(raw.get("output", "run"))
     return cfg
 
 
 def _parse_delta(value):
     if isinstance(value, dict):
-        start, stop = float(value["start"]), float(value["stop"])
-        step = float(value["step"])
+        start, stop, step = (_number(float, value.get(key), f"delta.{key}")
+                             for key in ("start", "stop", "step"))
         if step <= 0:
             raise ConfigError(f"delta.step must be positive, got {step}")
         n = int(round((stop - start) / step))
         return ("grid", [start + k * step for k in range(n + 1)])
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return ("pair", (complex(value[0]), complex(value[1])))
+        return ("pair", (_number(complex, value[0], "delta"), _number(complex, value[1], "delta")))
     if isinstance(value, (int, float)):
         return ("scalar", float(value))
     raise ConfigError(f"delta: expected scalar, [dl, dr] pair or grid dict, got {value!r}")
@@ -133,86 +137,46 @@ def _delta_values(cfg) -> list:
 
 
 # ---------------------------------------------------------------------------
-# model adapters
+# model table
 # ---------------------------------------------------------------------------
 
-def _hn_params(p: dict) -> models1d.HNParams:
-    return models1d.HNParams(p["t_l"], p["t_r"], p.get("t_d", 0.0),
-                             p.get("eps1", 0.0), p.get("epsN", 0.0))
+def _reduced(sizes: dict) -> dict:
+    """Validation sizes: N capped at 12 and at least 4, N1 and N2 capped at 8."""
+    return {key: max(min(n, 12), 4) if key == "N" else min(n, 8) for key, n in sizes.items()}
 
 
-def _ssh_params(p: dict) -> models1d.SSHParams:
-    return models1d.SSHParams(p["tl1"], p["tr1"], p["tl2"], p["tr2"],
-                              p.get("v1", 0.0), p.get("v2", 0.0))
+def _reduced_twoband(sizes: dict) -> dict:
+    """Keeps the parity of N: even and odd chains have different boundary equations."""
+    odd = sizes["N"] % 2
+    return {"N": max(min(sizes["N"], 12 - odd), 4 + odd)}
 
 
-def _separable_params(p: dict) -> tuple[models1d.HNParams, models1d.HNParams]:
-    return (models1d.HNParams(p["a_t_l"], p["a_t_r"], p.get("a_t_d", 0.0)),
-            models1d.HNParams(p["b_t_l"], p["b_t_r"], p.get("b_t_d", 0.0)))
+@dataclass(frozen=True)
+class Model:
+    """One row of the model table: the config a model takes and what each
+    task calls.
+
+    The callables take the parsed config `c` and a boundary value `d`, or
+    the params `p`.  Their bodies look up `models1d`, `models2d` and
+    `dense_spectrum` when called, so a wrapper set on a module attribute
+    sees every call.  A task whose entry is None is not defined for the model.
+    """
+
+    required: frozenset
+    optional: frozenset
+    matrix: Callable                     # (c, d) -> dense matrix
+    spectrum: Callable | None = None     # (c, d) -> (Spectrum, j labels); None: dense eig of matrix
+    closed_form: Callable | None = None  # (c, d) -> Spectrum, or None if oracle-only; None: spectrum
+    check: str = "closed form"           # validation kind, or "oracle-only", "boundary residual"
+    sizes: tuple = ("N",)
+    reduced: Callable = _reduced         # sizes -> sizes of the validation
+    bloch: Callable | None = None        # p -> topology.BlochSampler
+    balance: Callable | None = None      # c -> sidecar entry
+    envelope: Callable | None = None     # (c, d) -> models2d.EnvelopeCurves
 
 
-def spectrum_for(cfg: dict, delta) -> tuple[Spectrum, list]:
-    """(Spectrum, per-eigenvalue j indices) for one boundary value."""
-    model, p, sizes = cfg["model"], cfg["params"], cfg["sizes"]
-    spec = _solve_chain(cfg, delta, closed=False)
-    if spec is not None:
-        return spec, [""] * len(spec)
-    if model == "unidirectional":
-        spec = models1d.unidirectional_spectrum(p["t_l"], p["u_l"], _scalar(delta), sizes["N"])
-        return spec, [""] * len(spec)
-    if model == "general-chain":
-        spec = dense_spectrum(_general_chain_matrix(cfg, delta))
-        return spec, [""] * len(spec)
-    if model in ("stacked-hn", "stacked-ssh", "triangular"):
-        spec2d = _stacked_spec(cfg, delta)
-        if model == "triangular":
-            spec, _ = models2d.triangular_spectrum(spec2d)
-        elif model == "stacked-hn":
-            spec, _ = models2d.stacked_hn_spectrum(spec2d)
-        else:
-            spec, _ = models2d.stacked_ssh_spectrum(spec2d)
-        if spec2d.mode == "open":
-            return spec, [""] * len(spec)
-        n1 = sizes["N1"]
-        return spec, [j for j in range(sizes["N2"]) for _ in range(n1)]
-    if model == "kagome":
-        H = models2d.kagome_matrix(
-            p["t_l"], p["t_r"], sizes["N1"], sizes["N2"], _scalar(delta),
-            cfg["delta2"], p.get("delta2p", cfg["delta2"]),
-            float(p.get("inter_scale", 1.0).real) if "inter_scale" in p else 1.0,
-        )
-        spec = dense_spectrum(H)
-        return spec, [""] * len(spec)
-    raise ConfigError(f"unsupported model {model!r}")
-
-
-def closed_form_for(cfg: dict, delta) -> Spectrum:
-    """The paper's closed-form spectrum where the model has one (the chains
-    and the separable square lattice), else the `spectrum_for` spectrum."""
-    spec = _solve_chain(cfg, delta, closed=True)
-    return spec if spec is not None else spectrum_for(cfg, delta)[0]
-
-
-def _solve_chain(cfg: dict, delta, closed: bool) -> Spectrum | None:
-    """Spectrum of a chain model or of the separable square lattice, through
-    the eigensolver route or, if `closed`, the paper's closed form; None for
-    the other models.  The solvers are looked up on `models1d` at each call,
-    so a wrapper set on the module attribute (perfbench's spans) sees it."""
-    model, p, sizes = cfg["model"], cfg["params"], cfg["sizes"]
-    hn = models1d.hn_closed_form if closed else models1d.hn_spectrum
-    if model in ("hn", "hn-general"):
-        return hn(_hn_params(p), sizes["N"], delta)[0]
-    if model in ("ssh", "ssh-odd"):
-        ssh = models1d.ssh_closed_form if closed else models1d.ssh_spectrum
-        return ssh(_ssh_params(p), sizes["N"], delta)[0]
-    if model == "mixed-longrange":
-        mixed = models1d.mixed_longrange_closed_form if closed else models1d.mixed_longrange_spectrum
-        return mixed(p["t_r"], p["u_l"], _scalar(delta), sizes["N"])[0]
-    if model == "separable-square":
-        pa, pb = _separable_params(p)
-        return models2d.separable_square_spectrum(hn(pa, sizes["N1"], delta)[0],
-                                                  hn(pb, sizes["N2"], cfg["delta2"])[0])
-    return None
+def _plain(spec: Spectrum) -> tuple[Spectrum, list]:
+    return spec, [""] * len(spec)
 
 
 def _scalar(delta):
@@ -221,76 +185,165 @@ def _scalar(delta):
     return delta
 
 
-def _general_chain_matrix(cfg, delta):
-    from .core import ChainStencil, build_chain_matrix
-
-    p = cfg["params"]
-    hops = {}
-    for name, off in (("t_m2", -2), ("t_m1", -1), ("t_p1", 1), ("t_p2", 2)):
-        if name in p and p[name] != 0:
-            hops[off] = p[name]
-    st = ChainStencil(cfg["sizes"]["N"], hops, (p.get("t_0", 0.0),), delta)
-    return build_chain_matrix(st)
+def _hn(c, d) -> tuple:
+    """(HNParams, N, delta); the param names are the HNParams field names."""
+    return models1d.HNParams(**c["params"]), c["sizes"]["N"], d
 
 
-def _stacked_spec(cfg, delta) -> models2d.Stacked2DSpec:
-    model, p, sizes = cfg["model"], cfg["params"], cfg["sizes"]
-    family = {"stacked-hn": "hn", "stacked-ssh": "ssh", "triangular": "triangular"}[model]
-    return models2d.Stacked2DSpec(family, p, sizes["N1"], sizes["N2"],
-                                  _scalar(delta), cfg["mode"], cfg["delta2"])
+def _hn_bloch(p):
+    t_l, t_r, t_d = p["t_l"], p["t_r"], p.get("t_d", 0.0)
+    return topology.BlochSampler(lambda k: t_d + t_l * np.exp(1j * k) + t_r * np.exp(-1j * k))
 
 
-def _oracle_matrix(cfg, delta):
-    """Dense matrix of the configured model (for validation)."""
-    model, p, sizes = cfg["model"], cfg["params"], cfg["sizes"]
-    if model in ("hn", "hn-general"):
-        return models1d.hn_matrix(_hn_params(p), sizes["N"], delta)
-    if model in ("ssh", "ssh-odd"):
-        return models1d.ssh_matrix(_ssh_params(p), sizes["N"], delta)
-    if model == "unidirectional":
-        return models1d.unidirectional_matrix(p["t_l"], p["u_l"], _scalar(delta), sizes["N"])
-    if model == "mixed-longrange":
-        return models1d.mixed_longrange_matrix(p["t_r"], p["u_l"], _scalar(delta), sizes["N"])
-    if model == "general-chain":
-        return _general_chain_matrix(cfg, delta)
-    if model in ("stacked-hn", "stacked-ssh", "triangular"):
-        return models2d.build_stacked_matrix(_stacked_spec(cfg, delta))
-    if model == "separable-square":
-        pa, pb = _separable_params(p)
-        A = models1d.hn_matrix(pa, sizes["N1"], delta)
-        K = models1d.hn_matrix(pb, sizes["N2"], cfg["delta2"])
-        return models2d.separable_square_matrix(A, K)
-    return None  # kagome is oracle-only already
+def _ssh(c, d) -> tuple:
+    """(SSHParams, N, delta); the param names are the SSHParams field names."""
+    return models1d.SSHParams(**c["params"]), c["sizes"]["N"], d
 
 
-def bloch_sampler_for(cfg) -> topology.BlochSampler:
-    model, p = cfg["model"], cfg["params"]
-    if model in ("hn", "hn-general"):
-        t_l, t_r, t_d = p["t_l"], p["t_r"], p.get("t_d", 0.0)
-        return topology.BlochSampler(lambda k: t_d + t_l * np.exp(1j * k) + t_r * np.exp(-1j * k))
-    if model in ("ssh", "ssh-odd"):
-        tl1, tr1, tl2, tr2 = p["tl1"], p["tr1"], p["tl2"], p["tr2"]
-        v1, v2 = p.get("v1", 0.0), p.get("v2", 0.0)
+def _ssh_bloch(p):
+    tl1, tr1, tl2, tr2 = p["tl1"], p["tr1"], p["tl2"], p["tr2"]
+    v1, v2 = p.get("v1", 0.0), p.get("v2", 0.0)
+    return topology.BlochSampler(lambda k: np.array(
+        [[v1, tl1 + tr2 * np.exp(-1j * k)], [tr1 + tl2 * np.exp(1j * k), v2]]), dim=2)
 
-        def block(k):
-            return np.array(
-                [[v1, tl1 + tr2 * np.exp(-1j * k)], [tr1 + tl2 * np.exp(1j * k), v2]]
-            )
 
-        return topology.BlochSampler(block, dim=2)
-    if model == "unidirectional":
-        return topology.BlochSampler(
-            lambda k: p["t_l"] * np.exp(1j * k) + p["u_l"] * np.exp(2j * k)
-        )
-    if model == "mixed-longrange":
-        return topology.BlochSampler(
-            lambda k: p["u_l"] * np.exp(2j * k) + p["t_r"] * np.exp(-1j * k)
-        )
-    if model == "general-chain":
-        terms = [(off, p[name]) for name, off in
-                 (("t_m2", -2), ("t_m1", -1), ("t_0", 0), ("t_p1", 1), ("t_p2", 2)) if name in p]
-        return topology.BlochSampler(lambda k: sum(t * np.exp(1j * o * k) for o, t in terms))
-    raise ConfigError(f"no Bloch sampler for model {cfg['model']!r}")
+def _ssh_balance(c):
+    sp = _ssh(c, 0.0)[0]
+    return dict(zip(("balanced", "theta", "zero_mode", "zero_mode_margin"),
+                    models1d.ssh_balanced(sp) + models1d.ssh_zero_mode_predicate(sp)))
+
+
+def _long_range(c, d, near: str) -> tuple:
+    """(t_l or t_r, u_l, delta, N) of the unidirectional or mixed chain."""
+    return c["params"][near], c["params"]["u_l"], _scalar(d), c["sizes"]["N"]
+
+
+_GENERAL_CHAIN_OFFSETS = {"t_m2": -2, "t_m1": -1, "t_0": 0, "t_p1": 1, "t_p2": 2}
+
+
+def _general_chain_stencil(c, d) -> ChainStencil:
+    p = c["params"]
+    hops = {off: p[name] for name, off in _GENERAL_CHAIN_OFFSETS.items() if off and name in p}
+    return ChainStencil(c["sizes"]["N"], hops, (p.get("t_0", 0.0),), d)
+
+
+def _general_chain_bloch(p):
+    terms = [(off, p[name]) for name, off in _GENERAL_CHAIN_OFFSETS.items() if name in p]
+    return topology.BlochSampler(lambda k: sum(t * np.exp(1j * o * k) for o, t in terms))
+
+
+def _separable(solve, c, d) -> tuple:
+    """`solve` (hn_matrix, hn_spectrum, ...) on the two chains of the separable square lattice."""
+    p, sizes = c["params"], c["sizes"]
+    a = models1d.HNParams(p["a_t_l"], p["a_t_r"], p.get("a_t_d", 0.0))
+    b = models1d.HNParams(p["b_t_l"], p["b_t_r"], p.get("b_t_d", 0.0))
+    return solve(a, sizes["N1"], d), solve(b, sizes["N2"], c["delta2"])
+
+
+def _stack(family: str, c, d) -> models2d.Stacked2DSpec:
+    sizes = c["sizes"]
+    return models2d.Stacked2DSpec(family, c["params"], sizes["N1"], sizes["N2"], _scalar(d),
+                                  c["mode"], c["delta2"])
+
+
+def _stacked(family: str, keys, solve, balance, **fields) -> Model:
+    """A stacked lattice of `family`; `solve` and `balance` take its
+    Stacked2DSpec.  j labels an eigenvalue's Bloch block, except when open."""
+    def spectrum(c, d):
+        spec = solve(_stack(family, c, d))[0]
+        if c["mode"] == "open":
+            return _plain(spec)
+        return spec, [j for j in range(c["sizes"]["N2"]) for _ in range(c["sizes"]["N1"])]
+
+    return Model(frozenset(keys), frozenset(), sizes=("N1", "N2"),
+                 matrix=lambda c, d: models2d.build_stacked_matrix(_stack(family, c, d)),
+                 spectrum=spectrum, balance=lambda c: {"case": balance(_stack(family, c, 0.0))},
+                 **fields)
+
+
+_HN = Model(
+    frozenset({"t_l", "t_r"}), frozenset({"t_d"}),
+    matrix=lambda c, d: models1d.hn_matrix(*_hn(c, d)),
+    spectrum=lambda c, d: _plain(models1d.hn_spectrum(*_hn(c, d))[0]),
+    closed_form=lambda c, d: models1d.hn_closed_form(*_hn(c, d))[0],
+    bloch=_hn_bloch,
+    balance=lambda c: dict(zip(("balanced", "theta"), models1d.hn_balanced(_hn(c, 0.0)[0]))),
+)
+_SSH = Model(
+    frozenset({"tl1", "tr1", "tl2", "tr2"}), frozenset({"v1", "v2"}),
+    matrix=lambda c, d: models1d.ssh_matrix(*_ssh(c, d)),
+    spectrum=lambda c, d: _plain(models1d.ssh_spectrum(*_ssh(c, d))[0]),
+    closed_form=lambda c, d: models1d.ssh_closed_form(*_ssh(c, d))[0],
+    reduced=_reduced_twoband, bloch=_ssh_bloch, balance=_ssh_balance,
+)
+
+MODELS: dict[str, Model] = {
+    "hn": _HN,
+    "hn-general": replace(_HN, optional=frozenset({"t_d", "eps1", "epsN"})),
+    "ssh": _SSH,
+    "ssh-odd": replace(_SSH, optional=frozenset()),
+    "unidirectional": Model(
+        frozenset({"t_l", "u_l"}), frozenset(),
+        matrix=lambda c, d: models1d.unidirectional_matrix(*_long_range(c, d, "t_l")),
+        spectrum=lambda c, d: _plain(models1d.unidirectional_spectrum(*_long_range(c, d, "t_l"))),
+        bloch=lambda p: topology.BlochSampler(
+            lambda k: p["t_l"] * np.exp(1j * k) + p["u_l"] * np.exp(2j * k)),
+    ),
+    "mixed-longrange": Model(
+        frozenset({"t_r", "u_l"}), frozenset(),
+        matrix=lambda c, d: models1d.mixed_longrange_matrix(*_long_range(c, d, "t_r")),
+        spectrum=lambda c, d: _plain(models1d.mixed_longrange_spectrum(*_long_range(c, d, "t_r"))[0]),
+        closed_form=lambda c, d: models1d.mixed_longrange_closed_form(*_long_range(c, d, "t_r"))[0],
+        bloch=lambda p: topology.BlochSampler(
+            lambda k: p["u_l"] * np.exp(2j * k) + p["t_r"] * np.exp(-1j * k)),
+    ),
+    "general-chain": Model(
+        frozenset(), frozenset(_GENERAL_CHAIN_OFFSETS), check="boundary residual",
+        matrix=lambda c, d: build_chain_matrix(_general_chain_stencil(c, d)),
+        bloch=_general_chain_bloch,
+    ),
+    "stacked-hn": _stacked(
+        "hn", models2d.HN_KEYS, lambda s: models2d.stacked_hn_spectrum(s),
+        lambda s: models2d.stacked_hn_balance(s),
+        envelope=lambda c, d: models2d.envelope_curves(_stack("hn", c, d)),
+    ),
+    "stacked-ssh": _stacked(
+        "ssh", models2d.SSH_KEYS, lambda s: models2d.stacked_ssh_spectrum(s),
+        lambda s: models2d.stacked_ssh_balance(s),
+        reduced=lambda sizes: dict(_reduced(sizes), N1=min(sizes["N1"], 8) // 2 * 2),
+    ),
+    "triangular": _stacked(
+        "triangular", ("t_l", "t_r"), lambda s: models2d.triangular_spectrum(s),
+        lambda s: models2d.stacked_hn_balance(s),
+        closed_form=lambda c, d: None if c["mode"] == "open" else spectrum_for(c, d)[0],
+        envelope=lambda c, d: models2d.envelope_curves(_stack("triangular", c, d)),
+    ),
+    "kagome": Model(
+        frozenset({"t_l", "t_r"}), frozenset({"inter_scale", "delta2p"}), check="oracle-only",
+        matrix=lambda c, d: models2d.kagome_matrix(
+            c["params"]["t_l"], c["params"]["t_r"], c["sizes"]["N1"], c["sizes"]["N2"], _scalar(d),
+            c["delta2"], c["params"].get("delta2p", c["delta2"]),
+            c["params"].get("inter_scale", 1.0).real),
+        sizes=("N1", "N2"),
+    ),
+    "separable-square": Model(
+        frozenset({"a_t_l", "a_t_r", "b_t_l", "b_t_r"}), frozenset({"a_t_d", "b_t_d"}),
+        matrix=lambda c, d: models2d.separable_square_matrix(*_separable(models1d.hn_matrix, c, d)),
+        spectrum=lambda c, d: _plain(models2d.separable_square_spectrum(
+            *(s[0] for s in _separable(models1d.hn_spectrum, c, d)))),
+        closed_form=lambda c, d: models2d.separable_square_spectrum(
+            *(s[0] for s in _separable(models1d.hn_closed_form, c, d))),
+        sizes=("N1", "N2"),
+    ),
+}
+
+
+def spectrum_for(cfg: dict, delta) -> tuple[Spectrum, list]:
+    """(Spectrum, per-eigenvalue j indices) for one boundary value."""
+    m = MODELS[cfg["model"]]
+    if m.spectrum is None:
+        return _plain(dense_spectrum(m.matrix(cfg, delta)))
+    return m.spectrum(cfg, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +365,8 @@ def write_csv(path: Path, header: list, rows: list) -> None:
 def _json_default(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
@@ -354,48 +405,30 @@ def _spectrum_rows(cfg, deltas, threads: int) -> list:
 def validate(cfg: dict, tolerance: float = 1e-7) -> dict:
     """Reduced-size analytic-vs-oracle comparison for the configured model.
 
-    The chains are checked through their closed forms (`closed_form_for`),
-    not through the eigensolver route their spectra take, at N <= 12."""
-    model = cfg["model"]
-    small = dict(cfg)
-    if "N" in cfg["sizes"]:
-        n = min(cfg["sizes"]["N"], 12)
-        if model in ("ssh", "stacked-ssh"):
-            n -= n % 2
-        if model == "ssh-odd":
-            n = n - 1 if n % 2 == 0 else n
-        small["sizes"] = {"N": max(n, 4 if model != "ssh-odd" else 5)}
-    else:
-        small["sizes"] = {"N1": min(cfg["sizes"]["N1"], 8), "N2": min(cfg["sizes"]["N2"], 8)}
-        if model == "stacked-ssh":
-            small["sizes"]["N1"] -= small["sizes"]["N1"] % 2
-    if model == "kagome":
+    The chains are checked through their closed forms, not through the
+    eigensolver route their spectra take, at N <= 12; the general chain by
+    the boundary residual of its dense eigenvalues."""
+    m = MODELS[cfg["model"]]
+    if m.check == "oracle-only":
         return {"status": "oracle-only", "max_mismatch": 0.0}
+    small = dict(cfg, sizes=m.reduced(cfg["sizes"]))
     deltas = _delta_values(small)
     mid = deltas[len(deltas) // 2]
-    if model == "triangular" and small["mode"] == "open":
-        return {"status": "oracle-only", "max_mismatch": 0.0}
-    if model == "general-chain":
-        from .alphasolver import verify_generic
-        from .core import ChainStencil
-
-        H = _general_chain_matrix(small, mid)
-        spec = dense_spectrum(H)
-        p = small["params"]
-        hops = {off: p[name] for name, off in
-                (("t_m2", -2), ("t_m1", -1), ("t_p1", 1), ("t_p2", 2)) if name in p and p[name] != 0}
-        st = ChainStencil(small["sizes"]["N"], hops, (p.get("t_0", 0.0),), _scalar(mid))
+    if m.check == "boundary residual":
+        st = _general_chain_stencil(small, mid)
+        spec = dense_spectrum(build_chain_matrix(st))
         worst = max(verify_generic(st, z) for z in spec.eigenvalues)
         status = "pass" if worst < 1e-6 else "fail"
         return {"status": status, "max_mismatch": worst, "metric": "boundary residual"}
-    analytic = closed_form_for(small, mid)
-    H = _oracle_matrix(small, mid)
-    oracle = dense_spectrum(H)
+    analytic = m.closed_form(small, mid) if m.closed_form else spectrum_for(small, mid)[0]
+    if analytic is None:
+        return {"status": "oracle-only", "max_mismatch": 0.0}
+    oracle = dense_spectrum(m.matrix(small, mid))
     mismatch = spectral_mismatch(analytic, oracle)
     status = "pass" if mismatch < tolerance else "fail"
     report = {"status": status, "max_mismatch": mismatch, "delta": _delta_label(mid),
               "sizes": small["sizes"]}
-    if model == "mixed-longrange":
+    if "removed_factor" in analytic.parameters:
         report["triple_grouping"] = {
             "degree": analytic.parameters["degree"],
             "removed_factor": analytic.parameters["removed_factor"],
@@ -408,11 +441,15 @@ def run(cfg: dict, out_dir, threads: int = 1, tolerance: float = 1e-7) -> int:
     """Execute a config; writes <output>.csv / <output>.json under out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    task = cfg["task"]
-    sidecar = {"config": _echo(cfg), "task": task}
+    task, m = cfg["task"], MODELS[cfg["model"]]
+    needs = {"winding": m.bloch, "gap": m.bloch, "balance": m.balance, "envelope": m.envelope}
+    if task in needs and needs[task] is None:
+        raise ConfigError(f"{task} is not defined for model {cfg['model']!r}")
+    sidecar = {"config": dict(cfg, delta={"kind": cfg["delta"][0], "value": cfg["delta"][1]}),
+               "task": task}
     rows, header = [], ["delta", "j", "re", "im", "provenance"]
 
-    needs_validation = task in ("spectrum", "sweep", "envelope", "sensitivity") and cfg["model"] != "kagome"
+    needs_validation = task in ("spectrum", "sweep", "envelope", "sensitivity") and m.check != "oracle-only"
     if needs_validation:
         try:
             report = validate(cfg, tolerance)
@@ -431,27 +468,23 @@ def run(cfg: dict, out_dir, threads: int = 1, tolerance: float = 1e-7) -> int:
             return 3
 
     if task in ("spectrum", "sweep"):
-        deltas = _delta_values(cfg)
-        rows = _spectrum_rows(cfg, deltas, threads)
+        rows = _spectrum_rows(cfg, _delta_values(cfg), threads)
     elif task == "states":
         rows, extra = _states_task(cfg)
         header = ["delta", "site", "rr", "ll", "lr_re", "lr_im"]
         sidecar.update(extra)
     elif task == "winding":
-        sampler = bloch_sampler_for(cfg)
         E = cfg.get("base_energy", 0.0)
-        res = topology.winding_number(sampler, E)
+        res = topology.winding_number(m.bloch(cfg["params"]), E)
         sidecar["winding"] = {"w": res.w, "base_energy": complex(E),
                               "samples": res.samples, "min_abs_det": res.min_abs_det}
     elif task == "gap":
-        sampler = bloch_sampler_for(cfg)
-        verdict, witness = topology.gap_classify(sampler)
+        verdict, witness = topology.gap_classify(m.bloch(cfg["params"]))
         sidecar["gap"] = {"verdict": verdict}
         if witness is not None:
             sidecar["gap"]["witness"] = {"base_energy": witness.base_energy, "w": witness.w}
     elif task == "envelope":
-        spec2d = _stacked_spec(cfg, _delta_values(cfg)[0] if cfg["delta"][0] != "grid" else 0.0)
-        env = models2d.envelope_curves(spec2d)
+        env = m.envelope(cfg, _delta_values(cfg)[0] if cfg["delta"][0] != "grid" else 0.0)
         rows = _spectrum_rows(cfg, _delta_values(cfg), threads)
         env_rows = []
         for name, curve in (("z1", env.z1), ("z2", env.z2), ("z_plus", env.z_plus),
@@ -465,9 +498,7 @@ def run(cfg: dict, out_dir, threads: int = 1, tolerance: float = 1e-7) -> int:
     elif task == "sensitivity":
         sidecar["sensitivity"] = _sensitivity_task(cfg)
     elif task == "balance":
-        sidecar["balance"] = _balance_task(cfg)
-    else:
-        raise ConfigError(f"unhandled task {task!r}")
+        sidecar["balance"] = m.balance(cfg)
 
     if task in ("spectrum", "sweep", "states", "envelope"):
         write_csv(out / f"{cfg['output']}.csv", header, rows)
@@ -475,17 +506,9 @@ def run(cfg: dict, out_dir, threads: int = 1, tolerance: float = 1e-7) -> int:
     return 0
 
 
-def _echo(cfg) -> dict:
-    echo = dict(cfg)
-    echo["delta"] = {"kind": cfg["delta"][0], "value": cfg["delta"][1]}
-    return echo
-
-
 def _states_task(cfg):
     delta = _delta_values(cfg)[0]
-    H = _oracle_matrix(cfg, delta)
-    if H is None:
-        raise ConfigError("states task is not available for this model")
+    H = MODELS[cfg["model"]].matrix(cfg, delta)
     lam, vr, vl = models2d.representative_state(H)
     prof = expectation_profiles(vr, vl)
     rows = []
@@ -494,59 +517,23 @@ def _states_task(cfg):
         lr = prof.lr[site] if prof.lr is not None else 0.0
         rows.append((lab, site + 1, _fmt(prof.rr[site]), _fmt(prof.ll[site]),
                      _fmt(np.real(lr)), _fmt(np.imag(lr))))
-    loc = localization_report(prof)
-    extra = {
-        "state": {"eigenvalue": complex(lam), "normalization": prof.normalization},
-        "localization": {
-            "center_of_mass": loc.center_of_mass,
-            "left_edge_fraction": loc.left_edge_fraction,
-            "right_edge_fraction": loc.right_edge_fraction,
-            "decay_rate": loc.decay_rate,
-            "fit_r2": loc.fit_r2,
-        },
-    }
+    extra = {"state": {"eigenvalue": complex(lam), "normalization": prof.normalization},
+             "localization": asdict(localization_report(prof))}
     return rows, extra
 
 
 def _sensitivity_task(cfg) -> dict:
-    def spectrum_fn(d):
-        spec, _ = spectrum_for(cfg, d)
-        return spec
-
-    screen = sensitivity.classify_sensitivity(spectrum_fn)
+    screen = sensitivity.classify_sensitivity(lambda d: spectrum_for(cfg, d)[0])
     out = {"screen": screen.as_dict()}
     if cfg["n_list"]:
-        sizes_key = "N" if "N" in cfg["sizes"] else "N1"
+        size_key = MODELS[cfg["model"]].sizes[0]
 
         def family(n, d):
-            sub = dict(cfg)
-            sub["sizes"] = dict(cfg["sizes"])
-            sub["sizes"][sizes_key] = n
-            spec, _ = spectrum_for(sub, d)
-            return spec
+            return spectrum_for(dict(cfg, sizes=dict(cfg["sizes"], **{size_key: n})), d)[0]
 
         report = sensitivity.sensitivity_exponent(family, cfg["threshold"], cfg["n_list"])
         out["exponent"] = report.as_dict()
     return out
-
-
-def _balance_task(cfg) -> dict:
-    model, p = cfg["model"], cfg["params"]
-    if model in ("hn", "hn-general"):
-        flag, theta = models1d.hn_balanced(_hn_params(p))
-        return {"balanced": flag, "theta": theta}
-    if model in ("ssh", "ssh-odd"):
-        sp = _ssh_params(p)
-        flag, theta = models1d.ssh_balanced(sp)
-        zero, margin = models1d.ssh_zero_mode_predicate(sp)
-        return {"balanced": flag, "theta": theta, "zero_mode": zero, "zero_mode_margin": margin}
-    if model in ("stacked-hn", "triangular"):
-        case = models2d.stacked_hn_balance(_stacked_spec(cfg, 0.0))
-        return {"case": case}
-    if model == "stacked-ssh":
-        case = models2d.stacked_ssh_balance(_stacked_spec(cfg, 0.0))
-        return {"case": case}
-    raise ConfigError(f"balance task is not defined for model {model!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +559,13 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"cannot read config {args.config}: {exc}\n")
         return 2
-    if args.command not in ("run", "validate"):
+    if args.command not in ("run", "validate") and isinstance(raw, dict):
         raw["task"] = args.command
     try:
         cfg = parse_config(raw)
+        own = {Path(args.out, cfg["output"] + s).resolve() for s in (".json", ".csv", "_envelope.csv")}
+        if args.command != "validate" and Path(args.config).resolve() in own:
+            raise ConfigError(f"output: {cfg['output']!r} in {args.out} would overwrite the config")
     except ConfigError as exc:
         sys.stderr.write(f"invalid config: {exc}\n")
         return 2

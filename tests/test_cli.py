@@ -198,6 +198,16 @@ class TestValidate:
         assert report["triple_grouping"]["degree"] == 18
         assert report["triple_grouping"]["status"] == "ok"
 
+    def test_twoband_keeps_parity_of_n(self):
+        params = {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}
+        for model, n, reduced in (("ssh", 9, 9), ("ssh", 30, 12), ("ssh", 31, 11),
+                                  ("ssh-odd", 9, 9), ("ssh-odd", 13, 11)):
+            cfg = parse_config({"model": model, "task": "spectrum", "params": params,
+                                "sizes": {"N": n}, "delta": 0.3})
+            report = validate(cfg)
+            assert report["sizes"] == {"N": reduced}, (model, n)
+            assert report["status"] == "pass"
+
     def test_general_chain_uses_boundary_residual(self):
         cfg = parse_config({
             "model": "general-chain", "task": "spectrum",
@@ -239,6 +249,30 @@ class TestMain:
     def test_seed_key_still_parses(self):
         cfg = parse_config(dict(HN_SWEEP, seed=7))
         assert "seed" not in cfg
+
+    @pytest.mark.parametrize("command, payload, key", [
+        ("run", dict(HN_SWEEP, sizes={"N": "abc"}), "sizes.N"),
+        ("run", dict(HN_SWEEP, delta={"start": 0.0, "stop": 0.5}), "delta.step"),
+        ("run", dict(HN_SWEEP, threshold="x"), "threshold"),
+        ("run", [HN_SWEEP], "config"),
+        ("spectrum", [HN_SWEEP], "config"),
+        ("run", dict(HN_SWEEP, params=[1.0, 2.0]), "params"),
+        ("run", dict(HN_SWEEP, sizes="N"), "sizes"),
+        ("run", dict(HN_SWEEP, n_list=8), "n_list"),
+    ], ids=["size", "grid-step", "threshold", "array", "array-task", "params", "sizes", "n_list"])
+    def test_malformed_values_exit_2(self, tmp_path, capsys, command, payload, key):
+        path = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"invalid config: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv", "_envelope.csv"])
+    def test_run_refuses_to_overwrite_its_config(self, tmp_path, capsys, suffix):
+        path = write_config(tmp_path, f"self{suffix}", dict(HN_SWEEP, output="self"))
+        before = path.read_bytes()
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "overwrite the config" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == [path.name]
 
 
 STACKED_SWEEPS = {
@@ -399,3 +433,44 @@ class TestValidationDoesNotBlockRun:
         side = json.loads((tmp_path / "zero.json").read_text())
         assert side["validation"]["status"] == "closed-form-failed"
         assert (tmp_path / "zero.csv").read_text().count("\n") == 1 + 10
+
+
+STACK_HN = {"t_d": 1, "t_l": 2, "t_r": 2, "u_d": 2, "v_dl": 4, "v_dr": 4, "u_u": -3, "v_ul": 3, "v_ur": 3}
+STACK_SSH = {"td1": 1, "td2": 4, "tl1": 1, "tl2": 8, "tr1": 1, "tr2": 6, "ud1": 3, "ud2": 6,
+             "vdl1": 0, "vdl2": 0, "vdr1": 8 / 3, "vdr2": 3, "uu1": 2, "uu2": 5, "vul1": 2,
+             "vul2": 3, "vur1": 0, "vur2": 0}
+TASK_ORDER = ("spectrum", "states", "winding", "gap", "envelope", "sweep", "sensitivity", "balance")
+# model: (params, sizes, exit code per task in TASK_ORDER).  The chains are
+# too short for the states task's localization fit (10 sites), lattices have
+# no Bloch function here, and envelope curves exist only for HN-type stacks.
+MODEL_TASKS = {
+    "hn": ({"t_l": 1.0, "t_r": 2.0}, {"N": 8}, "02002000"),
+    "hn-general": ({"t_l": 1.0, "t_r": 2.0, "eps1": 0.3}, {"N": 8}, "02002000"),
+    "ssh": ({"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}, {"N": 8}, "02002000"),
+    "ssh-odd": ({"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}, {"N": 9}, "02002000"),
+    "unidirectional": ({"t_l": 1.0, "u_l": 0.5}, {"N": 8}, "02002002"),
+    "mixed-longrange": ({"t_r": 1.0, "u_l": 2.0}, {"N": 8}, "02002002"),
+    "general-chain": ({"t_p1": 1.0, "t_m1": 2.0, "t_p2": 0.5}, {"N": 8}, "02002002"),
+    "stacked-hn": (STACK_HN, {"N1": 4, "N2": 4}, "00220000"),
+    "stacked-ssh": (STACK_SSH, {"N1": 4, "N2": 4}, "00222000"),
+    "triangular": ({"t_l": 1.0, "t_r": 2.0}, {"N1": 4, "N2": 4}, "00220000"),
+    "kagome": ({"t_l": 1.0, "t_r": 2.0}, {"N1": 4, "N2": 4}, "00222002"),
+    "separable-square": ({"a_t_l": 1.0, "a_t_r": 2.0, "b_t_l": 1.0, "b_t_r": 0.5},
+                         {"N1": 4, "N2": 4}, "00222002"),
+}
+
+
+@pytest.mark.parametrize("task", TASK_ORDER)
+@pytest.mark.parametrize("model", sorted(MODEL_TASKS))
+def test_model_task_matrix(tmp_path, capsys, model, task):
+    """Every model x task either runs (exit 0) or is refused as a configuration
+    error (exit 2); none raises."""
+    params, sizes, codes = MODEL_TASKS[model]
+    path = write_config(tmp_path, "c.json", {"model": model, "task": task, "params": params,
+                                              "sizes": sizes, "delta": 0.3, "output": "out"})
+    expected = int(codes[TASK_ORDER.index(task)])
+    assert main([task, "--config", str(path), "--out", str(tmp_path)]) == expected
+    if expected == 0:
+        assert (tmp_path / "out.json").exists()
+    elif task in ("winding", "gap", "envelope", "balance"):
+        assert f"{task} is not defined for model {model!r}" in capsys.readouterr().err
