@@ -105,6 +105,8 @@ def parse_config(raw: dict) -> dict:
     cfg["sizes"] = {key: _number(int, sizes[key], f"sizes.{key}") for key in m.sizes}
     cfg["delta"] = _parse_delta(raw.get("delta", 0.0))
     cfg["mode"] = raw.get("mode", "bc1")
+    if cfg["mode"] not in models2d.MODES:
+        raise ConfigError(f"mode: expected one of {models2d.MODES}, got {cfg['mode']!r}")
     cfg["delta2"] = _to_complex(raw.get("delta2", 1.0), "delta2")
     if "base_energy" in raw:
         cfg["base_energy"] = _to_complex(raw["base_energy"], "base_energy")
@@ -517,8 +519,12 @@ def _states_task(cfg):
         lr = prof.lr[site] if prof.lr is not None else 0.0
         rows.append((lab, site + 1, _fmt(prof.rr[site]), _fmt(prof.ll[site]),
                      _fmt(np.real(lr)), _fmt(np.imag(lr))))
+    try:
+        loc = asdict(localization_report(prof))
+    except ValueError as exc:  # e.g. too few sites for the decay fit; the profiles still stand
+        loc = {"status": "skipped", "reason": str(exc)}
     extra = {"state": {"eigenvalue": complex(lam), "normalization": prof.normalization},
-             "localization": asdict(localization_report(prof))}
+             "localization": loc}
     return rows, extra
 
 

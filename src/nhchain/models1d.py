@@ -114,12 +114,14 @@ def _one_per_pair(c: np.ndarray) -> np.ndarray:
     """
     c = np.sort(c, axis=1)
     rows = np.arange(len(c))
+    dist = np.abs(c[:, None, :] - c[:, :, None])  # dist[r, i, j] = |c_j - c_i|
+    left = np.ones(c.shape, dtype=bool)
     out = np.empty((len(c), c.shape[1] // 2), dtype=complex)
     for k in range(out.shape[1]):
-        i = np.argmax(~np.isnan(c), axis=1)
+        i = np.argmax(left, axis=1)
         out[:, k] = c[rows, i]
-        c[rows, i] = np.nan
-        c[rows, np.nanargmin(np.abs(c - out[:, k, None]), axis=1)] = np.nan
+        left[rows, i] = False
+        left[rows, np.argmin(np.where(left, dist[rows, i], np.inf), axis=1)] = False
     return out
 
 

@@ -61,6 +61,8 @@ SSH_KEYS = tuple(
 # relative tolerance (of max|lambda|) under which representative_state counts
 # two eigenvalue keys as tied
 STATE_TIE_RTOL = 1e-9
+# stacking boundary modes
+MODES = ("bc1", "bc2", "open")
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class Stacked2DSpec:
     def __post_init__(self):
         if self.family not in ("hn", "ssh", "triangular"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.mode not in ("bc1", "bc2", "open"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown boundary mode {self.mode!r}")
         if self.mode == "bc2" and complex(self.delta2) == 0:
             raise ValueError("bc2 requires delta2 != 0")

@@ -4,6 +4,11 @@ The winding of det(H(k) - E_B) over one Brillouin-zone traversal is computed
 by summing principal-branch phase increments on a uniform k grid, doubling
 the grid until the pre-rounding sum sits close to an integer.  Orientation
 convention: k runs from -pi to pi and counterclockwise loops count positive.
+
+A `BlochSampler` keeps H(k) on each closed grid it has sampled, so a scan
+over many base energies (`gap_classify`, `tridiag_det_winding`) evaluates
+the Bloch function once per grid point and grid size, and only the shifted
+determinants are recomputed per energy.
 """
 from __future__ import annotations
 
@@ -24,26 +29,43 @@ UNRELIABLE_MIN_DET = 1e-10
 
 
 class BlochSampler:
-    """Callable k -> H(k) (scalar or square block) with period 2 pi."""
+    """Callable k -> H(k) (scalar or square block) with period 2 pi.
+
+    `grid(n)` holds H(k) on the closed grid linspace(-pi, pi, n + 1); each
+    grid size is evaluated once per sampler, one call of the function per k.
+    """
 
     def __init__(self, fn, dim: int = 1):
         self.fn = fn
         self.dim = int(dim)
+        self._grids: dict[int, np.ndarray] = {}
 
     def __call__(self, k):
         return self.fn(k)
 
+    def _evaluate(self, ks) -> np.ndarray:
+        if self.dim == 1:
+            return np.array([complex(self.fn(k)) for k in ks])
+        return np.array([np.asarray(self.fn(k), dtype=complex) for k in ks])
+
+    def grid(self, n: int) -> np.ndarray:
+        """H(k) on linspace(-pi, pi, n + 1): shape (n + 1,) or (n + 1, dim, dim)."""
+        if n not in self._grids:
+            h = self._evaluate(np.linspace(-np.pi, np.pi, n + 1))
+            h.flags.writeable = False  # shared by every later caller
+            self._grids[n] = h
+        return self._grids[n]
+
+    def _shifted_det(self, h: np.ndarray, base_energy: complex) -> np.ndarray:
+        """det(H - E_B) of samples h from `grid` or `_evaluate`."""
+        if self.dim == 1:
+            return h - base_energy
+        return np.linalg.det(h - base_energy * np.eye(self.dim))
+
     def det_shifted(self, ks, base_energy: complex) -> np.ndarray:
         """det(H(k) - E_B) on an array of k values."""
         ks = np.atleast_1d(np.asarray(ks, dtype=float))
-        if self.dim == 1:
-            vals = np.array([complex(self.fn(k)) for k in ks])
-            return vals - base_energy
-        out = np.empty(len(ks), dtype=complex)
-        eye = np.eye(self.dim)
-        for i, k in enumerate(ks):
-            out[i] = np.linalg.det(np.asarray(self.fn(k), dtype=complex) - base_energy * eye)
-        return out
+        return self._shifted_det(self._evaluate(ks), base_energy)
 
     def periodicity_defect(self, n_samples: int = 16) -> float:
         ks = np.linspace(-np.pi, np.pi, n_samples, endpoint=False)
@@ -85,8 +107,7 @@ def winding_number(sampler: BlochSampler, base_energy, n_samples: int = 256,
     E = complex(base_energy)
     n = int(n_samples)
     while True:
-        ks = np.linspace(-np.pi, np.pi, n + 1)
-        dets = sampler.det_shifted(ks, E)
+        dets = sampler._shifted_det(sampler.grid(n), E)
         min_det = float(np.abs(dets).min())
         if min_det < UNRELIABLE_MIN_DET:
             raise ValueError(
@@ -115,13 +136,9 @@ def gap_classify(sampler: BlochSampler, grid_size: int = 12, n_samples: int = 25
     |w| >= 1, else ('line-gap-consistent', None).  A grid verdict is not a
     proof of the absence of winding.
     """
-    ks = np.linspace(-np.pi, np.pi, 512, endpoint=False)
-    if sampler.dim == 1:
-        pts = np.array([complex(sampler(k)) for k in ks])
-    else:
-        pts = np.concatenate(
-            [np.linalg.eigvals(np.asarray(sampler(k), dtype=complex)) for k in ks]
-        )
+    pts = sampler.grid(512)[:-1]  # k = pi repeats k = -pi
+    if sampler.dim > 1:
+        pts = np.linalg.eigvals(pts).ravel()
     re_lo, re_hi = pts.real.min(), pts.real.max()
     im_lo, im_hi = pts.imag.min(), pts.imag.max()
     dre = max(re_hi - re_lo, 1e-6)
@@ -190,8 +207,7 @@ def tridiag_det_winding(t_l, t_r, n_rows: int, n_samples: int = 512):
     t_l, t_r = complex(t_l), complex(t_r)
     phase_flag = abs(abs(t_r / t_l) - 1.0) < 1e-12
     sampler = BlochSampler(lambda k: tridiag_bloch_det(t_l, t_r, k, n_rows), dim=1)
-    ks = np.linspace(-np.pi, np.pi, 1024, endpoint=False)
-    pts = np.array([complex(sampler(k)) for k in ks])
+    pts = sampler.grid(1024)[:-1]
     span = max(pts.real.max() - pts.real.min(), pts.imag.max() - pts.imag.min())
     if span < 1e-12:
         return WindingResult(complex(pts.mean()), 0, 0, 0.0, 0.0), phase_flag

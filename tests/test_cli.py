@@ -118,6 +118,19 @@ class TestRun:
         lines = (tmp_path / "st.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 20
 
+    def test_states_task_short_chain_skips_localization(self, tmp_path):
+        cfg = parse_config({
+            "model": "hn", "task": "states",
+            "params": {"t_l": 1.0, "t_r": 2.0},
+            "sizes": {"N": 8}, "delta": 0.3, "output": "st",
+        })
+        assert run(cfg, tmp_path) == 0
+        side = json.loads((tmp_path / "st.json").read_text())
+        assert side["localization"] == {"status": "skipped", "reason": "need at least 10 sites, got 8"}
+        assert "eigenvalue" in side["state"]
+        lines = (tmp_path / "st.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 8
+
     def test_envelope_task(self, tmp_path):
         cfg = parse_config({
             "model": "stacked-hn", "task": "envelope",
@@ -259,7 +272,9 @@ class TestMain:
         ("run", dict(HN_SWEEP, params=[1.0, 2.0]), "params"),
         ("run", dict(HN_SWEEP, sizes="N"), "sizes"),
         ("run", dict(HN_SWEEP, n_list=8), "n_list"),
-    ], ids=["size", "grid-step", "threshold", "array", "array-task", "params", "sizes", "n_list"])
+        ("run", dict(HN_SWEEP, mode="bogus", delta2=0), "mode"),
+    ], ids=["size", "grid-step", "threshold", "array", "array-task", "params", "sizes", "n_list",
+            "mode"])
     def test_malformed_values_exit_2(self, tmp_path, capsys, command, payload, key):
         path = write_config(tmp_path, "c.json", payload)
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
@@ -440,17 +455,18 @@ STACK_SSH = {"td1": 1, "td2": 4, "tl1": 1, "tl2": 8, "tr1": 1, "tr2": 6, "ud1": 
              "vdl1": 0, "vdl2": 0, "vdr1": 8 / 3, "vdr2": 3, "uu1": 2, "uu2": 5, "vul1": 2,
              "vul2": 3, "vur1": 0, "vur2": 0}
 TASK_ORDER = ("spectrum", "states", "winding", "gap", "envelope", "sweep", "sensitivity", "balance")
-# model: (params, sizes, exit code per task in TASK_ORDER).  The chains are
-# too short for the states task's localization fit (10 sites), lattices have
-# no Bloch function here, and envelope curves exist only for HN-type stacks.
+# model: (params, sizes, exit code per task in TASK_ORDER).  The chains run
+# states although they are too short for its localization fit (10 sites),
+# lattices have no Bloch function here, and envelope curves exist only for
+# HN-type stacks.
 MODEL_TASKS = {
-    "hn": ({"t_l": 1.0, "t_r": 2.0}, {"N": 8}, "02002000"),
-    "hn-general": ({"t_l": 1.0, "t_r": 2.0, "eps1": 0.3}, {"N": 8}, "02002000"),
-    "ssh": ({"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}, {"N": 8}, "02002000"),
-    "ssh-odd": ({"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}, {"N": 9}, "02002000"),
-    "unidirectional": ({"t_l": 1.0, "u_l": 0.5}, {"N": 8}, "02002002"),
-    "mixed-longrange": ({"t_r": 1.0, "u_l": 2.0}, {"N": 8}, "02002002"),
-    "general-chain": ({"t_p1": 1.0, "t_m1": 2.0, "t_p2": 0.5}, {"N": 8}, "02002002"),
+    "hn": ({"t_l": 1.0, "t_r": 2.0}, {"N": 8}, "00002000"),
+    "hn-general": ({"t_l": 1.0, "t_r": 2.0, "eps1": 0.3}, {"N": 8}, "00002000"),
+    "ssh": ({"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}, {"N": 8}, "00002000"),
+    "ssh-odd": ({"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}, {"N": 9}, "00002000"),
+    "unidirectional": ({"t_l": 1.0, "u_l": 0.5}, {"N": 8}, "00002002"),
+    "mixed-longrange": ({"t_r": 1.0, "u_l": 2.0}, {"N": 8}, "00002002"),
+    "general-chain": ({"t_p1": 1.0, "t_m1": 2.0, "t_p2": 0.5}, {"N": 8}, "00002002"),
     "stacked-hn": (STACK_HN, {"N1": 4, "N2": 4}, "00220000"),
     "stacked-ssh": (STACK_SSH, {"N1": 4, "N2": 4}, "00222000"),
     "triangular": ({"t_l": 1.0, "t_r": 2.0}, {"N1": 4, "N2": 4}, "00220000"),

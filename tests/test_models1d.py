@@ -6,6 +6,7 @@ from nhchain.models1d import (
     HNParams,
     LongRangeParams,
     SSHParams,
+    _one_per_pair,
     bloch_1d,
     hn_balanced,
     hn_eigenvector,
@@ -337,3 +338,56 @@ class TestEigRoute:
         assert spec.parameters["fallback"] == "zero hopping" and len(aset) == 0
         oracle = dense_spectrum(mixed_longrange_matrix(0.0, 1.0, 0.5, 9))
         assert match_spectra(spec, oracle) == 0.0
+
+
+def _nan_greedy_one_per_pair(c):
+    """The pairing greedy as first written: removed values become NaN."""
+    c = np.sort(c, axis=1)
+    rows = np.arange(len(c))
+    out = np.empty((len(c), c.shape[1] // 2), dtype=complex)
+    for k in range(out.shape[1]):
+        i = np.argmax(~np.isnan(c), axis=1)
+        out[:, k] = c[rows, i]
+        c[rows, i] = np.nan
+        c[rows, np.nanargmin(np.abs(c - out[:, k, None]), axis=1)] = np.nan
+    return out
+
+
+class TestOnePerPair:
+    """`_one_per_pair` keeps exactly what the NaN/nanargmin greedy kept."""
+
+    @staticmethod
+    def _draw(rng):
+        n_rows, half = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+        kind = rng.integers(3)
+        if kind == 0:  # real rows
+            vals = rng.normal(size=(n_rows, half)) + 0j
+        else:
+            vals = rng.normal(size=(n_rows, half)) + 1j * rng.normal(size=(n_rows, half))
+        if kind == 2:  # conjugate pairs sharing a real part
+            vals[:, 1::2] = np.conj(vals[:, : half // 2 * 2 : 2])
+        noisy = vals * (1 + 1e-15 * rng.normal(size=vals.shape))
+        row = np.concatenate([vals, noisy], axis=1)
+        return row[:, rng.permutation(2 * half)]
+
+    def test_matches_nan_greedy_bitwise(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(1000):
+            c = self._draw(rng)
+            kept = _one_per_pair(c.copy())
+            assert kept.tobytes() == _nan_greedy_one_per_pair(c.copy()).tobytes()
+
+    def test_exact_tie_takes_first_index(self):
+        # 1j and 1 are both at distance 1 from 0; the first in sorted order goes
+        c = np.array([[2.0, 1.0, 1j, 0.0]])
+        assert _one_per_pair(c.copy()).tobytes() == _nan_greedy_one_per_pair(c.copy()).tobytes()
+        assert _one_per_pair(c).tolist() == [[0.0, 1.0]]
+
+    def test_input_untouched_and_one_per_pair(self):
+        a, b = 0.3 + 0.5j, 0.3 - 0.5j
+        c = np.array([[a, b, a + 5.6e-17, b + 5.6e-17], [1.0, 1.0, -2.0, -2.0 + 1e-16]])
+        before = c.copy()
+        kept = _one_per_pair(c)
+        assert np.array_equal(c, before)
+        assert match_spectra(kept[0], [a, b]) < 1e-15
+        assert match_spectra(kept[1], [1.0, -2.0]) < 1e-15

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from nhchain.topology import (
+    UNRELIABLE_MIN_DET,
     BlochSampler,
+    _polyline_distance,
     gap_classify,
     tridiag_bloch_det,
     tridiag_det_winding,
@@ -115,6 +117,106 @@ class TestGapClassify:
         mixed = BlochSampler(lambda k: np.exp(2j * k) + np.exp(-1j * k))
         verdict, witness = gap_classify(mixed)
         assert verdict == "point-gap" and abs(witness.w) >= 1
+
+
+def _ssh_block(k, tl1=1.0, tr1=2.0, tl2=3.0, tr2=4.0):
+    return np.array([[0.2, tl1 + tr2 * np.exp(-1j * k)], [tr1 + tl2 * np.exp(1j * k), -0.1]])
+
+
+SAMPLER_FNS = {
+    "hn": (lambda k: 0.3 + np.exp(1j * k) + 2.0 * np.exp(-1j * k), 1),
+    "ssh": (_ssh_block, 2),
+    "mixed": (lambda k: 2.0 * np.exp(2j * k) + np.exp(-1j * k), 1),
+}
+
+
+def _reference_winding(fn, dim, base_energy, n_samples=256):
+    """winding_number rebuilt from det_shifted on fresh samplers, no grid reuse."""
+    E, n = complex(base_energy), n_samples
+    while True:
+        dets = BlochSampler(fn, dim).det_shifted(np.linspace(-np.pi, np.pi, n + 1), E)
+        min_det = float(np.abs(dets).min())
+        if min_det < UNRELIABLE_MIN_DET:
+            return None
+        inc = np.angle(dets[1:] / dets[:-1])
+        total = float(inc.sum() / (2 * np.pi))
+        if np.abs(inc).max() < 0.5 * np.pi and abs(total - round(total)) <= 0.1:
+            return (int(round(total)), n, min_det, total)
+        n *= 2
+
+
+def _reference_gap(fn, dim, grid_size=12, pad=0.2):
+    """gap_classify's scan on per-k evaluations and reference windings."""
+    ks = np.linspace(-np.pi, np.pi, 512, endpoint=False)
+    if dim == 1:
+        pts = np.array([complex(fn(k)) for k in ks])
+    else:
+        pts = np.concatenate([np.linalg.eigvals(np.asarray(fn(k), dtype=complex)) for k in ks])
+    dre = max(pts.real.max() - pts.real.min(), 1e-6)
+    dim_ = max(pts.imag.max() - pts.imag.min(), 1e-6)
+    for re in np.linspace(pts.real.min() - pad * dre, pts.real.max() + pad * dre, grid_size):
+        for im in np.linspace(pts.imag.min() - pad * dim_, pts.imag.max() + pad * dim_, grid_size):
+            E = complex(re, im)
+            near = (_polyline_distance(pts, E) if dim == 1 else float(np.abs(pts - E).min()))
+            if near < 0.02 * max(dre, dim_):
+                continue
+            ref = _reference_winding(fn, dim, E)
+            if ref is not None and abs(ref[0]) >= 1:
+                return "point-gap", (E,) + ref
+    return "line-gap-consistent", None
+
+
+class TestSamplerCache:
+    @staticmethod
+    def _counting(fn):
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return fn(k)
+
+        return counted, calls
+
+    def test_winding_evaluates_each_grid_once(self):
+        counted, calls = self._counting(SAMPLER_FNS["hn"][0])
+        samp = BlochSampler(counted)
+        for E in (0.0, 0.4 + 0.2j, 5.0, -4.0j):
+            assert winding_number(samp, E).samples == 256
+        assert len(calls) == 257
+        winding_number(samp, 0.0, n_samples=128)
+        assert len(calls) == 257 + 129
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_FNS))
+    def test_gap_classify_evaluates_each_grid_once(self, name):
+        fn, dim = SAMPLER_FNS[name]
+        counted, calls = self._counting(fn)
+        samp = BlochSampler(counted, dim)
+        verdict, witness = gap_classify(samp)
+        assert verdict == "point-gap" and witness.samples == 256
+        # band points on the 512 grid, every winding on the 256 grid
+        assert len(calls) == 513 + 257
+        assert gap_classify(samp)[1] == witness
+        assert len(calls) == 513 + 257
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_FNS))
+    def test_matches_per_k_reference_bitwise(self, name):
+        fn, dim = SAMPLER_FNS[name]
+        samp = BlochSampler(fn, dim)
+        rng = np.random.default_rng(11)
+        for E in list(3 * rng.normal(size=12) + 3j * rng.normal(size=12)) + [0.0]:
+            ref = _reference_winding(fn, dim, E)
+            try:
+                res = winding_number(samp, E)
+            except ValueError:
+                assert ref is None
+                continue
+            # repr round-trips floats exactly, so equal reprs are equal bits
+            assert repr((res.w, res.samples, res.min_abs_det, res.phase_sum)) == repr(ref)
+        verdict, witness = gap_classify(BlochSampler(fn, dim))
+        ref_verdict, ref_witness = _reference_gap(fn, dim)
+        assert verdict == ref_verdict
+        assert repr((witness.base_energy, witness.w, witness.samples, witness.min_abs_det,
+                     witness.phase_sum)) == repr(ref_witness)
 
 
 class TestTridiagDet:
