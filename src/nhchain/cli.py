@@ -112,6 +112,8 @@ def parse_config(raw: dict) -> dict:
         cfg["base_energy"] = _to_complex(raw["base_energy"], "base_energy")
     cfg["threshold"] = _number(float, raw.get("threshold", 0.5), "threshold")
     cfg["n_list"] = [_number(int, n, "n_list") for n in _field(raw, "n_list", list)]
+    if cfg["n_list"] and (len(set(cfg["n_list"])) < 4 or min(cfg["n_list"]) < 1):
+        raise ConfigError(f"n_list: expected at least 4 distinct sizes >= 1, got {cfg['n_list']}")
     cfg["output"] = str(raw.get("output", "run"))
     return cfg
 

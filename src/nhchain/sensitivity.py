@@ -8,6 +8,7 @@ compared.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,7 +38,13 @@ def delta_sweep(spectrum_fn: Callable[[float], Spectrum], delta_grid) -> list:
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Result of the critical-deformation fit delta*(N) ~ e^{-xi N}."""
+    """Result of the critical-deformation fit delta*(N) ~ e^{-xi N}.
+
+    Besides delta* (None when unreached) and `reached`, each size records
+    `at_floor` (delta* is the search floor: an upper bound, not a crossing)
+    and `evaluations` (spectra computed, the delta = 0 reference and
+    delta = 1 included).
+    """
 
     n_list: tuple
     delta_star: tuple
@@ -46,12 +53,16 @@ class SensitivityReport:
     r_squared: float
     verdict: str
     threshold: float
+    at_floor: tuple = ()
+    evaluations: tuple = ()
 
     def as_dict(self) -> dict:
         return {
             "n_list": list(self.n_list),
             "delta_star": [None if d is None else float(d) for d in self.delta_star],
             "reached": list(self.reached),
+            "at_floor": list(self.at_floor),
+            "evaluations": list(self.evaluations),
             "xi": self.xi,
             "r_squared": self.r_squared,
             "verdict": self.verdict,
@@ -59,34 +70,92 @@ class SensitivityReport:
         }
 
 
-def _bisect_delta_star(fn, threshold: float, lo: float = 1e-14, max_iter: int = 60):
-    """Smallest delta in (0, 1] whose spectrum moved by at least `threshold`.
+_DELTA_FLOOR = 1e-14        # smallest delta searched: e^{-xi N} is ~1e-10 already at N = 30
+_BISECT_RATIO = 1.0 + 1e-2  # bracket b/a at which ITP takes over from bisection
+_END_RATIO = 1.0 + 1e-12    # bracket b/a at which the search stops
+_ITP_K1 = 0.2               # truncation kappa_1 = _ITP_K1 / (width of the ITP bracket)
+_ITP_K2 = 2.0               # truncation exponent kappa_2
+_ITP_N0 = 1                 # steps ITP may take beyond bisection's count
 
-    Logarithmic bisection down to 1e-12 relative: the critical deformation
-    can be of order e^{-xi N} ~ 1e-10 already at N = 30.
+
+def _bisect_delta_star(fn, threshold: float, lo: float = _DELTA_FLOOR, max_iter: int = 60):
+    """A crossing delta* in [lo, 1] of the spectral change H(delta) =
+    hausdorff(fn(delta), fn(0)) through `threshold`.
+
+    Returns b with H(b) >= threshold for which some a >= b / (1 + 1e-12)
+    has H(a) < threshold; None when H(1) < threshold; exactly `lo` when
+    H(lo) >= threshold already (delta* is then only an upper bound).
+
+    Geometric bisection first narrows [lo, 1] to b/a < 1.01, so when H is
+    not monotone the crossing is the one a bisection to the end would find.
+    ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2021) on ln H - ln threshold
+    over ln delta then finishes the bracket: ln H is close to linear in
+    ln delta, and ITP never takes more than bisection's steps plus _ITP_N0.
+    Each side is decided by H >= threshold alone; the logarithms only
+    place the next point.
     """
     ref = fn(0.0)
-    if hausdorff(fn(1.0), ref) < threshold:
+    h_b = hausdorff(fn(1.0), ref)
+    if h_b < threshold:
         return None
-    a, b = lo, 1.0
-    for _ in range(max_iter):
-        if b / a < 1.0 + 1e-12:
-            break
+    a, b, h_a = lo, 1.0, None
+    steps = 0
+    while steps < max_iter and b / a >= _BISECT_RATIO:
+        steps += 1
         mid = float(np.sqrt(a * b))
-        if hausdorff(fn(mid), ref) >= threshold:
-            b = mid
+        h = hausdorff(fn(mid), ref)
+        if h >= threshold:
+            b, h_b = mid, h
         else:
-            a = mid
+            a, h_a = mid, h
+    if h_a is None:
+        h_a = hausdorff(fn(a), ref)
+        if h_a >= threshold:
+            return a
+
+    log_threshold = math.log(threshold)
+
+    def excess(h):  # ln H - ln threshold, the function ITP interpolates
+        return math.log(h) - log_threshold if h > 0 else -math.inf
+
+    xa, xb, ya, yb = math.log(a), math.log(b), excess(h_a), excess(h_b)
+    eps = 0.5 * math.log(_END_RATIO)
+    k1 = _ITP_K1 / (xb - xa)
+    n_max = max(math.ceil(math.log2((xb - xa) / (2 * eps))), 0) + _ITP_N0
+    j = 0
+    while steps < max_iter and b / a >= _END_RATIO:
+        steps += 1
+        width = xb - xa
+        x_half = 0.5 * (xa + xb)
+        x_f = xb - yb * width / (yb - ya) if yb > ya else x_half  # regula falsi
+        sigma = math.copysign(1.0, x_half - x_f)
+        trunc = k1 * width ** _ITP_K2
+        x_t = x_f + sigma * trunc if trunc <= abs(x_half - x_f) else x_half
+        r = max(eps * 2.0 ** (n_max - j) - 0.5 * width, 0.0)
+        mid = math.exp(x_t if abs(x_t - x_half) <= r else x_half - sigma * r)
+        if not a < mid < b:
+            mid = float(np.sqrt(a * b))
+        h = hausdorff(fn(mid), ref)
+        if h >= threshold:
+            b, xb, yb = mid, math.log(mid), excess(h)
+        else:
+            a, xa, ya = mid, math.log(mid), excess(h)
+        j += 1
     return b
 
 
 def sensitivity_exponent(family_fn: Callable[[int, float], Spectrum], threshold: float,
                          n_list, xi_floor: float = 0.01,
                          drop_smallest: int = 0) -> SensitivityReport:
-    """Fit ln delta*(N) against N over a list of sizes.
+    """Fit ln delta*(N) against N over a list of at least 4 distinct sizes.
 
-    For each N the critical deformation delta* = min{delta :
-    hausdorff(S(delta), S(0)) >= threshold} is bisected; sizes that never
+    For each N a critical deformation delta* is located in [1e-14, 1]: a b
+    with H(b) = hausdorff(S(b), S(0)) >= threshold for which some
+    a >= b / (1 + 1e-12) has H(a) < threshold, inside the bracket that
+    geometric bisection holds at b/a < 1.01 (see _bisect_delta_star).  It
+    need not be the smallest such delta when H is not monotone.  A size
+    whose spectrum has moved by the threshold already at 1e-14 reports
+    delta* = 1e-14, an upper bound, with `at_floor` set.  Sizes that never
     reach the threshold at delta = 1 are flagged and excluded from the fit.
     `drop_smallest` removes that many smallest-|lambda| eigenvalues from
     every spectrum first (used to separate a gradually moving zero-mode
@@ -96,8 +165,8 @@ def sensitivity_exponent(family_fn: Callable[[int, float], Spectrum], threshold:
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     n_list = [int(n) for n in n_list]
-    if len(n_list) < 4:
-        raise ValueError("need at least 4 sizes for the exponent fit")
+    if len(set(n_list)) < 4:
+        raise ValueError(f"need at least 4 sizes for the exponent fit, all distinct; got {n_list}")
 
     def spectrum_at(n, d):
         s = family_fn(n, d)
@@ -106,16 +175,28 @@ def sensitivity_exponent(family_fn: Callable[[int, float], Spectrum], threshold:
             vals = vals[np.argsort(np.abs(vals))][drop_smallest:]
         return vals
 
-    stars, reached = [], []
+    stars, evaluations = [], []
     for n in n_list:
-        star = _bisect_delta_star(lambda d, n=n: spectrum_at(n, d), threshold)
-        stars.append(star)
-        reached.append(star is not None)
+        calls = 0
+
+        def counted(d, n=n):
+            nonlocal calls
+            calls += 1
+            return spectrum_at(n, d)
+
+        stars.append(_bisect_delta_star(counted, threshold))
+        evaluations.append(calls)
+    reached = [s is not None for s in stars]
+
+    def report(xi, r2, verdict):
+        return SensitivityReport(tuple(n_list), tuple(stars), tuple(reached), xi, r2, verdict,
+                                 threshold, tuple(s == _DELTA_FLOOR for s in stars),
+                                 tuple(evaluations))
+
     fit_n = np.array([n for n, s in zip(n_list, stars) if s is not None], dtype=float)
     fit_d = np.array([s for s in stars if s is not None], dtype=float)
     if len(fit_n) < 2:
-        return SensitivityReport(tuple(n_list), tuple(stars), tuple(reached),
-                                 0.0, 0.0, "non-exponential", threshold)
+        return report(0.0, 0.0, "non-exponential")
     y = np.log(fit_d)
     A = np.column_stack([fit_n, np.ones_like(fit_n)])
     coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
@@ -127,8 +208,7 @@ def sensitivity_exponent(family_fn: Callable[[int, float], Spectrum], threshold:
         r2 = 1.0 - ss_res / ss_tot
     xi = float(-coef[0])
     verdict = "exponential" if (all(reached) and xi > xi_floor) else "non-exponential"
-    return SensitivityReport(tuple(n_list), tuple(stars), tuple(reached),
-                             xi, float(r2), verdict, threshold)
+    return report(xi, float(r2), verdict)
 
 
 @dataclass(frozen=True)

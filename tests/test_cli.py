@@ -273,8 +273,11 @@ class TestMain:
         ("run", dict(HN_SWEEP, sizes="N"), "sizes"),
         ("run", dict(HN_SWEEP, n_list=8), "n_list"),
         ("run", dict(HN_SWEEP, mode="bogus", delta2=0), "mode"),
+        ("run", dict(HN_SWEEP, task="sensitivity", n_list=[8, 8, 8, 8]), "n_list"),
+        ("run", dict(HN_SWEEP, task="sensitivity", n_list=[0, 4, 6, 8]), "n_list"),
+        ("run", dict(HN_SWEEP, task="sensitivity", n_list=[-4, 4, 6, 8]), "n_list"),
     ], ids=["size", "grid-step", "threshold", "array", "array-task", "params", "sizes", "n_list",
-            "mode"])
+            "mode", "n_list-repeated", "n_list-zero", "n_list-negative"])
     def test_malformed_values_exit_2(self, tmp_path, capsys, command, payload, key):
         path = write_config(tmp_path, "c.json", payload)
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2

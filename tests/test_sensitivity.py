@@ -14,6 +14,7 @@ from nhchain.models1d import (
 )
 from nhchain.core import dense_spectrum
 from nhchain.sensitivity import (
+    _bisect_delta_star,
     classify_sensitivity,
     delta_sweep,
     hausdorff,
@@ -124,12 +125,107 @@ class TestExponentFit:
         with pytest.raises(ValueError, match="4 sizes"):
             sensitivity_exponent(lambda n, d: Spectrum([0.0]), 0.5, [4, 6])
 
+    def test_repeated_sizes_rejected(self):
+        # four copies of one size leave the slope of the fit undetermined
+        fam = lambda n, d: dense_spectrum(hn_matrix(HNParams(1.0, 2.0), n, d))
+        with pytest.raises(ValueError, match="distinct"):
+            sensitivity_exponent(fam, 0.5, [8, 8, 8, 8])
+
+    def test_floor_flagged(self):
+        # hn (1, 4) at N = 60 has moved by H = 0.67 already at delta = 1e-14
+        fam = lambda n, d: dense_spectrum(hn_matrix(HNParams(1.0, 4.0), n, d))
+        rep = sensitivity_exponent(fam, 0.5, [30, 40, 50, 60])
+        assert rep.reached == (True, True, True, True)
+        assert rep.at_floor == (False, False, False, True)
+        assert rep.delta_star[-1] == 1e-14
+        assert rep.as_dict()["at_floor"] == [False, False, False, True]
+
+    def test_evaluations_count_every_spectrum(self):
+        calls = {}
+
+        def fam(n, d):
+            calls[n] = calls.get(n, 0) + 1
+            return dense_spectrum(hn_matrix(HNParams(1.0, 2.0), n, d))
+
+        rep = sensitivity_exponent(fam, 0.5, [8, 12, 16, 20])
+        assert rep.evaluations == tuple(calls[n] for n in (8, 12, 16, 20))
+        assert rep.as_dict()["evaluations"] == list(rep.evaluations)
+        balanced = lambda n, d: dense_spectrum(hn_matrix(HNParams(1.0, np.exp(0.4j)), n, d))
+        assert sensitivity_exponent(balanced, 0.5, [8, 12, 16, 20]).evaluations == (2, 2, 2, 2)
+
     def test_verdicts_agree_with_screen(self):
         for t_r, expect in ((2.0, "exponential"), (np.exp(0.4j), "non-exponential")):
             fam = lambda n, d: dense_spectrum(hn_matrix(HNParams(1.0, t_r), n, d))
             rep = sensitivity_exponent(fam, 0.5, [10, 14, 18, 22])
             screen = classify_sensitivity(hn_fn(1.0, t_r, 22))
             assert rep.verdict == screen.verdict == expect
+
+
+def plain_bisection(fn, threshold, lo=1e-14, max_iter=60):
+    """Geometric bisection of delta* to b/a < 1 + 1e-12, the reference search."""
+    ref = fn(0.0)
+    if hausdorff(fn(1.0), ref) < threshold:
+        return None
+    a, b = lo, 1.0
+    for _ in range(max_iter):
+        if b / a < 1.0 + 1e-12:
+            break
+        mid = float(np.sqrt(a * b))
+        if hausdorff(fn(mid), ref) >= threshold:
+            b = mid
+        else:
+            a = mid
+    return b
+
+
+def counted(fn):
+    """fn and a one-element list that counts its calls."""
+    calls = [0]
+
+    def wrapped(d):
+        calls[0] += 1
+        return fn(d)
+
+    return wrapped, calls
+
+
+SEARCH_FAMILIES = {
+    **{f"hn-{n}": hn_fn(1.0, 2.0, n) for n in (8, 12, 16, 20, 26)},
+    **{f"ssh-{n}": ssh_fn(SSHParams(1, 2, 3, 4), n) for n in (10, 14, 18, 22)},
+}
+
+
+class TestCriticalSearch:
+    @pytest.mark.parametrize("name", sorted(SEARCH_FAMILIES))
+    def test_matches_plain_bisection(self, name):
+        ref_fn, ref_calls = counted(SEARCH_FAMILIES[name])
+        new_fn, new_calls = counted(SEARCH_FAMILIES[name])
+        want = plain_bisection(ref_fn, 0.5)
+        got = _bisect_delta_star(new_fn, 0.5)
+        assert (got is None) == (want is None)
+        assert abs(got - want) <= 1e-12 * want
+        assert new_calls[0] <= ref_calls[0] + 2
+
+    def test_non_monotone_change_keeps_bisection_crossing(self):
+        # H(delta) crosses 0.5 upward at 0.22, downward near 0.33 and upward
+        # again at 0.35; an interpolating search over all of [1e-14, 1]
+        # lands on 0.3498, bisection on 0.2203
+        fn = lambda d: dense_spectrum(
+            mixed_longrange_matrix(2.874496406554747, 2.329161058441691, d, 26))
+        want = plain_bisection(fn, 0.5)
+        got = _bisect_delta_star(fn, 0.5)
+        assert want == pytest.approx(0.2203, abs=1e-4)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_fewer_spectra_than_bisection(self):
+        # plain bisection takes 47 spectra per size here (423 in all); the
+        # interpolating finish takes 22-24
+        total = 0
+        for fn in SEARCH_FAMILIES.values():
+            wrapped, calls = counted(fn)
+            _bisect_delta_star(wrapped, 0.5)
+            total += calls[0]
+        assert total <= 30 * len(SEARCH_FAMILIES)
 
 
 class TestBalancedLineProperty:
