@@ -60,6 +60,15 @@ def _number(kind, value, where: str):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
 
 
+def _size(value, where: str) -> int:
+    """A JSON integer, or a float with no fractional part; no bool or string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{where}: expected an integer, got {value!r}")
+
+
 def _field(raw: dict, key: str, kind: type):
     """raw[key], empty when absent; a ConfigError unless it is a `kind`."""
     value = raw.get(key) or kind()
@@ -102,7 +111,7 @@ def parse_config(raw: dict) -> dict:
     sizes = _field(raw, "sizes", dict)
     if any(key not in sizes for key in m.sizes):
         raise ConfigError(f"sizes: model {model!r} needs {' and '.join(m.sizes)}")
-    cfg["sizes"] = {key: _number(int, sizes[key], f"sizes.{key}") for key in m.sizes}
+    cfg["sizes"] = {key: _size(sizes[key], f"sizes.{key}") for key in m.sizes}
     cfg["delta"] = _parse_delta(raw.get("delta", 0.0))
     cfg["mode"] = raw.get("mode", "bc1")
     if cfg["mode"] not in models2d.MODES:
@@ -111,7 +120,7 @@ def parse_config(raw: dict) -> dict:
     if "base_energy" in raw:
         cfg["base_energy"] = _to_complex(raw["base_energy"], "base_energy")
     cfg["threshold"] = _number(float, raw.get("threshold", 0.5), "threshold")
-    cfg["n_list"] = [_number(int, n, "n_list") for n in _field(raw, "n_list", list)]
+    cfg["n_list"] = [_size(n, "n_list") for n in _field(raw, "n_list", list)]
     if cfg["n_list"] and (len(set(cfg["n_list"])) < 4 or min(cfg["n_list"]) < 1):
         raise ConfigError(f"n_list: expected at least 4 distinct sizes >= 1, got {cfg['n_list']}")
     cfg["output"] = str(raw.get("output", "run"))
@@ -237,7 +246,7 @@ def _general_chain_bloch(p):
 
 
 def _separable(solve, c, d) -> tuple:
-    """`solve` (hn_matrix, hn_spectrum, ...) on the two chains of the separable square lattice."""
+    """`solve` (hn_matrix, hn_eigenvalues, ...) on the two chains of the separable square lattice."""
     p, sizes = c["params"], c["sizes"]
     a = models1d.HNParams(p["a_t_l"], p["a_t_r"], p.get("a_t_d", 0.0))
     b = models1d.HNParams(p["b_t_l"], p["b_t_r"], p.get("b_t_d", 0.0))
@@ -251,10 +260,11 @@ def _stack(family: str, c, d) -> models2d.Stacked2DSpec:
 
 
 def _stacked(family: str, keys, solve, balance, **fields) -> Model:
-    """A stacked lattice of `family`; `solve` and `balance` take its
-    Stacked2DSpec.  j labels an eigenvalue's Bloch block, except when open."""
+    """A stacked lattice of `family`; `solve` (-> Spectrum) and `balance`
+    take its Stacked2DSpec.  j labels an eigenvalue's Bloch block, except
+    when open."""
     def spectrum(c, d):
-        spec = solve(_stack(family, c, d))[0]
+        spec = solve(_stack(family, c, d))
         if c["mode"] == "open":
             return _plain(spec)
         return spec, [j for j in range(c["sizes"]["N2"]) for _ in range(c["sizes"]["N1"])]
@@ -268,7 +278,7 @@ def _stacked(family: str, keys, solve, balance, **fields) -> Model:
 _HN = Model(
     frozenset({"t_l", "t_r"}), frozenset({"t_d"}),
     matrix=lambda c, d: models1d.hn_matrix(*_hn(c, d)),
-    spectrum=lambda c, d: _plain(models1d.hn_spectrum(*_hn(c, d))[0]),
+    spectrum=lambda c, d: _plain(models1d.hn_eigenvalues(*_hn(c, d))),
     closed_form=lambda c, d: models1d.hn_closed_form(*_hn(c, d))[0],
     bloch=_hn_bloch,
     balance=lambda c: dict(zip(("balanced", "theta"), models1d.hn_balanced(_hn(c, 0.0)[0]))),
@@ -276,7 +286,7 @@ _HN = Model(
 _SSH = Model(
     frozenset({"tl1", "tr1", "tl2", "tr2"}), frozenset({"v1", "v2"}),
     matrix=lambda c, d: models1d.ssh_matrix(*_ssh(c, d)),
-    spectrum=lambda c, d: _plain(models1d.ssh_spectrum(*_ssh(c, d))[0]),
+    spectrum=lambda c, d: _plain(models1d.ssh_eigenvalues(*_ssh(c, d))),
     closed_form=lambda c, d: models1d.ssh_closed_form(*_ssh(c, d))[0],
     reduced=_reduced_twoband, bloch=_ssh_bloch, balance=_ssh_balance,
 )
@@ -296,7 +306,7 @@ MODELS: dict[str, Model] = {
     "mixed-longrange": Model(
         frozenset({"t_r", "u_l"}), frozenset(),
         matrix=lambda c, d: models1d.mixed_longrange_matrix(*_long_range(c, d, "t_r")),
-        spectrum=lambda c, d: _plain(models1d.mixed_longrange_spectrum(*_long_range(c, d, "t_r"))[0]),
+        spectrum=lambda c, d: _plain(models1d.mixed_longrange_eigenvalues(*_long_range(c, d, "t_r"))),
         closed_form=lambda c, d: models1d.mixed_longrange_closed_form(*_long_range(c, d, "t_r"))[0],
         bloch=lambda p: topology.BlochSampler(
             lambda k: p["u_l"] * np.exp(2j * k) + p["t_r"] * np.exp(-1j * k)),
@@ -307,17 +317,18 @@ MODELS: dict[str, Model] = {
         bloch=_general_chain_bloch,
     ),
     "stacked-hn": _stacked(
-        "hn", models2d.HN_KEYS, lambda s: models2d.stacked_hn_spectrum(s),
+        "hn", models2d.HN_KEYS, lambda s: models2d.stacked_eigenvalues(s),
         lambda s: models2d.stacked_hn_balance(s),
         envelope=lambda c, d: models2d.envelope_curves(_stack("hn", c, d)),
     ),
     "stacked-ssh": _stacked(
-        "ssh", models2d.SSH_KEYS, lambda s: models2d.stacked_ssh_spectrum(s),
+        "ssh", models2d.SSH_KEYS, lambda s: models2d.stacked_eigenvalues(s),
         lambda s: models2d.stacked_ssh_balance(s),
         reduced=lambda sizes: dict(_reduced(sizes), N1=min(sizes["N1"], 8) // 2 * 2),
     ),
     "triangular": _stacked(
-        "triangular", ("t_l", "t_r"), lambda s: models2d.triangular_spectrum(s),
+        "triangular", ("t_l", "t_r"),
+        lambda s: models2d.triangular_spectrum(s)[0] if s.mode == "open" else models2d.stacked_eigenvalues(s),
         lambda s: models2d.stacked_hn_balance(s),
         closed_form=lambda c, d: None if c["mode"] == "open" else spectrum_for(c, d)[0],
         envelope=lambda c, d: models2d.envelope_curves(_stack("triangular", c, d)),
@@ -334,7 +345,7 @@ MODELS: dict[str, Model] = {
         frozenset({"a_t_l", "a_t_r", "b_t_l", "b_t_r"}), frozenset({"a_t_d", "b_t_d"}),
         matrix=lambda c, d: models2d.separable_square_matrix(*_separable(models1d.hn_matrix, c, d)),
         spectrum=lambda c, d: _plain(models2d.separable_square_spectrum(
-            *(s[0] for s in _separable(models1d.hn_spectrum, c, d)))),
+            *_separable(models1d.hn_eigenvalues, c, d))),
         closed_form=lambda c, d: models2d.separable_square_spectrum(
             *(s[0] for s in _separable(models1d.hn_closed_form, c, d))),
         sizes=("N1", "N2"),

@@ -152,19 +152,36 @@ class Spectrum:
         return np.sort_complex(self.eigenvalues)
 
 
+def _min_spacing(v: np.ndarray) -> float:
+    """Smallest distance between two entries of a nonempty v; inf for one."""
+    d = np.abs(v[:, None] - v[None, :])
+    np.fill_diagonal(d, np.inf)
+    return float(d.min())
+
+
 def match_spectra(a, b) -> float:
     """Maximum pair distance under minimal-cost bipartite matching.
 
     Multisets in the complex plane have no canonical order, so eigenvalue
     lists are compared by solving the assignment problem on |a_i - b_j|.
+    Let every a_i lie within r of its nearest b_j, with 2r below the
+    smallest spacing s within a.  Then no two a_i share a nearest b_j (they
+    would be within 2r of each other), and pairing a_i with another a_k's
+    partner costs at least s - r > r, so the nearest-neighbour matching is
+    the unique optimum and r its maximum.  Only otherwise is the assignment
+    problem solved (scipy).
     """
-    from scipy.optimize import linear_sum_assignment
-
     va = np.asarray(getattr(a, "eigenvalues", a), dtype=complex).ravel()
     vb = np.asarray(getattr(b, "eigenvalues", b), dtype=complex).ravel()
     if va.shape != vb.shape:
         raise ValueError(f"cardinality mismatch: {len(va)} vs {len(vb)}")
     cost = np.abs(va[:, None] - vb[None, :])
+    if len(va):
+        r = cost.min(axis=1).max()
+        if 2 * r < _min_spacing(va):
+            return float(r)
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 

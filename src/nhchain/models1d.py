@@ -6,9 +6,11 @@ even or odd length (with alternating on-site potentials and a zero-mode
 criterion), the unidirectional and mixed long-range chains, and the scalar
 Bloch functions with their three non-winding parameter families.
 
-`hn_spectrum`, `ssh_spectrum` and `mixed_longrange_spectrum` take their
-eigenvalues from one dense eigensolve of the chain matrix (provenance
-"oracle") and recover the shifted wavenumbers from them: cos(alpha_tilde) =
+`hn_eigenvalues`, `ssh_eigenvalues` and `mixed_longrange_eigenvalues` take
+the eigenvalues from one dense eigensolve of the chain matrix (provenance
+"oracle"); the command line uses them alone.  `hn_spectrum`, `ssh_spectrum`
+and `mixed_longrange_spectrum` call them and also recover the shifted
+wavenumbers from the eigenvalues: cos(alpha_tilde) =
 (lambda - t_d) / (2 sqrt(t_l) sqrt(t_r)) for the one-band chain, the
 lambda^2 relation for the two-band chain (one alpha_tilde per +- pair at even
 length), and the root of largest modulus of u_l y^3 - lambda y + t_r = 0,
@@ -48,11 +50,13 @@ __all__ = [
     "LongRangeParams",
     "hn_stencil",
     "hn_matrix",
+    "hn_eigenvalues",
     "hn_spectrum",
     "hn_closed_form",
     "hn_eigenvector",
     "hn_balanced",
     "ssh_matrix",
+    "ssh_eigenvalues",
     "ssh_spectrum",
     "ssh_closed_form",
     "ssh_zero_mode_predicate",
@@ -60,6 +64,7 @@ __all__ = [
     "unidirectional_matrix",
     "unidirectional_spectrum",
     "mixed_longrange_matrix",
+    "mixed_longrange_eigenvalues",
     "mixed_longrange_spectrum",
     "mixed_longrange_closed_form",
     "bloch_1d",
@@ -67,10 +72,13 @@ __all__ = [
 ]
 
 
-def _zero_hopping_fallback(matrix) -> tuple[Spectrum, AlphaSet]:
-    """Dense spectrum and no wavenumbers, for a chain with a vanishing hopping."""
-    spec = dense_spectrum(matrix, parameters={"fallback": "zero hopping"})
-    return spec, AlphaSet(np.empty(0), np.empty(0, dtype=int), 0.0, "oracle-fallback")
+def _zero_hopping_spectrum(matrix) -> Spectrum:
+    """Dense spectrum of a chain with a vanishing hopping."""
+    return dense_spectrum(matrix, parameters={"fallback": "zero hopping"})
+
+
+def _no_wavenumbers() -> AlphaSet:
+    return AlphaSet(np.empty(0), np.empty(0, dtype=int), 0.0, "oracle-fallback")
 
 
 def _alpha_set_from_cos(cos_alpha: np.ndarray, shift: complex, generator: str) -> AlphaSet:
@@ -209,29 +217,42 @@ def hn_closed_form(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     eigenvalues lambda = t_d + 2 sqrt(t_l) sqrt(t_r) cos(alpha_tilde),
     provenance "analytic".  Reliable at small N only; see `hn_spectrum`."""
     if p.t_l == 0 or p.t_r == 0:
-        return _zero_hopping_fallback(hn_matrix(p, N, delta))
+        return _zero_hopping_spectrum(hn_matrix(p, N, delta)), _no_wavenumbers()
     aset = hn_alpha_set(p, N, delta)
     lam = _hn_lambda(p, aset.expand())
     params = {"model": "hn", "N": N, "delta": _pair(delta)}
     return Spectrum(lam, "analytic", params), aset
 
 
-def hn_spectrum(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
+def hn_eigenvalues(p: HNParams, N: int, delta) -> Spectrum:
     """Eigenvalues lambda = t_d + 2 sqrt(t_l) sqrt(t_r) cos(alpha_tilde).
 
     The plain chain with symmetric corners at delta = 0 and +-1 has exact
     wavenumber sets and an "analytic" spectrum.  Otherwise the eigenvalues
-    come from a dense eigensolve (provenance "oracle") and each gets the
-    alpha_tilde that `_hn_wavenumbers` recovers from it (generator "hn-eig").
-    A vanishing hopping leaves the dense spectrum without wavenumbers.
+    come from a dense eigensolve (provenance "oracle"); a vanishing hopping
+    gets one too, with parameters {"fallback": "zero hopping"}.
     """
     if p.t_l == 0 or p.t_r == 0:
-        return _zero_hopping_fallback(hn_matrix(p, N, delta))
+        return _zero_hopping_spectrum(hn_matrix(p, N, delta))
     params = {"model": "hn", "N": N, "delta": _pair(delta)}
     exact = _hn_exact_alpha_set(p, N, delta)
     if exact is not None:
-        return Spectrum(_hn_lambda(p, exact.expand()), "analytic", params), exact
-    spec = dense_spectrum(hn_matrix(p, N, delta), parameters=params)
+        return Spectrum(_hn_lambda(p, exact.expand()), "analytic", params)
+    return dense_spectrum(hn_matrix(p, N, delta), parameters=params)
+
+
+def hn_spectrum(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
+    """`hn_eigenvalues` and the shifted wavenumbers.
+
+    An "analytic" spectrum keeps its exact wavenumber set; each eigenvalue
+    of a dense one gets the alpha_tilde that `_hn_wavenumbers` recovers from
+    it (generator "hn-eig").  A vanishing hopping leaves no wavenumbers.
+    """
+    spec = hn_eigenvalues(p, N, delta)
+    if "fallback" in spec.parameters:
+        return spec, _no_wavenumbers()
+    if spec.provenance == "analytic":
+        return spec, _hn_exact_alpha_set(p, N, delta)
     h = {"h_d": np.array([p.t_d]), "h_l": np.array([p.t_l]), "h_r": np.array([p.t_r])}
     cos_alpha, shift = _hn_wavenumbers(h, spec.eigenvalues[None, :])
     return spec, _alpha_set_from_cos(cos_alpha[0], shift[0], "hn-eig")
@@ -322,27 +343,40 @@ def _ssh_lambda2(p: SSHParams, alphas: np.ndarray) -> np.ndarray:
     return p.v * p.v + p.tl1 * p.tr1 + p.tl2 * p.tr2 + 2.0 * np.cos(alphas) * C1
 
 
-def ssh_spectrum(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
+def ssh_eigenvalues(p: SSHParams, N: int, delta) -> Spectrum:
     """Full eigenvalue multiset of the alternating chain.
 
     Eigenvalues lambda = (v1+v2)/2 +- sqrt(v^2 + tl1 tr1 + tl2 tr2 +
     2 cos(a) sqrt(tl1) sqrt(tr1) sqrt(tl2) sqrt(tr2)).  The open odd chain
     has an exact wavenumber set and an "analytic" spectrum.  Otherwise the
-    eigenvalues come from a dense eigensolve (provenance "oracle") and the
-    wavenumbers are recovered from them by `_ssh_wavenumbers` (generator
-    "ssh-eig"): one per +- pair for even N, one per eigenvalue for odd N.
-    Odd chains take no on-site potentials; a vanishing hopping leaves the
-    dense spectrum without wavenumbers.
+    eigenvalues come from a dense eigensolve (provenance "oracle"); a
+    vanishing hopping gets one too, with parameters {"fallback": "zero
+    hopping"}.  Odd chains take no on-site potentials.
     """
     if not p.hoppings_nonzero:
-        return _zero_hopping_fallback(ssh_matrix(p, N, delta))
+        return _zero_hopping_spectrum(ssh_matrix(p, N, delta))
     if N % 2 and (p.v1 != 0 or p.v2 != 0):
         raise ValueError("odd-length chains are solved without on-site potentials")
     dl, dr = _pair(delta)
     meta = {"model": "ssh", "N": N, "delta": (dl, dr)}
     if N % 2 and dl == 0 and dr == 0:
-        return _ssh_odd_open(p, N, meta)
-    spec = dense_spectrum(ssh_matrix(p, N, delta), parameters=meta)
+        return _ssh_odd_open(p, N, meta)[0]
+    return dense_spectrum(ssh_matrix(p, N, delta), parameters=meta)
+
+
+def ssh_spectrum(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
+    """`ssh_eigenvalues` and the shifted wavenumbers.
+
+    The open odd chain keeps its exact wavenumber set; from a dense
+    spectrum they are recovered by `_ssh_wavenumbers` (generator "ssh-eig"):
+    one per +- pair for even N, one per eigenvalue for odd N.  A vanishing
+    hopping leaves no wavenumbers.
+    """
+    spec = ssh_eigenvalues(p, N, delta)
+    if "fallback" in spec.parameters:
+        return spec, _no_wavenumbers()
+    if spec.provenance == "analytic":
+        return spec, _ssh_odd_open(p, N, spec.parameters)[1]
     h = {"hd1": p.v1, "hd2": p.v2, "hl1": p.tl1, "hl2": p.tl2, "hr1": p.tr1, "hr2": p.tr2}
     cos_alpha, shift = _ssh_wavenumbers({k: np.array([v]) for k, v in h.items()},
                                         spec.eigenvalues[None, :], pairs=N % 2 == 0)
@@ -359,7 +393,7 @@ def ssh_closed_form(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     roots.  Reliable at small N only; see `ssh_spectrum`.
     """
     if not p.hoppings_nonzero:
-        return _zero_hopping_fallback(ssh_matrix(p, N, delta))
+        return _zero_hopping_spectrum(ssh_matrix(p, N, delta)), _no_wavenumbers()
     dl, dr = _pair(delta)
     shift = p.shift
     params = {"tl1": p.tl1, "tr1": p.tr1, "tl2": p.tl2, "tr2": p.tr2}
@@ -527,22 +561,32 @@ def mixed_longrange_matrix(t_r, u_l, delta, N: int) -> np.ndarray:
     return build_chain_matrix(ChainStencil(N, {2: u_l, -1: t_r}, (0.0,), complex(delta)))
 
 
-def mixed_longrange_spectrum(t_r, u_l, delta, N: int) -> tuple[Spectrum, AlphaSet]:
+def mixed_longrange_eigenvalues(t_r, u_l, delta, N: int) -> Spectrum:
     """Spectrum of the chain with +2 and -1 hops, lambda = u_l y^2 + t_r / y.
 
-    The eigenvalues come from a dense eigensolve (provenance "oracle").  Each
-    has three roots y of u_l y^3 - lambda y + t_r = 0, found for all
-    eigenvalues at once as the eigenvalues of their 3 x 3 companion
-    matrices; the triple rule of the closed form (`canonical_triple`) picks
-    one, and alpha_tilde = -i log(y) (generator "mixed-eig", no shift).
-    A vanishing hopping leaves the dense spectrum without wavenumbers.
+    The eigenvalues come from a dense eigensolve (provenance "oracle"); with
+    a vanishing hopping its parameters are {"fallback": "zero hopping"}.
     """
     t_r, u_l = complex(t_r), complex(u_l)
     H = mixed_longrange_matrix(t_r, u_l, delta, N)
     if t_r == 0 or u_l == 0:
-        return _zero_hopping_fallback(H)
-    meta = {"model": "mixed-longrange", "N": N, "delta": complex(delta)}
-    spec = dense_spectrum(H, parameters=meta)
+        return _zero_hopping_spectrum(H)
+    return dense_spectrum(H, parameters={"model": "mixed-longrange", "N": N, "delta": complex(delta)})
+
+
+def mixed_longrange_spectrum(t_r, u_l, delta, N: int) -> tuple[Spectrum, AlphaSet]:
+    """`mixed_longrange_eigenvalues` and the shifted wavenumbers.
+
+    Each eigenvalue has three roots y of u_l y^3 - lambda y + t_r = 0, found
+    for all eigenvalues at once as the eigenvalues of their 3 x 3 companion
+    matrices; the triple rule of the closed form (`canonical_triple`) picks
+    one, and alpha_tilde = -i log(y) (generator "mixed-eig", no shift).
+    A vanishing hopping leaves no wavenumbers.
+    """
+    spec = mixed_longrange_eigenvalues(t_r, u_l, delta, N)
+    if "fallback" in spec.parameters:
+        return spec, _no_wavenumbers()
+    t_r, u_l = complex(t_r), complex(u_l)
     companion = np.zeros((N, 3, 3), dtype=complex)
     companion[:, 0, 1] = spec.eigenvalues / u_l
     companion[:, 0, 2] = -t_r / u_l

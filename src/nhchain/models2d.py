@@ -14,8 +14,10 @@ solved by batched eigvals (provenance "bloch-oracle").  With real hoppings
 and delta1, and stacking factors in conjugate pairs (BC1, or BC2 with a real
 delta2 > 0), block N2-j is the conjugate of block j: each pair is solved
 once, and the self-conjugate blocks (j = 0 and N2/2) in real arithmetic;
-otherwise all N2 blocks are solved in one complex batch.  Each block's
-shifted wavenumbers are then recovered from its eigenvalues through the
+otherwise all N2 blocks are solved in one complex batch.
+`stacked_eigenvalues` returns these eigenvalues alone; the command line
+takes them from it.  `stacked_hn_spectrum` and `stacked_ssh_spectrum` also
+recover each block's shifted wavenumbers from its eigenvalues through the
 dispersion relation of the block's effective chain, by the same inversion
 helpers as the 1D chains (models1d).  Those wavenumbers lose
 digits near alpha_tilde = 0 and pi, where arccos is ill-conditioned; they get
@@ -38,6 +40,7 @@ __all__ = [
     "EnvelopeCurves",
     "build_stacked_matrix",
     "bc_reduce",
+    "stacked_eigenvalues",
     "stacked_hn_spectrum",
     "stacked_hn_balance",
     "envelope_curves",
@@ -240,34 +243,45 @@ def _bloch_eigvals(spec: Stacked2DSpec, s: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _bloch_spectrum(spec: Stacked2DSpec, hop_keys: tuple, wavenumbers):
-    """(Spectrum, per-block AlphaSet or None) from the batched Bloch eigensolve.
+def stacked_eigenvalues(spec: Stacked2DSpec) -> Spectrum:
+    """Eigenvalues of a BC1/BC2 stack (hn, ssh or triangular family).
 
-    The eigenvalues of all N2 blocks come from `_bloch_eigvals` and are kept
-    in block order j.  A block whose hoppings `hop_keys` are all nonzero
-    gets the wavenumbers that `wavenumbers(h, lam)` recovers from its
-    eigenvalues: given the effective coefficients (arrays over those blocks)
-    and their eigenvalue rows, it returns (cos alpha_tilde rows, shifts).
-    The other blocks get None.
+    The N2 Bloch blocks are solved by `_bloch_eigvals`, provenance
+    "bloch-oracle", rows in block order j: N1 eigenvalues of block 0, then
+    of block 1, and so on.  Open stacking has no Bloch reduction and raises
+    ValueError.
     """
-    s = spec.stack_factors()
-    lam = _bloch_eigvals(spec, s)
-    h = _stack_h_coeffs(spec, s)
+    lam = _bloch_eigvals(spec, spec.stack_factors())
+    meta = {"model": f"stacked-{spec.family}", "n1": spec.n1, "n2": spec.n2, "mode": spec.mode}
+    return Spectrum(lam.ravel(), "bloch-oracle", meta)
+
+
+def _bloch_spectrum(spec: Stacked2DSpec, hop_keys: tuple, wavenumbers):
+    """(`stacked_eigenvalues`, per-block AlphaSet or None).
+
+    A block whose hoppings `hop_keys` are all nonzero gets the wavenumbers
+    that `wavenumbers(h, lam)` recovers from its eigenvalues: given the
+    effective coefficients (arrays over those blocks) and their eigenvalue
+    rows, it returns (cos alpha_tilde rows, shifts).  The other blocks get
+    None.
+    """
+    out = stacked_eigenvalues(spec)
+    lam = out.eigenvalues.reshape(spec.n2, spec.n1)
+    h = _stack_h_coeffs(spec, spec.stack_factors())
     scale = max(abs(v) for v in spec.params.values()) or 1.0
     ok = np.min([np.abs(h[k]) for k in hop_keys], axis=0) >= 1e-12 * scale
     cos_alpha, shift = wavenumbers({k: v[ok] for k, v in h.items()}, lam[ok])
     alpha_sets: list[Optional[AlphaSet]] = [None] * spec.n2
     for j, c, sh in zip(np.flatnonzero(ok), cos_alpha, shift):
         alpha_sets[j] = _alpha_set_from_cos(c, sh, "bloch-eig")
-    meta = {"model": f"stacked-{spec.family}", "n1": spec.n1, "n2": spec.n2, "mode": spec.mode}
-    return Spectrum(lam.ravel(), "bloch-oracle", meta), alpha_sets
+    return out, alpha_sets
 
 
 def stacked_hn_spectrum(spec: Stacked2DSpec):
     """Spectrum of an HN (or triangular) stack under BC1/BC2.
 
     Per stacking factor s_j the Bloch block is a nearest-neighbour chain
-    with h_d, h_l, h_r.  The blocks are solved by `_bloch_eigvals`
+    with h_d, h_l, h_r.  The eigenvalues are `stacked_eigenvalues(spec)`
     (provenance "bloch-oracle"), rows in block order j.  Each block's
     shifted wavenumbers are recovered from its eigenvalues through
     cos(alpha_tilde) = (lambda - h_d) / (2 sqrt(h_l) sqrt(h_r)), N1 per
@@ -283,9 +297,9 @@ def stacked_hn_spectrum(spec: Stacked2DSpec):
 def stacked_ssh_spectrum(spec: Stacked2DSpec):
     """Spectrum of an SSH stack under BC1/BC2 (even N1).
 
-    Solved like `stacked_hn_spectrum`: batched eigvals over the Bloch
-    blocks (`_bloch_eigvals`), provenance "bloch-oracle".  Wavenumbers come
-    from the two-band relation of each block's effective chain
+    Eigenvalues from `stacked_eigenvalues`, as for `stacked_hn_spectrum`,
+    provenance "bloch-oracle".  Wavenumbers come from the two-band relation
+    of each block's effective chain
     (`models1d._ssh_wavenumbers`): one alpha_tilde per +- pair, N1/2 per
     block, None where an effective hopping vanishes.  As there, they lose
     digits near 0 and pi with no Newton polish.

@@ -27,7 +27,7 @@ HN_SWEEP = {
 }
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
     """scipy is imported where it is used, not when the command line loads."""
     src = Path(nhchain.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -35,6 +35,25 @@ def test_cli_import_leaves_scipy_unloaded():
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    # a validated run whose closed form and oracle match pair by pair needs
+    # no assignment solver, so it loads no scipy either
+    sweep = dict(HN_SWEEP, params={"t_l": 1.0, "t_r": 2.0}, sizes={"N": 12})
+    run_sweep = ("import json, sys; from nhchain import cli; "
+                 f"cfg = cli.parse_config({json.dumps(sweep)}); "
+                 "code = cli.run(cfg, sys.argv[1]); "
+                 "print(code, json.load(open(sys.argv[1] + '/sweep8.json'))['validation']['status'], "
+                 "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", run_sweep, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "pass", "[]"]
+    # a repeated eigenvalue leaves the nearest-neighbour pairing unproven:
+    # the Hungarian solver runs and gives the optimal matching's maximum
+    degenerate = ("import sys; from nhchain.core import match_spectra; "
+                  "print(match_spectra([0.0, 0.0, 1.0], [1e-3, 0.0, 1.0]), 'scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", degenerate], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0.001", "True"]
 
 
 class TestParseConfig:
@@ -259,6 +278,11 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["run", "--config", str(path), "--out", str(tmp_path), "--seed", "3"])
 
+    def test_whole_float_sizes_accepted(self):
+        cfg = parse_config(dict(HN_SWEEP, sizes={"N": 12.0}, n_list=[8.0, 12, 16.0, 20]))
+        assert cfg["sizes"] == {"N": 12} and cfg["n_list"] == [8, 12, 16, 20]
+        assert all(type(n) is int for n in [cfg["sizes"]["N"], *cfg["n_list"]])
+
     def test_seed_key_still_parses(self):
         cfg = parse_config(dict(HN_SWEEP, seed=7))
         assert "seed" not in cfg
@@ -276,8 +300,17 @@ class TestMain:
         ("run", dict(HN_SWEEP, task="sensitivity", n_list=[8, 8, 8, 8]), "n_list"),
         ("run", dict(HN_SWEEP, task="sensitivity", n_list=[0, 4, 6, 8]), "n_list"),
         ("run", dict(HN_SWEEP, task="sensitivity", n_list=[-4, 4, 6, 8]), "n_list"),
+        ("run", dict(HN_SWEEP, sizes={"N": 8.9}), "sizes.N"),
+        ("run", dict(HN_SWEEP, sizes={"N": True}), "sizes.N"),
+        ("run", dict(HN_SWEEP, sizes={"N": "12"}), "sizes.N"),
+        ("run", dict(HN_SWEEP, sizes={"N": None}), "sizes.N"),
+        ("run", dict(HN_SWEEP, task="sensitivity", n_list=[8.5, 12, 16, 20.7]), "n_list"),
+        ("run", dict(HN_SWEEP, task="sensitivity", n_list=[8, 12, 16, True]), "n_list"),
+        ("run", dict(HN_SWEEP, task="sensitivity", n_list=[8, 12, 16, "20"]), "n_list"),
     ], ids=["size", "grid-step", "threshold", "array", "array-task", "params", "sizes", "n_list",
-            "mode", "n_list-repeated", "n_list-zero", "n_list-negative"])
+            "mode", "n_list-repeated", "n_list-zero", "n_list-negative", "size-fraction",
+            "size-bool", "size-string", "size-null", "n_list-fraction", "n_list-bool",
+            "n_list-string"])
     def test_malformed_values_exit_2(self, tmp_path, capsys, command, payload, key):
         path = write_config(tmp_path, "c.json", payload)
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2

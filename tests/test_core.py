@@ -153,6 +153,59 @@ class TestMatchSpectra:
     def test_normalized_mismatch(self):
         assert spectral_mismatch([10.0], [10.0 + 1e-6]) < 1e-6
 
+    @staticmethod
+    def _hungarian_max(a, b):
+        from scipy.optimize import linear_sum_assignment
+
+        cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        return float(cost[rows, cols].max())
+
+    @staticmethod
+    def _draws(seed):
+        """(a, b) pairs: separated, perturbed by 1e-13 to 1; clustered; exactly degenerate."""
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 5, 12, 40):
+            a = cnormal(rng, n)
+            for eps in (1e-13, 1e-6, 1e-2, 0.3, 1.0):
+                yield a, rng.permutation(a + eps * cnormal(rng, n))
+            tight = np.repeat(cnormal(rng, -(-n // 3)), 3)[:n] + 1e-9 * cnormal(rng, n)
+            yield tight, rng.permutation(tight + 1e-10 * cnormal(rng, n))
+            twice = np.concatenate([a[: n // 2], a[: n - n // 2]])
+            yield twice, rng.permutation(twice) + 1e-14
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_hungarian_maximum(self, seed):
+        for a, b in self._draws(seed):
+            assert match_spectra(a, b) == self._hungarian_max(a, b)
+
+    def test_hungarian_only_without_certificate(self, monkeypatch):
+        import scipy.optimize
+
+        calls = []
+        lsa = scipy.optimize.linear_sum_assignment
+
+        def counting(cost):
+            calls.append(cost.shape)
+            return lsa(cost)
+
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
+        rng = np.random.default_rng(5)
+        a = np.arange(12) + 0.5j * np.arange(12)
+        assert match_spectra(a, rng.permutation(a) + 1e-14) > 0 and not calls
+        assert match_spectra([7.0], [8.5]) == 1.5 and not calls
+        # b's spacing does not enter: 0.1 here, below 2r = 0.9
+        assert match_spectra([0.0, 1.0], [0.45, 0.55]) == 0.45 and not calls
+        # a repeated value in either set, or pairs farther apart than half a spacing
+        assert match_spectra([0.0, 0.0, 1.0], [0.0, 1e-3, 1.0]) == 1e-3
+        assert match_spectra([0.0, 1e-3, 1.0], [0.0, 0.0, 1.0]) == 1e-3
+        assert match_spectra([0.0, 1.0], [0.5, 1.5]) == 0.5
+        assert calls == [(3, 3), (3, 3), (2, 2)]
+
+    def test_empty_input_unchanged(self):
+        with pytest.raises(ValueError):
+            match_spectra([], [])
+
 
 class TestExpectationProfiles:
     def test_point_state(self):
