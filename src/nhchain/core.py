@@ -207,27 +207,34 @@ class EigensolverError(NumericalError, RuntimeError):
 def dense_spectrum(matrix, want_vectors: bool = False, parameters=None):
     """Dense oracle: all eigenvalues of a general complex matrix.
 
-    A matrix with no nonzero imaginary entry is solved in real arithmetic
-    (``dgeev`` instead of ``zgeev``): the same eigenvalues for less work,
-    with the complex ones in exact conjugate pairs.
+    A real array is solved as it is, and a complex one with no nonzero
+    imaginary entry through its real part: both in real arithmetic
+    (``dgeev`` instead of ``zgeev``), the same eigenvalues for less work,
+    with the complex ones in exact conjugate pairs.  Other input is cast to
+    complex.
 
-    With ``want_vectors=True`` also returns right and left eigenvectors from
-    the same decomposition (one LAPACK ``geev`` call), so column k of both
-    belongs to eigenvalue k without any value matching.  Left vectors follow
-    ``vl.conj() @ M = lambda * vl.conj()``, and ``vl.conj() @ vr`` is the
-    biorthogonal overlap.
+    With ``want_vectors=True`` also returns every right and left
+    eigenvector from the same decomposition (one ``scipy.linalg.eig``
+    call), so column k of both belongs to eigenvalue k without any value
+    matching.  Left vectors follow ``vl.conj() @ M = lambda * vl.conj()``,
+    and ``vl.conj() @ vr`` is the biorthogonal overlap.  scipy is imported
+    for this call only; `models2d.representative_state`, which reports one
+    eigenpair, takes the eigenvalues alone and comes here only when a long
+    Jordan chain defeats its inverse iteration.
 
     Returns
     -------
     Spectrum              if not want_vectors
     (Spectrum, vr, vl)    otherwise; vr/vl have eigenvectors in columns.
     """
-    M = np.asarray(matrix, dtype=complex)
+    M = np.asarray(matrix)
+    if M.dtype != np.float64:
+        M = M.astype(complex, copy=False)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix contains non-finite entries")
-    A = M if M.imag.any() else M.real
+    A = M.real if M.dtype == complex and not M.imag.any() else M
     try:
         if not want_vectors:
             vals = np.linalg.eigvals(A)
@@ -340,14 +347,20 @@ def localization_report(profile) -> LocalizationReport:
 
 
 def hausdorff_points(a, b) -> float:
-    """Symmetric Hausdorff distance between two point sets in the plane."""
-    from scipy.spatial.distance import cdist
+    """Symmetric Hausdorff distance between two point sets in the plane.
 
+    Pair distances are ``sqrt(dx*dx + dy*dy)``, the arithmetic of a
+    Euclidean ``cdist``, not ``abs`` of the complex difference (``hypot``),
+    which can differ in the last bit.
+    """
     va = np.asarray(getattr(a, "eigenvalues", a), dtype=complex).ravel()
     vb = np.asarray(getattr(b, "eigenvalues", b), dtype=complex).ravel()
     if len(va) == 0 or len(vb) == 0:
         raise ValueError("empty spectrum")
-    A = np.column_stack([va.real, va.imag])
-    B = np.column_stack([vb.real, vb.imag])
-    D = cdist(A, B)
+    D = np.subtract.outer(va.real, vb.real)
+    D *= D
+    dy = np.subtract.outer(va.imag, vb.imag)
+    dy *= dy
+    D += dy
+    np.sqrt(D, out=D)
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .alphasolver import AlphaSet
-from .core import ChainStencil, Spectrum, build_chain_matrix, dense_spectrum
+from .core import ChainStencil, EigensolverError, Spectrum, build_chain_matrix, dense_spectrum
 from .models1d import SSHParams, _alpha_set_from_cos, _hn_wavenumbers, _ssh_wavenumbers, ssh_matrix
 
 __all__ = [
@@ -64,6 +64,10 @@ SSH_KEYS = tuple(
 # relative tolerance (of max|lambda|) under which representative_state counts
 # two eigenvalue keys as tied
 STATE_TIE_RTOL = 1e-9
+# representative_state's inverse iteration: shift off the eigenvalue, in ulps
+# of max|H|, and the seed of its start vector
+STATE_SHIFT_ULPS = 4
+STATE_START_SEED = 7
 # stacking boundary modes
 MODES = ("bc1", "bc2", "open")
 
@@ -159,11 +163,20 @@ def blocks(spec: Stacked2DSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def build_stacked_matrix(spec: Stacked2DSpec) -> np.ndarray:
-    """Assemble the full N1 N2 x N1 N2 operator."""
+    """Assemble the full N1 N2 x N1 N2 operator.
+
+    The matrix is float64 when the blocks and the corner coefficients have
+    no nonzero imaginary part (the entries are the real parts of the
+    complex assembly, bit for bit), complex otherwise.
+    """
     A, B, C = blocks(spec)
     n1, n2 = spec.n1, spec.n2
     ctr, cbl = spec.corner_coefficients
-    H = np.zeros((n1 * n2, n1 * n2), dtype=complex)
+    dtype = complex
+    if not (A.imag.any() or B.imag.any() or C.imag.any()) and ctr.imag == cbl.imag == 0:
+        dtype = float
+        A, B, C, ctr, cbl = A.real, B.real, C.real, ctr.real, cbl.real
+    H = np.zeros((n1 * n2, n1 * n2), dtype=dtype)
     for j in range(n2):
         sl = slice(j * n1, (j + 1) * n1)
         H[sl, sl] = A
@@ -506,6 +519,10 @@ def triangular_spectrum(spec: Stacked2DSpec):
 def representative_state(matrix):
     """Eigenpair whose |lambda| is closest to the spectral median.
 
+    Returns (lambda, vr, vl): vr is a right eigenvector, and vl a left one
+    in the convention of `dense_spectrum` (``vl.conj() @ M = lambda *
+    vl.conj()``), both of unit 2-norm.
+
     For an even count the median is the mean of the two middle magnitudes,
     so at least two eigenvalues are equally close (four when each has a
     complex-conjugate partner).  Candidates are all eigenvalues within
@@ -514,19 +531,74 @@ def representative_state(matrix):
     magnitude, then the larger imaginary part, then the larger real part,
     with keys closer than the same tolerance counted as equal.  The choice
     therefore depends on the eigenvalues alone, not on their order in the
-    eigensolver output; only an eigenvalue degenerate within the tolerance
-    leaves the eigenvector to that order.
+    eigensolver output.
+
+    Only the eigenvalues come from the dense eigensolver; the two vectors
+    come from `_inverse_iteration` at the chosen lambda, so no other
+    eigenvector is computed.  An eigenvalue with a one-dimensional
+    eigenspace gets its eigenvector, a short Jordan chain included (a
+    Jordan block's vectors, whose biorthogonal overlap vanishes).  An
+    eigenvalue with a larger eigenspace gets the vector of it that the fixed
+    start vector leads to; like the eigenvalue, it does not depend on the
+    order of the eigensolver output.
+
+    A long Jordan chain defeats the inverse iteration: on a nilpotent open
+    chain (hopping one way only) the solves grow by max|M| / shift per
+    site and leave the float range from 11 sites on.  Then the state
+    comes from the full eigendecomposition, ``dense_spectrum(M,
+    want_vectors=True)``: lambda chosen by the same rule among its
+    eigenvalues, and the right and left vectors of its column.
     """
-    spec, vr, vl = dense_spectrum(matrix, want_vectors=True)
-    lam = spec.eigenvalues
+    M = np.asarray(matrix)
+    lam = dense_spectrum(M).eigenvalues
+    k = _representative_index(lam)
+    try:
+        return (lam[k], *_inverse_iteration(M, lam[k]))
+    except EigensolverError:
+        spec, vr, vl = dense_spectrum(M, want_vectors=True)
+        k = _representative_index(spec.eigenvalues)
+        return spec.eigenvalues[k], vr[:, k], vl[:, k]
+
+
+def _representative_index(lam: np.ndarray) -> int:
+    """Index of the eigenvalue that `representative_state` reports."""
     mags = np.abs(lam)
     tol = STATE_TIE_RTOL * mags.max()
     dist = np.abs(mags - np.median(mags))
     cand = np.flatnonzero(dist <= dist.min() + tol)
     for key in (mags, -lam.imag, -lam.real):
         cand = cand[key[cand] <= key[cand].min() + tol]
-    k = int(cand[0])
-    return lam[k], vr[:, k], vl[:, k]
+    return int(cand[0])
+
+
+def _inverse_iteration(M: np.ndarray, lam: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Right and left eigenvectors of M at its eigenvalue lam, unit 2-norm.
+
+    Two steps of inverse iteration (Ipsen, SIAM Rev. 39, 254, 1997) from a
+    fixed seeded start vector, on the stack [M - mu I, (M - mu I)^H]: each
+    step is one batched solve and a normalisation.  The shift mu is lam
+    moved by STATE_SHIFT_ULPS ulps of max(|lam|, max|M|), so an exactly
+    computed eigenvalue does not leave M - mu I singular, however large
+    |lam| is against the entries.  Raises EigensolverError when a solve
+    meets a zero pivot or leaves the float range.
+    """
+    n = len(M)
+    scale = max(abs(lam), np.abs(M).max()) or 1.0
+    mu = lam + STATE_SHIFT_ULPS * np.finfo(float).eps * scale
+    shifted = M - mu * np.eye(n)
+    stack = np.stack([shifted, shifted.conj().T])
+    rng = np.random.default_rng(STATE_START_SEED)
+    x = rng.standard_normal((2, n, 1)) + 1j * rng.standard_normal((2, n, 1))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2):
+                x = np.linalg.solve(stack, x)
+                x /= np.linalg.norm(x, axis=1, keepdims=True)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"inverse iteration at {complex(lam):.6g} failed: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise EigensolverError(f"inverse iteration at {complex(lam):.6g} overflowed")
+    return x[0, :, 0], x[1, :, 0]
 
 
 def profile_along_chain(vec, n1: int, n2: int, sublattice: int = 1) -> np.ndarray:

@@ -47,6 +47,24 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "pass", "[]"]
+    # a states job takes one eigenpair by inverse iteration, and a sensitivity
+    # fit measures its spectral distances in numpy: neither loads scipy
+    no_scipy = ("import json, sys; from nhchain import cli; "
+                "cfg = cli.parse_config(json.loads(sys.argv[2])); "
+                "print(cli.run(cfg, sys.argv[1]), "
+                "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    states = {"model": "triangular", "task": "states", "params": {"t_l": 1.0, "t_r": 5.0},
+              "sizes": {"N1": 10, "N2": 3}, "mode": "open", "delta": 0.2, "output": "st"}
+    fit = {"model": "hn", "task": "sensitivity", "params": {"t_l": 1.0, "t_r": 2.0},
+           "sizes": {"N": 12}, "n_list": [8, 10, 12, 14], "output": "fit"}
+    for cfg in (states, fit):
+        proc = subprocess.run([sys.executable, "-c", no_scipy, str(tmp_path), json.dumps(cfg)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "[]"], cfg["task"]
+    side = json.loads((tmp_path / "st.json").read_text())
+    assert side["state"]["normalization"] == "biorthogonal"
+    assert json.loads((tmp_path / "fit.json").read_text())["sensitivity"]["exponent"]["reached"] == [True] * 4
     # a repeated eigenvalue leaves the nearest-neighbour pairing unproven:
     # the Hungarian solver runs and gives the optimal matching's maximum
     degenerate = ("import sys; from nhchain.core import match_spectra; "
@@ -149,6 +167,18 @@ class TestRun:
         assert "eigenvalue" in side["state"]
         lines = (tmp_path / "st.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 8
+
+    @pytest.mark.parametrize("model, params", [("unidirectional", {"t_l": 1.0, "u_l": 1.0}),
+                                               ("hn", {"t_l": 1.0, "t_r": 0.0})])
+    def test_states_task_nilpotent_chain(self, tmp_path, model, params):
+        # one 30-site Jordan block at lambda = 0: the state comes from the
+        # full eigendecomposition, and its biorthogonal overlap vanishes
+        cfg = parse_config({"model": model, "task": "states", "params": params,
+                            "sizes": {"N": 30}, "delta": 0.0, "output": "st"})
+        assert run(cfg, tmp_path) == 0
+        side = json.loads((tmp_path / "st.json").read_text())
+        assert side["state"]["eigenvalue"] == [0.0, 0.0]
+        assert side["state"]["normalization"] == "degenerate"
 
     def test_envelope_task(self, tmp_path):
         cfg = parse_config({
@@ -526,3 +556,29 @@ def test_model_task_matrix(tmp_path, capsys, model, task):
         assert (tmp_path / "out.json").exists()
     elif task in ("winding", "gap", "envelope", "balance"):
         assert f"{task} is not defined for model {model!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, params", [("stacked-hn", STACK_HN), ("stacked-ssh", STACK_SSH)])
+@pytest.mark.parametrize("task", ["spectrum", "sweep", "sensitivity"])
+def test_open_stack_takes_dense_route(tmp_path, model, params, task):
+    """Open stacking has no Bloch reduction: the spectrum is the dense eig of
+    the assembled lattice, and validation is oracle-only."""
+    payload = {"model": model, "task": task, "params": params, "mode": "open",
+               "sizes": {"N1": 4, "N2": 4}, "delta": 0.3, "n_list": [4, 6, 8, 10], "output": "out"}
+    if task == "sweep":
+        payload["delta"] = {"start": 0.0, "stop": 0.6, "step": 0.3}
+    path = write_config(tmp_path, "c.json", payload)
+    assert main([task, "--config", str(path), "--out", str(tmp_path)]) == 0
+    side = json.loads((tmp_path / "out.json").read_text())
+    assert side["validation"]["status"] == "oracle-only"
+    if task == "sensitivity":
+        assert len(side["sensitivity"]["exponent"]["reached"]) == 4
+        return
+    cfg = parse_config(payload)
+    rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+    for delta in (0.0, 0.3, 0.6) if task == "sweep" else (0.3,):
+        got = [complex(float(r[2]), float(r[3])) for r in rows if float(r[0]) == delta]
+        spec = nhchain.Stacked2DSpec(model.split("-")[1], cfg["params"], 4, 4, delta, "open")
+        want = nhchain.dense_spectrum(nhchain.build_stacked_matrix(spec)).eigenvalues
+        assert np.array_equal(np.sort_complex(got), np.sort_complex(want))
+    assert {r[4] for r in rows} == {"oracle"}

@@ -274,3 +274,17 @@ class TestLocalizationReport:
 def test_hausdorff_examples():
     assert hausdorff_points([1 + 1j, 2.0], [1 + 1j, 2.0]) == 0.0
     assert hausdorff_points([0.0], [3.0, 4.0j]) == pytest.approx(4.0)
+
+
+def test_hausdorff_equals_cdist_reference(rng):
+    """The numpy distances are the arithmetic of scipy's Euclidean cdist, so
+    the Hausdorff distance is the same float, near-coincident points included."""
+    from scipy.spatial.distance import cdist
+
+    for _ in range(300):
+        n, m = rng.integers(1, 40, size=2)
+        a = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-6, 3)
+        noise = (rng.normal(size=m) + 1j * rng.normal(size=m)) * 10.0 ** rng.uniform(-16, 0)
+        b = a[rng.integers(0, n, size=m)] + noise
+        D = cdist(np.column_stack([a.real, a.imag]), np.column_stack([b.real, b.imag]))
+        assert hausdorff_points(a, b) == max(D.min(axis=1).max(), D.min(axis=0).max())

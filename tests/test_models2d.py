@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nhchain.cli import parse_config, validate
-from nhchain.core import dense_spectrum, match_spectra, spectral_mismatch
+from nhchain.core import EigensolverError, Spectrum, dense_spectrum, expectation_profiles, match_spectra, spectral_mismatch
 from nhchain.models1d import (
     HNParams,
     SSHParams,
@@ -13,9 +13,12 @@ from nhchain.models1d import (
     ssh_closed_form,
     ssh_matrix,
     ssh_spectrum,
+    unidirectional_matrix,
 )
 from nhchain.models2d import (
+    SSH_KEYS,
     Stacked2DSpec,
+    _inverse_iteration,
     _stack_h_coeffs,
     bc_reduce,
     blocks,
@@ -293,6 +296,174 @@ class TestRepresentativeState:
             assert abs(lam_p - lam) < 1e-9 * abs(lam)
             overlap = abs(np.vdot(vr_p, vr[perm])) / (np.linalg.norm(vr_p) * np.linalg.norm(vr))
             assert overlap == pytest.approx(1.0, abs=1e-9)
+
+
+def _null_vector_profiles(H, lam):
+    """|vr|^2, |vl|^2 and the biorthogonal profile from the SVD null vectors
+    of H - lam I, as the benchmark's `states` check computes them."""
+    u, s, vh = np.linalg.svd(H - lam * np.eye(len(H)))
+    assert s[-1] <= 1e-10 * s[0] and s[-2] >= 1e3 * s[-1]
+    right, left = vh[-1].conj(), u[:, -1]
+    bio = np.conj(left) * right
+    return np.abs(right) ** 2, np.abs(left) ** 2, bio / bio.sum()
+
+
+STATE_MATRICES = {
+    **{f"triangular_30x10_d{d}": lambda d=d: build_stacked_matrix(
+        triangular_spec(1.0, 5.0, 30, 10, d, "open")) for d in (0.0, 0.37, 0.9)},
+    "hn_complex_tr_N20": lambda: hn_matrix(HNParams(1.0, 1.7 * np.exp(0.6j), 0.2), 20, 0.3),
+}
+
+
+class TestRepresentativeStateVectors:
+    """The eigenpair from one eigenvalue solve and inverse iteration."""
+
+    @pytest.mark.parametrize("name", sorted(STATE_MATRICES))
+    def test_profiles_match_svd_null_vectors(self, name):
+        H = STATE_MATRICES[name]()
+        lam, vr, vl = representative_state(H)
+        assert np.linalg.norm(vr) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(vl) == pytest.approx(1.0, abs=1e-14)
+        rr, ll, lr = _null_vector_profiles(H, lam)
+        prof = expectation_profiles(vr, vl)
+        assert prof.normalization == "biorthogonal"
+        assert np.abs(prof.rr - rr).max() < 1e-8
+        assert np.abs(prof.ll - ll).max() < 1e-8
+        assert np.abs(prof.lr - lr).max() < 1e-8
+
+    def test_jordan_block(self):
+        # a defective double eigenvalue: one right (e1) and one left (e2)
+        # eigenvector, with vanishing biorthogonal overlap
+        lam, vr, vl = representative_state(np.array([[2.0, 1.0], [0.0, 2.0]]))
+        assert lam == 2.0
+        assert np.allclose(np.abs(vr), [1.0, 0.0], atol=1e-12)
+        assert np.allclose(np.abs(vl), [0.0, 1.0], atol=1e-12)
+        assert expectation_profiles(vr, vl).normalization == "degenerate"
+
+    def test_close_pair_gets_clean_vector(self):
+        # eigenvalues 1e-10 apart: the second step removes the neighbour's
+        # share that the first leaves (about shift / 1e-10, some 4e-5)
+        H = np.diag([1.0, 2.0, 2.0 + 1e-10, 5.0])
+        lam, vr, vl = representative_state(H)
+        assert lam == 2.0
+        assert np.abs(vr[[0, 2, 3]]).max() < 1e-8 and np.abs(vl[[0, 2, 3]]).max() < 1e-8
+
+    @pytest.mark.parametrize("H", [np.array([[3.0, 1.0], [1.0, 3.0]]),
+                                   hn_matrix(HNParams(1.0, 1.0), 12, 1.0)])
+    def test_eigenvector_orthogonal_to_uniform_vector(self, H):
+        # the chosen eigenvector sums to zero (for the 2 x 2 it is (1, -1) at
+        # lambda = 2; on the periodic chain every mode but the uniform one
+        # does), so a uniform start vector would lead to the wrong one
+        lam, vr, vl = representative_state(H)
+        assert np.linalg.norm(H @ vr - lam * vr) < 1e-12
+        assert np.linalg.norm(vl.conj() @ H - lam * vl.conj()) < 1e-12
+
+    def test_degenerate_eigenspace_vector_independent_of_order(self, monkeypatch):
+        import nhchain.models2d as m2
+
+        H = np.diag([1.0, 2.0, 2.0, 5.0])
+        lam, vr, vl = representative_state(H)
+        real = m2.dense_spectrum
+        monkeypatch.setattr(m2, "dense_spectrum",
+                            lambda M: Spectrum(real(M).eigenvalues[::-1]))
+        lam_rev, vr_rev, vl_rev = representative_state(H)
+        assert lam == lam_rev == 2.0
+        assert np.array_equal(vr, vr_rev) and np.array_equal(vl, vl_rev)
+        # a vector of the eigenspace spanned by sites 2 and 3
+        assert np.abs(vr[[0, 3]]).max() < 1e-12 and np.abs(vl[[0, 3]]).max() < 1e-12
+
+    @pytest.mark.parametrize("H", [unidirectional_matrix(1.0, 1.0, 0.0, 30),
+                                   hn_matrix(HNParams(1.0, 0.0), 30, 0.0)])
+    def test_long_jordan_chain_takes_full_eigendecomposition(self, H):
+        # nilpotent open chains: one 30-site Jordan block at lambda = 0, on
+        # which inverse iteration leaves the float range
+        with pytest.raises(EigensolverError):
+            _inverse_iteration(H, 0.0)
+        lam, vr, vl = representative_state(H)
+        spec, VR, VL = dense_spectrum(H, want_vectors=True)
+        k = int(np.flatnonzero(spec.eigenvalues == lam)[0])
+        assert lam == 0.0
+        assert np.array_equal(vr, VR[:, k]) and np.array_equal(vl, VL[:, k])
+        assert np.linalg.norm(H @ vr) < 1e-12 and np.linalg.norm(vl.conj() @ H) < 1e-12
+        assert expectation_profiles(vr, vl).normalization == "degenerate"
+
+    def test_shift_scales_with_eigenvalue(self, monkeypatch):
+        # lambda = 8 of the all-ones 8 x 8 is 8 times max|M|: a shift of 4
+        # ulps of max|M| alone is half an ulp of 8 and rounds back to lambda
+        diagonals = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            diagonals.append(a[0].diagonal().copy())
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        vr, vl = _inverse_iteration(np.ones((8, 8)), 8.0)
+        assert np.all(diagonals[0].real != 1.0 - 8.0)
+        assert np.allclose(np.abs(vr), 8 ** -0.5, atol=1e-12)
+        assert np.allclose(np.abs(vl), 8 ** -0.5, atol=1e-12)
+
+    def test_no_eigenvector_set_is_computed(self, monkeypatch):
+        import nhchain.models2d as m2
+
+        calls = []
+        real = m2.dense_spectrum
+
+        def spy(matrix, want_vectors=False, parameters=None):
+            calls.append(want_vectors)
+            return real(matrix, want_vectors, parameters)
+
+        monkeypatch.setattr(m2, "dense_spectrum", spy)
+        representative_state(build_stacked_matrix(triangular_spec(1.0, 5.0, 6, 4, 0.2, "open")))
+        assert calls == [False]
+
+
+REAL_STACKS = {
+    "triangular_open": triangular_spec(1.0, 5.0, 12, 5, 0.37, "open"),
+    "triangular_bc1": triangular_spec(1.0, 5.0, 8, 6, 0.5, "bc1"),
+    "stacked_hn_bc2": Stacked2DSpec("hn", {"t_d": 1, "t_l": 2, "t_r": 1, "u_d": 2, "v_dl": 1,
+                                           "v_dr": 0, "u_u": -3, "v_ul": 0, "v_ur": 2},
+                                    6, 5, 0.3, "bc2", 0.6),
+    "stacked_ssh_open": Stacked2DSpec("ssh", {k: 1.0 + 0.1 * i for i, k in enumerate(SSH_KEYS)},
+                                      6, 4, 0.8, "open"),
+}
+
+
+def _complex_assembly(spec):
+    """The stacked operator assembled in complex arithmetic, block by block."""
+    A, B, C = blocks(spec)
+    n1, n2 = spec.n1, spec.n2
+    ctr, cbl = spec.corner_coefficients
+    H = np.zeros((n1 * n2, n1 * n2), dtype=complex)
+    for j in range(n2):
+        H[j * n1:(j + 1) * n1, j * n1:(j + 1) * n1] = A
+        if j + 1 < n2:
+            H[j * n1:(j + 1) * n1, (j + 1) * n1:(j + 2) * n1] = B
+            H[(j + 1) * n1:(j + 2) * n1, j * n1:(j + 1) * n1] = C
+    H[:n1, (n2 - 1) * n1:] += ctr * C
+    H[(n2 - 1) * n1:, :n1] += cbl * B
+    return H
+
+
+class TestRealAssembly:
+    @pytest.mark.parametrize("name", sorted(REAL_STACKS))
+    def test_real_matrix_same_eigenvalues_as_complex(self, name):
+        spec = REAL_STACKS[name]
+        H = build_stacked_matrix(spec)
+        Hc = _complex_assembly(spec)
+        assert H.dtype == np.float64
+        assert np.array_equal(H, Hc)
+        lam = dense_spectrum(H).eigenvalues
+        assert np.array_equal(lam, dense_spectrum(Hc).eigenvalues)
+        assert np.abs(lam.imag).max() > 0.1
+
+    @pytest.mark.parametrize("change", [{"delta1": 0.3 + 0.1j}, {"delta2": 0.5 + 0.3j},
+                                        {"params": {"t_l": 1.0, "t_r": 5j}}])
+    def test_complex_input_stays_complex(self, change):
+        fields = dict(family="triangular", params={"t_l": 1.0, "t_r": 5.0}, n1=6, n2=4,
+                      delta1=0.3, mode="bc2", delta2=0.5)
+        fields.update(change)
+        assert build_stacked_matrix(Stacked2DSpec(**fields)).dtype == complex
 
 
 class TestKagome:
