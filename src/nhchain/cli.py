@@ -6,11 +6,12 @@ JSON sidecar with the config echo and any verdicts.  Re-running a config
 reproduces the CSV byte for byte.
 
 Each model is one `Model` row of the `MODELS` table: its required and
-optional params, its size keys, its matrix and spectrum, its closed form or
-validation kind, its reduced validation size, and its Bloch function,
-balance condition and envelope curves where it has them.  Parsing,
-validation and every task read the row, so no function below the table
-names a model; a task whose entry a model lacks exits 2.
+optional params, its size keys, its matrix and spectrum line, its closed
+form or validation kind, its reduced validation size, and its Bloch
+function, balance condition and envelope curves where it has them.
+Parsing, validation and every task read the row, so no function below the
+table names a model; a task whose entry a model lacks exits 2, and so do
+`balance` and `envelope` on an open stack, which has no Bloch reduction.
 
 Exit codes of `nhchain`: 0 success, 2 configuration error, 3 validation
 failure (closed form and oracle disagree at the reduced size), 4 numerical
@@ -40,6 +41,7 @@ from .core import (
     NumericalError,
     Spectrum,
     build_chain_matrix,
+    cmul,
     dense_spectrum,
     expectation_profiles,
     localization_report,
@@ -173,13 +175,16 @@ class Model:
     the params `p`.  Their bodies look up `models1d`, `models2d` and
     `dense_spectrum` when called, so a wrapper set on a module attribute
     sees every call.  A task whose entry is None is not defined for the model.
+    `line(c)` builds what does not depend on the boundary value once (the
+    chain matrix without its corners, the Bloch blocks' operators) and
+    returns d -> (Spectrum, j labels).
     """
 
     required: frozenset
     optional: frozenset
     matrix: Callable                     # (c, d) -> dense matrix
-    spectrum: Callable | None = None     # (c, d) -> (Spectrum, j labels); None: dense eig of matrix
-    closed_form: Callable | None = None  # (c, d) -> Spectrum, or None if oracle-only; None: spectrum
+    line: Callable | None = None         # c -> (d -> (Spectrum, j labels)); None: dense eig of matrix
+    closed_form: Callable | None = None  # (c, d) -> Spectrum, or None if oracle-only; None: line
     check: str = "closed form"           # validation kind, or "oracle-only", "boundary residual"
     sizes: tuple = ("N",)
     reduced: Callable = _reduced         # sizes -> sizes of the validation
@@ -192,32 +197,53 @@ def _plain(spec: Spectrum) -> tuple[Spectrum, list]:
     return spec, [""] * len(spec)
 
 
+def _plain_line(line: Callable) -> Callable:
+    return lambda d: _plain(line(d))
+
+
+def _per_delta(spectrum: Callable) -> Callable:
+    """The line of a model with nothing to build ahead: spectrum(c, d) per d."""
+    return lambda c: lambda d: spectrum(c, d)
+
+
 def _scalar(delta):
     if isinstance(delta, tuple):
         raise ConfigError("this model supports only a scalar delta")
     return delta
 
 
-def _hn(c, d) -> tuple:
-    """(HNParams, N, delta); the param names are the HNParams field names."""
-    return models1d.HNParams(**c["params"]), c["sizes"]["N"], d
+def _hn(c, *d) -> tuple:
+    """(HNParams, N, delta), or (HNParams, N) without d; the param names are
+    the HNParams field names."""
+    return (models1d.HNParams(**c["params"]), c["sizes"]["N"], *d)
 
 
+# The Bloch functions take an array of k; `cmul` rounds each product as a
+# per-k evaluation would, so winding outputs do not depend on the grid batch.
 def _hn_bloch(p):
     t_l, t_r, t_d = p["t_l"], p["t_r"], p.get("t_d", 0.0)
-    return topology.BlochSampler(lambda k: t_d + t_l * np.exp(1j * k) + t_r * np.exp(-1j * k))
+    return topology.BlochSampler(
+        lambda k: t_d + cmul(t_l, np.exp(1j * k)) + cmul(t_r, np.exp(-1j * k)))
 
 
-def _ssh(c, d) -> tuple:
-    """(SSHParams, N, delta); the param names are the SSHParams field names."""
-    return models1d.SSHParams(**c["params"]), c["sizes"]["N"], d
+def _ssh(c, *d) -> tuple:
+    """(SSHParams, N, delta), or (SSHParams, N) without d; the param names
+    are the SSHParams field names."""
+    return (models1d.SSHParams(**c["params"]), c["sizes"]["N"], *d)
 
 
 def _ssh_bloch(p):
     tl1, tr1, tl2, tr2 = p["tl1"], p["tr1"], p["tl2"], p["tr2"]
     v1, v2 = p.get("v1", 0.0), p.get("v2", 0.0)
-    return topology.BlochSampler(lambda k: np.array(
-        [[v1, tl1 + tr2 * np.exp(-1j * k)], [tr1 + tl2 * np.exp(1j * k), v2]]), dim=2)
+
+    def block(k):
+        h = np.empty(np.shape(k) + (2, 2), dtype=complex)
+        h[..., 0, 0], h[..., 1, 1] = v1, v2
+        h[..., 0, 1] = tl1 + cmul(tr2, np.exp(-1j * k))
+        h[..., 1, 0] = tr1 + cmul(tl2, np.exp(1j * k))
+        return h
+
+    return topology.BlochSampler(block, dim=2)
 
 
 def _ssh_balance(c):
@@ -231,6 +257,11 @@ def _long_range(c, d, near: str) -> tuple:
     return c["params"][near], c["params"]["u_l"], _scalar(d), c["sizes"]["N"]
 
 
+def _mixed_line(c):
+    line = models1d.mixed_longrange_line(c["params"]["t_r"], c["params"]["u_l"], c["sizes"]["N"])
+    return lambda d: _plain(line(_scalar(d)))
+
+
 _GENERAL_CHAIN_OFFSETS = {"t_m2": -2, "t_m1": -1, "t_0": 0, "t_p1": 1, "t_p2": 2}
 
 
@@ -242,7 +273,7 @@ def _general_chain_stencil(c, d) -> ChainStencil:
 
 def _general_chain_bloch(p):
     terms = [(off, p[name]) for name, off in _GENERAL_CHAIN_OFFSETS.items() if name in p]
-    return topology.BlochSampler(lambda k: sum(t * np.exp(1j * o * k) for o, t in terms))
+    return topology.BlochSampler(lambda k: sum(cmul(t, np.exp(1j * o * k)) for o, t in terms))
 
 
 def _separable(solve, c, d) -> tuple:
@@ -259,32 +290,45 @@ def _stack(family: str, c, d) -> models2d.Stacked2DSpec:
                                   c["mode"], c["delta2"])
 
 
-def _stacked(family: str, keys, balance, **fields) -> Model:
+def _bloch_reduced(task: str, fn: Callable) -> Callable:
+    """fn(c, ...) on a BC1/BC2 stack; on an open one, which has no Bloch
+    reduction, `task` is a configuration error."""
+    def call(c, *args):
+        if c["mode"] == "open":
+            raise ConfigError(f"{task} is not defined for mode 'open' (no Bloch reduction); "
+                              "use mode 'bc1' or 'bc2'")
+        return fn(c, *args)
+
+    return call
+
+
+def _stacked(family: str, keys, balance, envelope=None, **fields) -> Model:
     """A stacked lattice of `family`; `balance` takes its Stacked2DSpec.
 
-    BC1/BC2 spectra come from the Bloch blocks (`stacked_eigenvalues`), and
-    j labels an eigenvalue's block; open stacking has no Bloch reduction, so
-    its spectrum is the dense eig of the assembled matrix and its validation
-    is oracle-only."""
+    BC1/BC2 spectra come from the Bloch blocks (`stacked_line`), and j
+    labels an eigenvalue's block; open stacking has no Bloch reduction, so
+    its spectrum is the dense eig of the assembled matrix, its validation is
+    oracle-only, and `balance` and `envelope` exit 2."""
     def matrix(c, d):
         return models2d.build_stacked_matrix(_stack(family, c, d))
 
-    def spectrum(c, d):
+    def line(c):
         if c["mode"] == "open":
-            return _plain(dense_spectrum(matrix(c, d)))
-        spec = models2d.stacked_eigenvalues(_stack(family, c, d))
-        return spec, [j for j in range(c["sizes"]["N2"]) for _ in range(c["sizes"]["N1"])]
+            return lambda d: _plain(dense_spectrum(matrix(c, d)))
+        eigenvalues = models2d.stacked_line(_stack(family, c, 0.0))
+        js = [j for j in range(c["sizes"]["N2"]) for _ in range(c["sizes"]["N1"])]
+        return lambda d: (eigenvalues(_scalar(d)), js)
 
-    return Model(frozenset(keys), frozenset(), sizes=("N1", "N2"), matrix=matrix,
-                 spectrum=spectrum,
+    return Model(frozenset(keys), frozenset(), sizes=("N1", "N2"), matrix=matrix, line=line,
                  closed_form=lambda c, d: None if c["mode"] == "open" else spectrum_for(c, d)[0],
-                 balance=lambda c: {"case": balance(_stack(family, c, 0.0))}, **fields)
+                 balance=_bloch_reduced("balance", lambda c: {"case": balance(_stack(family, c, 0.0))}),
+                 envelope=envelope and _bloch_reduced("envelope", envelope), **fields)
 
 
 _HN = Model(
     frozenset({"t_l", "t_r"}), frozenset({"t_d"}),
     matrix=lambda c, d: models1d.hn_matrix(*_hn(c, d)),
-    spectrum=lambda c, d: _plain(models1d.hn_eigenvalues(*_hn(c, d))),
+    line=lambda c: _plain_line(models1d.hn_line(*_hn(c))),
     closed_form=lambda c, d: models1d.hn_closed_form(*_hn(c, d))[0],
     bloch=_hn_bloch,
     balance=lambda c: dict(zip(("balanced", "theta"), models1d.hn_balanced(_hn(c, 0.0)[0]))),
@@ -292,7 +336,7 @@ _HN = Model(
 _SSH = Model(
     frozenset({"tl1", "tr1", "tl2", "tr2"}), frozenset({"v1", "v2"}),
     matrix=lambda c, d: models1d.ssh_matrix(*_ssh(c, d)),
-    spectrum=lambda c, d: _plain(models1d.ssh_eigenvalues(*_ssh(c, d))),
+    line=lambda c: _plain_line(models1d.ssh_line(*_ssh(c))),
     closed_form=lambda c, d: models1d.ssh_closed_form(*_ssh(c, d))[0],
     reduced=_reduced_twoband, bloch=_ssh_bloch, balance=_ssh_balance,
 )
@@ -305,17 +349,18 @@ MODELS: dict[str, Model] = {
     "unidirectional": Model(
         frozenset({"t_l", "u_l"}), frozenset(),
         matrix=lambda c, d: models1d.unidirectional_matrix(*_long_range(c, d, "t_l")),
-        spectrum=lambda c, d: _plain(models1d.unidirectional_spectrum(*_long_range(c, d, "t_l"))),
+        line=_per_delta(lambda c, d: _plain(
+            models1d.unidirectional_spectrum(*_long_range(c, d, "t_l")))),
         bloch=lambda p: topology.BlochSampler(
-            lambda k: p["t_l"] * np.exp(1j * k) + p["u_l"] * np.exp(2j * k)),
+            lambda k: cmul(p["t_l"], np.exp(1j * k)) + cmul(p["u_l"], np.exp(2j * k))),
     ),
     "mixed-longrange": Model(
         frozenset({"t_r", "u_l"}), frozenset(),
         matrix=lambda c, d: models1d.mixed_longrange_matrix(*_long_range(c, d, "t_r")),
-        spectrum=lambda c, d: _plain(models1d.mixed_longrange_eigenvalues(*_long_range(c, d, "t_r"))),
+        line=_mixed_line,
         closed_form=lambda c, d: models1d.mixed_longrange_closed_form(*_long_range(c, d, "t_r"))[0],
         bloch=lambda p: topology.BlochSampler(
-            lambda k: p["u_l"] * np.exp(2j * k) + p["t_r"] * np.exp(-1j * k)),
+            lambda k: cmul(p["u_l"], np.exp(2j * k)) + cmul(p["t_r"], np.exp(-1j * k))),
     ),
     "general-chain": Model(
         frozenset(), frozenset(_GENERAL_CHAIN_OFFSETS), check="boundary residual",
@@ -345,8 +390,8 @@ MODELS: dict[str, Model] = {
     "separable-square": Model(
         frozenset({"a_t_l", "a_t_r", "b_t_l", "b_t_r"}), frozenset({"a_t_d", "b_t_d"}),
         matrix=lambda c, d: models2d.separable_square_matrix(*_separable(models1d.hn_matrix, c, d)),
-        spectrum=lambda c, d: _plain(models2d.separable_square_spectrum(
-            *_separable(models1d.hn_eigenvalues, c, d))),
+        line=_per_delta(lambda c, d: _plain(models2d.separable_square_spectrum(
+            *_separable(models1d.hn_eigenvalues, c, d)))),
         closed_form=lambda c, d: models2d.separable_square_spectrum(
             *(s[0] for s in _separable(models1d.hn_closed_form, c, d))),
         sizes=("N1", "N2"),
@@ -354,12 +399,21 @@ MODELS: dict[str, Model] = {
 }
 
 
-def spectrum_for(cfg: dict, delta) -> tuple[Spectrum, list]:
-    """(Spectrum, per-eigenvalue j indices) for one boundary value."""
+def line_for(cfg: dict) -> Callable:
+    """delta -> (Spectrum, per-eigenvalue j indices) of the configured model
+    at its sizes: the row's `line`, or the dense eig of its matrix."""
     m = MODELS[cfg["model"]]
-    if m.spectrum is None:
-        return _plain(dense_spectrum(m.matrix(cfg, delta)))
-    return m.spectrum(cfg, delta)
+    if m.line is None:
+        return lambda d: _plain(dense_spectrum(m.matrix(cfg, d)))
+    return m.line(cfg)
+
+
+def spectrum_for(cfg: dict, delta, line: Callable | None = None) -> tuple[Spectrum, list]:
+    """(Spectrum, per-eigenvalue j indices) for one boundary value.
+
+    `line` is `line_for(cfg)`, passed by a caller that solves many boundary
+    values so that it is built once; the result is the same."""
+    return (line or line_for(cfg))(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +454,10 @@ def _delta_label(delta) -> str:
 
 
 def _spectrum_rows(cfg, deltas, threads: int) -> list:
+    line = line_for(cfg)
+
     def one(d):
-        spec, js = spectrum_for(cfg, d)
+        spec, js = spectrum_for(cfg, d, line)
         lab, prov, lam = _delta_label(d), spec.provenance, spec.eigenvalues
         return [f"{lab},{j},{re:.17g},{im:.17g},{prov}"
                 for j, re, im in zip(js, lam.real.tolist(), lam.imag.tolist())]
@@ -543,14 +599,27 @@ def _states_task(cfg):
 
 
 def _sensitivity_task(cfg) -> dict:
-    screen = sensitivity.classify_sensitivity(lambda d: spectrum_for(cfg, d)[0])
+    """The fixed-size screen, and the delta*(N) fit over n_list.
+
+    One line per size serves every boundary value of that size, and each
+    (size, delta) spectrum is solved once: when n_list holds the configured
+    size, its fit reuses the screen's delta = 0 and 1.  Both live for this
+    task only."""
+    size_key = MODELS[cfg["model"]].sizes[0]
+    lines, solved = {}, {}
+
+    def family(n, d):
+        if (n, d) not in solved:
+            if n not in lines:
+                c = dict(cfg, sizes=dict(cfg["sizes"], **{size_key: n}))
+                lines[n] = c, line_for(c)
+            c, line = lines[n]
+            solved[n, d] = spectrum_for(c, d, line)[0]
+        return solved[n, d]
+
+    screen = sensitivity.classify_sensitivity(lambda d: family(cfg["sizes"][size_key], d))
     out = {"screen": screen.as_dict()}
     if cfg["n_list"]:
-        size_key = MODELS[cfg["model"]].sizes[0]
-
-        def family(n, d):
-            return spectrum_for(dict(cfg, sizes=dict(cfg["sizes"], **{size_key: n})), d)[0]
-
         report = sensitivity.sensitivity_exponent(family, cfg["threshold"], cfg["n_list"])
         out["exponent"] = report.as_dict()
     return out

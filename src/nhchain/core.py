@@ -26,7 +26,10 @@ __all__ = [
     "Spectrum",
     "StateProfiles",
     "LocalizationReport",
+    "CornerOperator",
+    "chain_operator",
     "build_chain_matrix",
+    "cmul",
     "dense_spectrum",
     "match_spectra",
     "spectral_mismatch",
@@ -46,6 +49,22 @@ def principal_sqrt(z) -> complex:
     """Principal branch square root; the split-radical convention means
     products like sqrt(a)*sqrt(b) are never collapsed to sqrt(a*b)."""
     return complex(np.sqrt(complex(z)))
+
+
+def cmul(a, b) -> np.ndarray:
+    """Elementwise complex product a * b, rounded as numpy rounds one pair
+    of complex scalars.
+
+    numpy's vectorised complex multiply may fuse a multiply and an add, so
+    on an array it can differ from the scalar product in the last bit; the
+    real and imaginary parts here are separate real operations, and an
+    array of products equals the products taken one element at a time.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 @dataclass(frozen=True)
@@ -103,8 +122,42 @@ class ChainStencil:
         return as_corner_pair(self.corner_deform)
 
 
-def build_chain_matrix(stencil: ChainStencil) -> np.ndarray:
-    """Assemble the dense N x N matrix for a ChainStencil.
+@dataclass(frozen=True)
+class CornerOperator:
+    """A chain matrix as a function of its corner deformation.
+
+    `bulk` is the matrix at delta = 0.  `upper` and `lower` list the corner
+    entries as (row, col, factors): the entry at delta is bulk[row, col] +
+    delta_r * f1 * f2 ... (upper right) or delta_l * f1 * f2 ... (lower
+    left), multiplied left to right in Python complex arithmetic, upper
+    entries first.  That is the assembly's own arithmetic, so `at(delta)`
+    equals the matrix assembled directly at delta bit for bit, and a caller
+    that solves one chain at many deformations builds the bulk once.
+    """
+
+    bulk: np.ndarray
+    upper: tuple
+    lower: tuple
+
+    def __post_init__(self):
+        self.bulk.flags.writeable = False  # shared by every `at`
+
+    def at(self, corner_deform) -> np.ndarray:
+        """The matrix at a scalar delta or a (delta_l, delta_r) pair."""
+        dl, dr = as_corner_pair(corner_deform)
+        H = self.bulk.copy()
+        for d, cells in ((dr, self.upper), (dl, self.lower)):
+            for row, col, factors in cells:
+                v = d
+                for f in factors:
+                    v = v * f
+                H[row, col] += v
+        return H
+
+
+def chain_operator(stencil: ChainStencil) -> CornerOperator:
+    """The matrix of a ChainStencil as a function of its corner deformation
+    (the stencil's own `corner_deform` is not used).
 
     The banded part repeats `onsite_pattern` on the diagonal and places each
     hopping on its offset diagonal.  Corner entries are the wrapped hoppings
@@ -113,24 +166,28 @@ def build_chain_matrix(stencil: ChainStencil) -> np.ndarray:
     banded Toeplitz matrix.
     """
     N = stencil.n_sites
-    dl, dr = stencil.corner_pair
     H = np.zeros((N, N), dtype=complex)
+    sites = np.arange(N)
     cell = len(stencil.onsite_pattern)
-    for m in range(N):
-        H[m, m] = stencil.onsite_pattern[m % cell]
+    H[sites, sites] = np.tile(np.array(stencil.onsite_pattern, dtype=complex), -(-N // cell))[:N]
     if stencil.end_onsite is not None:
         H[0, 0] += complex(stencil.end_onsite[0])
         H[N - 1, N - 1] += complex(stencil.end_onsite[1])
+    upper, lower = [], []
     for o, t in stencil.hoppings.items():
-        for m in range(N):
-            n = m + o
-            if 0 <= n < N:
-                H[m, n] += t
-            elif n < 0:
-                H[m, n + N] += dr * t
-            else:
-                H[m, n - N] += dl * t
-    return H
+        rows = sites[max(0, -o):min(N, N - o)]
+        H[rows, rows + o] += t
+        if o < 0:
+            upper += [(m, m + o + N, (t,)) for m in range(-o)]
+        else:
+            lower += [(m, m + o - N, (t,)) for m in range(N - o, N)]
+    return CornerOperator(H, tuple(upper), tuple(lower))
+
+
+def build_chain_matrix(stencil: ChainStencil) -> np.ndarray:
+    """Assemble the dense N x N matrix for a ChainStencil: `chain_operator`
+    at the stencil's corner deformation."""
+    return chain_operator(stencil).at(stencil.corner_deform)
 
 
 @dataclass(frozen=True)
@@ -351,7 +408,9 @@ def hausdorff_points(a, b) -> float:
 
     Pair distances are ``sqrt(dx*dx + dy*dy)``, the arithmetic of a
     Euclidean ``cdist``, not ``abs`` of the complex difference (``hypot``),
-    which can differ in the last bit.
+    which can differ in the last bit.  The min-max runs on the squared
+    distances and only its result is square-rooted: sqrt is monotone and
+    correctly rounded, so that is the same number.
     """
     va = np.asarray(getattr(a, "eigenvalues", a), dtype=complex).ravel()
     vb = np.asarray(getattr(b, "eigenvalues", b), dtype=complex).ravel()
@@ -362,5 +421,4 @@ def hausdorff_points(a, b) -> float:
     dy = np.subtract.outer(va.imag, vb.imag)
     dy *= dy
     D += dy
-    np.sqrt(D, out=D)
-    return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
+    return float(np.sqrt(max(D.min(axis=1).max(), D.min(axis=0).max())))

@@ -8,7 +8,10 @@ Bloch functions with their three non-winding parameter families.
 
 `hn_eigenvalues`, `ssh_eigenvalues` and `mixed_longrange_eigenvalues` take
 the eigenvalues from one dense eigensolve of the chain matrix (provenance
-"oracle"); the command line uses them alone.  `hn_spectrum`, `ssh_spectrum`
+"oracle").  Each is its per-size line (`hn_line`, `ssh_line`,
+`mixed_longrange_line`) at one delta: the line builds the matrix without
+its corners once and adds the corners per delta, and the command line uses
+the lines alone.  `hn_spectrum`, `ssh_spectrum`
 and `mixed_longrange_spectrum` call them and also recover the shifted
 wavenumbers from the eigenvalues: cos(alpha_tilde) =
 (lambda - t_d) / (2 sqrt(t_l) sqrt(t_r)) for the one-band chain, the
@@ -27,7 +30,8 @@ at large N it loses digits or raises `NumericalError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cache
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,7 +44,16 @@ from .alphasolver import (
     polynomialize,
     roots,
 )
-from .core import ChainStencil, NumericalError, Spectrum, build_chain_matrix, dense_spectrum
+from .core import (
+    ChainStencil,
+    CornerOperator,
+    NumericalError,
+    Spectrum,
+    build_chain_matrix,
+    chain_operator,
+    cmul,
+    dense_spectrum,
+)
 from .core import as_corner_pair as _pair
 from .core import principal_sqrt as _sq
 
@@ -50,12 +63,15 @@ __all__ = [
     "LongRangeParams",
     "hn_stencil",
     "hn_matrix",
+    "hn_line",
     "hn_eigenvalues",
     "hn_spectrum",
     "hn_closed_form",
     "hn_eigenvector",
     "hn_balanced",
+    "ssh_operator",
     "ssh_matrix",
+    "ssh_line",
     "ssh_eigenvalues",
     "ssh_spectrum",
     "ssh_closed_form",
@@ -64,6 +80,7 @@ __all__ = [
     "unidirectional_matrix",
     "unidirectional_spectrum",
     "mixed_longrange_matrix",
+    "mixed_longrange_line",
     "mixed_longrange_eigenvalues",
     "mixed_longrange_spectrum",
     "mixed_longrange_closed_form",
@@ -224,21 +241,43 @@ def hn_closed_form(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     return Spectrum(lam, "analytic", params), aset
 
 
+def hn_line(p: HNParams, N: int) -> Callable[[object], Spectrum]:
+    """delta -> `hn_eigenvalues(p, N, delta)`, the chain matrix built once.
+
+    Returns a function of a scalar delta or a (delta_l, delta_r) pair; each
+    call takes its matrix from one `CornerOperator`, so a caller that
+    solves the chain at many deformations (a sensitivity fit) pays for the
+    assembly once, and gets the same spectra bit for bit.
+    """
+    @cache
+    def op() -> CornerOperator:
+        # built on first use: the exact sets need no matrix, and N = 2 has
+        # one at delta = 0 but no banded matrix
+        return chain_operator(hn_stencil(p, N, 0.0))
+
+    if p.t_l == 0 or p.t_r == 0:
+        return lambda delta: _zero_hopping_spectrum(op().at(delta))
+
+    def line(delta) -> Spectrum:
+        params = {"model": "hn", "N": N, "delta": _pair(delta)}
+        exact = _hn_exact_alpha_set(p, N, delta)
+        if exact is not None:
+            return Spectrum(_hn_lambda(p, exact.expand()), "analytic", params)
+        return dense_spectrum(op().at(delta), parameters=params)
+
+    return line
+
+
 def hn_eigenvalues(p: HNParams, N: int, delta) -> Spectrum:
     """Eigenvalues lambda = t_d + 2 sqrt(t_l) sqrt(t_r) cos(alpha_tilde).
 
     The plain chain with symmetric corners at delta = 0 and +-1 has exact
     wavenumber sets and an "analytic" spectrum.  Otherwise the eigenvalues
     come from a dense eigensolve (provenance "oracle"); a vanishing hopping
-    gets one too, with parameters {"fallback": "zero hopping"}.
+    gets one too, with parameters {"fallback": "zero hopping"}.  This is
+    `hn_line(p, N)` at one delta.
     """
-    if p.t_l == 0 or p.t_r == 0:
-        return _zero_hopping_spectrum(hn_matrix(p, N, delta))
-    params = {"model": "hn", "N": N, "delta": _pair(delta)}
-    exact = _hn_exact_alpha_set(p, N, delta)
-    if exact is not None:
-        return Spectrum(_hn_lambda(p, exact.expand()), "analytic", params)
-    return dense_spectrum(hn_matrix(p, N, delta), parameters=params)
+    return hn_line(p, N)(delta)
 
 
 def hn_spectrum(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
@@ -318,29 +357,51 @@ class SSHParams:
         return 1j * np.log((_sq(self.tr1) * _sq(self.tr2)) / (_sq(self.tl1) * _sq(self.tl2)))
 
 
-def ssh_matrix(p: SSHParams, N: int, delta) -> np.ndarray:
-    """Chain matrix; even N wraps corners delta * tr2 / delta * tl2, odd N
-    uses the square-root corner elements delta_r sqrt(tr1 tr2) and
-    delta_l sqrt(tl1 tl2)."""
-    dl, dr = _pair(delta)
+def ssh_operator(p: SSHParams, N: int) -> CornerOperator:
+    """The chain matrix as a function of delta; even N wraps corners
+    delta * tr2 / delta * tl2, odd N uses the square-root corner elements
+    delta_r sqrt(tr1) sqrt(tr2) and delta_l sqrt(tl1) sqrt(tl2), multiplied
+    in that order."""
     H = np.zeros((N, N), dtype=complex)
-    for m in range(N):
-        H[m, m] = p.v1 if m % 2 == 0 else p.v2
-    for m in range(N - 1):
-        H[m, m + 1] = p.tl1 if m % 2 == 0 else p.tl2
-        H[m + 1, m] = p.tr1 if m % 2 == 0 else p.tr2
+    sites = np.arange(N)
+    H[sites, sites] = np.where(sites % 2 == 0, p.v1, p.v2)
+    bonds = sites[:-1]
+    H[bonds, bonds + 1] = np.where(bonds % 2 == 0, p.tl1, p.tl2)
+    H[bonds + 1, bonds] = np.where(bonds % 2 == 0, p.tr1, p.tr2)
     if N % 2 == 0:
-        H[0, N - 1] += dr * p.tr2
-        H[N - 1, 0] += dl * p.tl2
+        upper, lower = (p.tr2,), (p.tl2,)
     else:
-        H[0, N - 1] += dr * _sq(p.tr1) * _sq(p.tr2)
-        H[N - 1, 0] += dl * _sq(p.tl1) * _sq(p.tl2)
-    return H
+        upper, lower = (_sq(p.tr1), _sq(p.tr2)), (_sq(p.tl1), _sq(p.tl2))
+    return CornerOperator(H, ((0, N - 1, upper),), ((N - 1, 0, lower),))
+
+
+def ssh_matrix(p: SSHParams, N: int, delta) -> np.ndarray:
+    """`ssh_operator(p, N)` at delta."""
+    return ssh_operator(p, N).at(delta)
 
 
 def _ssh_lambda2(p: SSHParams, alphas: np.ndarray) -> np.ndarray:
     C1 = _sq(p.tl1) * _sq(p.tr1) * _sq(p.tl2) * _sq(p.tr2)
     return p.v * p.v + p.tl1 * p.tr1 + p.tl2 * p.tr2 + 2.0 * np.cos(alphas) * C1
+
+
+def ssh_line(p: SSHParams, N: int) -> Callable[[object], Spectrum]:
+    """delta -> `ssh_eigenvalues(p, N, delta)`, the chain matrix built once
+    (see `hn_line`).  An odd chain with on-site potentials raises here."""
+    op = ssh_operator(p, N)
+    if not p.hoppings_nonzero:
+        return lambda delta: _zero_hopping_spectrum(op.at(delta))
+    if N % 2 and (p.v1 != 0 or p.v2 != 0):
+        raise ValueError("odd-length chains are solved without on-site potentials")
+
+    def line(delta) -> Spectrum:
+        dl, dr = _pair(delta)
+        meta = {"model": "ssh", "N": N, "delta": (dl, dr)}
+        if N % 2 and dl == 0 and dr == 0:
+            return _ssh_odd_open(p, N, meta)[0]
+        return dense_spectrum(op.at(delta), parameters=meta)
+
+    return line
 
 
 def ssh_eigenvalues(p: SSHParams, N: int, delta) -> Spectrum:
@@ -351,17 +412,10 @@ def ssh_eigenvalues(p: SSHParams, N: int, delta) -> Spectrum:
     has an exact wavenumber set and an "analytic" spectrum.  Otherwise the
     eigenvalues come from a dense eigensolve (provenance "oracle"); a
     vanishing hopping gets one too, with parameters {"fallback": "zero
-    hopping"}.  Odd chains take no on-site potentials.
+    hopping"}.  Odd chains take no on-site potentials.  This is
+    `ssh_line(p, N)` at one delta.
     """
-    if not p.hoppings_nonzero:
-        return _zero_hopping_spectrum(ssh_matrix(p, N, delta))
-    if N % 2 and (p.v1 != 0 or p.v2 != 0):
-        raise ValueError("odd-length chains are solved without on-site potentials")
-    dl, dr = _pair(delta)
-    meta = {"model": "ssh", "N": N, "delta": (dl, dr)}
-    if N % 2 and dl == 0 and dr == 0:
-        return _ssh_odd_open(p, N, meta)[0]
-    return dense_spectrum(ssh_matrix(p, N, delta), parameters=meta)
+    return ssh_line(p, N)(delta)
 
 
 def ssh_spectrum(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
@@ -561,17 +615,29 @@ def mixed_longrange_matrix(t_r, u_l, delta, N: int) -> np.ndarray:
     return build_chain_matrix(ChainStencil(N, {2: u_l, -1: t_r}, (0.0,), complex(delta)))
 
 
+def mixed_longrange_line(t_r, u_l, N: int) -> Callable[[object], Spectrum]:
+    """delta -> `mixed_longrange_eigenvalues(t_r, u_l, delta, N)`, the chain
+    matrix built once (see `hn_line`); delta is a scalar."""
+    t_r, u_l = complex(t_r), complex(u_l)
+    op = chain_operator(ChainStencil(N, {2: u_l, -1: t_r}, (0.0,)))
+    if t_r == 0 or u_l == 0:
+        return lambda delta: _zero_hopping_spectrum(op.at(complex(delta)))
+
+    def line(delta) -> Spectrum:
+        d = complex(delta)
+        return dense_spectrum(op.at(d), parameters={"model": "mixed-longrange", "N": N, "delta": d})
+
+    return line
+
+
 def mixed_longrange_eigenvalues(t_r, u_l, delta, N: int) -> Spectrum:
     """Spectrum of the chain with +2 and -1 hops, lambda = u_l y^2 + t_r / y.
 
     The eigenvalues come from a dense eigensolve (provenance "oracle"); with
     a vanishing hopping its parameters are {"fallback": "zero hopping"}.
+    This is `mixed_longrange_line(t_r, u_l, N)` at one delta.
     """
-    t_r, u_l = complex(t_r), complex(u_l)
-    H = mixed_longrange_matrix(t_r, u_l, delta, N)
-    if t_r == 0 or u_l == 0:
-        return _zero_hopping_spectrum(H)
-    return dense_spectrum(H, parameters={"model": "mixed-longrange", "N": N, "delta": complex(delta)})
+    return mixed_longrange_line(t_r, u_l, N)(delta)
 
 
 def mixed_longrange_spectrum(t_r, u_l, delta, N: int) -> tuple[Spectrum, AlphaSet]:
@@ -622,10 +688,10 @@ def bloch_1d(params: LongRangeParams, k):
     """Scalar Bloch value t_l e^{ik} + t_r e^{-ik} + u_l e^{2ik} + u_r e^{-2ik}."""
     k = np.asarray(k, dtype=float)
     out = (
-        params.t_l * np.exp(1j * k)
-        + params.t_r * np.exp(-1j * k)
-        + params.u_l * np.exp(2j * k)
-        + params.u_r * np.exp(-2j * k)
+        cmul(params.t_l, np.exp(1j * k))
+        + cmul(params.t_r, np.exp(-1j * k))
+        + cmul(params.u_l, np.exp(2j * k))
+        + cmul(params.u_r, np.exp(-2j * k))
     )
     return complex(out) if out.ndim == 0 else out
 

@@ -15,8 +15,9 @@ and delta1, and stacking factors in conjugate pairs (BC1, or BC2 with a real
 delta2 > 0), block N2-j is the conjugate of block j: each pair is solved
 once, and the self-conjugate blocks (j = 0 and N2/2) in real arithmetic;
 otherwise all N2 blocks are solved in one complex batch.
-`stacked_eigenvalues` returns these eigenvalues alone; the command line
-takes them from it.  `stacked_hn_spectrum` and `stacked_ssh_spectrum` also
+`stacked_line` returns delta1 -> these eigenvalues alone, with the blocks'
+operators and the stacking factors built once, and `stacked_eigenvalues` is
+that line at one delta1; the command line takes them from the line.  `stacked_hn_spectrum` and `stacked_ssh_spectrum` also
 recover each block's shifted wavenumbers from its eigenvalues through the
 dispersion relation of the block's effective chain, by the same inversion
 helpers as the 1D chains (models1d).  Those wavenumbers lose
@@ -26,20 +27,21 @@ The closed forms carry the balance verdicts and the envelope curves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from .alphasolver import AlphaSet
-from .core import ChainStencil, EigensolverError, Spectrum, build_chain_matrix, dense_spectrum
-from .models1d import SSHParams, _alpha_set_from_cos, _hn_wavenumbers, _ssh_wavenumbers, ssh_matrix
+from .core import ChainStencil, CornerOperator, EigensolverError, Spectrum, chain_operator, dense_spectrum
+from .models1d import SSHParams, _alpha_set_from_cos, _hn_wavenumbers, _ssh_wavenumbers, ssh_operator
 
 __all__ = [
     "Stacked2DSpec",
     "EnvelopeCurves",
     "build_stacked_matrix",
     "bc_reduce",
+    "stacked_line",
     "stacked_eigenvalues",
     "stacked_hn_spectrum",
     "stacked_hn_balance",
@@ -131,35 +133,34 @@ class Stacked2DSpec:
                          "use the dense oracle on build_stacked_matrix")
 
 
-def _hn_like_block(n, diag, sup, sub, delta1) -> np.ndarray:
+def _hn_like_operator(n, diag, sup, sub) -> CornerOperator:
     hops = {}
     if sup != 0:
         hops[1] = sup
     if sub != 0:
         hops[-1] = sub
-    return build_chain_matrix(ChainStencil(n, hops, (diag,), delta1))
+    return chain_operator(ChainStencil(n, hops, (diag,)))
+
+
+def block_operators(spec: Stacked2DSpec) -> tuple[CornerOperator, CornerOperator, CornerOperator]:
+    """The three N1 x N1 blocks (A, B, C) as functions of delta1."""
+    p, n1 = spec.params, spec.n1
+    if spec.family == "hn":
+        return (_hn_like_operator(n1, p["t_d"], p["t_l"], p["t_r"]),
+                _hn_like_operator(n1, p["u_d"], p["v_dl"], p["v_dr"]),
+                _hn_like_operator(n1, p["u_u"], p["v_ul"], p["v_ur"]))
+    if spec.family == "triangular":
+        return (_hn_like_operator(n1, 0.0, p["t_l"], p["t_r"]),
+                _hn_like_operator(n1, p["t_r"], 0.0, p["t_l"]),
+                _hn_like_operator(n1, p["t_l"], p["t_r"], 0.0))
+    return (ssh_operator(SSHParams(p["tl1"], p["tr1"], p["tl2"], p["tr2"], p["td1"], p["td2"]), n1),
+            ssh_operator(SSHParams(p["vdl1"], p["vdr1"], p["vdl2"], p["vdr2"], p["ud1"], p["ud2"]), n1),
+            ssh_operator(SSHParams(p["vul1"], p["vur1"], p["vul2"], p["vur2"], p["uu1"], p["uu2"]), n1))
 
 
 def blocks(spec: Stacked2DSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three N1 x N1 blocks (A, B, C) at this delta1."""
-    p = spec.params
-    d1 = spec.delta1
-    if spec.family == "hn":
-        A = _hn_like_block(spec.n1, p["t_d"], p["t_l"], p["t_r"], d1)
-        B = _hn_like_block(spec.n1, p["u_d"], p["v_dl"], p["v_dr"], d1)
-        C = _hn_like_block(spec.n1, p["u_u"], p["v_ul"], p["v_ur"], d1)
-    elif spec.family == "triangular":
-        A = _hn_like_block(spec.n1, 0.0, p["t_l"], p["t_r"], d1)
-        B = _hn_like_block(spec.n1, p["t_r"], 0.0, p["t_l"], d1)
-        C = _hn_like_block(spec.n1, p["t_l"], p["t_r"], 0.0, d1)
-    else:
-        A = ssh_matrix(SSHParams(p["tl1"], p["tr1"], p["tl2"], p["tr2"], p["td1"], p["td2"]),
-                       spec.n1, d1)
-        B = ssh_matrix(SSHParams(p["vdl1"], p["vdr1"], p["vdl2"], p["vdr2"], p["ud1"], p["ud2"]),
-                       spec.n1, d1)
-        C = ssh_matrix(SSHParams(p["vul1"], p["vur1"], p["vul2"], p["vur2"], p["uu1"], p["uu2"]),
-                       spec.n1, d1)
-    return A, B, C
+    return tuple(op.at(spec.delta1) for op in block_operators(spec))
 
 
 def build_stacked_matrix(spec: Stacked2DSpec) -> np.ndarray:
@@ -228,23 +229,22 @@ def _stack_h_coeffs(spec: Stacked2DSpec, s: complex) -> dict:
     }
 
 
-def _bloch_eigvals(spec: Stacked2DSpec, s: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the N2 Bloch blocks, one row per block j.
+def _bloch_eigvals(A, B, C, s: np.ndarray, conjugate_pairs: bool) -> np.ndarray:
+    """Eigenvalues of the N2 Bloch blocks A + s_j B + C / s_j, one row per
+    block j.
 
-    With real hoppings and delta1, and stacking factors in conjugate pairs
-    (BC1, or BC2 with a real delta2 > 0), block N2-j is the conjugate of
-    block j, so only j = 0..N2/2 are solved: the self-conjugate blocks
-    (j = 0, and N2/2 for even N2) in real arithmetic, the others in one
-    complex batch whose conjugates fill rows N2-j.  Otherwise all N2 blocks
-    go through one complex batched eigvals.
+    With `conjugate_pairs` (real hoppings and delta1, and stacking factors
+    in conjugate pairs: BC1, or BC2 with a real delta2 > 0), block N2-j is
+    the conjugate of block j, so only j = 0..N2/2 are solved: the
+    self-conjugate blocks (j = 0, and N2/2 for even N2) in real arithmetic,
+    the others in one complex batch whose conjugates fill rows N2-j.
+    Otherwise all N2 blocks go through one complex batched eigvals.
     """
-    real = all(v.imag == 0 for v in spec.params.values()) and complex(spec.delta1).imag == 0
-    paired = spec.mode == "bc1" or (spec.delta2.imag == 0 and spec.delta2.real > 0)
-    if not (real and paired):
-        return np.linalg.eigvals(np.stack(bc_reduce(spec)))
-    n2 = spec.n2
-    A, B, C = (M.real for M in blocks(spec))
-    lam = np.empty((n2, spec.n1), dtype=complex)
+    if not conjugate_pairs:
+        return np.linalg.eigvals(np.stack([A + x * B + C / x for x in s]))
+    n2 = len(s)
+    A, B, C = A.real, B.real, C.real
+    lam = np.empty((n2, len(A)), dtype=complex)
     selfconj = [0, n2 // 2] if n2 % 2 == 0 else [0]
     r = s[selfconj].real[:, None, None]
     lam[selfconj] = np.linalg.eigvals(A + r * B + C / r)
@@ -256,17 +256,34 @@ def _bloch_eigvals(spec: Stacked2DSpec, s: np.ndarray) -> np.ndarray:
     return lam
 
 
+def stacked_line(spec: Stacked2DSpec) -> Callable[[object], Spectrum]:
+    """delta1 -> `stacked_eigenvalues` of spec at that delta1 (spec.delta1
+    itself is not used), the blocks' operators and the stacking factors
+    built once; spectra equal `stacked_eigenvalues` bit for bit.  Open
+    stacking has no Bloch reduction and raises ValueError here."""
+    s = spec.stack_factors()
+    ops = block_operators(spec)
+    real_params = all(v.imag == 0 for v in spec.params.values())
+    paired = spec.mode == "bc1" or (spec.delta2.imag == 0 and spec.delta2.real > 0)
+
+    def line(delta1) -> Spectrum:
+        A, B, C = (op.at(delta1) for op in ops)
+        lam = _bloch_eigvals(A, B, C, s, real_params and paired and complex(delta1).imag == 0)
+        meta = {"model": f"stacked-{spec.family}", "n1": spec.n1, "n2": spec.n2, "mode": spec.mode}
+        return Spectrum(lam.ravel(), "bloch-oracle", meta)
+
+    return line
+
+
 def stacked_eigenvalues(spec: Stacked2DSpec) -> Spectrum:
     """Eigenvalues of a BC1/BC2 stack (hn, ssh or triangular family).
 
     The N2 Bloch blocks are solved by `_bloch_eigvals`, provenance
     "bloch-oracle", rows in block order j: N1 eigenvalues of block 0, then
     of block 1, and so on.  Open stacking has no Bloch reduction and raises
-    ValueError.
+    ValueError.  This is `stacked_line(spec)` at spec.delta1.
     """
-    lam = _bloch_eigvals(spec, spec.stack_factors())
-    meta = {"model": f"stacked-{spec.family}", "n1": spec.n1, "n2": spec.n2, "mode": spec.mode}
-    return Spectrum(lam.ravel(), "bloch-oracle", meta)
+    return stacked_line(spec)(spec.delta1)
 
 
 def _bloch_spectrum(spec: Stacked2DSpec, hop_keys: tuple, wavenumbers):

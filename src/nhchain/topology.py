@@ -5,16 +5,19 @@ by summing principal-branch phase increments on a uniform k grid, doubling
 the grid until the pre-rounding sum sits close to an integer.  Orientation
 convention: k runs from -pi to pi and counterclockwise loops count positive.
 
-A `BlochSampler` keeps H(k) on each closed grid it has sampled, so a scan
-over many base energies (`gap_classify`, `tridiag_det_winding`) evaluates
-the Bloch function once per grid point and grid size, and only the shifted
-determinants are recomputed per energy.
+A `BlochSampler` evaluates its Bloch function on a whole k grid in one
+call and keeps H(k) on each closed grid it has sampled, so a scan over many
+base energies (`gap_classify`, `tridiag_det_winding`) evaluates the Bloch
+function once per grid size, and only the shifted determinants are
+recomputed per energy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import cmul
 
 __all__ = [
     "BlochSampler",
@@ -31,8 +34,13 @@ UNRELIABLE_MIN_DET = 1e-10
 class BlochSampler:
     """Callable k -> H(k) (scalar or square block) with period 2 pi.
 
-    `grid(n)` holds H(k) on the closed grid linspace(-pi, pi, n + 1); each
-    grid size is evaluated once per sampler, one call of the function per k.
+    `fn` takes an array of k and returns H on all of them at once: shape
+    (n,) for a scalar curve, (n, dim, dim) for a block (a value that does
+    not depend on k may come without the k axis).  `grid(n)` holds H(k) on
+    the closed grid linspace(-pi, pi, n + 1); each grid size is evaluated
+    once per sampler, in one call of `fn`.  Products of complex arrays in
+    `fn` should go through `core.cmul` where H(k) must not depend on
+    whether k came alone or in an array.
     """
 
     def __init__(self, fn, dim: int = 1):
@@ -43,10 +51,9 @@ class BlochSampler:
     def __call__(self, k):
         return self.fn(k)
 
-    def _evaluate(self, ks) -> np.ndarray:
-        if self.dim == 1:
-            return np.array([complex(self.fn(k)) for k in ks])
-        return np.array([np.asarray(self.fn(k), dtype=complex) for k in ks])
+    def _evaluate(self, ks: np.ndarray) -> np.ndarray:
+        shape = ks.shape if self.dim == 1 else ks.shape + (self.dim, self.dim)
+        return np.broadcast_to(np.asarray(self.fn(ks), dtype=complex), shape)
 
     def grid(self, n: int) -> np.ndarray:
         """H(k) on linspace(-pi, pi, n + 1): shape (n + 1,) or (n + 1, dim, dim)."""
@@ -175,23 +182,23 @@ def _polyline_distance(pts: np.ndarray, z: complex) -> float:
     return float(np.abs(z - (a + t * d)).min())
 
 
-def tridiag_bloch_det(t_l, t_r, k, n_rows: int) -> complex:
+def tridiag_bloch_det(t_l, t_r, k, n_rows: int):
     """Determinant of the n_rows tridiagonal Bloch block by the recursion
     det(n) = a det(n-1) - b c det(n-2), det(1) = a, det(2) = a^2 - b c,
     with a = t_l e^{-ik} + t_r e^{ik}, b = t_r + t_l e^{ik},
-    c = t_l + t_r e^{-ik}."""
+    c = t_l + t_r e^{-ik}.  A complex for a scalar k, else an array of the
+    shape of k; products are taken by `core.cmul`, so both agree bit for bit.
+    """
     if n_rows < 1:
         raise ValueError(f"n_rows must be >= 1, got {n_rows}")
     t_l, t_r = complex(t_l), complex(t_r)
-    a = t_l * np.exp(-1j * k) + t_r * np.exp(1j * k)
-    b = t_r + t_l * np.exp(1j * k)
-    c = t_l + t_r * np.exp(-1j * k)
-    if n_rows == 1:
-        return complex(a)
+    k = np.asarray(k, dtype=float)
+    a = cmul(t_l, np.exp(-1j * k)) + cmul(t_r, np.exp(1j * k))
+    bc = cmul(t_r + cmul(t_l, np.exp(1j * k)), t_l + cmul(t_r, np.exp(-1j * k)))
     prev2, prev1 = 1.0 + 0j, a
     for _ in range(2, n_rows + 1):
-        prev2, prev1 = prev1, a * prev1 - b * c * prev2
-    return complex(prev1)
+        prev2, prev1 = prev1, cmul(a, prev1) - cmul(bc, prev2)
+    return complex(prev1) if prev1.ndim == 0 else prev1
 
 
 def tridiag_det_winding(t_l, t_r, n_rows: int, n_samples: int = 512):

@@ -582,3 +582,128 @@ def test_open_stack_takes_dense_route(tmp_path, model, params, task):
         want = nhchain.dense_spectrum(nhchain.build_stacked_matrix(spec)).eigenvalues
         assert np.array_equal(np.sort_complex(got), np.sort_complex(want))
     assert {r[4] for r in rows} == {"oracle"}
+
+
+STACK_HN_UNBALANCED = {"t_d": 1, "t_r": 2, "t_l": 3, "u_u": 4, "v_ur": 5, "v_ul": 6, "u_d": 7,
+                       "v_dr": 8, "v_dl": 9}
+
+
+# (hoppings, mode): (exit code, sidecar entry) of the balance and envelope tasks
+BLOCH_TASKS = {
+    ("balanced", "bc1"): ((0, {"case": "case2"}), (0, {"case": "case2"})),
+    ("balanced", "bc2"): ((0, {"case": "case2"}), (0, {"case": "case2"})),
+    ("unbalanced", "bc1"): ((0, {"case": "unbalanced"}), (2, None)),
+    ("unbalanced", "bc2"): ((0, {"case": "unbalanced"}), (2, None)),
+    ("balanced", "open"): ((2, None), (2, None)),
+    ("unbalanced", "open"): ((2, None), (2, None)),
+}
+
+
+@pytest.mark.parametrize("hoppings, mode", sorted(BLOCH_TASKS))
+@pytest.mark.parametrize("task", ["balance", "envelope"])
+def test_balance_and_envelope_need_a_bloch_reduction(tmp_path, capsys, hoppings, mode, task):
+    """Open stacking has no Bloch reduction: balance and envelope are a
+    configuration error there, whatever the hoppings; BC1 and BC2 answer
+    from the classification as before."""
+    params = STACK_HN if hoppings == "balanced" else STACK_HN_UNBALANCED
+    path = write_config(tmp_path, "c.json", {
+        "model": "stacked-hn", "task": task, "params": params, "sizes": {"N1": 4, "N2": 4},
+        "delta": 0.3, "mode": mode, "delta2": 0.5, "output": "out"})
+    code, entry = BLOCH_TASKS[hoppings, mode][task == "envelope"]
+    assert main([task, "--config", str(path), "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert json.loads((tmp_path / "out.json").read_text())[task] == entry
+    elif mode == "open":
+        assert f"{task} is not defined for mode 'open'" in err
+        with pytest.raises(ConfigError, match="mode 'open'"):
+            run(parse_config(json.loads(path.read_text())), tmp_path)
+    else:
+        assert "envelope curves are defined for balanced stacks" in err
+
+
+def test_open_triangular_refuses_balance(tmp_path, capsys):
+    path = write_config(tmp_path, "c.json", {
+        "model": "triangular", "task": "balance", "params": {"t_l": 1.0, "t_r": 2.0},
+        "sizes": {"N1": 4, "N2": 4}, "mode": "open", "output": "out"})
+    assert main(["balance", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "mode 'open'" in capsys.readouterr().err
+
+
+SENSITIVITY_CASES = {
+    "hn_real": ("hn", {"t_l": 1.0, "t_r": 1.7}, {"N": 12}, [6, 8, 10, 12]),
+    "hn_complex": ("hn", {"t_l": 1.0, "t_r": [0.9, 0.6]}, {"N": 12}, [6, 8, 10, 12]),
+    "ssh": ("ssh", {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 3.9}, {"N": 12}, [6, 8, 10, 12]),
+    "mixed_longrange": ("mixed-longrange", {"t_r": 1.6, "u_l": 1.0}, {"N": 10}, [5, 6, 8, 10]),
+    "stacked_hn": ("stacked-hn", dict(STACK_HN_UNBALANCED, t_l=2.8), {"N1": 4, "N2": 4},
+                   [3, 4, 5, 6]),
+    "stacked_ssh": ("stacked-ssh", STACK_SSH, {"N1": 4, "N2": 3}, [2, 4, 6, 8]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SENSITIVITY_CASES))
+def test_sensitivity_task_equals_direct_family(monkeypatch, name):
+    """The task's per-size lines and (size, delta) memo report what the
+    screen and fit report on a fresh `spectrum_for` per call; the fit at the
+    configured size reuses the screen's delta = 0 and 1."""
+    from nhchain import cli, sensitivity
+
+    model, params, sizes, n_list = SENSITIVITY_CASES[name]
+    cfg = parse_config({"model": model, "task": "sensitivity", "params": params, "sizes": sizes,
+                        "threshold": 0.5, "n_list": n_list, "output": "sens"})
+    key = cli.MODELS[model].sizes[0]
+    calls = []
+    counted = cli.spectrum_for
+
+    def spectrum_for(c, d, line=None):
+        calls.append(line is None)
+        return counted(c, d, line)
+
+    monkeypatch.setattr(cli, "spectrum_for", spectrum_for)
+    screen = sensitivity.classify_sensitivity(lambda d: cli.spectrum_for(cfg, d)[0])
+    report = sensitivity.sensitivity_exponent(
+        lambda n, d: cli.spectrum_for(dict(cfg, sizes=dict(cfg["sizes"], **{key: n})), d)[0],
+        cfg["threshold"], cfg["n_list"])
+    direct = {"screen": screen.as_dict(), "exponent": report.as_dict()}
+    n_direct = len(calls)
+    calls.clear()
+    assert cli._sensitivity_task(cfg) == direct
+    assert not any(calls)  # every solve through a line of the task
+    assert len(calls) == n_direct - 2
+
+
+def _per_k_bloch(model, p):
+    """The Bloch functions as they were evaluated one k at a time."""
+    if model == "hn":
+        return lambda k: p.get("t_d", 0.0) + p["t_l"] * np.exp(1j * k) + p["t_r"] * np.exp(-1j * k)
+    if model == "ssh":
+        return lambda k: np.array([
+            [p.get("v1", 0.0), p["tl1"] + p["tr2"] * np.exp(-1j * k)],
+            [p["tr1"] + p["tl2"] * np.exp(1j * k), p.get("v2", 0.0)]])
+    if model == "unidirectional":
+        return lambda k: p["t_l"] * np.exp(1j * k) + p["u_l"] * np.exp(2j * k)
+    if model == "mixed-longrange":
+        return lambda k: p["u_l"] * np.exp(2j * k) + p["t_r"] * np.exp(-1j * k)
+    offsets = {"t_m2": -2, "t_m1": -1, "t_0": 0, "t_p1": 1, "t_p2": 2}
+    return lambda k: sum(t * np.exp(1j * offsets[n] * k) for n, t in p.items())
+
+
+@pytest.mark.parametrize("model, keys", [
+    ("hn", ("t_l", "t_r", "t_d")), ("ssh", ("tl1", "tr1", "tl2", "tr2", "v1", "v2")),
+    ("unidirectional", ("t_l", "u_l")), ("mixed-longrange", ("t_r", "u_l")),
+    ("general-chain", ("t_m2", "t_m1", "t_0", "t_p1", "t_p2")),
+])
+def test_bloch_grids_equal_per_k_evaluation_bitwise(rng, model, keys):
+    """Each model's Bloch function on a whole grid equals its per-k
+    evaluation bit for bit, with complex hoppings, so winding and gap
+    outputs (min |det| included) do not depend on the batch."""
+    from nhchain import cli
+
+    for _ in range(5):
+        p = {k: complex(rng.normal(), rng.normal()) for k in keys}
+        sampler = cli.MODELS[model].bloch(p)
+        per_k = _per_k_bloch(model, p)
+        for n in (256, 512):
+            ks = np.linspace(-np.pi, np.pi, n + 1)
+            want = np.array([np.asarray(per_k(k), dtype=complex) for k in ks])
+            assert np.array_equal(sampler.grid(n).view(np.int64), want.view(np.int64))

@@ -4,7 +4,10 @@ import pytest
 from nhchain.core import (
     ChainStencil,
     EigensolverError,
+    as_corner_pair,
     build_chain_matrix,
+    chain_operator,
+    cmul,
     dense_spectrum,
     expectation_profiles,
     hausdorff_points,
@@ -66,6 +69,59 @@ class TestBuildChainMatrix:
         st = ChainStencil(4, {1: 1.0, -1: 1.0}, (0.5,), 0.0, end_onsite=(0.1, -0.2))
         H = build_chain_matrix(st)
         assert H[0, 0] == 0.6 and H[3, 3] == 0.3 and H[1, 1] == 0.5
+
+    def test_operator_equals_per_entry_assembly_bitwise(self, rng):
+        """chain_operator(st).at(delta) against the per-entry loop it
+        replaced, bit for bit, signed zeros included, at many deltas of one
+        operator (no delta leaks into the next)."""
+        def loop_build(st, delta):
+            N = st.n_sites
+            dl, dr = as_corner_pair(delta)
+            H = np.zeros((N, N), dtype=complex)
+            for m in range(N):
+                H[m, m] = st.onsite_pattern[m % len(st.onsite_pattern)]
+            if st.end_onsite is not None:
+                H[0, 0] += complex(st.end_onsite[0])
+                H[N - 1, N - 1] += complex(st.end_onsite[1])
+            for o, t in st.hoppings.items():
+                for m in range(N):
+                    n = m + o
+                    if 0 <= n < N:
+                        H[m, n] += t
+                    elif n < 0:
+                        H[m, n + N] += dr * t
+                    else:
+                        H[m, n - N] += dl * t
+            return H
+
+        deltas = [0.0, 1.0, -1.0, 1e-14, 0.3, 0.3 - 0.2j, (0.2, 0.7), (-0.0, 2.5j)]
+        for _ in range(40):
+            N = int(rng.integers(5, 14))
+            offsets = rng.choice([-2, -1, 1, 2], size=int(rng.integers(1, 5)), replace=False)
+            hops = {int(o): cnormal(rng) * rng.choice([1, 1j, -1]) for o in offsets}
+            hops[int(offsets[0])] = complex(-1.5, -0.0)  # a signed zero to keep
+            cell = tuple(cnormal(rng, int(rng.integers(1, 4))))
+            end = None if rng.random() < 0.5 else (cnormal(rng), -0.0)
+            st = ChainStencil(N, hops, cell, 0.0, end)
+            op = chain_operator(st)
+            for delta in deltas + deltas[::-1]:
+                got, want = op.at(delta), loop_build(st, delta)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert not op.bulk.flags.writeable
+
+
+def test_cmul_equals_scalar_products_bitwise(rng):
+    """An array of cmul products equals the complex scalar products taken
+    one at a time, at every array length (numpy's vectorised multiply need
+    not)."""
+    for n in (1, 2, 3, 7, 16, 257, 1000):
+        a = cnormal(rng, n) * 10.0 ** rng.uniform(-3, 3, n)
+        b = cnormal(rng, n)
+        t = cnormal(rng)
+        for got, want in ((cmul(a, b), [x * y for x, y in zip(a, b)]),
+                          (cmul(t, b), [t * y for y in b])):
+            assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    assert cmul(2j, 3j).shape == () and complex(cmul(2j, 3j)) == -6
 
 
 class TestDenseSpectrum:
@@ -274,6 +330,27 @@ class TestLocalizationReport:
 def test_hausdorff_examples():
     assert hausdorff_points([1 + 1j, 2.0], [1 + 1j, 2.0]) == 0.0
     assert hausdorff_points([0.0], [3.0, 4.0j]) == pytest.approx(4.0)
+
+
+def test_hausdorff_root_of_max_equals_max_of_roots(rng):
+    """The square root of the min-max squared distance is the min-max of the
+    square-rooted distance matrix (the formula it replaced), bit for bit,
+    on sets with tied distances: lattice points, repeats and mirror images."""
+    def sqrt_matrix_reference(a, b):
+        D = np.subtract.outer(a.real, b.real) ** 2 + np.subtract.outer(a.imag, b.imag) ** 2
+        D = np.sqrt(D)
+        return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
+
+    for _ in range(500):
+        n, m = rng.integers(1, 30, size=2)
+        scale = 10.0 ** rng.uniform(-8, 4)
+        a = (rng.integers(-3, 4, size=n) + 1j * rng.integers(-3, 4, size=n)) * scale
+        b = (rng.integers(-3, 4, size=m) + 1j * rng.integers(-3, 4, size=m)) * scale
+        b = np.concatenate([b, a[: int(rng.integers(0, n + 1))], a.conj()[:2]])
+        if rng.random() < 0.5:
+            b = b + (rng.normal(size=len(b)) + 1j * rng.normal(size=len(b))) * scale * 1e-9
+        assert hausdorff_points(a, b) == sqrt_matrix_reference(a, b)
+        assert hausdorff_points(b, a) == sqrt_matrix_reference(b, a)
 
 
 def test_hausdorff_equals_cdist_reference(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nhchain.core import dense_spectrum, match_spectra, spectral_mismatch
+from nhchain.core import as_corner_pair, dense_spectrum, match_spectra, principal_sqrt, spectral_mismatch
 from nhchain.models1d import (
     HNParams,
     LongRangeParams,
@@ -9,14 +9,20 @@ from nhchain.models1d import (
     _one_per_pair,
     bloch_1d,
     hn_balanced,
+    hn_eigenvalues,
     hn_eigenvector,
+    hn_line,
     hn_matrix,
     hn_spectrum,
     impurity_states,
+    mixed_longrange_eigenvalues,
+    mixed_longrange_line,
     mixed_longrange_matrix,
     mixed_longrange_spectrum,
     nonwinding_family,
     ssh_balanced,
+    ssh_eigenvalues,
+    ssh_line,
     ssh_matrix,
     ssh_spectrum,
     ssh_zero_mode_predicate,
@@ -391,3 +397,98 @@ class TestOnePerPair:
         assert np.array_equal(c, before)
         assert match_spectra(kept[0], [a, b]) < 1e-15
         assert match_spectra(kept[1], [1.0, -2.0]) < 1e-15
+
+
+def _same_spectrum(a, b) -> bool:
+    """Equal eigenvalue bits, provenance and parameters."""
+    return (np.array_equal(a.eigenvalues.view(np.int64), b.eigenvalues.view(np.int64))
+            and a.provenance == b.provenance and a.parameters == b.parameters)
+
+
+LINE_DELTAS = [0.0, 1.0, -1.0, 1e-14, 0.3, (0.2, 0.7), 0.3, 1e-14, -1.0, 1.0, 0.0]
+
+
+class TestLines:
+    """A per-size line evaluated at one delta after another equals the
+    `*_eigenvalues` call at each delta, bit for bit: the operator it keeps
+    is not changed by an evaluation."""
+
+    @pytest.mark.parametrize("p, N", [
+        (HNParams(1.0, 1.5), 20),
+        (HNParams(1.0, 2.0 * np.exp(0.7j), t_d=0.3), 12),
+        (HNParams(1.0, 1.0), 9),                     # Hermitian: exact sets at 0 and +-1
+        (HNParams(1.0, 2.0, eps1=0.4, epsN=-0.2j), 10),  # no exact sets
+        (HNParams(1.0, 0.0), 8),                     # zero hopping
+        (HNParams(0.0, 2.0, t_d=1.0), 8),
+    ])
+    def test_hn_line(self, p, N):
+        line = hn_line(p, N)
+        for delta in LINE_DELTAS:
+            assert _same_spectrum(line(delta), hn_eigenvalues(p, N, delta))
+            if "fallback" not in line(delta).parameters and line(delta).provenance == "oracle":
+                assert _same_spectrum(line(delta), dense_spectrum(
+                    hn_matrix(p, N, delta), parameters=line(delta).parameters))
+
+    def test_hn_line_two_sites(self):
+        # N = 2 has its exact set at delta = 0 and no banded matrix
+        line = hn_line(HNParams(1.0, 2.0), 2)
+        assert _same_spectrum(line(0.0), hn_eigenvalues(HNParams(1.0, 2.0), 2, 0.0))
+        with pytest.raises(ValueError, match="too large for N = 2"):
+            line(0.3)
+
+    @pytest.mark.parametrize("p, N", [
+        (SSHParams(1.0, 2.0, 3.0, 3.7), 20),
+        (SSHParams(1.0, 2.0, 3.0, 3.7), 9),          # odd: exact set at delta = 0
+        (SSHParams(1.0, -1j, 4.0, 8.0 * np.exp(0.3j)), 11),
+        (SSHParams(1.0, 2.0, 3.0, 4.0, v1=0.5, v2=-0.25j), 8),
+        (SSHParams(1.0, 0.0, 3.0, 4.0), 7),          # zero hopping
+        (SSHParams(1.0, 2.0, 3.0, 4.0), 1),
+    ])
+    def test_ssh_line(self, p, N):
+        line = ssh_line(p, N)
+        for delta in LINE_DELTAS:
+            assert _same_spectrum(line(delta), ssh_eigenvalues(p, N, delta))
+
+    def test_ssh_line_odd_with_potentials_raises(self):
+        p = SSHParams(1.0, 2.0, 3.0, 4.0, v1=0.5)
+        for call in (lambda: ssh_line(p, 9), lambda: ssh_eigenvalues(p, 9, 0.3)):
+            with pytest.raises(ValueError, match="without on-site potentials"):
+                call()
+
+    @pytest.mark.parametrize("p, N", [
+        (SSHParams(1.0, 2.0, 3.0, 3.7, v1=0.5, v2=-0.5), 6),
+        (SSHParams(1.0, -1j, 4.0 + 1j, 8.0 * np.exp(0.3j)), 7),
+        (SSHParams(-1.0, 2.0, -3.0, 4.0), 1),
+        (SSHParams(1.0, 2.0, 3.0, 4.0), 2),
+    ])
+    def test_ssh_matrix_equals_per_entry_assembly_bitwise(self, p, N):
+        """The corners of odd chains are (delta sqrt(a)) sqrt(b), as the
+        per-entry assembly multiplies them."""
+        def loop_build(delta):
+            dl, dr = as_corner_pair(delta)
+            H = np.zeros((N, N), dtype=complex)
+            for m in range(N):
+                H[m, m] = p.v1 if m % 2 == 0 else p.v2
+            for m in range(N - 1):
+                H[m, m + 1] = p.tl1 if m % 2 == 0 else p.tl2
+                H[m + 1, m] = p.tr1 if m % 2 == 0 else p.tr2
+            if N % 2 == 0:
+                H[0, N - 1] += dr * p.tr2
+                H[N - 1, 0] += dl * p.tl2
+            else:
+                H[0, N - 1] += dr * principal_sqrt(p.tr1) * principal_sqrt(p.tr2)
+                H[N - 1, 0] += dl * principal_sqrt(p.tl1) * principal_sqrt(p.tl2)
+            return H
+
+        for delta in LINE_DELTAS + [0.3 + 0.1j]:
+            assert np.array_equal(ssh_matrix(p, N, delta).view(np.int64),
+                                  loop_build(delta).view(np.int64))
+
+    @pytest.mark.parametrize("t_r, u_l, N", [(1.0, 2.0, 20), (2.0 * np.exp(0.4j), 1.0, 13),
+                                            (0.0, 1.0, 8), (1.0, 0.0, 8)])
+    def test_mixed_longrange_line(self, t_r, u_l, N):
+        line = mixed_longrange_line(t_r, u_l, N)
+        for delta in [d for d in LINE_DELTAS if not isinstance(d, tuple)] + [0.3 - 0.2j]:
+            assert _same_spectrum(line(delta), mixed_longrange_eigenvalues(t_r, u_l, delta, N))
+        with pytest.raises(TypeError):
+            line((0.2, 0.7))

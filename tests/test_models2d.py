@@ -31,8 +31,10 @@ from nhchain.models2d import (
     segment_distance,
     separable_square_matrix,
     separable_square_spectrum,
+    stacked_eigenvalues,
     stacked_hn_balance,
     stacked_hn_spectrum,
+    stacked_line,
     stacked_ssh_balance,
     stacked_ssh_spectrum,
     triangular_spec,
@@ -731,3 +733,52 @@ class TestBlochRoute:
         cplx = Stacked2DSpec("ssh", dict(STACK_SSH_CASE4, tl1=1 + 0.5j), 6, 8, 0.37, "bc1")
         assert self._blocks_solved(monkeypatch, stacked_ssh_spectrum, real)[1] == 5
         assert self._blocks_solved(monkeypatch, stacked_ssh_spectrum, cplx)[1] == 8
+
+
+def _bloch_reference(spec):
+    """The Bloch eigenvalues of `spec` solved from its own blocks, as
+    `stacked_eigenvalues` solved them before it took them from a line."""
+    real = all(v.imag == 0 for v in spec.params.values()) and complex(spec.delta1).imag == 0
+    paired = spec.mode == "bc1" or (spec.delta2.imag == 0 and spec.delta2.real > 0)
+    s = spec.stack_factors()
+    if not (real and paired):
+        return np.linalg.eigvals(np.stack(bc_reduce(spec))).ravel()
+    n2 = spec.n2
+    A, B, C = (M.real for M in blocks(spec))
+    lam = np.empty((n2, spec.n1), dtype=complex)
+    selfconj = [0, n2 // 2] if n2 % 2 == 0 else [0]
+    r = s[selfconj].real[:, None, None]
+    lam[selfconj] = np.linalg.eigvals(A + r * B + C / r)
+    pairs = np.arange(1, (n2 + 1) // 2)
+    if len(pairs):
+        t = s[pairs][:, None, None]
+        lam[pairs] = np.linalg.eigvals(A + t * B + C / t)
+        lam[n2 - pairs] = lam[pairs].conj()
+    return lam.ravel()
+
+
+class TestStackedLine:
+    """One line evaluated at one delta1 after another equals
+    `stacked_eigenvalues` of the spec at each delta1, bit for bit."""
+
+    @pytest.mark.parametrize("family, params, n1, n2, mode, delta2", [
+        ("hn", STACK_HN_UNBAL, 6, 5, "bc1", 1.0),
+        ("hn", STACK_HN_CASE1, 4, 6, "bc2", 0.5),
+        ("hn", dict(STACK_HN_CASE2, t_l=2.0 + 0.5j), 5, 4, "bc1", 1.0),
+        ("ssh", STACK_SSH_CASE7, 6, 4, "bc1", 1.0),
+        ("ssh", STACK_SSH_UNBAL, 4, 3, "bc2", -0.7 + 0.2j),
+        ("triangular", {"t_l": 1.0, "t_r": 5.0}, 5, 6, "bc2", 2.0),
+    ])
+    def test_equals_stacked_eigenvalues(self, family, params, n1, n2, mode, delta2):
+        spec = Stacked2DSpec(family, params, n1, n2, 0.9, mode, delta2)
+        line = stacked_line(spec)
+        for d1 in (0.0, 1.0, -1.0, 1e-14, 0.3, 0.3 + 0.2j, 0.3, 0.0):
+            at = Stacked2DSpec(family, params, n1, n2, d1, mode, delta2)
+            got, want = line(d1), stacked_eigenvalues(at)
+            assert np.array_equal(got.eigenvalues.view(np.int64), want.eigenvalues.view(np.int64))
+            assert np.array_equal(got.eigenvalues.view(np.int64), _bloch_reference(at).view(np.int64))
+            assert (got.provenance, got.parameters) == (want.provenance, want.parameters)
+
+    def test_open_stack_raises(self):
+        with pytest.raises(ValueError, match="no Bloch reduction"):
+            stacked_line(Stacked2DSpec("hn", STACK_HN_CASE1, 4, 4, 0.0, "open"))

@@ -18,6 +18,16 @@ def hn_sampler(t_l, t_r, t_d=0.0):
     return BlochSampler(lambda k: t_d + t_l * np.exp(1j * k) + t_r * np.exp(-1j * k))
 
 
+def two_band_block(k, tl1, tr1, tl2, tr2, v1=0.0, v2=0.0):
+    """The 2 x 2 two-band Bloch block at a scalar k, or at an array of k
+    (k axis first), as a BlochSampler takes it."""
+    h = np.empty(np.shape(k) + (2, 2), dtype=complex)
+    h[..., 0, 0], h[..., 1, 1] = v1, v2
+    h[..., 0, 1] = tl1 + tr2 * np.exp(-1j * k)
+    h[..., 1, 0] = tr1 + tl2 * np.exp(1j * k)
+    return h
+
+
 class TestWindingNumber:
     def test_hermitian_zero(self):
         res = winding_number(BlochSampler(lambda k: 2 * np.cos(k)), 3.0j)
@@ -88,24 +98,14 @@ class TestGapClassify:
         assert verdict == "line-gap-consistent"
 
     def test_ssh_block_sampler(self):
-        tl1, tr1, tl2, tr2 = 1.0, 2.0, 3.0, 4.0
-
-        def block(k):
-            return np.array([[0.0, tl1 + tr2 * np.exp(-1j * k)],
-                             [tr1 + tl2 * np.exp(1j * k), 0.0]])
-
-        verdict, witness = gap_classify(BlochSampler(block, dim=2))
+        verdict, witness = gap_classify(
+            BlochSampler(lambda k: two_band_block(k, 1.0, 2.0, 3.0, 4.0), dim=2))
         assert verdict == "point-gap"
 
     def test_balanced_ssh_block_line_gap(self):
         # |tr1 tr2| = |tl1 tl2| keeps the determinant loop from winding
-        tl1, tr1, tl2, tr2 = -1j, 0.5, 4.0, 8.0
-
-        def block(k):
-            return np.array([[0.0, tl1 + tr2 * np.exp(-1j * k)],
-                             [tr1 + tl2 * np.exp(1j * k), 0.0]])
-
-        verdict, _ = gap_classify(BlochSampler(block, dim=2))
+        verdict, _ = gap_classify(
+            BlochSampler(lambda k: two_band_block(k, -1j, 0.5, 4.0, 8.0), dim=2))
         assert verdict == "line-gap-consistent"
 
     def test_long_range_chains_always_point_gapped(self):
@@ -119,8 +119,8 @@ class TestGapClassify:
         assert verdict == "point-gap" and abs(witness.w) >= 1
 
 
-def _ssh_block(k, tl1=1.0, tr1=2.0, tl2=3.0, tr2=4.0):
-    return np.array([[0.2, tl1 + tr2 * np.exp(-1j * k)], [tr1 + tl2 * np.exp(1j * k), -0.1]])
+def _ssh_block(k):
+    return two_band_block(k, 1.0, 2.0, 3.0, 4.0, v1=0.2, v2=-0.1)
 
 
 SAMPLER_FNS = {
@@ -169,10 +169,11 @@ def _reference_gap(fn, dim, grid_size=12, pad=0.2):
 class TestSamplerCache:
     @staticmethod
     def _counting(fn):
+        """fn, and the number of k values of each of its calls."""
         calls = []
 
         def counted(k):
-            calls.append(k)
+            calls.append(np.size(k))
             return fn(k)
 
         return counted, calls
@@ -182,9 +183,9 @@ class TestSamplerCache:
         samp = BlochSampler(counted)
         for E in (0.0, 0.4 + 0.2j, 5.0, -4.0j):
             assert winding_number(samp, E).samples == 256
-        assert len(calls) == 257
+        assert calls == [257]
         winding_number(samp, 0.0, n_samples=128)
-        assert len(calls) == 257 + 129
+        assert calls == [257, 129]
 
     @pytest.mark.parametrize("name", sorted(SAMPLER_FNS))
     def test_gap_classify_evaluates_each_grid_once(self, name):
@@ -193,10 +194,11 @@ class TestSamplerCache:
         samp = BlochSampler(counted, dim)
         verdict, witness = gap_classify(samp)
         assert verdict == "point-gap" and witness.samples == 256
-        # band points on the 512 grid, every winding on the 256 grid
-        assert len(calls) == 513 + 257
+        # band points on the 512 grid, every winding on the 256 grid, one
+        # call of the function per grid
+        assert calls == [513, 257]
         assert gap_classify(samp)[1] == witness
-        assert len(calls) == 513 + 257
+        assert calls == [513, 257]
 
     @pytest.mark.parametrize("name", sorted(SAMPLER_FNS))
     def test_matches_per_k_reference_bitwise(self, name):
@@ -256,3 +258,23 @@ class TestTridiagWinding:
         res, flag = tridiag_det_winding(1.0, 1.0, 4)
         assert res.w == 0
         assert flag is True
+
+
+def test_tridiag_det_on_array_equals_per_k_bitwise(rng):
+    """tridiag_bloch_det on an array of k equals the scalar calls bit for
+    bit, so tridiag_det_winding's one-call grids keep their outputs."""
+    ks = np.linspace(-np.pi, np.pi, 1025)
+    for n_rows in (1, 2, 5, 9):
+        t_l, t_r = cnormal(rng), cnormal(rng)
+        grid = tridiag_bloch_det(t_l, t_r, ks, n_rows)
+        per_k = np.array([tridiag_bloch_det(t_l, t_r, k, n_rows) for k in ks])
+        assert isinstance(tridiag_bloch_det(t_l, t_r, ks[3], n_rows), complex)
+        assert np.array_equal(grid.view(np.int64), per_k.view(np.int64))
+
+
+def test_constant_bloch_function_broadcasts():
+    scalar = BlochSampler(lambda k: 1.5 + 0.5j)
+    assert np.array_equal(scalar.grid(64), np.full(65, 1.5 + 0.5j))
+    block = BlochSampler(lambda k: np.diag([1.0, -1.0]), dim=2)
+    assert block.grid(64).shape == (65, 2, 2)
+    assert gap_classify(block)[0] == "line-gap-consistent"
