@@ -27,7 +27,6 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -123,8 +122,13 @@ def parse_config(raw: dict) -> dict:
         cfg["base_energy"] = _to_complex(raw["base_energy"], "base_energy")
     cfg["threshold"] = _number(float, raw.get("threshold", 0.5), "threshold")
     cfg["n_list"] = [_size(n, "n_list") for n in _field(raw, "n_list", list)]
-    if cfg["n_list"] and (len(set(cfg["n_list"])) < 4 or min(cfg["n_list"]) < 1):
-        raise ConfigError(f"n_list: expected at least 4 distinct sizes >= 1, got {cfg['n_list']}")
+    if cfg["n_list"] and len(set(cfg["n_list"])) < 4:
+        raise ConfigError(f"n_list: expected at least 4 distinct sizes, got {cfg['n_list']}")
+    smallest, step = m.fit_sizes(params)
+    if any(n < smallest or n % step for n in cfg["n_list"]):
+        multiple = f" and a multiple of {step}" if step > 1 else ""
+        raise ConfigError(f"n_list: model {model!r} needs {m.sizes[0]} >= {smallest}{multiple}, "
+                          f"got {cfg['n_list']}")
     cfg["output"] = str(raw.get("output", "run"))
     return cfg
 
@@ -177,7 +181,11 @@ class Model:
     sees every call.  A task whose entry is None is not defined for the model.
     `line(c)` builds what does not depend on the boundary value once (the
     chain matrix without its corners, the Bloch blocks' operators) and
-    returns d -> (Spectrum, j labels).
+    returns d -> (Spectrum, j labels).  `fit_sizes(p)` gives the values of
+    the first size key, which a sensitivity fit varies over `n_list`, at
+    which the matrix can be built: the multiples of `step` from `smallest`.
+    The chain rows read which hoppings are nonzero; the lattice rows assume
+    all are.
     """
 
     required: frozenset
@@ -188,6 +196,7 @@ class Model:
     check: str = "closed form"           # validation kind, or "oracle-only", "boundary residual"
     sizes: tuple = ("N",)
     reduced: Callable = _reduced         # sizes -> sizes of the validation
+    fit_sizes: Callable = lambda p: (1, 1)  # p -> (smallest, step) of the sizes[0] a line takes
     bloch: Callable | None = None        # p -> topology.BlochSampler
     balance: Callable | None = None      # c -> sidecar entry
     envelope: Callable | None = None     # (c, d) -> models2d.EnvelopeCurves
@@ -210,6 +219,16 @@ def _scalar(delta):
     if isinstance(delta, tuple):
         raise ConfigError("this model supports only a scalar delta")
     return delta
+
+
+def _chain_sizes(offsets: dict) -> Callable:
+    """`fit_sizes` of a chain with the hoppings {param: offset}: one site
+    more than the range p+q of the nonzero ones, as `ChainStencil` needs."""
+    def sizes(p):
+        used = [o for name, o in offsets.items() if p.get(name, 0) != 0]
+        return 1 + max([0] + [-o for o in used]) + max([0] + used), 1
+
+    return sizes
 
 
 def _hn(c, *d) -> tuple:
@@ -330,6 +349,7 @@ _HN = Model(
     matrix=lambda c, d: models1d.hn_matrix(*_hn(c, d)),
     line=lambda c: _plain_line(models1d.hn_line(*_hn(c))),
     closed_form=lambda c, d: models1d.hn_closed_form(*_hn(c, d))[0],
+    fit_sizes=_chain_sizes({"t_l": 1, "t_r": -1}),
     bloch=_hn_bloch,
     balance=lambda c: dict(zip(("balanced", "theta"), models1d.hn_balanced(_hn(c, 0.0)[0]))),
 )
@@ -351,6 +371,7 @@ MODELS: dict[str, Model] = {
         matrix=lambda c, d: models1d.unidirectional_matrix(*_long_range(c, d, "t_l")),
         line=_per_delta(lambda c, d: _plain(
             models1d.unidirectional_spectrum(*_long_range(c, d, "t_l")))),
+        fit_sizes=lambda p: (3, 1),
         bloch=lambda p: topology.BlochSampler(
             lambda k: cmul(p["t_l"], np.exp(1j * k)) + cmul(p["u_l"], np.exp(2j * k))),
     ),
@@ -359,25 +380,30 @@ MODELS: dict[str, Model] = {
         matrix=lambda c, d: models1d.mixed_longrange_matrix(*_long_range(c, d, "t_r")),
         line=_mixed_line,
         closed_form=lambda c, d: models1d.mixed_longrange_closed_form(*_long_range(c, d, "t_r"))[0],
+        fit_sizes=_chain_sizes({"u_l": 2, "t_r": -1}),
         bloch=lambda p: topology.BlochSampler(
             lambda k: cmul(p["u_l"], np.exp(2j * k)) + cmul(p["t_r"], np.exp(-1j * k))),
     ),
     "general-chain": Model(
         frozenset(), frozenset(_GENERAL_CHAIN_OFFSETS), check="boundary residual",
         matrix=lambda c, d: build_chain_matrix(_general_chain_stencil(c, d)),
+        fit_sizes=_chain_sizes(_GENERAL_CHAIN_OFFSETS),
         bloch=_general_chain_bloch,
     ),
     "stacked-hn": _stacked(
         "hn", models2d.HN_KEYS, lambda s: models2d.stacked_hn_balance(s),
         envelope=lambda c, d: models2d.envelope_curves(_stack("hn", c, d)),
+        fit_sizes=lambda p: (3, 1),
     ),
     "stacked-ssh": _stacked(
         "ssh", models2d.SSH_KEYS, lambda s: models2d.stacked_ssh_balance(s),
         reduced=lambda sizes: dict(_reduced(sizes), N1=min(sizes["N1"], 8) // 2 * 2),
+        fit_sizes=lambda p: (2, 2),
     ),
     "triangular": _stacked(
         "triangular", ("t_l", "t_r"), lambda s: models2d.stacked_hn_balance(s),
         envelope=lambda c, d: models2d.envelope_curves(_stack("triangular", c, d)),
+        fit_sizes=lambda p: (3, 1),
     ),
     "kagome": Model(
         frozenset({"t_l", "t_r"}), frozenset({"inter_scale", "delta2p"}), check="oracle-only",
@@ -385,7 +411,7 @@ MODELS: dict[str, Model] = {
             c["params"]["t_l"], c["params"]["t_r"], c["sizes"]["N1"], c["sizes"]["N2"], _scalar(d),
             c["delta2"], c["params"].get("delta2p", c["delta2"]),
             c["params"].get("inter_scale", 1.0).real),
-        sizes=("N1", "N2"),
+        sizes=("N1", "N2"), fit_sizes=lambda p: (2, 1),
     ),
     "separable-square": Model(
         frozenset({"a_t_l", "a_t_r", "b_t_l", "b_t_r"}), frozenset({"a_t_d", "b_t_d"}),
@@ -394,7 +420,7 @@ MODELS: dict[str, Model] = {
             *_separable(models1d.hn_eigenvalues, c, d)))),
         closed_form=lambda c, d: models2d.separable_square_spectrum(
             *(s[0] for s in _separable(models1d.hn_closed_form, c, d))),
-        sizes=("N1", "N2"),
+        sizes=("N1", "N2"), fit_sizes=_chain_sizes({"a_t_l": 1, "a_t_r": -1}),
     ),
 }
 
@@ -463,6 +489,8 @@ def _spectrum_rows(cfg, deltas, threads: int) -> list:
                 for j, re, im in zip(js, lam.real.tolist(), lam.imag.tolist())]
 
     if threads > 1 and len(deltas) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here: single-thread runs skip it
+
         with ThreadPoolExecutor(max_workers=threads) as ex:
             chunks = list(ex.map(one, deltas))
     else:

@@ -67,9 +67,8 @@ SSH_KEYS = tuple(
 # two eigenvalue keys as tied
 STATE_TIE_RTOL = 1e-9
 # representative_state's inverse iteration: shift off the eigenvalue, in ulps
-# of max|H|, and the seed of its start vector
+# of max|H|
 STATE_SHIFT_ULPS = 4
-STATE_START_SEED = 7
 # stacking boundary modes
 MODES = ("bc1", "bc2", "open")
 
@@ -581,31 +580,52 @@ def _representative_index(lam: np.ndarray) -> int:
     """Index of the eigenvalue that `representative_state` reports."""
     mags = np.abs(lam)
     tol = STATE_TIE_RTOL * mags.max()
-    dist = np.abs(mags - np.median(mags))
+    dist = np.abs(mags - _median(mags))
     cand = np.flatnonzero(dist <= dist.min() + tol)
     for key in (mags, -lam.imag, -lam.real):
         cand = cand[key[cand] <= key[cand].min() + tol]
     return int(cand[0])
 
 
+def _median(x: np.ndarray) -> float:
+    """np.median of a 1-D float array, bit for bit, from one sort (np.median
+    loads numpy.ma)."""
+    s = np.sort(x)
+    n = len(s)
+    return (s[(n - 1) // 2] + s[n // 2]) / 2
+
+
+def _shifted_pair(M: np.ndarray, mu) -> np.ndarray:
+    """The stack [M - mu I, (M - mu I)^H] in one (2, n, n) array."""
+    n = len(M)
+    diag = mu * np.eye(n)
+    stack = np.empty((2, n, n), dtype=np.result_type(M, diag))
+    np.subtract(M, diag, out=stack[0])
+    np.conjugate(stack[0].T, out=stack[1])
+    return stack
+
+
 def _inverse_iteration(M: np.ndarray, lam: complex) -> tuple[np.ndarray, np.ndarray]:
     """Right and left eigenvectors of M at its eigenvalue lam, unit 2-norm.
 
-    Two steps of inverse iteration (Ipsen, SIAM Rev. 39, 254, 1997) from a
-    fixed seeded start vector, on the stack [M - mu I, (M - mu I)^H]: each
-    step is one batched solve and a normalisation.  The shift mu is lam
-    moved by STATE_SHIFT_ULPS ulps of max(|lam|, max|M|), so an exactly
-    computed eigenvalue does not leave M - mu I singular, however large
-    |lam| is against the entries.  Raises EigensolverError when a solve
-    meets a zero pivot or leaves the float range.
+    Two steps of inverse iteration (Ipsen, SIAM Rev. 39, 254, 1997) from
+    fixed start vectors, on the stack [M - mu I, (M - mu I)^H]: each step is
+    one batched solve and a normalisation.  The start vectors are the Weyl
+    phases exp(2 pi i frac(k phi)), k = 1..2n, phi the golden ratio: entry k
+    is z^k with z = exp(2 pi i phi) no root of unity, so they have a
+    component along every Fourier mode of a chain, where a uniform vector
+    has one along a single mode.  The shift mu is lam moved by
+    STATE_SHIFT_ULPS ulps of max(|lam|, max|M|), so an exactly computed
+    eigenvalue does not leave M - mu I singular, however large |lam| is
+    against the entries.  Raises EigensolverError when a solve meets a zero
+    pivot or leaves the float range.
     """
     n = len(M)
     scale = max(abs(lam), np.abs(M).max()) or 1.0
     mu = lam + STATE_SHIFT_ULPS * np.finfo(float).eps * scale
-    shifted = M - mu * np.eye(n)
-    stack = np.stack([shifted, shifted.conj().T])
-    rng = np.random.default_rng(STATE_START_SEED)
-    x = rng.standard_normal((2, n, 1)) + 1j * rng.standard_normal((2, n, 1))
+    stack = _shifted_pair(M, mu)
+    k = np.arange(1, 2 * n + 1)
+    x = np.exp(2j * np.pi * (k * ((1 + 5 ** 0.5) / 2) % 1.0)).reshape(2, n, 1)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(2):

@@ -27,14 +27,20 @@ HN_SWEEP = {
 }
 
 
-def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    """scipy is imported where it is used, not when the command line loads."""
+def _src_env() -> dict:
     src = Path(nhchain.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", "import sys, nhchain.cli; print('scipy' in sys.modules)"],
-                          env=env, capture_output=True, text=True)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    """scipy is imported where it is used, not when the command line loads;
+    nor are numpy.random, numpy.ma and concurrent.futures."""
+    env = _src_env()
+    loaded = ("import sys, nhchain.cli; print(*(m in sys.modules for m in "
+              "('scipy', 'numpy.random', 'numpy.ma', 'concurrent.futures')))")
+    proc = subprocess.run([sys.executable, "-c", loaded], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False"] * 4
     # a validated run whose closed form and oracle match pair by pair needs
     # no assignment solver, so it loads no scipy either
     sweep = dict(HN_SWEEP, params={"t_l": 1.0, "t_r": 2.0}, sizes={"N": 12})
@@ -542,6 +548,53 @@ MODEL_TASKS = {
 }
 
 
+# runs every (model, task) of MODEL_TASKS that exits 0, then a states job on
+# a nilpotent chain, in one process; prints, per job, the modules of
+# FORBIDDEN that it was the first to load
+_TASKS_IN_ONE_PROCESS = """
+import json, sys, tempfile
+from nhchain import cli
+FORBIDDEN = ("scipy", "numpy.random", "numpy.ma")
+report = {}
+for name, raw in json.loads(sys.argv[1]).items():
+    before = set(sys.modules)
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.run(cli.parse_config(raw), out)
+    report[name] = [code] + sorted(m for m in set(sys.modules) - before
+                                   if any(m == f or m.startswith(f + ".") for f in FORBIDDEN))
+print(json.dumps(report))
+"""
+
+
+def test_tasks_load_neither_scipy_nor_numpy_random_nor_ma():
+    """Every task on a small config of every model runs in a fresh process
+    without loading scipy, numpy.random or numpy.ma; only a long Jordan
+    chain, whose state comes from the full eigendecomposition, loads
+    scipy.linalg (and with it the other two)."""
+    jobs = {}
+    for model, (params, sizes, codes) in sorted(MODEL_TASKS.items()):
+        for task, code in zip(TASK_ORDER, codes):
+            if code == "0":
+                raw = {"model": model, "task": task, "params": params, "sizes": sizes,
+                       "delta": 0.3, "output": "out"}
+                if task == "sweep":
+                    raw["delta"] = {"start": 0.0, "stop": 0.6, "step": 0.3}
+                if task == "sensitivity" and "N" in sizes:
+                    raw["n_list"] = [6, 8, 10, 12]
+                jobs[f"{model}-{task}"] = raw
+    jobs["triangular-open-states"] = {"model": "triangular", "task": "states", "mode": "open",
+                                      "params": {"t_l": 1.0, "t_r": 5.0},
+                                      "sizes": {"N1": 12, "N2": 4}, "delta": 0.2, "output": "out"}
+    jobs["nilpotent-states"] = {"model": "hn", "task": "states", "params": {"t_l": 1.0, "t_r": 0.0},
+                                "sizes": {"N": 30}, "delta": 0.0, "output": "out"}
+    proc = subprocess.run([sys.executable, "-c", _TASKS_IN_ONE_PROCESS, json.dumps(jobs)],
+                          env=_src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    fallback = report.pop("nilpotent-states")
+    assert report == {name: [0] for name in jobs if name != "nilpotent-states"}
+    assert fallback[0] == 0 and "scipy.linalg" in fallback
+
 @pytest.mark.parametrize("task", TASK_ORDER)
 @pytest.mark.parametrize("model", sorted(MODEL_TASKS))
 def test_model_task_matrix(tmp_path, capsys, model, task):
@@ -583,6 +636,48 @@ def test_open_stack_takes_dense_route(tmp_path, model, params, task):
         assert np.array_equal(np.sort_complex(got), np.sort_complex(want))
     assert {r[4] for r in rows} == {"oracle"}
 
+
+
+# model: (params, sizes, first sizes refused in n_list, smallest accepted);
+# a line of the model cannot be built at a refused size
+FIT_SIZES = {
+    "hn": ({"t_l": 1.0, "t_r": 2.0}, {"N": 8}, [1, 2], 3),
+    "hn-one-way": ({"t_l": 1.0, "t_r": 0.0}, {"N": 8}, [1], 2),
+    "hn-general": ({"t_l": 1.0, "t_r": 2.0, "eps1": 0.3}, {"N": 8}, [1, 2], 3),
+    "ssh": ({"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}, {"N": 8}, [0], 1),
+    "unidirectional": ({"t_l": 1.0, "u_l": 0.5}, {"N": 8}, [1, 2], 3),
+    "mixed-longrange": ({"t_r": 1.0, "u_l": 2.0}, {"N": 8}, [1, 2, 3], 4),
+    "general-chain": ({"t_p1": 1.0, "t_m1": 2.0, "t_p2": 0.5}, {"N": 8}, [1, 2, 3], 4),
+    "general-chain-m2p2": ({"t_m2": 1.0, "t_p2": 0.5}, {"N": 8}, [1, 2, 3, 4], 5),
+    "stacked-hn": (STACK_HN, {"N1": 4, "N2": 4}, [1, 2], 3),
+    "stacked-ssh": (STACK_SSH, {"N1": 4, "N2": 4}, [1, 3, 5, 7], 2),
+    "triangular": ({"t_l": 1.0, "t_r": 2.0}, {"N1": 4, "N2": 4}, [1, 2], 3),
+    "kagome": ({"t_l": 1.0, "t_r": 2.0}, {"N1": 4, "N2": 4}, [1], 2),
+    "separable-square": ({"a_t_l": 1.0, "a_t_r": 2.0, "b_t_l": 1.0, "b_t_r": 0.5},
+                         {"N1": 4, "N2": 4}, [1, 2], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIT_SIZES))
+def test_n_list_sizes_the_model_cannot_build_exit_2(tmp_path, capsys, case):
+    """A size in n_list at which the model's line cannot be built is a
+    config error naming n_list, raised before validation and the screen
+    run; the smallest buildable size runs."""
+    params, sizes, refused, smallest = FIT_SIZES[case]
+    payload = {"model": case.replace("-one-way", "").replace("-m2p2", ""), "task": "sensitivity",
+               "params": params, "sizes": sizes, "delta": 0.3, "output": "out"}
+    for k in refused:
+        raw = dict(payload, n_list=[k, 6, 8, 10])
+        with pytest.raises(ConfigError, match=r"^n_list: model .* needs N1? >= "):
+            parse_config(raw)
+        path = write_config(tmp_path, "c.json", raw)
+        assert main(["sensitivity", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "invalid config: n_list" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+    path = write_config(tmp_path, "c.json", dict(payload, n_list=[smallest, 6, 8, 10]))
+    assert main(["sensitivity", "--config", str(path), "--out", str(tmp_path)]) == 0
+    side = json.loads((tmp_path / "out.json").read_text())
+    assert side["sensitivity"]["exponent"]["n_list"][0] == smallest
 
 STACK_HN_UNBALANCED = {"t_d": 1, "t_r": 2, "t_l": 3, "u_u": 4, "v_ur": 5, "v_ul": 6, "u_d": 7,
                        "v_dr": 8, "v_dl": 9}

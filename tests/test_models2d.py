@@ -19,6 +19,8 @@ from nhchain.models2d import (
     SSH_KEYS,
     Stacked2DSpec,
     _inverse_iteration,
+    _median,
+    _shifted_pair,
     _stack_h_coeffs,
     bc_reduce,
     blocks,
@@ -419,6 +421,36 @@ class TestRepresentativeStateVectors:
         representative_state(build_stacked_matrix(triangular_spec(1.0, 5.0, 6, 4, 0.2, "open")))
         assert calls == [False]
 
+
+def test_median_equals_np_median_bitwise():
+    """The sort-based median of `_representative_index` is np.median's to
+    the bit, on odd and even counts, with and without ties."""
+    rng = np.random.default_rng(59)
+    for n in range(1, 60):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        draws = (rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3),
+                 rng.integers(0, 4, n).astype(float),    # ties
+                 np.abs(np.concatenate([z, z.conj()])),  # conjugate pairs tie exactly
+                 np.abs(z))
+        for x in draws:
+            assert np.float64(_median(x)).tobytes() == np.float64(np.median(x)).tobytes(), (n, x)
+
+
+@pytest.mark.parametrize("n", [5, 30, 300])
+@pytest.mark.parametrize("kind", ["real", "complex", "real-negative-shift"])
+def test_shifted_pair_equals_np_stack_bitwise(rng, n, kind):
+    """The preallocated [M - mu I, (M - mu I)^H] of `_inverse_iteration` is
+    the np.stack of the two, dtype and signed zeros included."""
+    M = rng.standard_normal((n, n))
+    mu = np.float64(-abs(rng.standard_normal())) if kind == "real-negative-shift" else np.float64(0.7)
+    if kind == "complex":
+        M = M + 1j * rng.standard_normal((n, n))
+        mu = np.complex128(complex(rng.standard_normal(), -rng.standard_normal()))
+    for m, shift in ((M, mu), (M, np.complex128(mu - 0.3j))):
+        shifted = m - shift * np.eye(n)
+        want = np.stack([shifted, shifted.conj().T])
+        got = _shifted_pair(m, shift)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 REAL_STACKS = {
     "triangular_open": triangular_spec(1.0, 5.0, 12, 5, 0.37, "open"),

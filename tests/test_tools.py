@@ -1,0 +1,33 @@
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
+
+
+def test_output_digests_compare(tmp_path):
+    """--compare names the files that differ or exist on one side only, and
+    gives the largest change per numeric CSV column and per JSON value."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    for side, rr, lam in ((a, ("0.25", "0.75"), 1.5), (b, ("0.25", "0.7500000000000001"), 1.5)):
+        (side / "job").mkdir(parents=True)
+        (side / "job" / "st.csv").write_text(f"site,rr,tag\n1,{rr[0]},x\n2,{rr[1]},x\n")
+        (side / "job" / "st.json").write_text(f'{{"state": {{"eigenvalue": [{lam}, 0.0]}}}}\n')
+    (a / "job" / "st.json").write_text('{"state": {"eigenvalue": [1.0, 0.0]}}\n')
+    (a / "same.csv").write_text("x\n1\n")
+    (b / "same.csv").write_text("x\n1\n")
+    (b / "extra.json").write_text("{}\n")
+    proc = subprocess.run([sys.executable, str(TOOL), "--compare", str(a), str(b)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"only in {b}: extra.json",
+        "differs: job/st.csv",
+        "  1 of 2 rows differ",
+        "  site: max abs 0, max rel 0",
+        "  rr: max abs 1.11e-16, max rel 1.48e-16",
+        "  tag: text, 0 cells differ",
+        "differs: job/st.json",
+        "  .state.eigenvalue[0]: abs 0.5, rel 0.333",
+        "1 files identical, 3 not",
+    ]

@@ -3,16 +3,24 @@
     python3 tools/output_digests.py                 # configs plus seed 7, 3 rounds
     python3 tools/output_digests.py --seed 11
     python3 tools/output_digests.py --no-configs --workload sensitivity_topology
+    python3 tools/output_digests.py --keep out_a    # also keep the output files
+    python3 tools/output_digests.py --compare out_a out_b
 
 Every config in `configs/` and the first three rounds of each benchmark
 workload's jobs at `--seed` (the rounds a `perfbench/run.py --trace 1` run
 executes) go through `nhchain.cli.run` in this process, BLAS pinned to one
-thread, each into a fresh temporary directory.  Each output file gives one
-line `<sha256>  <source>/<file>`; a job that exits non-zero or raises gives
-one more line `exit=<code>` or `raised=<exception type>` in place of the
-digest.  Lines are sorted, so two checkouts compare with `diff`.  nhchain is
-imported from this checkout's `src/`; the job configs come from
-`perfbench/jobs.py`, which is only read.
+thread, each into a fresh temporary directory, or into `<keep>/<source>/`
+with `--keep`.  Each output file gives one line `<sha256>  <source>/<file>`;
+a job that exits non-zero or raises gives one more line `exit=<code>` or
+`raised=<exception type>` in place of the digest.  Lines are sorted, so two
+checkouts compare with `diff`.  nhchain is imported from this checkout's
+`src/`; the job configs come from `perfbench/jobs.py`, which is only read.
+
+`--compare A B` runs nothing: it reads two `--keep` directories and prints
+each file that is in one only or differs; for a CSV that differs, the
+largest absolute and relative change of each numeric column (rows are
+compared in file order, which is sorted), and for a JSON sidecar, each
+value that differs.
 """
 from __future__ import annotations
 
@@ -37,19 +45,103 @@ from nhchain import cli  # noqa: E402
 TRACE_ROUNDS = 3  # perfbench/worker.py's TRACE_ROUNDS
 
 
-def run_one(raw: dict, source: str) -> list[str]:
-    """Digest lines of one config run in a fresh directory."""
+def run_one(raw: dict, source: str, keep: Path | None = None) -> list[str]:
+    """Digest lines of one config run in a fresh directory (`keep/source`
+    when given, a temporary one otherwise)."""
     with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) if keep is None else keep / source
         try:
-            rc = cli.run(cli.parse_config(raw), tmp)
+            rc = cli.run(cli.parse_config(raw), out)
             status = None if rc == 0 else f"exit={rc}"
         except Exception as exc:  # recorded as an output: a change may raise where the parent did not
             status = f"raised={type(exc).__name__}"
-        lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {source}/{p.name}"
-                 for p in sorted(Path(tmp).iterdir())]
+        files = sorted(out.iterdir()) if out.is_dir() else []
+        lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {source}/{p.name}" for p in files]
     if status:
         lines.append(f"{status}  {source}")
     return lines
+
+
+def _float(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def compare_csv(a: str, b: str) -> list[str]:
+    """Lines describing how CSV text b differs from a, column by column."""
+    rows_a = [line.split(",") for line in a.splitlines()]
+    rows_b = [line.split(",") for line in b.splitlines()]
+    if len(rows_a) != len(rows_b) or rows_a[:1] != rows_b[:1]:
+        return [f"  header or row count differs: {len(rows_a)} -> {len(rows_b)} lines"]
+    body = list(zip(rows_a[1:], rows_b[1:]))
+    if any(len(ra) != len(rb) for ra, rb in body):
+        return ["  cell count differs"]
+    changed = sum(ra != rb for ra, rb in body)
+    lines = [f"  {changed} of {len(body)} rows differ"]
+    for col, name in enumerate(rows_a[0]):
+        pairs = [(ra[col], rb[col]) for ra, rb in body]
+        nums = [(_float(x), _float(y)) for x, y in pairs]
+        if any(x is None or y is None for x, y in nums):
+            lines.append(f"  {name}: text, {sum(x != y for x, y in pairs)} cells differ")
+            continue
+        worst_abs = worst_rel = 0.0
+        for x, y in nums:
+            if x == y or (x != x and y != y):  # equal, or both NaN
+                continue
+            d = abs(x - y)
+            worst_abs = max(worst_abs, d)
+            worst_rel = max(worst_rel, d / max(abs(x), abs(y)))
+        lines.append(f"  {name}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g}")
+    return lines
+
+
+def _leaves(obj, path=""):
+    """(path, value) of every scalar in a JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def compare_json(a: str, b: str) -> list[str]:
+    """One line per scalar of JSON text b that differs from a."""
+    leaves_a, leaves_b = dict(_leaves(json.loads(a))), dict(_leaves(json.loads(b)))
+    lines = []
+    for path in sorted(leaves_a.keys() | leaves_b.keys()):
+        x, y = leaves_a.get(path), leaves_b.get(path)
+        if x == y:
+            continue
+        if all(isinstance(v, float) for v in (x, y)):
+            lines.append(f"  {path}: abs {abs(x - y):.3g}, rel {abs(x - y) / max(abs(x), abs(y)):.3g}")
+        else:
+            lines.append(f"  {path}: {x!r} -> {y!r}")
+    return lines
+
+
+def compare(dir_a: Path, dir_b: Path) -> list[str]:
+    """Report lines for every file that is in one directory only or differs."""
+    names_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
+    names_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
+    lines, same, other = [], 0, 0
+    for name in sorted(names_a | names_b):
+        if name not in names_b or name not in names_a:
+            lines.append(f"only in {dir_a if name in names_a else dir_b}: {name}")
+        elif (a := (dir_a / name).read_bytes()) == (b := (dir_b / name).read_bytes()):
+            same += 1
+            continue
+        else:
+            lines.append(f"differs: {name}")
+            compare_text = {".csv": compare_csv, ".json": compare_json}.get(name.suffix)
+            if compare_text:
+                lines += compare_text(a.decode("ascii"), b.decode("ascii"))
+        other += 1
+    return lines + [f"{same} files identical, {other} not"]
 
 
 def main(argv=None) -> int:
@@ -57,18 +149,26 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--workload", choices=jobs.WORKLOADS + ("all",), default="all")
     ap.add_argument("--no-configs", action="store_true", help="skip the shipped configs")
+    ap.add_argument("--keep", type=Path, metavar="DIR", help="keep the output files under DIR")
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+                    help="compare two --keep directories; runs nothing")
     args = ap.parse_args(argv)
+    if args.compare:
+        sys.stdout.write("".join(line + "\n" for line in compare(*args.compare)))
+        return 0
+    if args.keep and args.keep.exists() and any(args.keep.iterdir()):
+        ap.error(f"--keep: {args.keep} is not empty")
     lines = []
     if not args.no_configs:
         for path in sorted((ROOT / "configs").glob("*.json")):
-            lines += run_one(json.loads(path.read_text()), f"configs/{path.stem}")
+            lines += run_one(json.loads(path.read_text()), f"configs/{path.stem}", args.keep)
     workloads = jobs.WORKLOADS if args.workload == "all" else (args.workload,)
     for workload in workloads:
         # through JSON, as the benchmark worker reads them
         generated = json.loads(jobs.dump(jobs.generate(workload, args.seed, rounds=TRACE_ROUNDS)))
         for rnd in generated["rounds"]:
             for job in rnd:
-                lines += run_one(job["config"], f"{workload}/{job['id']}")
+                lines += run_one(job["config"], f"{workload}/{job['id']}", args.keep)
     sys.stdout.write("".join(line + "\n" for line in sorted(lines)))
     return 0
 
