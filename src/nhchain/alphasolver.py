@@ -396,35 +396,35 @@ def _newton_vec(desc: np.ndarray, d1: np.ndarray, ys: np.ndarray, iters: int = 1
     return ys
 
 
-def _merge_root_clusters(ys: np.ndarray, desc=None, radius: float = 5e-5):
-    """Collapse clusters of nearly equal roots onto their means.
+def _merge_root_clusters(ys: np.ndarray, desc: np.ndarray, radius: float = 5e-5):
+    """Collapse clusters of nearly equal roots of the polynomial with
+    descending coefficients `desc` onto their means.
 
     The companion solver splits a root of multiplicity m by roughly
     eps^(1/m); the split copies are symmetric around the true location, so
-    the cluster mean recovers it to O(eps).  When the polynomial (descending
-    coefficients) is supplied, a cluster is only merged if it is consistent
-    with a genuine multiple root: |P^(m-1)(mean)| must be small against
-    |P^(m)(mean)| * diameter, which rejects accidental near-collisions of
-    simple roots (for example two root loci crossing during a sweep).
+    the cluster mean recovers it to O(eps).  A cluster is only merged if it
+    is consistent with a genuine multiple root: |P^(m-1)(mean)| must be
+    small against |P^(m)(mean)| * diameter, which rejects accidental
+    near-collisions of simple roots (for example two root loci crossing
+    during a sweep).
     """
     n = len(ys)
     out = ys.copy()
     single = np.ones(n, dtype=bool)
-    derivs = [None if desc is None else np.asarray(desc, dtype=complex)]
+    derivs = [np.asarray(desc, dtype=complex)]
     linked = lambda i, j: abs(ys[i] - ys[j]) < radius * max(1.0, abs(ys[i]))
     for members in _link_clusters(n, linked):
         m = len(members)
         if m < 2:
             continue
         z = ys[members].mean()
-        if desc is not None:
-            while len(derivs) <= m:
-                derivs.append(np.polyder(derivs[-1]))
-            diam = max(abs(ys[i] - z) for i in members) * 2.0
-            lo = abs(np.polyval(derivs[m - 1], z))
-            hi = abs(np.polyval(derivs[m], z)) * diam
-            if lo > 0.25 * hi:
-                continue
+        while len(derivs) <= m:
+            derivs.append(np.polyder(derivs[-1]))
+        diam = max(abs(ys[i] - z) for i in members) * 2.0
+        lo = abs(np.polyval(derivs[m - 1], z))
+        hi = abs(np.polyval(derivs[m], z)) * diam
+        if lo > 0.25 * hi:
+            continue
         for i in members:
             out[i] = z
             single[i] = False
@@ -504,10 +504,8 @@ def roots(poly: PolyY) -> np.ndarray:
     """All roots of a PolyY via companion-matrix eigenvalues.
 
     Palindromic equations are reduced to half degree in s = y + 1/y first.
-    Roots are Newton-polished (against the higher-accuracy parent equation
-    when the PolyY carries one), then clusters of nearly equal roots are
-    collapsed onto their means so genuine multiple roots are resolved well
-    below the dedup tolerance.
+    Roots are Newton-polished, against the higher-accuracy parent equation
+    when the PolyY carries one.
     """
     c = _trim(poly.coeffs)
     if c.size < 2:
@@ -537,19 +535,14 @@ def roots(poly: PolyY) -> np.ndarray:
         s = 1.0
         if c[0] != 0:
             s = float(np.clip(abs(c[0] / c[-1]) ** (1.0 / deg), 1e-6, 1e6))
-        scaled = c * s ** np.arange(c.size)
-        ys = s * np.roots(scaled[::-1] / np.abs(scaled).max())
+        ys = _scaled_companion_roots(c, s)
         polish_desc = desc
-    # merge split multiple roots before any polishing: the raw companion
-    # splits are symmetric, so cluster means are accurate, while Newton in
-    # the noise crater of a multiple root would scatter them
-    ys, single = _merge_root_clusters(ys, polish_desc)
     pd1 = np.polyder(polish_desc)
-    ys = _newton_vec(polish_desc, pd1, ys, iters=1, mask=single)
+    ys = _newton_vec(polish_desc, pd1, ys, iters=1)
     if rdesc is not None and rdesc is not polish_desc:
-        ys = _newton_vec(rdesc, np.polyder(rdesc), ys, iters=12, mask=single)
+        ys = _newton_vec(rdesc, np.polyder(rdesc), ys, iters=12)
     elif rdesc is not None:
-        ys = _newton_vec(rdesc, pd1, ys, iters=11, mask=single)
+        ys = _newton_vec(rdesc, pd1, ys, iters=11)
     order = np.lexsort((ys.imag, ys.real))
     return ys[order]
 
@@ -592,8 +585,7 @@ def _divisible_clusters(keys: np.ndarray, size: int, tol: float):
     )
 
 
-def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None,
-                     group_tol: float = GROUP_TOL) -> AlphaSet:
+def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None) -> AlphaSet:
     """Reduce polynomial roots to an AlphaSet under the model's symmetry.
 
     pairing='pairs': roots come in (y, 1/y) pairs giving one wavenumber each;
@@ -624,7 +616,7 @@ def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None,
         # near-degenerate eigenvalues may interleave their members, which
         # leaves the assembled multiset unchanged, so groups are carved
         # inside each cluster by nearest keys
-        clusters = _divisible_clusters(keys, size, group_tol)
+        clusters = _divisible_clusters(keys, size, GROUP_TOL)
         for cluster in clusters:
             pool = sorted(cluster, key=lambda i: (keys[i].real, keys[i].imag))
             while pool:
@@ -694,14 +686,14 @@ def canonical_triple(members: np.ndarray) -> np.ndarray:
     return np.take_along_axis(members, order[..., :1], axis=-1)[..., 0]
 
 
-def dedup_sorted(alphas: np.ndarray, tol: float = DEDUP_TOL):
-    """Sorted distinct values and their multiplicities; a value within tol of
-    the first value of the current group joins it."""
+def dedup_sorted(alphas: np.ndarray):
+    """Sorted distinct values and their multiplicities; a value within
+    DEDUP_TOL of the first value of the current group joins it."""
     alphas = np.asarray(alphas, dtype=complex)
     order = np.lexsort((alphas.imag, alphas.real))
     vals, mult = [], []
     for a in alphas[order]:
-        if vals and abs(a - vals[-1]) < tol:
+        if vals and abs(a - vals[-1]) < DEDUP_TOL:
             mult[-1] += 1
         else:
             vals.append(a)
@@ -709,8 +701,9 @@ def dedup_sorted(alphas: np.ndarray, tol: float = DEDUP_TOL):
     return np.array(vals, dtype=complex), np.array(mult, dtype=int)
 
 
-def verify_generic(stencil, lam, delta=None) -> float:
-    """Residual |det M| of the simplified boundary equations at energy lam.
+def verify_generic(stencil, lam) -> float:
+    """Residual |det M| of the simplified boundary equations at energy lam,
+    at the stencil's corners.
 
     Builds the characteristic-polynomial roots x_i of the bulk recurrence at
     this energy, evaluates the boundary rows on the basis psi_n = x_i^n and
@@ -720,7 +713,7 @@ def verify_generic(stencil, lam, delta=None) -> float:
     """
     if len(stencil.onsite_pattern) != 1 or stencil.end_onsite is not None:
         raise ValueError("verify_generic requires a uniform diagonal")
-    dl, dr = _as_pair_or_stencil(stencil, delta)
+    dl, dr = stencil.corner_pair
     hops = stencil.hoppings
     p, q = stencil.range_lr
     deg = p + q
@@ -771,9 +764,3 @@ def verify_generic(stencil, lam, delta=None) -> float:
     rn[rn == 0] = 1.0
     M = M / rn[:, None]
     return float(abs(np.linalg.det(M)))
-
-
-def _as_pair_or_stencil(stencil, delta):
-    if delta is None:
-        return stencil.corner_pair
-    return _pair(delta)

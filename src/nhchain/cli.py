@@ -48,6 +48,8 @@ from .core import (
 )
 
 TASKS = ("spectrum", "states", "winding", "gap", "envelope", "sweep", "sensitivity", "balance")
+# the tasks that build the model's matrix or line at its configured sizes
+SIZED_TASKS = ("spectrum", "sweep", "states", "envelope", "sensitivity")
 
 
 class ConfigError(ValueError):
@@ -125,10 +127,14 @@ def parse_config(raw: dict) -> dict:
     if cfg["n_list"] and len(set(cfg["n_list"])) < 4:
         raise ConfigError(f"n_list: expected at least 4 distinct sizes, got {cfg['n_list']}")
     smallest, step = m.fit_sizes(params)
+    key = m.sizes[0]
+    rule = f"model {model!r} needs {key} >= {smallest}"
+    rule += f" and a multiple of {step}" if step > 1 else ""
+    size = cfg["sizes"][key]
+    if task in SIZED_TASKS and (size < smallest or size % step):
+        raise ConfigError(f"sizes.{key}: {rule}, got {size}")
     if any(n < smallest or n % step for n in cfg["n_list"]):
-        multiple = f" and a multiple of {step}" if step > 1 else ""
-        raise ConfigError(f"n_list: model {model!r} needs {m.sizes[0]} >= {smallest}{multiple}, "
-                          f"got {cfg['n_list']}")
+        raise ConfigError(f"n_list: {rule}, got {cfg['n_list']}")
     cfg["output"] = str(raw.get("output", "run"))
     return cfg
 
@@ -184,8 +190,9 @@ class Model:
     returns d -> (Spectrum, j labels).  `fit_sizes(p)` gives the values of
     the first size key, which a sensitivity fit varies over `n_list`, at
     which the matrix can be built: the multiples of `step` from `smallest`.
-    The chain rows read which hoppings are nonzero; the lattice rows assume
-    all are.
+    `parse_config` holds every `n_list` size to it, and the configured size
+    too for the `SIZED_TASKS`.  The chain rows read which hoppings are
+    nonzero; the lattice rows assume all are.
     """
 
     required: frozenset
@@ -296,7 +303,8 @@ def _general_chain_bloch(p):
 
 
 def _separable(solve, c, d) -> tuple:
-    """`solve` (hn_matrix, hn_eigenvalues, ...) on the two chains of the separable square lattice."""
+    """`solve(p, N, delta)` (hn_matrix, hn_closed_form, ...) on the two chains of the
+    separable square lattice."""
     p, sizes = c["params"], c["sizes"]
     a = models1d.HNParams(p["a_t_l"], p["a_t_r"], p.get("a_t_d", 0.0))
     b = models1d.HNParams(p["b_t_l"], p["b_t_r"], p.get("b_t_d", 0.0))
@@ -417,7 +425,7 @@ MODELS: dict[str, Model] = {
         frozenset({"a_t_l", "a_t_r", "b_t_l", "b_t_r"}), frozenset({"a_t_d", "b_t_d"}),
         matrix=lambda c, d: models2d.separable_square_matrix(*_separable(models1d.hn_matrix, c, d)),
         line=_per_delta(lambda c, d: _plain(models2d.separable_square_spectrum(
-            *_separable(models1d.hn_eigenvalues, c, d)))),
+            *_separable(lambda p, n, delta: models1d.hn_line(p, n)(delta), c, d)))),
         closed_form=lambda c, d: models2d.separable_square_spectrum(
             *(s[0] for s in _separable(models1d.hn_closed_form, c, d))),
         sizes=("N1", "N2"), fit_sizes=_chain_sizes({"a_t_l": 1, "a_t_r": -1}),
@@ -479,23 +487,15 @@ def _delta_label(delta) -> str:
     return _fmt(delta)
 
 
-def _spectrum_rows(cfg, deltas, threads: int) -> list:
+def _spectrum_rows(cfg, deltas) -> list:
     line = line_for(cfg)
-
-    def one(d):
+    rows = []
+    for d in deltas:
         spec, js = spectrum_for(cfg, d, line)
         lab, prov, lam = _delta_label(d), spec.provenance, spec.eigenvalues
-        return [f"{lab},{j},{re:.17g},{im:.17g},{prov}"
-                for j, re, im in zip(js, lam.real.tolist(), lam.imag.tolist())]
-
-    if threads > 1 and len(deltas) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # here: single-thread runs skip it
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(one, deltas))
-    else:
-        chunks = [one(d) for d in deltas]
-    return [row for chunk in chunks for row in chunk]
+        rows += [f"{lab},{j},{re:.17g},{im:.17g},{prov}"
+                 for j, re, im in zip(js, lam.real.tolist(), lam.imag.tolist())]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +537,7 @@ def validate(cfg: dict, tolerance: float = 1e-7) -> dict:
     return report
 
 
-def run(cfg: dict, out_dir, threads: int = 1, tolerance: float = 1e-7) -> int:
+def run(cfg: dict, out_dir, tolerance: float = 1e-7) -> int:
     """Execute a config; writes <output>.csv / <output>.json under out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -568,7 +568,7 @@ def run(cfg: dict, out_dir, threads: int = 1, tolerance: float = 1e-7) -> int:
             return 3
 
     if task in ("spectrum", "sweep"):
-        rows = _spectrum_rows(cfg, _delta_values(cfg), threads)
+        rows = _spectrum_rows(cfg, _delta_values(cfg))
     elif task == "states":
         rows, extra = _states_task(cfg)
         header = ["delta", "site", "rr", "ll", "lr_re", "lr_im"]
@@ -585,7 +585,7 @@ def run(cfg: dict, out_dir, threads: int = 1, tolerance: float = 1e-7) -> int:
             sidecar["gap"]["witness"] = {"base_energy": witness.base_energy, "w": witness.w}
     elif task == "envelope":
         env = m.envelope(cfg, _delta_values(cfg)[0] if cfg["delta"][0] != "grid" else 0.0)
-        rows = _spectrum_rows(cfg, _delta_values(cfg), threads)
+        rows = _spectrum_rows(cfg, _delta_values(cfg))
         env_rows = []
         for name, curve in (("z1", env.z1), ("z2", env.z2), ("z_plus", env.z_plus),
                             ("z_minus", env.z_minus), ("loop", env.loop)):
@@ -668,7 +668,6 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--tolerance", type=float, default=1e-7)
     args = parser.parse_args(argv)
     try:
@@ -691,7 +690,7 @@ def main(argv=None) -> int:
             report = validate(cfg, args.tolerance)
             sys.stdout.write(json.dumps(report, default=_json_default, sort_keys=True) + "\n")
             return 0 if report["status"] in ("pass", "oracle-only") else 3
-        return run(cfg, args.out, args.threads, args.tolerance)
+        return run(cfg, args.out, args.tolerance)
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 4

@@ -320,7 +320,7 @@ class StateProfiles:
         return len(self.rr)
 
 
-def expectation_profiles(psi_r, psi_l, normalize_lr: bool = True) -> StateProfiles:
+def expectation_profiles(psi_r, psi_l) -> StateProfiles:
     """Left, right and biorthogonal expectation values of the site projector.
 
     The biorthogonal profile is normalized so it sums to one; if the
@@ -340,9 +340,7 @@ def expectation_profiles(psi_r, psi_l, normalize_lr: bool = True) -> StateProfil
         raise ValueError("zero eigenvector supplied")
     if abs(overlap) < 1e-12 * scale:
         return StateProfiles(rr, ll, None, "degenerate", complex(overlap))
-    if normalize_lr:
-        return StateProfiles(rr, ll, lr / overlap, "biorthogonal", complex(overlap))
-    return StateProfiles(rr, ll, lr, "raw", complex(overlap))
+    return StateProfiles(rr, ll, lr / overlap, "biorthogonal", complex(overlap))
 
 
 @dataclass(frozen=True)
@@ -352,10 +350,6 @@ class LocalizationReport:
     right_edge_fraction: float
     decay_rate: float
     fit_r2: float
-
-    @property
-    def heavier_edge_fraction(self) -> float:
-        return max(self.left_edge_fraction, self.right_edge_fraction)
 
 
 def localization_report(profile) -> LocalizationReport:

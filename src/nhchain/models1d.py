@@ -6,21 +6,20 @@ even or odd length (with alternating on-site potentials and a zero-mode
 criterion), the unidirectional and mixed long-range chains, and the scalar
 Bloch functions with their three non-winding parameter families.
 
-`hn_eigenvalues`, `ssh_eigenvalues` and `mixed_longrange_eigenvalues` take
-the eigenvalues from one dense eigensolve of the chain matrix (provenance
-"oracle").  Each is its per-size line (`hn_line`, `ssh_line`,
-`mixed_longrange_line`) at one delta: the line builds the matrix without
-its corners once and adds the corners per delta, and the command line uses
-the lines alone.  `hn_spectrum`, `ssh_spectrum`
-and `mixed_longrange_spectrum` call them and also recover the shifted
-wavenumbers from the eigenvalues: cos(alpha_tilde) =
-(lambda - t_d) / (2 sqrt(t_l) sqrt(t_r)) for the one-band chain, the
-lambda^2 relation for the two-band chain (one alpha_tilde per +- pair at even
-length), and the root of largest modulus of u_l y^3 - lambda y + t_r = 0,
-y = e^{i alpha_tilde}, for the mixed long-range chain.  The exact
-wavenumber sets stay analytic: the plain one-band chain at delta = 0 and
-+-1 and the open odd two-band chain.  The stacked lattices of models2d
-recover their Bloch blocks' wavenumbers with the same inversion helpers.
+The per-size lines `hn_line`, `ssh_line` and `mixed_longrange_line` take
+the eigenvalues at each delta from one dense eigensolve of the chain matrix
+(provenance "oracle"): a line builds the matrix without its corners once
+and adds the corners per delta, and the command line uses the lines alone.
+`hn_spectrum`, `ssh_spectrum` and `mixed_longrange_spectrum` call them at
+one delta and also recover the shifted wavenumbers from the eigenvalues:
+cos(alpha_tilde) = (lambda - t_d) / (2 sqrt(t_l) sqrt(t_r)) for the one-band
+chain, the lambda^2 relation for the two-band chain (one alpha_tilde per
++- pair at even length), and the root of largest modulus of
+u_l y^3 - lambda y + t_r = 0, y = e^{i alpha_tilde}, for the mixed
+long-range chain.  The exact wavenumber sets stay analytic: the plain
+one-band chain at delta = 0 and +-1 and the open odd two-band chain.  The
+stacked lattices of models2d recover their Bloch blocks' wavenumbers with
+the same inversion helpers.
 
 The paper's boundary-equation route (alphasolver) is kept behind
 `hn_closed_form`, `ssh_closed_form` and `mixed_longrange_closed_form`.  The
@@ -64,7 +63,6 @@ __all__ = [
     "hn_stencil",
     "hn_matrix",
     "hn_line",
-    "hn_eigenvalues",
     "hn_spectrum",
     "hn_closed_form",
     "hn_eigenvector",
@@ -72,7 +70,6 @@ __all__ = [
     "ssh_operator",
     "ssh_matrix",
     "ssh_line",
-    "ssh_eigenvalues",
     "ssh_spectrum",
     "ssh_closed_form",
     "ssh_zero_mode_predicate",
@@ -81,7 +78,6 @@ __all__ = [
     "unidirectional_spectrum",
     "mixed_longrange_matrix",
     "mixed_longrange_line",
-    "mixed_longrange_eigenvalues",
     "mixed_longrange_spectrum",
     "mixed_longrange_closed_form",
     "bloch_1d",
@@ -242,12 +238,17 @@ def hn_closed_form(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
 
 
 def hn_line(p: HNParams, N: int) -> Callable[[object], Spectrum]:
-    """delta -> `hn_eigenvalues(p, N, delta)`, the chain matrix built once.
+    """delta -> eigenvalues lambda = t_d + 2 sqrt(t_l) sqrt(t_r) cos(alpha_tilde),
+    the chain matrix built once.
 
     Returns a function of a scalar delta or a (delta_l, delta_r) pair; each
     call takes its matrix from one `CornerOperator`, so a caller that
     solves the chain at many deformations (a sensitivity fit) pays for the
-    assembly once, and gets the same spectra bit for bit.
+    assembly once, and gets the same spectra bit for bit.  The plain chain
+    with symmetric corners at delta = 0 and +-1 has exact wavenumber sets
+    and an "analytic" spectrum.  Otherwise the eigenvalues come from a dense
+    eigensolve (provenance "oracle"); a vanishing hopping gets one too, with
+    parameters {"fallback": "zero hopping"}.
     """
     @cache
     def op() -> CornerOperator:
@@ -268,26 +269,14 @@ def hn_line(p: HNParams, N: int) -> Callable[[object], Spectrum]:
     return line
 
 
-def hn_eigenvalues(p: HNParams, N: int, delta) -> Spectrum:
-    """Eigenvalues lambda = t_d + 2 sqrt(t_l) sqrt(t_r) cos(alpha_tilde).
-
-    The plain chain with symmetric corners at delta = 0 and +-1 has exact
-    wavenumber sets and an "analytic" spectrum.  Otherwise the eigenvalues
-    come from a dense eigensolve (provenance "oracle"); a vanishing hopping
-    gets one too, with parameters {"fallback": "zero hopping"}.  This is
-    `hn_line(p, N)` at one delta.
-    """
-    return hn_line(p, N)(delta)
-
-
 def hn_spectrum(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
-    """`hn_eigenvalues` and the shifted wavenumbers.
+    """`hn_line(p, N)` at delta and the shifted wavenumbers.
 
     An "analytic" spectrum keeps its exact wavenumber set; each eigenvalue
     of a dense one gets the alpha_tilde that `_hn_wavenumbers` recovers from
     it (generator "hn-eig").  A vanishing hopping leaves no wavenumbers.
     """
-    spec = hn_eigenvalues(p, N, delta)
+    spec = hn_line(p, N)(delta)
     if "fallback" in spec.parameters:
         return spec, _no_wavenumbers()
     if spec.provenance == "analytic":
@@ -318,9 +307,9 @@ def hn_eigenvector(p: HNParams, alpha_tilde: complex, delta, N: int) -> np.ndarr
     return psi
 
 
-def hn_balanced(p: HNParams, tol: float = 1e-12):
-    """True when |t_l| = |t_r|; also returns theta = arg(t_r / t_l)."""
-    flag = abs(abs(p.t_l) - abs(p.t_r)) <= tol * (abs(p.t_l) + abs(p.t_r))
+def hn_balanced(p: HNParams):
+    """True when |t_l| = |t_r| to a relative 1e-12; also returns theta = arg(t_r / t_l)."""
+    flag = abs(abs(p.t_l) - abs(p.t_r)) <= 1e-12 * (abs(p.t_l) + abs(p.t_r))
     return bool(flag), float(np.angle(p.t_r / p.t_l))
 
 
@@ -386,8 +375,17 @@ def _ssh_lambda2(p: SSHParams, alphas: np.ndarray) -> np.ndarray:
 
 
 def ssh_line(p: SSHParams, N: int) -> Callable[[object], Spectrum]:
-    """delta -> `ssh_eigenvalues(p, N, delta)`, the chain matrix built once
-    (see `hn_line`).  An odd chain with on-site potentials raises here."""
+    """delta -> full eigenvalue multiset of the alternating chain, the chain
+    matrix built once (see `hn_line`).
+
+    Eigenvalues lambda = (v1+v2)/2 +- sqrt(v^2 + tl1 tr1 + tl2 tr2 +
+    2 cos(a) sqrt(tl1) sqrt(tr1) sqrt(tl2) sqrt(tr2)).  The open odd chain
+    has an exact wavenumber set and an "analytic" spectrum.  Otherwise the
+    eigenvalues come from a dense eigensolve (provenance "oracle"); a
+    vanishing hopping gets one too, with parameters {"fallback": "zero
+    hopping"}.  Odd chains take no on-site potentials: one with them raises
+    here.
+    """
     op = ssh_operator(p, N)
     if not p.hoppings_nonzero:
         return lambda delta: _zero_hopping_spectrum(op.at(delta))
@@ -404,29 +402,15 @@ def ssh_line(p: SSHParams, N: int) -> Callable[[object], Spectrum]:
     return line
 
 
-def ssh_eigenvalues(p: SSHParams, N: int, delta) -> Spectrum:
-    """Full eigenvalue multiset of the alternating chain.
-
-    Eigenvalues lambda = (v1+v2)/2 +- sqrt(v^2 + tl1 tr1 + tl2 tr2 +
-    2 cos(a) sqrt(tl1) sqrt(tr1) sqrt(tl2) sqrt(tr2)).  The open odd chain
-    has an exact wavenumber set and an "analytic" spectrum.  Otherwise the
-    eigenvalues come from a dense eigensolve (provenance "oracle"); a
-    vanishing hopping gets one too, with parameters {"fallback": "zero
-    hopping"}.  Odd chains take no on-site potentials.  This is
-    `ssh_line(p, N)` at one delta.
-    """
-    return ssh_line(p, N)(delta)
-
-
 def ssh_spectrum(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
-    """`ssh_eigenvalues` and the shifted wavenumbers.
+    """`ssh_line(p, N)` at delta and the shifted wavenumbers.
 
     The open odd chain keeps its exact wavenumber set; from a dense
     spectrum they are recovered by `_ssh_wavenumbers` (generator "ssh-eig"):
     one per +- pair for even N, one per eigenvalue for odd N.  A vanishing
     hopping leaves no wavenumbers.
     """
-    spec = ssh_eigenvalues(p, N, delta)
+    spec = ssh_line(p, N)(delta)
     if "fallback" in spec.parameters:
         return spec, _no_wavenumbers()
     if spec.provenance == "analytic":
@@ -552,11 +536,12 @@ def ssh_zero_mode_predicate(p: SSHParams):
     return bool(margin > 0), float(margin)
 
 
-def ssh_balanced(p: SSHParams, tol: float = 1e-12):
-    """True when |tr1 tr2| = |tl1 tl2|; also returns the phase of the ratio."""
+def ssh_balanced(p: SSHParams):
+    """True when |tr1 tr2| = |tl1 tl2| to a relative 1e-12; also returns the
+    phase of the ratio."""
     a = abs(p.tr1 * p.tr2)
     b = abs(p.tl1 * p.tl2)
-    flag = abs(a - b) <= tol * (a + b)
+    flag = abs(a - b) <= 1e-12 * (a + b)
     theta = float(np.angle((_sq(p.tl1) * _sq(p.tl2)) / (_sq(p.tr1) * _sq(p.tr2))))
     return bool(flag), theta
 
@@ -616,8 +601,10 @@ def mixed_longrange_matrix(t_r, u_l, delta, N: int) -> np.ndarray:
 
 
 def mixed_longrange_line(t_r, u_l, N: int) -> Callable[[object], Spectrum]:
-    """delta -> `mixed_longrange_eigenvalues(t_r, u_l, delta, N)`, the chain
-    matrix built once (see `hn_line`); delta is a scalar."""
+    """delta -> spectrum of the chain with +2 and -1 hops, lambda = u_l y^2 +
+    t_r / y, the chain matrix built once (see `hn_line`); delta is a scalar.
+    The eigenvalues come from a dense eigensolve (provenance "oracle"); with
+    a vanishing hopping its parameters are {"fallback": "zero hopping"}."""
     t_r, u_l = complex(t_r), complex(u_l)
     op = chain_operator(ChainStencil(N, {2: u_l, -1: t_r}, (0.0,)))
     if t_r == 0 or u_l == 0:
@@ -630,18 +617,8 @@ def mixed_longrange_line(t_r, u_l, N: int) -> Callable[[object], Spectrum]:
     return line
 
 
-def mixed_longrange_eigenvalues(t_r, u_l, delta, N: int) -> Spectrum:
-    """Spectrum of the chain with +2 and -1 hops, lambda = u_l y^2 + t_r / y.
-
-    The eigenvalues come from a dense eigensolve (provenance "oracle"); with
-    a vanishing hopping its parameters are {"fallback": "zero hopping"}.
-    This is `mixed_longrange_line(t_r, u_l, N)` at one delta.
-    """
-    return mixed_longrange_line(t_r, u_l, N)(delta)
-
-
 def mixed_longrange_spectrum(t_r, u_l, delta, N: int) -> tuple[Spectrum, AlphaSet]:
-    """`mixed_longrange_eigenvalues` and the shifted wavenumbers.
+    """`mixed_longrange_line(t_r, u_l, N)` at delta and the shifted wavenumbers.
 
     Each eigenvalue has three roots y of u_l y^3 - lambda y + t_r = 0, found
     for all eigenvalues at once as the eigenvalues of their 3 x 3 companion
@@ -649,7 +626,7 @@ def mixed_longrange_spectrum(t_r, u_l, delta, N: int) -> tuple[Spectrum, AlphaSe
     one, and alpha_tilde = -i log(y) (generator "mixed-eig", no shift).
     A vanishing hopping leaves no wavenumbers.
     """
-    spec = mixed_longrange_eigenvalues(t_r, u_l, delta, N)
+    spec = mixed_longrange_line(t_r, u_l, N)(delta)
     if "fallback" in spec.parameters:
         return spec, _no_wavenumbers()
     t_r, u_l = complex(t_r), complex(u_l)
@@ -741,12 +718,12 @@ def nonwinding_family(case: int, t: float, u: float, phi: float, phi1: float, ph
     raise ValueError(f"case must be 1, 2 or 3, got {case}")
 
 
-def impurity_states(p: HNParams, N: int, delta, mass_threshold: float = 0.5):
+def impurity_states(p: HNParams, N: int, delta):
     """Corner-bond-localized states of the chain with an enhanced corner link.
 
     Returns (count, eigenvalues, masses): states whose biorthogonal density
-    places more than `mass_threshold` of its weight within two sites of the
-    corner bond.  For delta well above 1 the strong bond binds a pair of
+    places more than half of its weight within two sites of the corner
+    bond.  For delta well above 1 the strong bond binds a pair of
     impurity states split symmetrically about t_d.
     """
     from .core import dense_spectrum, expectation_profiles
@@ -763,6 +740,6 @@ def impurity_states(p: HNParams, N: int, delta, mass_threshold: float = 0.5):
         m = m / m.sum()
         mass = float(m[:2].sum() + m[-2:].sum())
         masses.append(mass)
-        if mass > mass_threshold:
+        if mass > 0.5:
             found.append(spec.eigenvalues[k])
     return len(found), np.array(found), np.array(masses)

@@ -16,8 +16,8 @@ delta2 > 0), block N2-j is the conjugate of block j: each pair is solved
 once, and the self-conjugate blocks (j = 0 and N2/2) in real arithmetic;
 otherwise all N2 blocks are solved in one complex batch.
 `stacked_line` returns delta1 -> these eigenvalues alone, with the blocks'
-operators and the stacking factors built once, and `stacked_eigenvalues` is
-that line at one delta1; the command line takes them from the line.  `stacked_hn_spectrum` and `stacked_ssh_spectrum` also
+operators and the stacking factors built once; the command line takes them
+from the line.  `stacked_hn_spectrum` and `stacked_ssh_spectrum` also
 recover each block's shifted wavenumbers from its eigenvalues through the
 dispersion relation of the block's effective chain, by the same inversion
 helpers as the 1D chains (models1d).  Those wavenumbers lose
@@ -42,7 +42,6 @@ __all__ = [
     "build_stacked_matrix",
     "bc_reduce",
     "stacked_line",
-    "stacked_eigenvalues",
     "stacked_hn_spectrum",
     "stacked_hn_balance",
     "envelope_curves",
@@ -256,9 +255,11 @@ def _bloch_eigvals(A, B, C, s: np.ndarray, conjugate_pairs: bool) -> np.ndarray:
 
 
 def stacked_line(spec: Stacked2DSpec) -> Callable[[object], Spectrum]:
-    """delta1 -> `stacked_eigenvalues` of spec at that delta1 (spec.delta1
-    itself is not used), the blocks' operators and the stacking factors
-    built once; spectra equal `stacked_eigenvalues` bit for bit.  Open
+    """delta1 -> eigenvalues of a BC1/BC2 stack (hn, ssh or triangular
+    family) at that delta1 (spec.delta1 itself is not used), the blocks'
+    operators and the stacking factors built once.  The N2 Bloch blocks are
+    solved by `_bloch_eigvals`, provenance "bloch-oracle", rows in block
+    order j: N1 eigenvalues of block 0, then of block 1, and so on.  Open
     stacking has no Bloch reduction and raises ValueError here."""
     s = spec.stack_factors()
     ops = block_operators(spec)
@@ -274,19 +275,8 @@ def stacked_line(spec: Stacked2DSpec) -> Callable[[object], Spectrum]:
     return line
 
 
-def stacked_eigenvalues(spec: Stacked2DSpec) -> Spectrum:
-    """Eigenvalues of a BC1/BC2 stack (hn, ssh or triangular family).
-
-    The N2 Bloch blocks are solved by `_bloch_eigvals`, provenance
-    "bloch-oracle", rows in block order j: N1 eigenvalues of block 0, then
-    of block 1, and so on.  Open stacking has no Bloch reduction and raises
-    ValueError.  This is `stacked_line(spec)` at spec.delta1.
-    """
-    return stacked_line(spec)(spec.delta1)
-
-
 def _bloch_spectrum(spec: Stacked2DSpec, hop_keys: tuple, wavenumbers):
-    """(`stacked_eigenvalues`, per-block AlphaSet or None).
+    """(`stacked_line(spec)` at spec.delta1, per-block AlphaSet or None).
 
     A block whose hoppings `hop_keys` are all nonzero gets the wavenumbers
     that `wavenumbers(h, lam)` recovers from its eigenvalues: given the
@@ -294,7 +284,7 @@ def _bloch_spectrum(spec: Stacked2DSpec, hop_keys: tuple, wavenumbers):
     rows, it returns (cos alpha_tilde rows, shifts).  The other blocks get
     None.
     """
-    out = stacked_eigenvalues(spec)
+    out = stacked_line(spec)(spec.delta1)
     lam = out.eigenvalues.reshape(spec.n2, spec.n1)
     h = _stack_h_coeffs(spec, spec.stack_factors())
     scale = max(abs(v) for v in spec.params.values()) or 1.0
@@ -310,8 +300,8 @@ def stacked_hn_spectrum(spec: Stacked2DSpec):
     """Spectrum of an HN (or triangular) stack under BC1/BC2.
 
     Per stacking factor s_j the Bloch block is a nearest-neighbour chain
-    with h_d, h_l, h_r.  The eigenvalues are `stacked_eigenvalues(spec)`
-    (provenance "bloch-oracle"), rows in block order j.  Each block's
+    with h_d, h_l, h_r.  The eigenvalues are `stacked_line(spec)` at
+    spec.delta1 (provenance "bloch-oracle"), rows in block order j.  Each block's
     shifted wavenumbers are recovered from its eigenvalues through
     cos(alpha_tilde) = (lambda - h_d) / (2 sqrt(h_l) sqrt(h_r)), N1 per
     block; a block with a vanishing h_l or h_r has none and gets None.
@@ -326,7 +316,7 @@ def stacked_hn_spectrum(spec: Stacked2DSpec):
 def stacked_ssh_spectrum(spec: Stacked2DSpec):
     """Spectrum of an SSH stack under BC1/BC2 (even N1).
 
-    Eigenvalues from `stacked_eigenvalues`, as for `stacked_hn_spectrum`,
+    Eigenvalues from `stacked_line`, as for `stacked_hn_spectrum`,
     provenance "bloch-oracle".  Wavenumbers come from the two-band relation
     of each block's effective chain
     (`models1d._ssh_wavenumbers`): one alpha_tilde per +- pair, N1/2 per
@@ -347,11 +337,16 @@ def _req_real(params: dict):
         raise ValueError("case classification assumes real parameters")
 
 
-def _eq(a, b, tol=1e-10) -> bool:
-    return abs(a - b) <= tol
+# absolute tolerance of the balance classification's equalities and
+# per-j modulus checks
+_BALANCE_TOL = 1e-10
 
 
-def stacked_hn_balance(spec: Stacked2DSpec, tol: float = 1e-10) -> str:
+def _eq(a, b) -> bool:
+    return abs(a - b) <= _BALANCE_TOL
+
+
+def stacked_hn_balance(spec: Stacked2DSpec) -> str:
     """Case tag of the stacking balance condition |h_l / h_r| = 1.
 
     Structural cases (real parameters): case1 h_r = conj(h_l), case2
@@ -366,17 +361,17 @@ def stacked_hn_balance(spec: Stacked2DSpec, tol: float = 1e-10) -> str:
     t_l, t_r = p["t_l"].real, p["t_r"].real
     v_dl, v_dr = p["v_dl"].real, p["v_dr"].real
     v_ul, v_ur = p["v_ul"].real, p["v_ur"].real
-    if _eq(t_r, t_l, tol) and _eq(v_ur, v_dl, tol) and _eq(v_dr, v_ul, tol):
+    if _eq(t_r, t_l) and _eq(v_ur, v_dl) and _eq(v_dr, v_ul):
         return "case1"
-    if _eq(t_r, t_l, tol) and _eq(v_ul, v_ur, tol) and _eq(v_dl, v_dr, tol):
+    if _eq(t_r, t_l) and _eq(v_ul, v_ur) and _eq(v_dl, v_dr):
         return "case2"
-    if _eq(t_l, v_ur, tol) and _eq(v_dl, t_r, tol) and _eq(v_ul, 0, tol) and _eq(v_dr, 0, tol):
+    if _eq(t_l, v_ur) and _eq(v_dl, t_r) and _eq(v_ul, 0) and _eq(v_dr, 0):
         return "case3"
-    if _eq(t_l, v_dr, tol) and _eq(v_dl, 0, tol) and _eq(v_ur, 0, tol) and _eq(v_ul, t_r, tol):
+    if _eq(t_l, v_dr) and _eq(v_dl, 0) and _eq(v_ur, 0) and _eq(v_ul, t_r):
         return "case4"
     for s in spec.stack_factors():
         h = _stack_h_coeffs(spec, s)
-        if abs(h["h_r"]) == 0 or abs(abs(h["h_l"] / h["h_r"]) - 1.0) > tol:
+        if abs(h["h_r"]) == 0 or abs(abs(h["h_l"] / h["h_r"]) - 1.0) > _BALANCE_TOL:
             return "unbalanced"
     return "general-r"
 
@@ -420,7 +415,7 @@ def _ssh_product_case_residual(p: dict, shift: int) -> float:
     return res
 
 
-def stacked_ssh_balance(spec: Stacked2DSpec, tol: float = 1e-10) -> str:
+def stacked_ssh_balance(spec: Stacked2DSpec) -> str:
     """Case tag of |sqrt(h_r1 h_r2) / sqrt(h_l1 h_l2)| = 1 for SSH stacks.
 
     Cases 1-4 are equalities between individual hoppings; cases 5-7 relate
@@ -431,15 +426,15 @@ def stacked_ssh_balance(spec: Stacked2DSpec, tol: float = 1e-10) -> str:
     p = {k: v.real for k, v in spec.params.items()}
     _req_real(spec.params)
     for case, eqs in _SSH_CASES_INDIVIDUAL.items():
-        if all(_eq(p[a], p[b], tol) for a, b in eqs):
+        if all(_eq(p[a], p[b]) for a, b in eqs):
             return case
     for case, shift in (("case5", 0), ("case6", 1), ("case7", 2)):
-        if _ssh_product_case_residual(p, shift) <= tol:
+        if _ssh_product_case_residual(p, shift) <= _BALANCE_TOL:
             return case
     for s in spec.stack_factors():
         h = _stack_h_coeffs(spec, s)
         denom = h["hl1"] * h["hl2"]
-        if abs(denom) == 0 or abs(abs(h["hr1"] * h["hr2"] / denom) - 1.0) > tol:
+        if abs(denom) == 0 or abs(abs(h["hr1"] * h["hr2"] / denom) - 1.0) > _BALANCE_TOL:
             return "unbalanced"
     return "general-r"
 
@@ -459,8 +454,9 @@ class EnvelopeCurves:
     case: str = ""
 
 
-def envelope_curves(spec: Stacked2DSpec, t_grid=None, require_balanced: bool = True) -> EnvelopeCurves:
-    """The boundary curves z1(t) +- z2(t) of a balanced HN stack.
+def envelope_curves(spec: Stacked2DSpec, t_grid=None) -> EnvelopeCurves:
+    """The boundary curves z1(t) +- z2(t) of a balanced HN stack; an
+    unbalanced one raises ValueError.
 
     z1(t) = t_d + e^{it} u_d + e^{-it} u_u and z2(t) =
     2 sqrt(t_r + e^{it} v_dr + e^{-it} v_ur) sqrt(t_l + e^{it} v_dl +
@@ -477,7 +473,7 @@ def envelope_curves(spec: Stacked2DSpec, t_grid=None, require_balanced: bool = T
         spec = Stacked2DSpec("hn", hn_params, spec.n1, spec.n2, spec.delta1,
                              spec.mode if spec.mode != "open" else "bc1", spec.delta2)
     case = stacked_hn_balance(spec)
-    if require_balanced and case == "unbalanced":
+    if case == "unbalanced":
         raise ValueError("envelope curves are defined for balanced stacks")
     if t_grid is None:
         t_grid = np.linspace(0.0, 2 * np.pi, 361)

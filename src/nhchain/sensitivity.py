@@ -9,8 +9,8 @@ compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .core import Spectrum, hausdorff_points
 
 __all__ = [
     "SensitivityReport",
-    "ScreenPolicy",
     "delta_sweep",
     "hausdorff",
     "sensitivity_exponent",
@@ -145,8 +144,7 @@ def _bisect_delta_star(fn, threshold: float, lo: float = _DELTA_FLOOR, max_iter:
 
 
 def sensitivity_exponent(family_fn: Callable[[int, float], Spectrum], threshold: float,
-                         n_list, xi_floor: float = 0.01,
-                         drop_smallest: int = 0) -> SensitivityReport:
+                         n_list, drop_smallest: int = 0) -> SensitivityReport:
     """Fit ln delta*(N) against N over a list of at least 4 distinct sizes.
 
     For each N a critical deformation delta* is located in [1e-14, 1]: a b
@@ -160,7 +158,7 @@ def sensitivity_exponent(family_fn: Callable[[int, float], Spectrum], threshold:
     `drop_smallest` removes that many smallest-|lambda| eigenvalues from
     every spectrum first (used to separate a gradually moving zero-mode
     branch from the bulk).  The verdict is 'exponential' when the fitted
-    xi exceeds `xi_floor` with every size reaching the threshold.
+    xi exceeds 0.01 with every size reaching the threshold.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -207,23 +205,15 @@ def sensitivity_exponent(family_fn: Callable[[int, float], Spectrum], threshold:
         ss_res = float(res[0]) if len(res) else float(((A @ coef - y) ** 2).sum())
         r2 = 1.0 - ss_res / ss_tot
     xi = float(-coef[0])
-    verdict = "exponential" if (all(reached) and xi > xi_floor) else "non-exponential"
+    verdict = "exponential" if (all(reached) and xi > 0.01) else "non-exponential"
     return report(xi, float(r2), verdict)
 
 
-@dataclass(frozen=True)
-class ScreenPolicy:
-    """Thresholds of the fixed-size screen in classify_sensitivity.
-
-    `step_ratio` compares the first sweep step against the next one;
-    `secant_ratio` compares it against the linear drift predicted by the
-    full delta = 0 -> 1 distance.  Either exceeding its threshold yields the
-    exponential verdict.  Calibrated on the solved chains at N = 30, where
-    the two classes separate as (>= 4, >= 15) vs (<= 1.3, <= 1.7).
-    """
-
-    step_ratio: float = 3.0
-    secant_ratio: float = 5.0
+# Thresholds of the fixed-size screen in classify_sensitivity, calibrated on
+# the solved chains at N = 30, where the two classes separate as
+# (step, secant) ratios (>= 4, >= 15) vs (<= 1.3, <= 1.7).
+_SCREEN_STEP_RATIO = 3.0
+_SCREEN_SECANT_RATIO = 5.0
 
 
 @dataclass(frozen=True)
@@ -232,7 +222,6 @@ class ScreenResult:
     step_ratio: float
     secant_ratio: float
     jump: float
-    policy: ScreenPolicy = field(default_factory=ScreenPolicy)
 
     def as_dict(self) -> dict:
         return {
@@ -243,18 +232,19 @@ class ScreenResult:
         }
 
 
-def classify_sensitivity(spectrum_fn: Callable[[float], Spectrum], eps: float = 0.01,
-                         policy: Optional[ScreenPolicy] = None) -> ScreenResult:
+def classify_sensitivity(spectrum_fn: Callable[[float], Spectrum],
+                         eps: float = 0.01) -> ScreenResult:
     """Fixed-size screen for exponential sensitivity (the exponent fit is
     authoritative; this is the cheap single-N heuristic).
 
     Compares the initial jump hausdorff(S(0), S(eps)) against the following
-    step hausdorff(S(eps), S(2 eps)) and against the linear drift
-    eps * hausdorff(S(0), S(1)).
+    step hausdorff(S(eps), S(2 eps)) (the step ratio) and against the
+    linear drift eps * hausdorff(S(0), S(1)) (the secant ratio).  Either
+    ratio at or above its threshold, 3 and 5, yields the exponential
+    verdict.
     """
     if eps <= 0 or 2 * eps > 1:
         raise ValueError(f"eps must lie in (0, 0.5], got {eps}")
-    policy = policy or ScreenPolicy()
     s0 = spectrum_fn(0.0)
     s1 = spectrum_fn(eps)
     s2 = spectrum_fn(2 * eps)
@@ -267,8 +257,8 @@ def classify_sensitivity(spectrum_fn: Callable[[float], Spectrum], eps: float = 
     r_secant = jump / max(secant, tiny)
     if jump < tiny:
         verdict = "non-exponential"
-    elif r_step >= policy.step_ratio or r_secant >= policy.secant_ratio:
+    elif r_step >= _SCREEN_STEP_RATIO or r_secant >= _SCREEN_SECANT_RATIO:
         verdict = "exponential"
     else:
         verdict = "non-exponential"
-    return ScreenResult(verdict, float(r_step), float(r_secant), float(jump), policy)
+    return ScreenResult(verdict, float(r_step), float(r_secant), float(jump))

@@ -74,8 +74,8 @@ class BlochSampler:
         ks = np.atleast_1d(np.asarray(ks, dtype=float))
         return self._shifted_det(self._evaluate(ks), base_energy)
 
-    def periodicity_defect(self, n_samples: int = 16) -> float:
-        ks = np.linspace(-np.pi, np.pi, n_samples, endpoint=False)
+    def periodicity_defect(self) -> float:
+        ks = np.linspace(-np.pi, np.pi, 16, endpoint=False)
         a = self.det_shifted(ks, 0.0)
         b = self.det_shifted(ks + 2 * np.pi, 0.0)
         scale = np.abs(a).max() + 1e-300
@@ -90,24 +90,19 @@ class WindingResult:
     min_abs_det: float
     phase_sum: float
 
-    @property
-    def reliable(self) -> bool:
-        return self.min_abs_det >= UNRELIABLE_MIN_DET
-
 
 def _phase_increments(dets: np.ndarray) -> np.ndarray:
     return np.angle(dets[1:] / dets[:-1])
 
 
-def winding_number(sampler: BlochSampler, base_energy, n_samples: int = 256,
-                   max_samples: int = 1 << 16) -> WindingResult:
+def winding_number(sampler: BlochSampler, base_energy, n_samples: int = 256) -> WindingResult:
     """Winding of det(H(k) - E_B) as k traverses [-pi, pi].
 
-    Doubles the sample count until no single phase increment exceeds pi/2
-    (which rules out 2 pi aliasing when the curve passes between samples)
-    and the pre-rounding phase sum lies within 0.1 of an integer.  Raises
-    when the base energy sits on (or numerically touches) the sampled
-    spectral curve, where the winding is undefined.
+    Doubles the sample count, up to 2^16, until no single phase increment
+    exceeds pi/2 (which rules out 2 pi aliasing when the curve passes
+    between samples) and the pre-rounding phase sum lies within 0.1 of an
+    integer.  Raises when the base energy sits on (or numerically touches)
+    the sampled spectral curve, where the winding is undefined.
     """
     if n_samples < 64:
         raise ValueError(f"need at least 64 samples, got {n_samples}")
@@ -125,7 +120,7 @@ def winding_number(sampler: BlochSampler, base_energy, n_samples: int = 256,
         resolved = np.abs(inc).max() < 0.5 * np.pi
         if resolved and abs(total - round(total)) <= 0.1:
             return WindingResult(E, int(round(total)), n, min_det, total)
-        if n >= max_samples:
+        if n >= 1 << 16:
             if not resolved:
                 raise ValueError(
                     f"base energy {E} too close to the spectral curve to resolve "
@@ -135,9 +130,9 @@ def winding_number(sampler: BlochSampler, base_energy, n_samples: int = 256,
         n *= 2
 
 
-def gap_classify(sampler: BlochSampler, grid_size: int = 12, n_samples: int = 256,
-                 pad: float = 0.2):
-    """Scan a padded bounding box of the Bloch curve for a winding witness.
+def gap_classify(sampler: BlochSampler):
+    """Scan a 12 x 12 grid over the bounding box of the Bloch curve, padded
+    by a fifth of its width and height, for a winding witness.
 
     Returns ('point-gap', WindingResult) at the first base energy with
     |w| >= 1, else ('line-gap-consistent', None).  A grid verdict is not a
@@ -150,8 +145,8 @@ def gap_classify(sampler: BlochSampler, grid_size: int = 12, n_samples: int = 25
     im_lo, im_hi = pts.imag.min(), pts.imag.max()
     dre = max(re_hi - re_lo, 1e-6)
     dim_ = max(im_hi - im_lo, 1e-6)
-    res = np.linspace(re_lo - pad * dre, re_hi + pad * dre, grid_size)
-    ims = np.linspace(im_lo - pad * dim_, im_hi + pad * dim_, grid_size)
+    res = np.linspace(re_lo - 0.2 * dre, re_hi + 0.2 * dre, 12)
+    ims = np.linspace(im_lo - 0.2 * dim_, im_hi + 0.2 * dim_, 12)
     min_curve_dist = 0.02 * max(dre, dim_)
     for re in res:
         for im in ims:
@@ -163,7 +158,7 @@ def gap_classify(sampler: BlochSampler, grid_size: int = 12, n_samples: int = 25
             if near < min_curve_dist:
                 continue
             try:
-                res_w = winding_number(sampler, E, n_samples)
+                res_w = winding_number(sampler, E)
             except ValueError:
                 continue
             if abs(res_w.w) >= 1:
@@ -201,13 +196,14 @@ def tridiag_bloch_det(t_l, t_r, k, n_rows: int):
     return complex(prev1) if prev1.ndim == 0 else prev1
 
 
-def tridiag_det_winding(t_l, t_r, n_rows: int, n_samples: int = 512):
+def tridiag_det_winding(t_l, t_r, n_rows: int):
     """Winding of the curve k -> det of the tridiagonal Bloch block.
 
-    Candidate interior points are scanned (curve centroid plus a small grid);
-    the result with the largest |w| is returned together with the phase flag,
-    which is True when t_r / t_l is a pure phase -- the determinant curve is
-    then a rescaled real function and must not wind.
+    Candidate interior points are scanned (curve centroid plus a small
+    grid, from 512 samples); the result with the largest |w| is returned
+    together with the phase flag, which is True when t_r / t_l is a pure
+    phase -- the determinant curve is then a rescaled real function and
+    must not wind.
     """
     if n_rows < 2:
         raise ValueError(f"n_rows must be >= 2, got {n_rows}")
@@ -228,7 +224,7 @@ def tridiag_det_winding(t_l, t_r, n_rows: int, n_samples: int = 512):
         if np.abs(pts - E).min() < 1e-3 * span:
             continue
         try:
-            res = winding_number(sampler, E, max(n_samples, 64))
+            res = winding_number(sampler, E, 512)
         except ValueError:
             continue
         if best is None or abs(res.w) > abs(best.w):

@@ -118,13 +118,6 @@ class TestRun:
         assert run(cfg, tmp_path) == 0
         assert csv_path.read_bytes() == first
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        cfg = parse_config(dict(HN_SWEEP, output="threaded"))
-        run(cfg, tmp_path, threads=1)
-        single = (tmp_path / "threaded.csv").read_bytes()
-        run(cfg, tmp_path, threads=4)
-        assert (tmp_path / "threaded.csv").read_bytes() == single
-
     def test_winding_task(self, tmp_path):
         cfg = parse_config({
             "model": "hn", "task": "winding",
@@ -678,6 +671,41 @@ def test_n_list_sizes_the_model_cannot_build_exit_2(tmp_path, capsys, case):
     assert main(["sensitivity", "--config", str(path), "--out", str(tmp_path)]) == 0
     side = json.loads((tmp_path / "out.json").read_text())
     assert side["sensitivity"]["exponent"]["n_list"][0] == smallest
+
+
+@pytest.mark.parametrize("case", sorted(FIT_SIZES))
+def test_sizes_the_model_cannot_build_exit_2(tmp_path, capsys, case):
+    """A configured first size at which the model's matrix or line cannot be
+    built is a config error naming that size, for every task that builds
+    one; winding, gap and balance read no size and accept it."""
+    params, sizes, refused, smallest = FIT_SIZES[case]
+    key = next(iter(sizes))
+    payload = {"model": case.replace("-one-way", "").replace("-m2p2", ""), "params": params,
+               "delta": 0.3, "output": "out"}
+    for k in refused:
+        at = dict(sizes, **{key: k})
+        for task in ("spectrum", "sweep", "states", "envelope", "sensitivity"):
+            with pytest.raises(ConfigError, match=rf"^sizes\.{key}: model .* needs {key} >= {smallest}"):
+                parse_config(dict(payload, task=task, sizes=at))
+        for task in ("winding", "gap", "balance"):
+            assert parse_config(dict(payload, task=task, sizes=at))["sizes"][key] == k
+    path = write_config(tmp_path, "c.json", dict(payload, sizes=dict(sizes, **{key: refused[-1]})))
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"invalid config: sizes.{key}: " in capsys.readouterr().err
+    path = write_config(tmp_path, "c.json", dict(payload, sizes=dict(sizes, **{key: smallest})))
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("task, delta, expected", [
+    ("winding", 0.3, 0), ("spectrum", 0.0, 2), ("spectrum", 1.0, 2), ("spectrum", 0.3, 2),
+])
+def test_two_site_hn(tmp_path, task, delta, expected):
+    """hn at N = 2: the winding reads no size; a spectrum exits 2 at every
+    delta, the exact sets at 0 and +-1 included."""
+    path = write_config(tmp_path, "c.json", {"model": "hn", "params": {"t_l": 1.0, "t_r": 2.0},
+                                             "sizes": {"N": 2}, "delta": delta, "output": "out"})
+    assert main([task, "--config", str(path), "--out", str(tmp_path)]) == expected
+
 
 STACK_HN_UNBALANCED = {"t_d": 1, "t_r": 2, "t_l": 3, "u_u": 4, "v_ur": 5, "v_ul": 6, "u_d": 7,
                        "v_dr": 8, "v_dl": 9}

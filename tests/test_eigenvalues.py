@@ -1,7 +1,7 @@
-"""The eigenvalue-only functions against the spectra that also recover wavenumbers.
+"""The eigenvalue-only lines against the spectra that also recover wavenumbers.
 
-`hn_eigenvalues`, `ssh_eigenvalues`, `mixed_longrange_eigenvalues` and
-`stacked_eigenvalues` must return exactly the `Spectrum` of the matching
+`hn_line`, `ssh_line`, `mixed_longrange_line` and `stacked_line`, evaluated
+at one delta, must return exactly the `Spectrum` of the matching
 `*_spectrum` function; the command line must reach every chain and Bloch
 spectrum through them.
 """
@@ -13,17 +13,17 @@ from nhchain.cli import parse_config, run
 from nhchain.models1d import (
     HNParams,
     SSHParams,
-    hn_eigenvalues,
+    hn_line,
     hn_spectrum,
-    mixed_longrange_eigenvalues,
+    mixed_longrange_line,
     mixed_longrange_spectrum,
-    ssh_eigenvalues,
+    ssh_line,
     ssh_spectrum,
 )
 from nhchain.models2d import (
     Stacked2DSpec,
-    stacked_eigenvalues,
     stacked_hn_spectrum,
+    stacked_line,
     stacked_ssh_spectrum,
     triangular_spectrum,
 )
@@ -55,7 +55,7 @@ def test_hn_eigenvalues_equal_spectrum(seed):
                          *(_hopping(rng, complex_) for _ in range(2 if ends else 0)))
             N = int(rng.integers(3, 21))
             for delta in DELTAS:
-                eig = hn_eigenvalues(p, N, delta)
+                eig = hn_line(p, N)(delta)
                 assert_same(eig, hn_spectrum(p, N, delta)[0])
                 provenances.add(eig.provenance)
     assert provenances == {"analytic", "oracle"}
@@ -70,7 +70,7 @@ def test_ssh_eigenvalues_equal_spectrum(seed):
             onsite = (_hopping(rng, complex_), _hopping(rng, complex_)) if N % 2 == 0 else ()
             p = SSHParams(*(_hopping(rng, complex_) for _ in range(4)), *onsite)
             for delta in DELTAS:
-                eig = ssh_eigenvalues(p, N, delta)
+                eig = ssh_line(p, N)(delta)
                 assert_same(eig, ssh_spectrum(p, N, delta)[0])
                 provenances.add(eig.provenance)
     assert provenances == {"analytic", "oracle"}
@@ -82,17 +82,36 @@ def test_mixed_eigenvalues_equal_spectrum(seed):
     for complex_ in (False, True):
         t_r, u_l, N = _hopping(rng, complex_), _hopping(rng, complex_), int(rng.integers(4, 21))
         for delta in (0.0, 1.0, -1.0, 0.3, 0.5 - 0.2j):
-            assert_same(mixed_longrange_eigenvalues(t_r, u_l, delta, N),
+            assert_same(mixed_longrange_line(t_r, u_l, N)(delta),
                         mixed_longrange_spectrum(t_r, u_l, delta, N)[0])
 
 
+def _hn_at(p, N, delta):
+    return hn_line(p, N)(delta)
+
+
+def _ssh_at(p, N, delta):
+    return ssh_line(p, N)(delta)
+
+
+def _mixed_at(t_r, u_l, delta, N):
+    return mixed_longrange_line(t_r, u_l, N)(delta)
+
+
+# ids name the eigenvalue-only route and the spectrum it must equal
 @pytest.mark.parametrize("eig,full,args", [
-    (hn_eigenvalues, hn_spectrum, (HNParams(0.0, 1.5), 9, 0.3)),
-    (hn_eigenvalues, hn_spectrum, (HNParams(1.0, 0.0, 0.2), 8, 1.0)),
-    (ssh_eigenvalues, ssh_spectrum, (SSHParams(1.0, 0.0, 2.0, 3.0), 8, 0.3)),
-    (ssh_eigenvalues, ssh_spectrum, (SSHParams(1.0, 2.0, 0.0, 3.0, 0.5, 0.1), 9, 0.0)),
-    (mixed_longrange_eigenvalues, mixed_longrange_spectrum, (0.0, 1.0, 0.5, 9)),
-    (mixed_longrange_eigenvalues, mixed_longrange_spectrum, (1.0, 0.0, 0.5, 9)),
+    pytest.param(_hn_at, hn_spectrum, (HNParams(0.0, 1.5), 9, 0.3),
+                 id="hn_eigenvalues-hn_spectrum-args0"),
+    pytest.param(_hn_at, hn_spectrum, (HNParams(1.0, 0.0, 0.2), 8, 1.0),
+                 id="hn_eigenvalues-hn_spectrum-args1"),
+    pytest.param(_ssh_at, ssh_spectrum, (SSHParams(1.0, 0.0, 2.0, 3.0), 8, 0.3),
+                 id="ssh_eigenvalues-ssh_spectrum-args2"),
+    pytest.param(_ssh_at, ssh_spectrum, (SSHParams(1.0, 2.0, 0.0, 3.0, 0.5, 0.1), 9, 0.0),
+                 id="ssh_eigenvalues-ssh_spectrum-args3"),
+    pytest.param(_mixed_at, mixed_longrange_spectrum, (0.0, 1.0, 0.5, 9),
+                 id="mixed_longrange_eigenvalues-mixed_longrange_spectrum-args4"),
+    pytest.param(_mixed_at, mixed_longrange_spectrum, (1.0, 0.0, 0.5, 9),
+                 id="mixed_longrange_eigenvalues-mixed_longrange_spectrum-args5"),
 ])
 def test_zero_hopping_fallback(eig, full, args):
     spec = eig(*args)
@@ -102,7 +121,7 @@ def test_zero_hopping_fallback(eig, full, args):
 
 def test_odd_open_ssh_is_analytic():
     p = SSHParams(1.0, 2.0, 3.0, 4.0)
-    spec = ssh_eigenvalues(p, 11, 0.0)
+    spec = ssh_line(p, 11)(0.0)
     assert spec.provenance == "analytic" and spec.eigenvalues[0] == 0
     assert_same(spec, ssh_spectrum(p, 11, 0.0)[0])
 
@@ -110,7 +129,7 @@ def test_odd_open_ssh_is_analytic():
 @pytest.mark.parametrize("delta", [0.0, 0.3])
 def test_odd_ssh_with_onsite_raises(delta):
     p = SSHParams(1.0, 2.0, 3.0, 4.0, 0.5, 0.0)
-    for solve in (ssh_eigenvalues, ssh_spectrum):
+    for solve in (_ssh_at, ssh_spectrum):
         with pytest.raises(ValueError, match="odd-length chains"):
             solve(p, 9, delta)
 
@@ -132,7 +151,7 @@ def test_stacked_eigenvalues_equal_spectrum(family, seed):
             for mode, delta2 in (("bc1", 1.0), ("bc2", 0.6), ("bc2", -0.5), ("bc2", 0.5 + 0.3j)):
                 for delta1 in (0.0, 0.37, -1.0):
                     spec2d = Stacked2DSpec(family, params, n1, n2, delta1, mode, delta2)
-                    eig = stacked_eigenvalues(spec2d)
+                    eig = stacked_line(spec2d)(delta1)
                     assert eig.provenance == "bloch-oracle" and len(eig) == n1 * n2
                     assert_same(eig, full(spec2d)[0])
 
@@ -140,7 +159,7 @@ def test_stacked_eigenvalues_equal_spectrum(family, seed):
 def test_stacked_eigenvalues_refuse_open_stacking():
     spec2d = Stacked2DSpec("triangular", {"t_l": 1.0, "t_r": 2.0}, 4, 4, 0.3, "open")
     with pytest.raises(ValueError, match="no Bloch reduction"):
-        stacked_eigenvalues(spec2d)
+        stacked_line(spec2d)
 
 
 # config name: (config without task, tasks defined for it)

@@ -9,19 +9,16 @@ from nhchain.models1d import (
     _one_per_pair,
     bloch_1d,
     hn_balanced,
-    hn_eigenvalues,
     hn_eigenvector,
     hn_line,
     hn_matrix,
     hn_spectrum,
     impurity_states,
-    mixed_longrange_eigenvalues,
     mixed_longrange_line,
     mixed_longrange_matrix,
     mixed_longrange_spectrum,
     nonwinding_family,
     ssh_balanced,
-    ssh_eigenvalues,
     ssh_line,
     ssh_matrix,
     ssh_spectrum,
@@ -409,9 +406,9 @@ LINE_DELTAS = [0.0, 1.0, -1.0, 1e-14, 0.3, (0.2, 0.7), 0.3, 1e-14, -1.0, 1.0, 0.
 
 
 class TestLines:
-    """A per-size line evaluated at one delta after another equals the
-    `*_eigenvalues` call at each delta, bit for bit: the operator it keeps
-    is not changed by an evaluation."""
+    """A per-size line evaluated at one delta after another equals a fresh
+    line at each delta, bit for bit: the operator it keeps is not changed
+    by an evaluation."""
 
     @pytest.mark.parametrize("p, N", [
         (HNParams(1.0, 1.5), 20),
@@ -424,7 +421,7 @@ class TestLines:
     def test_hn_line(self, p, N):
         line = hn_line(p, N)
         for delta in LINE_DELTAS:
-            assert _same_spectrum(line(delta), hn_eigenvalues(p, N, delta))
+            assert _same_spectrum(line(delta), hn_line(p, N)(delta))
             if "fallback" not in line(delta).parameters and line(delta).provenance == "oracle":
                 assert _same_spectrum(line(delta), dense_spectrum(
                     hn_matrix(p, N, delta), parameters=line(delta).parameters))
@@ -432,7 +429,7 @@ class TestLines:
     def test_hn_line_two_sites(self):
         # N = 2 has its exact set at delta = 0 and no banded matrix
         line = hn_line(HNParams(1.0, 2.0), 2)
-        assert _same_spectrum(line(0.0), hn_eigenvalues(HNParams(1.0, 2.0), 2, 0.0))
+        assert _same_spectrum(line(0.0), hn_line(HNParams(1.0, 2.0), 2)(0.0))
         with pytest.raises(ValueError, match="too large for N = 2"):
             line(0.3)
 
@@ -447,11 +444,11 @@ class TestLines:
     def test_ssh_line(self, p, N):
         line = ssh_line(p, N)
         for delta in LINE_DELTAS:
-            assert _same_spectrum(line(delta), ssh_eigenvalues(p, N, delta))
+            assert _same_spectrum(line(delta), ssh_line(p, N)(delta))
 
     def test_ssh_line_odd_with_potentials_raises(self):
         p = SSHParams(1.0, 2.0, 3.0, 4.0, v1=0.5)
-        for call in (lambda: ssh_line(p, 9), lambda: ssh_eigenvalues(p, 9, 0.3)):
+        for call in (lambda: ssh_line(p, 9), lambda: ssh_line(p, 9)(0.3)):
             with pytest.raises(ValueError, match="without on-site potentials"):
                 call()
 
@@ -489,6 +486,6 @@ class TestLines:
     def test_mixed_longrange_line(self, t_r, u_l, N):
         line = mixed_longrange_line(t_r, u_l, N)
         for delta in [d for d in LINE_DELTAS if not isinstance(d, tuple)] + [0.3 - 0.2j]:
-            assert _same_spectrum(line(delta), mixed_longrange_eigenvalues(t_r, u_l, delta, N))
+            assert _same_spectrum(line(delta), mixed_longrange_line(t_r, u_l, N)(delta))
         with pytest.raises(TypeError):
             line((0.2, 0.7))

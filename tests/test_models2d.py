@@ -33,7 +33,6 @@ from nhchain.models2d import (
     segment_distance,
     separable_square_matrix,
     separable_square_spectrum,
-    stacked_eigenvalues,
     stacked_hn_balance,
     stacked_hn_spectrum,
     stacked_line,
@@ -769,7 +768,7 @@ class TestBlochRoute:
 
 def _bloch_reference(spec):
     """The Bloch eigenvalues of `spec` solved from its own blocks, as
-    `stacked_eigenvalues` solved them before it took them from a line."""
+    the stacked spectra solved them before they took them from a line."""
     real = all(v.imag == 0 for v in spec.params.values()) and complex(spec.delta1).imag == 0
     paired = spec.mode == "bc1" or (spec.delta2.imag == 0 and spec.delta2.real > 0)
     s = spec.stack_factors()
@@ -790,8 +789,8 @@ def _bloch_reference(spec):
 
 
 class TestStackedLine:
-    """One line evaluated at one delta1 after another equals
-    `stacked_eigenvalues` of the spec at each delta1, bit for bit."""
+    """One line evaluated at one delta1 after another equals a fresh line
+    of the spec at each delta1, bit for bit."""
 
     @pytest.mark.parametrize("family, params, n1, n2, mode, delta2", [
         ("hn", STACK_HN_UNBAL, 6, 5, "bc1", 1.0),
@@ -806,7 +805,7 @@ class TestStackedLine:
         line = stacked_line(spec)
         for d1 in (0.0, 1.0, -1.0, 1e-14, 0.3, 0.3 + 0.2j, 0.3, 0.0):
             at = Stacked2DSpec(family, params, n1, n2, d1, mode, delta2)
-            got, want = line(d1), stacked_eigenvalues(at)
+            got, want = line(d1), stacked_line(at)(d1)
             assert np.array_equal(got.eigenvalues.view(np.int64), want.eigenvalues.view(np.int64))
             assert np.array_equal(got.eigenvalues.view(np.int64), _bloch_reference(at).view(np.int64))
             assert (got.provenance, got.parameters) == (want.provenance, want.parameters)

@@ -1,8 +1,40 @@
+import importlib
+import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import nhchain
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_hooks_resolve():
+    """Every nhchain function the benchmark traces or calls exists:
+    `spans.Tracer().install()` wraps each traced function in its defining
+    module and `restore()` puts the original back, and every `self.m1.*`,
+    `self.m2.*` and `self.core.*` name in check.py resolves."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    owners = {owner: importlib.import_module(f"nhchain.{owner}") for owner, *_ in spans.TARGETS}
+    targets = [(owners[owner], fname) for owner, fname, *_ in spans.TARGETS]
+    assert not [f"{m.__name__}.{f}" for m, f in targets if not hasattr(m, f)]
+    originals = [getattr(m, f) for m, f in targets]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert all(getattr(m, f) is not orig for (m, f), orig in zip(targets, originals))
+    finally:
+        tracer.restore()
+    assert all(getattr(m, f) is orig for (m, f), orig in zip(targets, originals))
+
+    modules = {"m1": nhchain.models1d, "m2": nhchain.models2d, "core": nhchain.core}
+    used = set(re.findall(r"self\.(m1|m2|core)\.(\w+)", (PERFBENCH / "check.py").read_text()))
+    assert used
+    assert not sorted(f"{m}.{name}" for m, name in used if not hasattr(modules[m], name))
 
 
 def test_output_digests_compare(tmp_path):
