@@ -126,17 +126,26 @@ def parse_config(raw: dict) -> dict:
     cfg["n_list"] = [_size(n, "n_list") for n in _field(raw, "n_list", list)]
     if cfg["n_list"] and len(set(cfg["n_list"])) < 4:
         raise ConfigError(f"n_list: expected at least 4 distinct sizes, got {cfg['n_list']}")
-    smallest, step = m.fit_sizes(params)
     key = m.sizes[0]
-    rule = f"model {model!r} needs {key} >= {smallest}"
-    rule += f" and a multiple of {step}" if step > 1 else ""
-    size = cfg["sizes"][key]
-    if task in SIZED_TASKS and (size < smallest or size % step):
-        raise ConfigError(f"sizes.{key}: {rule}, got {size}")
-    if any(n < smallest or n % step for n in cfg["n_list"]):
+    rule, fits = _size_rule(model, key, *m.fit_sizes(params))
+    if task in SIZED_TASKS and not fits(cfg["sizes"][key]):
+        raise ConfigError(f"sizes.{key}: {rule}, got {cfg['sizes'][key]}")
+    if not all(map(fits, cfg["n_list"])):
         raise ConfigError(f"n_list: {rule}, got {cfg['n_list']}")
+    for key in m.sizes[1:]:
+        rule, fits = _size_rule(model, key, *m.second_size(params))
+        if not fits(cfg["sizes"][key]):
+            raise ConfigError(f"sizes.{key}: {rule}, got {cfg['sizes'][key]}")
     cfg["output"] = str(raw.get("output", "run"))
     return cfg
+
+
+def _size_rule(model: str, key: str, smallest: int, step: int) -> tuple[str, Callable]:
+    """(the rule in words, size -> whether it holds) for sizes of `key`
+    from `smallest` in multiples of `step`."""
+    rule = f"model {model!r} needs {key} >= {smallest}"
+    rule += f" and a multiple of {step}" if step > 1 else ""
+    return rule, lambda n: n >= smallest and n % step == 0
 
 
 def _parse_delta(value):
@@ -191,8 +200,9 @@ class Model:
     the first size key, which a sensitivity fit varies over `n_list`, at
     which the matrix can be built: the multiples of `step` from `smallest`.
     `parse_config` holds every `n_list` size to it, and the configured size
-    too for the `SIZED_TASKS`.  The chain rows read which hoppings are
-    nonzero; the lattice rows assume all are.
+    too for the `SIZED_TASKS`.  `second_size(p)` gives the same for the
+    second size key of a lattice, which every task holds to.  The chain
+    rows read which hoppings are nonzero; the lattice rows assume all are.
     """
 
     required: frozenset
@@ -204,6 +214,7 @@ class Model:
     sizes: tuple = ("N",)
     reduced: Callable = _reduced         # sizes -> sizes of the validation
     fit_sizes: Callable = lambda p: (1, 1)  # p -> (smallest, step) of the sizes[0] a line takes
+    second_size: Callable = lambda p: (1, 1)  # p -> (smallest, step) of sizes[1]
     bloch: Callable | None = None        # p -> topology.BlochSampler
     balance: Callable | None = None      # c -> sidecar entry
     envelope: Callable | None = None     # (c, d) -> models2d.EnvelopeCurves
@@ -419,7 +430,7 @@ MODELS: dict[str, Model] = {
             c["params"]["t_l"], c["params"]["t_r"], c["sizes"]["N1"], c["sizes"]["N2"], _scalar(d),
             c["delta2"], c["params"].get("delta2p", c["delta2"]),
             c["params"].get("inter_scale", 1.0).real),
-        sizes=("N1", "N2"), fit_sizes=lambda p: (2, 1),
+        sizes=("N1", "N2"), fit_sizes=lambda p: (2, 1), second_size=lambda p: (2, 1),
     ),
     "separable-square": Model(
         frozenset({"a_t_l", "a_t_r", "b_t_l", "b_t_r"}), frozenset({"a_t_d", "b_t_d"}),
@@ -429,6 +440,7 @@ MODELS: dict[str, Model] = {
         closed_form=lambda c, d: models2d.separable_square_spectrum(
             *(s[0] for s in _separable(models1d.hn_closed_form, c, d))),
         sizes=("N1", "N2"), fit_sizes=_chain_sizes({"a_t_l": 1, "a_t_r": -1}),
+        second_size=_chain_sizes({"b_t_l": 1, "b_t_r": -1}),
     ),
 }
 

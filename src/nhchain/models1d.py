@@ -194,18 +194,17 @@ def _hn_exact_alpha_set(p: HNParams, N: int, delta) -> Optional[AlphaSet]:
     plane-wave solutions at delta = +-1 exist because the boundary equations
     then admit single-exponential eigenvectors."""
     dl, dr = _pair(delta)
+    if not (p.is_plain and dl == dr and dl in (0, 1.0 + 0j, -1.0 + 0j)):
+        return None
     shift = p.shift
-    if p.is_plain and dl == dr:
-        if dl == 0:
-            kp = np.arange(1, N + 1)
-            vals = np.pi * kp / (N + 1) + 0j
-            return AlphaSet(vals, np.ones(N, dtype=int), shift, "hn-delta0")
-        if dl in (1.0 + 0j, -1.0 + 0j):
-            k = np.arange(N)
-            alph = (2 * np.pi * k + (0.0 if dl == 1 else np.pi)) / N
-            vals, mult = dedup_sorted(alph + shift)
-            return AlphaSet(vals, mult, shift, "hn-fourier")
-    return None
+    if dl == 0:
+        kp = np.arange(1, N + 1)
+        vals = np.pi * kp / (N + 1) + 0j
+        return AlphaSet(vals, np.ones(N, dtype=int), shift, "hn-delta0")
+    k = np.arange(N)
+    alph = (2 * np.pi * k + (0.0 if dl == 1 else np.pi)) / N
+    vals, mult = dedup_sorted(alph + shift)
+    return AlphaSet(vals, mult, shift, "hn-fourier")
 
 
 def hn_alpha_set(p: HNParams, N: int, delta) -> AlphaSet:

@@ -10,19 +10,26 @@ the stacking boundary mode:
 * OPEN -- no corner blocks (numeric route only).
 
 BC1/BC2 spectra come from the N2 Bloch blocks A + s_j B + s_j^{-1} C,
-solved by batched eigvals (provenance "bloch-oracle").  With real hoppings
-and delta1, and stacking factors in conjugate pairs (BC1, or BC2 with a real
-delta2 > 0), block N2-j is the conjugate of block j: each pair is solved
-once, and the self-conjugate blocks (j = 0 and N2/2) in real arithmetic;
-otherwise all N2 blocks are solved in one complex batch.
-`stacked_line` returns delta1 -> these eigenvalues alone, with the blocks'
-operators and the stacking factors built once; the command line takes them
-from the line.  `stacked_hn_spectrum` and `stacked_ssh_spectrum` also
-recover each block's shifted wavenumbers from its eigenvalues through the
-dispersion relation of the block's effective chain, by the same inversion
-helpers as the 1D chains (models1d).  Those wavenumbers lose
-digits near alpha_tilde = 0 and pi, where arccos is ill-conditioned; they get
-no Newton polish, as no caller uses stacked wavenumbers beyond their count.
+solved by batched eigensolves (provenance "bloch-oracle").  With real
+hoppings and delta1, and stacking factors in conjugate pairs (BC1, or BC2
+with a real delta2 > 0), block N2-j is the conjugate of block j: each pair
+is solved once, and the self-conjugate blocks (j = 0 and N2/2) in real
+arithmetic; otherwise all N2 blocks are solved in one complex batch.  Of
+the blocks solved once, those that are c_j I + e^{i psi_j} K_j with K_j
+Hermitian at every real delta1 take one batched eigvalsh (a sixth of the
+time of eigvals on a complex 30 x 30 block, one BLAS thread), with
+eigenvalues on the line c_j + e^{i psi_j} R.  Under BC1 the paper's balance
+condition |h_l(s)| = |h_r(s)| on the unit circle gives every block this
+form: the block is a chain with diagonal h_d and hoppings of equal modulus
+whose products share one phase.  `stacked_line` returns delta1 -> these
+eigenvalues alone, with the blocks' operators, the stacking factors and the
+choice of Hermitian blocks made once; the command line takes them from the
+line.  `stacked_hn_spectrum` and `stacked_ssh_spectrum` also recover each
+block's shifted wavenumbers from its eigenvalues through the dispersion
+relation of the block's effective chain, by the same inversion helpers as
+the 1D chains (models1d).  Those wavenumbers lose digits near
+alpha_tilde = 0 and pi, where arccos is ill-conditioned; they get no Newton
+polish, as no caller uses stacked wavenumbers beyond their count.
 The closed forms carry the balance verdicts and the envelope curves.
 """
 from __future__ import annotations
@@ -96,6 +103,8 @@ class Stacked2DSpec:
             raise ValueError(f"unknown boundary mode {self.mode!r}")
         if self.mode == "bc2" and complex(self.delta2) == 0:
             raise ValueError("bc2 requires delta2 != 0")
+        if self.n1 < 1 or self.n2 < 1:
+            raise ValueError(f"a stack needs n1 >= 1 and n2 >= 1, got {self.n1} x {self.n2}")
         if self.family == "ssh" and self.n1 % 2:
             raise ValueError("ssh stacks require even n1")
         object.__setattr__(self, "params", {k: complex(v) for k, v in self.params.items()})
@@ -227,31 +236,114 @@ def _stack_h_coeffs(spec: Stacked2DSpec, s: complex) -> dict:
     }
 
 
-def _bloch_eigvals(A, B, C, s: np.ndarray, conjugate_pairs: bool) -> np.ndarray:
-    """Eigenvalues of the N2 Bloch blocks A + s_j B + C / s_j, one row per
-    block j.
+def _solved_blocks(n2: int) -> list:
+    """The blocks `_bloch_eigvals` solves when block N2-j is the conjugate
+    of block j: the self-conjugate ones (j = 0, and N2/2 for even N2), then
+    the first block of each conjugate pair, j = 1 .. (N2-1)/2."""
+    return [0, *([n2 // 2] if n2 % 2 == 0 else []), *range(1, (n2 + 1) // 2)]
+
+
+# A Bloch block passes `_hermitian_blocks` when its K deviates from K^H by at
+# most this many ulps of max|M|.
+HERMITIAN_ULPS = 16
+
+
+def _phase_check(m: np.ndarray, mt: np.ndarray, diag: np.ndarray):
+    """(pass, c, e^{2 i psi}) per block.  m[d, b, e] is the e-th compared
+    entry M_ik of block b at delta1 = d (d = 0, 1, ...), mt[d, b, e] the
+    entry M_ki, and diag[e] marks i = k, its first True entry being M_00.
+
+    e^{2 i psi} is the phase of the block's largest product M_ik M_ki
+    (i != k) at d = 0, and c its M_00 there; a block passes if
+    K = e^{-i psi} (M - c I) is Hermitian, to HERMITIAN_ULPS ulps of max|M|,
+    at every d: K_ik - conj(K_ki) = e^{-i psi} ((M - c I)_ik - e^{2 i psi}
+    conj((M - c I)_ki)).
+    """
+    prod = np.where(diag, 0, m[0] * mt[0])
+    p = prod[np.arange(len(prod)), np.argmax(np.abs(prod), axis=1)]
+    p = np.where(p == 0, 1, p)
+    e2 = p / np.abs(p)
+    shift = m[0][:, np.argmax(diag)]
+    d, dt = m - diag * shift[:, None], mt - diag * shift[:, None]
+    dev = np.abs(d - e2[:, None] * dt.conj()).max(axis=-1)
+    ok = (dev <= HERMITIAN_ULPS * np.finfo(float).eps * np.abs(m).max(axis=-1)).all(axis=0)
+    return ok, shift, e2
+
+
+def _hermitian_blocks(ops, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c_j, e^{i psi_j}) of the leading solved blocks (`_solved_blocks`
+    order) M_j = c_j I + e^{i psi_j} K_j with K_j Hermitian at every real
+    delta1, up to the first block that is not.
+
+    `_phase_check` decides each block at delta1 = 0 and delta1 = 1; M is
+    affine in delta1, so K then is Hermitian at every real delta1.  The
+    first block is checked alone at delta1 = 0, on its dense N1 x N1 matrix,
+    so a stack whose first block fails pays for that one check.  The others
+    are checked together on the entries where A, B or C is nonzero at
+    delta1 = 0 or 1, or whose transpose is, found by one pass over the
+    operators: O(N1) entries per block, each formed as A + s_j B + C / s_j
+    forms it.
+    """
+    order = _solved_blocks(len(s))
+    A, B, C = (op.bulk for op in ops)
+    t = s[order[0]]
+    M = A + t * B + C / t
+    if not _phase_check(M.reshape(1, 1, -1), M.T.reshape(1, 1, -1), np.eye(len(M), dtype=bool).ravel())[0][0]:
+        return np.empty(0, dtype=complex), np.empty(0, dtype=complex)
+    A, B, C = (np.stack([op.bulk, op.at(1.0)]) for op in ops)
+    nonzero = (np.abs(A) + np.abs(B) + np.abs(C)).any(axis=0)
+    nonzero |= nonzero.T
+    np.fill_diagonal(nonzero, True)
+    r, c = np.nonzero(nonzero)
+    t = s[order][:, None]
+    m, mt = ([X[:, None, i, k] for X in (A, B, C)] for i, k in ((r, c), (c, r)))
+    ok, shift, e2 = _phase_check(*(a + t * b + x / t for a, b, x in (m, mt)), r == c)
+    n = len(ok) if ok.all() else int(np.argmin(ok))
+    return shift[:n], np.sqrt(e2[:n])
+
+
+def _bloch_eigvals(A, B, C, s: np.ndarray, conjugate_pairs: bool, hermitian: tuple) -> tuple[np.ndarray, int]:
+    """(Eigenvalues of the N2 Bloch blocks A + s_j B + C / s_j, one row per
+    block j; the number of blocks solved as Hermitian matrices).
 
     With `conjugate_pairs` (real hoppings and delta1, and stacking factors
     in conjugate pairs: BC1, or BC2 with a real delta2 > 0), block N2-j is
-    the conjugate of block j, so only j = 0..N2/2 are solved: the
-    self-conjugate blocks (j = 0, and N2/2 for even N2) in real arithmetic,
-    the others in one complex batch whose conjugates fill rows N2-j.
-    Otherwise all N2 blocks go through one complex batched eigvals.
+    the conjugate of block j, so only the `_solved_blocks` are solved and
+    the conjugates of the pairs' rows fill rows N2-j.  `hermitian` is
+    (c_j, e^{i psi_j}) from `_hermitian_blocks`: its leading solved blocks
+    are c_j I + e^{i psi_j} K_j with K_j Hermitian, so one batched eigvalsh
+    of the K_j (which reads their lower triangles) gives real mu and
+    lambda = c_j + e^{i psi_j} mu.
+    The other self-conjugate blocks are solved in real arithmetic and the
+    other pairs in one complex batch.  Otherwise all N2 blocks go through
+    one complex batched eigvals.
     """
     if not conjugate_pairs:
-        return np.linalg.eigvals(np.stack([A + x * B + C / x for x in s]))
+        return np.linalg.eigvals(np.stack([A + x * B + C / x for x in s])), 0
     n2 = len(s)
     A, B, C = A.real, B.real, C.real
     lam = np.empty((n2, len(A)), dtype=complex)
-    selfconj = [0, n2 // 2] if n2 % 2 == 0 else [0]
-    r = s[selfconj].real[:, None, None]
-    lam[selfconj] = np.linalg.eigvals(A + r * B + C / r)
-    pairs = np.arange(1, (n2 + 1) // 2)
-    if len(pairs):
+    shift, phase = hermitian
+    solved, n_self = _solved_blocks(n2), 2 - n2 % 2
+    herm, selfconj, pairs = solved[:len(shift)], solved[len(shift):n_self], solved[max(len(shift), n_self):]
+    if selfconj:
+        r = s[selfconj].real[:, None, None]
+        lam[selfconj] = np.linalg.eigvals(A + r * B + C / r)
+    if pairs:
         t = s[pairs][:, None, None]
         lam[pairs] = np.linalg.eigvals(A + t * B + C / t)
-        lam[n2 - pairs] = lam[pairs].conj()
-    return lam
+    if herm:
+        t = s[herm][:, None, None]
+        K = t * B
+        K += A
+        K += C / t
+        diag = np.arange(len(A))
+        K[:, diag, diag] -= shift[:, None]
+        K *= phase.conj()[:, None, None]
+        lam[herm] = shift[:, None] + phase[:, None] * np.linalg.eigvalsh(K)
+    mirrored = np.arange(1, (n2 + 1) // 2)
+    lam[n2 - mirrored] = lam[mirrored].conj()
+    return lam, 2 * len(herm) - min(len(herm), n_self)
 
 
 def stacked_line(spec: Stacked2DSpec) -> Callable[[object], Spectrum]:
@@ -260,16 +352,34 @@ def stacked_line(spec: Stacked2DSpec) -> Callable[[object], Spectrum]:
     operators and the stacking factors built once.  The N2 Bloch blocks are
     solved by `_bloch_eigvals`, provenance "bloch-oracle", rows in block
     order j: N1 eigenvalues of block 0, then of block 1, and so on.  Open
-    stacking has no Bloch reduction and raises ValueError here."""
+    stacking has no Bloch reduction and raises ValueError here.
+
+    With real hoppings and stacking factors in conjugate pairs, the line
+    also decides once which solved blocks are Hermitian up to a shift and a
+    phase at every real delta1 (`_hermitian_blocks`), and solves those as
+    Hermitian matrices at a real delta1.  Under BC1 these are all the
+    blocks of a stack that the paper's balance condition |h_l(s)| = |h_r(s)|
+    on the unit circle holds for (`stacked_hn_balance` cases 1-4 and
+    'general-r', the triangular lattice): each block is then a chain with
+    diagonal h_d and hoppings of equal modulus whose product has one phase
+    e^{2 i psi}, so e^{-i psi} (M - h_d I) is Hermitian and the block's
+    eigenvalues lie on the line h_d + e^{i psi} R.  A stack whose first
+    block fails pays for one N1 x N1 check when the line is built and
+    nothing per delta1.  parameters["hermitian_blocks"] counts the blocks
+    (of N2) solved as Hermitian matrices.
+    """
     s = spec.stack_factors()
     ops = block_operators(spec)
     real_params = all(v.imag == 0 for v in spec.params.values())
     paired = spec.mode == "bc1" or (spec.delta2.imag == 0 and spec.delta2.real > 0)
+    hermitian = _hermitian_blocks(ops, s) if real_params and paired else ((), ())
 
     def line(delta1) -> Spectrum:
         A, B, C = (op.at(delta1) for op in ops)
-        lam = _bloch_eigvals(A, B, C, s, real_params and paired and complex(delta1).imag == 0)
-        meta = {"model": f"stacked-{spec.family}", "n1": spec.n1, "n2": spec.n2, "mode": spec.mode}
+        lam, n_herm = _bloch_eigvals(A, B, C, s, real_params and paired and complex(delta1).imag == 0,
+                                     hermitian)
+        meta = {"model": f"stacked-{spec.family}", "n1": spec.n1, "n2": spec.n2, "mode": spec.mode,
+                "hermitian_blocks": n_herm}
         return Spectrum(lam.ravel(), "bloch-oracle", meta)
 
     return line

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -372,7 +373,25 @@ STACKED_SWEEPS = {
         "sizes": {"N1": 10, "N2": 8}, "mode": "bc2", "delta2": 0.6,
         "delta": {"start": 0.0, "stop": 1.0, "step": 0.25},
     },
+    # balanced (case 2): every Bloch block is solved as a Hermitian matrix
+    "stacked_ssh_balanced": {
+        "model": "stacked-ssh", "task": "sweep",
+        "params": dict(zip(
+            [f"{b}{i}" for b in ("td", "tl", "tr", "ud", "vdl", "vdr", "uu", "vul", "vur")
+             for i in (1, 2)],
+            [1, 4, 1, 2, 1, 2, 3, 6, 5, 6, 3, 4, 2, 5, 3, 4, 5, 6])),
+        "sizes": {"N1": 10, "N2": 8}, "mode": "bc1",
+        "delta": {"start": 0.0, "stop": 1.0, "step": 0.25},
+    },
 }
+
+
+def test_stacked_sweeps_cover_both_block_routes():
+    """The sweeps below solve Bloch blocks as Hermitian matrices on both
+    families, and as general ones under BC2."""
+    counts = {name: nhchain.cli.line_for(parse_config(raw))(0.25)[0].parameters["hermitian_blocks"]
+              for name, raw in STACKED_SWEEPS.items()}
+    assert counts == {"stacked_hn_small": 10, "stacked_ssh_small": 0, "stacked_ssh_balanced": 8}
 
 
 @pytest.mark.parametrize("name", sorted(STACKED_SWEEPS))
@@ -693,6 +712,30 @@ def test_sizes_the_model_cannot_build_exit_2(tmp_path, capsys, case):
     assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert f"invalid config: sizes.{key}: " in capsys.readouterr().err
     path = write_config(tmp_path, "c.json", dict(payload, sizes=dict(sizes, **{key: smallest})))
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("model, params, n2, smallest", [
+    ("stacked-hn", STACK_HN, 0, 1),
+    ("kagome", {"t_l": 1.0, "t_r": 2.0}, 1, 2),
+    ("separable-square", {"a_t_l": 1.0, "a_t_r": 2.0, "b_t_l": 1.0, "b_t_r": 0.5}, 2, 3),
+])
+def test_second_size_the_model_cannot_build_exit_2(tmp_path, capsys, model, params, n2, smallest):
+    """A second size at which the lattice cannot be built is a config error
+    naming sizes.N2, for every task, before anything is solved (no numpy
+    warning); the smallest buildable size runs."""
+    payload = {"model": model, "task": "spectrum", "params": params, "delta": 0.3, "output": "out"}
+    for task in ("spectrum", "sweep", "balance"):
+        with pytest.raises(ConfigError, match=rf"^sizes\.N2: model '{model}' needs N2 >= {smallest}, got {n2}$"):
+            parse_config(dict(payload, task=task, sizes={"N1": 4, "N2": n2}))
+    path = write_config(tmp_path, "c.json", dict(payload, sizes={"N1": 4, "N2": n2}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert not caught
+    assert "invalid config: sizes.N2: " in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+    path = write_config(tmp_path, "c.json", dict(payload, sizes={"N1": 4, "N2": smallest}))
     assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 0
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nhchain.cli import parse_config, validate
-from nhchain.core import EigensolverError, Spectrum, dense_spectrum, expectation_profiles, match_spectra, spectral_mismatch
+from nhchain.core import CornerOperator, EigensolverError, Spectrum, dense_spectrum, expectation_profiles, match_spectra, spectral_mismatch
 from nhchain.models1d import (
     HNParams,
     SSHParams,
@@ -18,6 +18,7 @@ from nhchain.models1d import (
 from nhchain.models2d import (
     SSH_KEYS,
     Stacked2DSpec,
+    _hermitian_blocks,
     _inverse_iteration,
     _median,
     _shifted_pair,
@@ -59,6 +60,7 @@ STACK_HN_CASE3 = dict(t_d=1.0, t_l=2.0, t_r=1.0, u_d=2.0, v_dl=1.0, v_dr=0.0, u_
 STACK_HN_UNBAL = dict(t_d=1.0, t_r=2.0, t_l=3.0, u_u=4.0, v_ur=5.0, v_ul=6.0, u_d=7.0, v_dr=8.0, v_dl=9.0)
 
 STACK_SSH_CASE1 = ssh_params([1, 4, 1, 2, 1, 2, 3, 6, 3, 4, 3, 4, 2, 5, 5, 6, 5, 6])
+STACK_SSH_CASE2 = ssh_params([1, 4, 1, 2, 1, 2, 3, 6, 5, 6, 3, 4, 2, 5, 3, 4, 5, 6])
 STACK_SSH_CASE4 = ssh_params([1, 4, 2, 1, 1, 2, 3, 6, 6, 5, 3, 4, 2, 5, 4, 3, 5, 6])
 STACK_SSH_CASE7 = ssh_params([1, 4, 1, 8, 1, 6, 3, 6, 0, 0, 8 / 3, 3, 2, 5, 2, 3, 0, 0])
 STACK_SSH_UNBAL = ssh_params([1, 4, 3, 4, 1, 2, 3, 6, 3, 4, 1, 2, 2, 5, 3, 4, 1, 2])
@@ -109,6 +111,11 @@ class TestBuildStackedMatrix:
     def test_bc2_zero_delta_rejected(self):
         with pytest.raises(ValueError, match="delta2"):
             Stacked2DSpec("hn", HN_P, 4, 4, 0.0, "bc2", 0.0)
+
+    @pytest.mark.parametrize("n1, n2", [(0, 4), (4, 0), (4, -1)])
+    def test_empty_stack_rejected(self, n1, n2):
+        with pytest.raises(ValueError, match=rf"n1 >= 1 and n2 >= 1, got {n1} x {n2}"):
+            Stacked2DSpec("hn", HN_P, n1, n2, 0.0, "bc1")
 
 
 class TestBCReduce:
@@ -766,9 +773,82 @@ class TestBlochRoute:
         assert self._blocks_solved(monkeypatch, stacked_ssh_spectrum, cplx)[1] == 8
 
 
+# general-r at N2 = 2: h_l(s) = h_r(s) at s = +-1, no structural case
+STACK_HN_GENERAL_R = dict(t_d=1.0, t_l=1.0, t_r=1.0, u_d=2.0, v_dl=1.0, v_dr=0.5, u_u=-3.0, v_ul=2.0, v_ur=2.5)
+STACK_HN_CASE4 = dict(t_d=1.0, t_l=2.0, t_r=1.0, u_d=2.0, v_dl=0.0, v_dr=2.0, u_u=-3.0, v_ul=1.0, v_ur=0.0)
+BALANCED_BC1 = {
+    "case1": ("hn", STACK_HN_CASE1, (7, 8)),
+    "case2": ("hn", STACK_HN_CASE2, (7, 8)),
+    "case3": ("hn", STACK_HN_CASE3, (7, 8)),
+    "case4": ("hn", STACK_HN_CASE4, (7, 8)),
+    "general-r": ("hn", STACK_HN_GENERAL_R, (1, 2)),
+    "triangular": ("triangular", {"t_l": 1.0, "t_r": 5.0}, (7, 8)),
+}
+
+
+class TestHermitianBlocks:
+    """Under BC1 the balance condition |h_l(s)| = |h_r(s)| makes each Bloch
+    block h_d I + e^{i psi} K with K Hermitian at every real delta1; the
+    line solves such blocks with eigvalsh."""
+
+    @pytest.mark.parametrize("name", sorted(BALANCED_BC1))
+    def test_balanced_stacks_solve_every_block_as_hermitian(self, name):
+        family, params, n2s = BALANCED_BC1[name]
+        for n2 in n2s:
+            spec = Stacked2DSpec(family, params, 6, n2, 0.0, "bc1")
+            assert stacked_hn_balance(spec) != "unbalanced"
+            for d1 in (0.0, 0.3, 1.0, -2.0):
+                assert stacked_line(spec)(d1).parameters["hermitian_blocks"] == n2
+            assert stacked_line(spec)(0.3 + 0.1j).parameters["hermitian_blocks"] == 0
+
+    def test_unbalanced_stack_solves_no_block_as_hermitian(self):
+        spec = Stacked2DSpec("hn", STACK_HN_UNBAL, 30, 30, 0.0, "bc1")
+        assert stacked_hn_balance(spec) == "unbalanced"
+        assert stacked_line(spec)(0.3).parameters["hermitian_blocks"] == 0
+
+    @pytest.mark.parametrize("name", sorted(BALANCED_BC1))
+    @pytest.mark.parametrize("d1", [0.0, 1e-14, 0.3, 1.0])
+    def test_matches_general_eigensolver_on_the_balance_lines(self, name, d1):
+        family, params, n2s = BALANCED_BC1[name]
+        for n2 in n2s:
+            spec = Stacked2DSpec(family, params, 7, n2, d1, "bc1")
+            lam = stacked_line(spec)(d1).eigenvalues
+            ref = _bloch_reference(spec)
+            assert match_spectra(lam, ref) <= 1e-13 * (1 + np.abs(ref).max())
+            # block j lies on h_d + sqrt(h_l h_r) R (the paper's segments)
+            h = _stack_h_coeffs(spec, spec.stack_factors()[:, None])
+            root = np.sqrt(h["h_l"] * h["h_r"])
+            off = ((lam.reshape(n2, 7) - h["h_d"]) * root.conj()).imag / np.abs(root)
+            assert np.abs(off).max() <= 1e-13 * (1 + np.abs(ref).max())
+
+    def test_block_must_be_hermitian_at_delta_one_too(self):
+        """A Hermitian bulk whose corner breaks the symmetry at delta1 = 1
+        is no Hermitian block, though it is one at delta1 = 0."""
+        n = 5
+        bulk = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1) + 0j
+        zero = CornerOperator(np.zeros((n, n), dtype=complex), (), ())
+        upper, lower = ((0, n - 1, (1.0,)),), ((n - 1, 0, (1.0,)),)
+        for corners, hermitian in (((upper, ()), 0), ((upper, lower), 1)):
+            A = CornerOperator(bulk.copy(), *corners)
+            shift, phase = _hermitian_blocks((A, zero, zero), np.ones(1, dtype=complex))
+            assert len(shift) == len(phase) == hermitian
+
+    @pytest.mark.parametrize("n2", [7, 8])
+    @pytest.mark.parametrize("d1", [0.0, 1e-14, 0.3, 1.0])
+    def test_ssh_case2_matches_general_eigensolver(self, n2, d1):
+        spec = Stacked2DSpec("ssh", STACK_SSH_CASE2, 8, n2, d1, "bc1")
+        out = stacked_line(spec)(d1)
+        assert out.parameters["hermitian_blocks"] == n2
+        ref = _bloch_reference(spec)
+        assert match_spectra(out, ref) <= 1e-13 * (1 + np.abs(ref).max())
+
+
 def _bloch_reference(spec):
-    """The Bloch eigenvalues of `spec` solved from its own blocks, as
-    the stacked spectra solved them before they took them from a line."""
+    """The Bloch eigenvalues of `spec` solved from its own blocks by the
+    general eigensolver, as the stacked spectra solved them before they took
+    them from a line and before blocks that are Hermitian up to a shift and
+    a phase took eigvalsh: a line's blocks that it solves with eigvals equal
+    these bit for bit, its Hermitian ones to rounding."""
     real = all(v.imag == 0 for v in spec.params.values()) and complex(spec.delta1).imag == 0
     paired = spec.mode == "bc1" or (spec.delta2.imag == 0 and spec.delta2.real > 0)
     s = spec.stack_factors()
@@ -790,7 +870,10 @@ def _bloch_reference(spec):
 
 class TestStackedLine:
     """One line evaluated at one delta1 after another equals a fresh line
-    of the spec at each delta1, bit for bit."""
+    of the spec at each delta1, bit for bit; with no block solved as a
+    Hermitian matrix, it also equals `_bloch_reference` bit for bit."""
+
+    DELTAS = (0.0, 1.0, -1.0, 1e-14, 0.3, 0.3 + 0.2j, 0.3, 0.0)
 
     @pytest.mark.parametrize("family, params, n1, n2, mode, delta2", [
         ("hn", STACK_HN_UNBAL, 6, 5, "bc1", 1.0),
@@ -803,12 +886,35 @@ class TestStackedLine:
     def test_equals_stacked_eigenvalues(self, family, params, n1, n2, mode, delta2):
         spec = Stacked2DSpec(family, params, n1, n2, 0.9, mode, delta2)
         line = stacked_line(spec)
-        for d1 in (0.0, 1.0, -1.0, 1e-14, 0.3, 0.3 + 0.2j, 0.3, 0.0):
+        for d1 in self.DELTAS:
             at = Stacked2DSpec(family, params, n1, n2, d1, mode, delta2)
             got, want = line(d1), stacked_line(at)(d1)
             assert np.array_equal(got.eigenvalues.view(np.int64), want.eigenvalues.view(np.int64))
             assert np.array_equal(got.eigenvalues.view(np.int64), _bloch_reference(at).view(np.int64))
             assert (got.provenance, got.parameters) == (want.provenance, want.parameters)
+            assert got.parameters["hermitian_blocks"] == 0
+
+    @pytest.mark.parametrize("family, params, n1, n2, hermitian", [
+        ("hn", STACK_HN_CASE3, 5, 6, 6),
+        ("ssh", STACK_SSH_CASE2, 6, 5, 5),
+        ("ssh", STACK_SSH_CASE1, 4, 6, 2),
+    ])
+    def test_balanced_equals_fresh_line(self, family, params, n1, n2, hermitian):
+        """Also with blocks solved as Hermitian matrices at a real delta1;
+        at a complex one, no block is, and the line equals the reference."""
+        line = stacked_line(Stacked2DSpec(family, params, n1, n2, 0.9, "bc1"))
+        for d1 in self.DELTAS:
+            at = Stacked2DSpec(family, params, n1, n2, d1, "bc1")
+            got, want = line(d1), stacked_line(at)(d1)
+            assert np.array_equal(got.eigenvalues.view(np.int64), want.eigenvalues.view(np.int64))
+            assert (got.provenance, got.parameters) == (want.provenance, want.parameters)
+            ref = _bloch_reference(at)
+            if isinstance(d1, complex):
+                assert got.parameters["hermitian_blocks"] == 0
+                assert np.array_equal(got.eigenvalues.view(np.int64), ref.view(np.int64))
+            else:
+                assert got.parameters["hermitian_blocks"] == hermitian
+                assert match_spectra(got, ref) <= 1e-13 * (1 + np.abs(ref).max())
 
     def test_open_stack_raises(self):
         with pytest.raises(ValueError, match="no Bloch reduction"):

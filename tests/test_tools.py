@@ -63,3 +63,30 @@ def test_output_digests_compare(tmp_path):
         "  .state.eigenvalue[0]: abs 0.5, rel 0.333",
         "1 files identical, 3 not",
     ]
+
+
+def test_output_digests_compare_matches_spectra(tmp_path):
+    """A one-ulp change that reorders the rows of a spectrum CSV shows as a
+    large change of a column in file order, and as the one-ulp change it is
+    in the eigenvalue multisets per (delta, j)."""
+    rows = {"a": ["0.5,0,1,-0.5", "0.5,0,1,0.5", "0.5,1,-2,0"],
+            "b": ["0.5,0,0.99999999999999989,0.5", "0.5,0,1,-0.5", "0.5,1,-2,0"]}
+    for side, body in rows.items():
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "sp.csv").write_text(
+            "delta,j,re,im,provenance\n" + "".join(f"{r},bloch-oracle\n" for r in body))
+    proc = subprocess.run([sys.executable, str(TOOL), "--compare", str(tmp_path / "a"), str(tmp_path / "b")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "differs: sp.csv",
+        "  2 of 3 rows differ",
+        "  delta: max abs 0, max rel 0",
+        "  j: max abs 0, max rel 0",
+        "  re: max abs 1.11e-16, max rel 1.11e-16",
+        "  im: max abs 1, max rel 2",
+        "  provenance: text, 0 cells differ",
+        # 2^-53 over 1 + |1 + 0.5i|
+        "  spectra per (delta, j): max matched change 5.24e-17 of 1 + max|lambda|",
+        "0 files identical, 1 not",
+    ]

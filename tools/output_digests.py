@@ -20,7 +20,11 @@ checkouts compare with `diff`.  nhchain is imported from this checkout's
 each file that is in one only or differs; for a CSV that differs, the
 largest absolute and relative change of each numeric column (rows are
 compared in file order, which is sorted), and for a JSON sidecar, each
-value that differs.
+value that differs.  Rows compared in file order overstate a change that
+reorders them, so a spectrum CSV (columns delta, j, re, im) also gets the
+largest change of its eigenvalue multisets: per (delta, j), the distance
+under matching (`core.spectral_mismatch`: `match_spectra` over
+1 + max|lambda|).
 """
 from __future__ import annotations
 
@@ -41,6 +45,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import jobs  # noqa: E402
 from nhchain import cli  # noqa: E402
+from nhchain.core import spectral_mismatch  # noqa: E402
 
 TRACE_ROUNDS = 3  # perfbench/worker.py's TRACE_ROUNDS
 
@@ -94,7 +99,28 @@ def compare_csv(a: str, b: str) -> list[str]:
             worst_abs = max(worst_abs, d)
             worst_rel = max(worst_rel, d / max(abs(x), abs(y)))
         lines.append(f"  {name}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g}")
+    if {"delta", "j", "re", "im"} <= set(rows_a[0]):
+        lines.append(_matched_change(rows_a, rows_b))
     return lines
+
+
+def _matched_change(rows_a: list, rows_b: list) -> str:
+    """The largest `spectral_mismatch` between the eigenvalues of a and b
+    that share a (delta, j) cell pair."""
+    cols = [rows_a[0].index(name) for name in ("delta", "j", "re", "im")]
+
+    def spectra(rows):
+        out = {}
+        for row in rows[1:]:
+            delta, j, re, im = (row[c] for c in cols)
+            out.setdefault((delta, j), []).append(complex(float(re), float(im)))
+        return out
+
+    a, b = spectra(rows_a), spectra(rows_b)
+    if a.keys() != b.keys() or any(len(a[key]) != len(b[key]) for key in a):
+        return "  spectra per (delta, j): groups differ"
+    worst = max(spectral_mismatch(a[key], b[key]) for key in a)
+    return f"  spectra per (delta, j): max matched change {worst:.3g} of 1 + max|lambda|"
 
 
 def _leaves(obj, path=""):
