@@ -2,10 +2,11 @@
 
 The transcendental equations fixing the shifted wavenumbers of the solvable
 chains are cleared into polynomials by writing every sin(m*a)/sin(a) ratio as
-a Laurent polynomial in y.  Known trivial factors (the anti-palindromic
-y = +-1 artifacts, the squared corner factors of odd chains, the spurious
-cubic of the mixed long-range chain) are divided out before root finding, so
-the remaining roots encode exactly the physical wavenumbers.
+a Laurent polynomial in y.  Each known trivial factor is removed once: the
+y = +-1 artifacts of the one-band and two-band equations stay in the cleared
+equation and `roots` leaves them out on its s = y + 1/y route, and the
+builder of the mixed long-range chain divides out its spurious cubic.  The
+remaining roots encode exactly the physical wavenumbers.
 
 This is the paper's route to the chain spectra.  The models1d closed-form
 entries (`hn_closed_form`, `ssh_closed_form`, `mixed_longrange_closed_form`)
@@ -16,7 +17,7 @@ about 50 for unbalanced chains), and such failures raise `NumericalError`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,14 +88,15 @@ class AlphaSet:
 
 @dataclass(frozen=True)
 class PolyY:
-    """Polynomial in y with ascending coefficients and a removed-factor log."""
+    """Polynomial in y with ascending coefficients.  `roots` never returns
+    the roots of `removed_factors`: a `palindromic` PolyY ("anti" or "pal")
+    is the cleared equation, still carrying them; one with `known_roots` is
+    the quotient its builder formed from those roots."""
 
     coeffs: np.ndarray
     removed_factors: tuple = ()
-    equation: str = ""
-    n_sites: int = 0
-    reduction: str = "pairs"
-    meta: dict = field(default_factory=dict)
+    palindromic: str = ""
+    known_roots: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -103,9 +105,6 @@ class PolyY:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, y):
-        return np.polyval(self.coeffs[::-1], y)
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -117,20 +116,6 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     while k > 1 and coeffs[k - 1] == 0:
         k -= 1
     return coeffs[:k]
-
-
-def _deflate(coeffs: np.ndarray, root: complex, what: str) -> np.ndarray:
-    """Exact synthetic division by (y - root); raises if the remainder is large."""
-    desc = coeffs[::-1]
-    out = np.empty(len(desc) - 1, dtype=complex)
-    acc = 0.0 + 0.0j
-    for i in range(len(desc) - 1):
-        acc = desc[i] + acc * root
-        out[i] = acc
-    rem = desc[-1] + acc * root
-    if abs(rem) > 1e-7 * np.abs(coeffs).max():
-        raise NumericalError(f"expected factor {what} is not a factor (remainder {abs(rem):.3g})")
-    return out[::-1]
 
 
 def _scaled_companion_roots(coeffs: np.ndarray, scale: float) -> np.ndarray:
@@ -166,12 +151,7 @@ def _hn_poly(params: dict, N: int, delta) -> PolyY:
     _sinpoly(P, N - 1, F, size)
     if G != 0:
         _sinpoly(P, 1, G, size)
-    full = P.copy()
-    P = _deflate(P, 1.0, "(y - 1)")
-    P = _deflate(P, -1.0, "(y + 1)")
-    return PolyY(_trim(P), ("(y - 1)", "(y + 1)"), "hn", N, "pairs",
-                 {"expected": N, "delta": (dl, dr), "refine": full,
-                  "s_reduction": ("anti", full)})
+    return PolyY(P, ("(y - 1)", "(y + 1)"), "anti")
 
 
 def _ssh_even_poly(params: dict, N: int, delta) -> PolyY:
@@ -196,12 +176,7 @@ def _ssh_even_poly(params: dict, N: int, delta) -> PolyY:
     _sinpoly(P, M - 1, dd, size)
     if B != 0:
         _sinpoly(P, 1, B, size)
-    full = P.copy()
-    P = _deflate(P, 1.0, "(y - 1)")
-    P = _deflate(P, -1.0, "(y + 1)")
-    return PolyY(_trim(P), ("(y - 1)", "(y + 1)"), "ssh-even", N, "pairs",
-                 {"expected": M, "delta": (dl, dr), "refine": full,
-                  "s_reduction": ("anti", full)})
+    return PolyY(P, ("(y - 1)", "(y + 1)"), "anti")
 
 
 def _ssh_odd_poly(params: dict, N: int, delta) -> PolyY:
@@ -237,12 +212,7 @@ def _ssh_odd_poly(params: dict, N: int, delta) -> PolyY:
     P = np.zeros(size, dtype=complex)
     P[: len(G)] += G
     P[: len(sub)] -= D * sub
-    full = P.copy()
-    for root, tag in ((1.0, "(y - 1)^2"), (1.0, None), (-1.0, "(y + 1)^2"), (-1.0, None)):
-        P = _deflate(P, root, tag or "corner factor")
-    return PolyY(_trim(P), ("(y - 1)^2", "(y + 1)^2"), "ssh-odd", N, "pairs",
-                 {"expected": N, "delta": (dl, dr), "refine": full,
-                  "s_reduction": ("pal", full)})
+    return PolyY(P, ("(y - 1)^2", "(y + 1)^2"), "pal")
 
 
 def _p_recursion(N: int) -> list[np.ndarray]:
@@ -345,8 +315,7 @@ def _mixed_poly(params: dict, N: int, delta) -> PolyY:
             f"degenerate mixed-chain polynomial: degree {quotient.size - 1}, "
             f"expected {3 * N}"
         )
-    return PolyY(quotient, ("(y^3 - t_r/(2 u_l))",), "mixed-longrange", N, "triples",
-                 {"expected": N, "delta": (d, d), "refine": P, "roots": kept})
+    return PolyY(quotient, ("(y^3 - t_r/(2 u_l))",), known_roots=kept)
 
 
 _EQUATIONS = {
@@ -361,8 +330,8 @@ def polynomialize(equation: str, params: dict, n_sites: int, delta) -> PolyY:
     """Clear a model's boundary-determinant equation into a PolyY.
 
     `equation` is one of 'hn' (covers end on-site energies and asymmetric
-    corners), 'ssh-even', 'ssh-odd', 'mixed-longrange'.  Known trivial
-    factors are divided out and logged on the result.
+    corners), 'ssh-even', 'ssh-odd', 'mixed-longrange'.  The known trivial
+    factors are named in `removed_factors` (see `PolyY`).
     """
     try:
         builder = _EQUATIONS[equation]
@@ -431,19 +400,18 @@ def _merge_root_clusters(ys: np.ndarray, desc: np.ndarray, radius: float = 5e-5)
     return out, single
 
 
-def _s_reduction_roots(kind: str, full: np.ndarray) -> np.ndarray:
-    """Roots of a (anti-)palindromic equation through s = y + 1/y.
+def _s_reduction_roots(kind: str, c: np.ndarray) -> np.ndarray:
+    """Roots of a (anti-)palindromic equation c (trimmed, ascending) via s = y + 1/y.
 
     Solving the half-degree polynomial in the physical variable s and
     reconstructing the exact (y, 1/y) pairs is far better conditioned than
     rooting in y when the pair moduli are extreme: the |y| << 1 roots pack
     into a tight ring while their s values stay well separated.  The trivial
-    y = +-1 factors never reach the root finder -- an anti-palindromic
+    y = +-1 factors are removed here, with no division: an anti-palindromic
     polynomial is y^(M+1) (y - 1/y) R(s) with the artifacts inside the
     prefactor, and a palindromic one is y^(M+2) (s^2 - 4) Q(s) whose two
-    known s-roots are dropped from the root list.
+    known s-roots are checked and dropped from the root list.
     """
-    c = _trim(np.asarray(full, dtype=complex))
     n = c.size - 1
     if n % 2:
         raise ValueError(f"s-reduction needs even degree, got {n}")
@@ -451,39 +419,33 @@ def _s_reduction_roots(kind: str, full: np.ndarray) -> np.ndarray:
     sign = -1.0 if kind == "anti" else 1.0
     if np.abs(c - sign * c[::-1]).max() > 1e-9 * np.abs(c).max():
         raise NumericalError(f"polynomial is not {kind}-palindromic")
+    # T_{j+1} = s T_j - T_{j-1}: (y^j - y^-j)/(y - 1/y) from T_0 = 0, T_1 = 1
+    # (anti, R); y^j + y^-j from T_0 = 2, T_1 = s (pal, Q)
     if kind == "anti":
-        # (y^j - y^-j)/(y - 1/y): q_1 = 1, q_2 = s, q_{j+1} = s q_j - q_{j-1}
-        R = np.zeros(half, dtype=complex)
-        q_prev = np.zeros(1, dtype=complex)
-        q_cur = np.array([1.0 + 0.0j])
-        for j in range(1, half + 1):
-            R[: len(q_cur)] += c[half + j] * q_cur
-            nxt = np.zeros(len(q_cur) + 1, dtype=complex)
-            nxt[1:] += q_cur
-            nxt[: len(q_prev)] -= q_prev
-            q_prev, q_cur = q_cur, nxt
-        svals = _solve_s(R)
+        S = np.zeros(half, dtype=complex)
+        prev, cur = np.zeros(1, dtype=complex), np.array([1.0 + 0.0j])
     else:
-        # y^j + y^-j: p_0 = 2, p_1 = s, p_{j+1} = s p_j - p_{j-1}
-        Q = np.zeros(half + 1, dtype=complex)
-        Q[0] = c[half]
-        p_prev = np.array([2.0 + 0.0j])
-        p_cur = np.array([0.0 + 0.0j, 1.0])
-        for j in range(1, half + 1):
-            Q[: len(p_cur)] += c[half + j] * p_cur
-            nxt = np.zeros(len(p_cur) + 1, dtype=complex)
-            nxt[1:] += p_cur
-            nxt[: len(p_prev)] -= p_prev
-            p_prev, p_cur = p_cur, nxt
-        svals = list(_solve_s(Q))
+        S = np.zeros(half + 1, dtype=complex)
+        S[0] = c[half]
+        prev, cur = np.array([2.0 + 0.0j]), np.array([0.0 + 0.0j, 1.0])
+    for j in range(1, half + 1):
+        S[: len(cur)] += c[half + j] * cur
+        nxt = np.zeros(len(cur) + 1, dtype=complex)
+        nxt[1:] += cur
+        nxt[: len(prev)] -= prev
+        prev, cur = cur, nxt
+    S = _trim(S)
+    desc = S[::-1] / np.abs(S).max()
+    svals = np.roots(desc)
+    svals = _newton_vec(desc, np.polyder(desc), svals, iters=8)
+    if kind == "pal":
         for target in (2.0, -2.0):
-            j = min(range(len(svals)), key=lambda i: abs(svals[i] - target))
+            j = int(np.argmin(np.abs(svals - target)))
             if abs(svals[j] - target) > 1e-4:
                 raise NumericalError(
                     f"expected trivial wavenumber at s = {target:+.0f} not found"
                 )
-            svals.pop(j)
-        svals = np.asarray(svals)
+            svals = np.delete(svals, j)
     ys = np.empty(2 * len(svals), dtype=complex)
     for i, s in enumerate(svals):
         root = np.sqrt(s * s - 4.0)
@@ -493,56 +455,37 @@ def _s_reduction_roots(kind: str, full: np.ndarray) -> np.ndarray:
     return ys
 
 
-def _solve_s(coeffs_asc: np.ndarray) -> np.ndarray:
-    c = _trim(coeffs_asc)
-    desc = c[::-1] / np.abs(c).max()
-    svals = np.roots(desc)
-    return _newton_vec(desc, np.polyder(desc), svals, iters=8)
-
-
 def roots(poly: PolyY) -> np.ndarray:
-    """All roots of a PolyY via companion-matrix eigenvalues.
+    """The roots of a PolyY but those of its removed factors, sorted.
 
-    Palindromic equations are reduced to half degree in s = y + 1/y first.
-    Roots are Newton-polished, against the higher-accuracy parent equation
-    when the PolyY carries one.
+    `known_roots` are returned as they are.  A palindromic equation is
+    solved in s = y + 1/y (`_s_reduction_roots`) and polished by 1 + 11
+    Newton steps; any other PolyY by a companion solve and one step.
     """
     c = _trim(poly.coeffs)
     if c.size < 2:
         raise ValueError("degree must be at least 1")
-    cached = poly.meta.get("roots")
-    if cached is not None:
+    desc = c[::-1]
+    if poly.known_roots is not None:
         # the factor-removal step already solved the parent equation; its
         # root multiset is more accurate than re-rooting the rebuilt quotient
-        ys = np.asarray(cached, dtype=complex)
-        order = np.lexsort((ys.imag, ys.real))
-        return ys[order]
-    deg = c.size - 1
-    desc = c[::-1]
-    refine = poly.meta.get("refine")
-    rdesc = None if refine is None else np.asarray(refine, dtype=complex)[::-1]
-    reduction = poly.meta.get("s_reduction")
-    if reduction is not None:
-        # the stored quotient can carry deflation noise when the equation
-        # has a huge dynamic range, so the s-route validates and polishes
-        # against the parent polynomial only
-        ys = _s_reduction_roots(*reduction)
-        polish_desc = rdesc if rdesc is not None else desc
+        ys = np.asarray(poly.known_roots, dtype=complex)
+    elif poly.palindromic:
+        ys = _s_reduction_roots(poly.palindromic, c)
+        d1 = np.polyder(desc)
+        # two calls: the second restarts the roots the first step left alone
+        ys = _newton_vec(desc, d1, ys, iters=1)
+        ys = _newton_vec(desc, d1, ys, iters=11)
     else:
         # rebalance wide-ranged coefficients by the substitution y = s z
         # before the companion solve; the Newton polish runs on the
         # original polynomial
+        deg = c.size - 1
         s = 1.0
         if c[0] != 0:
             s = float(np.clip(abs(c[0] / c[-1]) ** (1.0 / deg), 1e-6, 1e6))
         ys = _scaled_companion_roots(c, s)
-        polish_desc = desc
-    pd1 = np.polyder(polish_desc)
-    ys = _newton_vec(polish_desc, pd1, ys, iters=1)
-    if rdesc is not None and rdesc is not polish_desc:
-        ys = _newton_vec(rdesc, np.polyder(rdesc), ys, iters=12)
-    elif rdesc is not None:
-        ys = _newton_vec(rdesc, pd1, ys, iters=11)
+        ys = _newton_vec(desc, np.polyder(desc), ys, iters=1)
     order = np.lexsort((ys.imag, ys.real))
     return ys[order]
 
@@ -590,8 +533,8 @@ def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None) -
 
     pairing='pairs': roots come in (y, 1/y) pairs giving one wavenumber each;
     pairing='triples': roots come in triples sharing one eigenvalue (mixed
-    long-range chain).  `value_key` maps a root to its grouping invariant
-    (default y + 1/y); `expected` is the required number of groups.
+    long-range chain), which `value_key` (triples only) maps a root to;
+    `expected` is the required number of groups.
     """
     ys = np.asarray(root_values, dtype=complex).ravel()
     if pairing not in ("pairs", "triples"):
@@ -599,8 +542,6 @@ def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None) -
     size = 2 if pairing == "pairs" else 3
     if len(ys) % size:
         raise ValueError(f"{len(ys)} roots cannot be grouped into {pairing}")
-    if value_key is None:
-        value_key = lambda y: y + 1.0 / y
     alphas = []
     if pairing == "pairs":
         # the root multiset is closed under y -> 1/y; matching each root
@@ -608,7 +549,7 @@ def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None) -
         # clustering the keys, whose jitter is amplified by |1/y^2| for
         # roots well inside the unit circle
         for members in _pair_by_inversion(ys):
-            y = _canonical_member(members, pairing)
+            y = _canonical_pair(members)
             alphas.append(-1j * np.log(y))
     else:
         keys = np.array([value_key(y) for y in ys])
@@ -624,7 +565,7 @@ def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None) -
                 pool.sort(key=lambda j: abs(keys[j] - keys[i]))
                 members = ys[[i] + pool[: size - 1]]
                 del pool[: size - 1]
-                y = _canonical_member(members, pairing)
+                y = canonical_triple(members)
                 alphas.append(-1j * np.log(y))
     alphas = np.array(alphas)
     if expected is not None and len(alphas) != expected:
@@ -666,17 +607,15 @@ def _pair_by_inversion(ys: np.ndarray) -> list:
     return pairs
 
 
-def _canonical_member(members: np.ndarray, pairing: str) -> complex:
-    if pairing == "pairs":
-        # the pair members represent alpha and -alpha; canonicalize to the
-        # branch with Re(alpha) >= 0, preferring |y| >= 1 (Im(alpha) <= 0)
-        a, b = members
-        cands = [a, b, 1.0 / a, 1.0 / b]
-        pos = [y for y in cands if np.angle(y) >= -1e-12]
-        if pos:
-            return max(pos, key=abs)
-        return a
-    return canonical_triple(members)
+def _canonical_pair(members: np.ndarray) -> complex:
+    # the pair members represent alpha and -alpha; canonicalize to the
+    # branch with Re(alpha) >= 0, preferring |y| >= 1 (Im(alpha) <= 0)
+    a, b = members
+    cands = [a, b, 1.0 / a, 1.0 / b]
+    pos = [y for y in cands if np.angle(y) >= -1e-12]
+    if pos:
+        return max(pos, key=abs)
+    return a
 
 
 def canonical_triple(members: np.ndarray) -> np.ndarray:

@@ -205,9 +205,6 @@ class Spectrum:
     def __len__(self):
         return len(self.eigenvalues)
 
-    def sorted(self) -> np.ndarray:
-        return np.sort_complex(self.eigenvalues)
-
 
 def _min_spacing(v: np.ndarray) -> float:
     """Smallest distance between two entries of a nonempty v; inf for one."""

@@ -207,30 +207,23 @@ def _hn_exact_alpha_set(p: HNParams, N: int, delta) -> Optional[AlphaSet]:
     return AlphaSet(vals, mult, shift, "hn-fourier")
 
 
-def hn_alpha_set(p: HNParams, N: int, delta) -> AlphaSet:
-    """Shifted wavenumbers of the nearest-neighbour chain, closed form.
-
-    delta = 0 and delta = +-1 (plain chain, symmetric corners) use the exact
-    wavenumber sets; every other boundary value goes through the cleared
-    polynomial.
-    """
-    exact = _hn_exact_alpha_set(p, N, delta)
-    if exact is not None:
-        return exact
-    poly = polynomialize(
-        "hn", {"t_l": p.t_l, "t_r": p.t_r, "eps1": p.eps1, "epsN": p.epsN}, N, _pair(delta)
-    )
-    aset = alpha_from_roots(roots(poly), "pairs", expected=N)
-    return AlphaSet(aset.values, aset.multiplicity, p.shift, "hn-equation")
-
-
 def hn_closed_form(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     """The paper's route: wavenumbers from the boundary equation (alphasolver),
     eigenvalues lambda = t_d + 2 sqrt(t_l) sqrt(t_r) cos(alpha_tilde),
-    provenance "analytic".  Reliable at small N only; see `hn_spectrum`."""
+    provenance "analytic".  delta = 0 and +-1 (plain chain, symmetric
+    corners) take the exact wavenumber sets, every other boundary the cleared
+    polynomial.  Reliable at small N only; see `hn_spectrum`.  A vanishing
+    t_l or t_r raises `NumericalError`: the equation does not exist there,
+    but the eigensolver route does."""
     if p.t_l == 0 or p.t_r == 0:
-        return _zero_hopping_spectrum(hn_matrix(p, N, delta)), _no_wavenumbers()
-    aset = hn_alpha_set(p, N, delta)
+        raise NumericalError("the hn closed form needs nonzero t_l and t_r")
+    aset = _hn_exact_alpha_set(p, N, delta)
+    if aset is None:
+        poly = polynomialize(
+            "hn", {"t_l": p.t_l, "t_r": p.t_r, "eps1": p.eps1, "epsN": p.epsN}, N, _pair(delta)
+        )
+        aset = alpha_from_roots(roots(poly), "pairs", expected=N)
+        aset = AlphaSet(aset.values, aset.multiplicity, p.shift, "hn-equation")
     lam = _hn_lambda(p, aset.expand())
     params = {"model": "hn", "N": N, "delta": _pair(delta)}
     return Spectrum(lam, "analytic", params), aset
@@ -427,10 +420,11 @@ def ssh_closed_form(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     equation (alphasolver).  Odd N: one eigenvalue per wavenumber, sign
     resolved by the sign factor of the odd-chain equation (oracle fallback
     if it is numerically unstable); zero modes arise as ordinary equation
-    roots.  Reliable at small N only; see `ssh_spectrum`.
+    roots.  Reliable at small N only; see `ssh_spectrum`.  A vanishing
+    hopping raises `NumericalError`, as in `hn_closed_form`.
     """
     if not p.hoppings_nonzero:
-        return _zero_hopping_spectrum(ssh_matrix(p, N, delta)), _no_wavenumbers()
+        raise NumericalError("the ssh closed form needs all four hoppings nonzero")
     dl, dr = _pair(delta)
     shift = p.shift
     params = {"tl1": p.tl1, "tr1": p.tr1, "tl2": p.tl2, "tr2": p.tr2}
@@ -551,22 +545,16 @@ def ssh_balanced(p: SSHParams):
 
 @dataclass(frozen=True)
 class LongRangeParams:
-    """Two-parameter long-range chains and the general four-hop family.
+    """The four-hop chain at the Bloch level: t_l, t_r, u_l, u_r on hops
+    +1, -1, +2, -2 (the unidirectional chain has t_l and u_l only, the
+    mixed one u_l and t_r)."""
 
-    variant 'unidirectional': hops +1 (t_l) and +2 (u_l) only;
-    variant 'mixed': hops +2 (u_l) and -1 (t_r);
-    variant 'general': all four of t_l, t_r, u_l, u_r (Bloch level only).
-    """
-
-    variant: str
     t_l: complex = 0.0
     t_r: complex = 0.0
     u_l: complex = 0.0
     u_r: complex = 0.0
 
     def __post_init__(self):
-        if self.variant not in ("unidirectional", "mixed", "general"):
-            raise ValueError(f"unknown variant {self.variant!r}")
         for name in ("t_l", "t_r", "u_l", "u_r"):
             object.__setattr__(self, name, complex(getattr(self, name)))
 
@@ -674,7 +662,7 @@ def bloch_1d(params: LongRangeParams, k):
 
 def triangle_chain_params(t_l, t_r) -> LongRangeParams:
     """Chain of triangles: u_l = t_r and u_r = t_l."""
-    return LongRangeParams("general", t_l=t_l, t_r=t_r, u_l=t_r, u_r=t_l)
+    return LongRangeParams(t_l=t_l, t_r=t_r, u_l=t_r, u_r=t_l)
 
 
 def nonwinding_family(case: int, t: float, u: float, phi: float, phi1: float, phi2: float) -> LongRangeParams:
@@ -692,7 +680,6 @@ def nonwinding_family(case: int, t: float, u: float, phi: float, phi1: float, ph
             raise ValueError(f"{name} must be real")
     if case == 1:
         return LongRangeParams(
-            "general",
             t_l=t * np.exp(1j * (phi + phi1 / 2)),
             t_r=t * np.exp(1j * (phi - phi1 / 2)),
             u_l=u * np.exp(1j * (phi + phi2 / 2)),
@@ -700,7 +687,6 @@ def nonwinding_family(case: int, t: float, u: float, phi: float, phi1: float, ph
         )
     if case == 2:
         return LongRangeParams(
-            "general",
             t_l=t * np.exp(1j * phi1),
             u_l=t * np.exp(1j * (phi1 + phi)),
             t_r=t * np.exp(1j * phi2),
@@ -708,7 +694,6 @@ def nonwinding_family(case: int, t: float, u: float, phi: float, phi1: float, ph
         )
     if case == 3:
         return LongRangeParams(
-            "general",
             t_l=t * np.exp(1j * phi1),
             t_r=t * np.exp(1j * (phi1 + phi)),
             u_l=u * np.exp(1j * phi2),

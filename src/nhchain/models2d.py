@@ -149,17 +149,25 @@ def _hn_like_operator(n, diag, sup, sub) -> CornerOperator:
     return chain_operator(ChainStencil(n, hops, (diag,)))
 
 
+def _hn_params(spec: Stacked2DSpec) -> dict:
+    """The HN_KEYS parameters of an hn or triangular stack: the triangular
+    lattice is the hn stack with t_d = v_dl = v_ur = 0, u_d = v_ul = t_r and
+    v_dr = u_u = t_l."""
+    p = spec.params
+    if spec.family == "hn":
+        return p
+    return {"t_d": 0.0, "t_l": p["t_l"], "t_r": p["t_r"], "u_d": p["t_r"], "v_dl": 0.0,
+            "v_dr": p["t_l"], "u_u": p["t_l"], "v_ul": p["t_r"], "v_ur": 0.0}
+
+
 def block_operators(spec: Stacked2DSpec) -> tuple[CornerOperator, CornerOperator, CornerOperator]:
     """The three N1 x N1 blocks (A, B, C) as functions of delta1."""
     p, n1 = spec.params, spec.n1
-    if spec.family == "hn":
+    if spec.family != "ssh":
+        p = _hn_params(spec)
         return (_hn_like_operator(n1, p["t_d"], p["t_l"], p["t_r"]),
                 _hn_like_operator(n1, p["u_d"], p["v_dl"], p["v_dr"]),
                 _hn_like_operator(n1, p["u_u"], p["v_ul"], p["v_ur"]))
-    if spec.family == "triangular":
-        return (_hn_like_operator(n1, 0.0, p["t_l"], p["t_r"]),
-                _hn_like_operator(n1, p["t_r"], 0.0, p["t_l"]),
-                _hn_like_operator(n1, p["t_l"], p["t_r"], 0.0))
     return (ssh_operator(SSHParams(p["tl1"], p["tr1"], p["tl2"], p["tr2"], p["td1"], p["td2"]), n1),
             ssh_operator(SSHParams(p["vdl1"], p["vdr1"], p["vdl2"], p["vdr2"], p["ud1"], p["ud2"]), n1),
             ssh_operator(SSHParams(p["vul1"], p["vur1"], p["vul2"], p["vur2"], p["uu1"], p["uu2"]), n1))
@@ -214,13 +222,8 @@ def lift_block_vector(vec: np.ndarray, s_j: complex, n2: int) -> np.ndarray:
 def _stack_h_coeffs(spec: Stacked2DSpec, s: complex) -> dict:
     """Per-block effective chain parameters at stacking factor s."""
     p = spec.params
-    if spec.family == "triangular":
-        return {
-            "h_d": s * p["t_r"] + p["t_l"] / s,
-            "h_l": p["t_l"] + p["t_r"] / s,
-            "h_r": p["t_r"] + s * p["t_l"],
-        }
-    if spec.family == "hn":
+    if spec.family != "ssh":
+        p = _hn_params(spec)
         return {
             "h_d": p["t_d"] + s * p["u_d"] + p["u_u"] / s,
             "h_l": p["t_l"] + s * p["v_dl"] + p["v_ul"] / s,
@@ -442,9 +445,9 @@ def stacked_ssh_spectrum(spec: Stacked2DSpec):
 # balance-case classification (real parameters)
 # ---------------------------------------------------------------------------
 
-def _req_real(params: dict):
+def _req_real(params: dict, what: str):
     if any(abs(v.imag) > 1e-12 for v in params.values()):
-        raise ValueError("case classification assumes real parameters")
+        raise ValueError(f"{what} assumes real parameters")
 
 
 # absolute tolerance of the balance classification's equalities and
@@ -467,7 +470,7 @@ def stacked_hn_balance(spec: Stacked2DSpec) -> str:
     if spec.family == "triangular":
         return "case4"
     p = spec.params
-    _req_real(p)
+    _req_real(p, "case classification")
     t_l, t_r = p["t_l"].real, p["t_r"].real
     v_dl, v_dr = p["v_dl"].real, p["v_dr"].real
     v_ul, v_ur = p["v_ul"].real, p["v_ur"].real
@@ -534,7 +537,7 @@ def stacked_ssh_balance(spec: Stacked2DSpec) -> str:
     else 'unbalanced'.
     """
     p = {k: v.real for k, v in spec.params.items()}
-    _req_real(spec.params)
+    _req_real(spec.params, "case classification")
     for case, eqs in _SSH_CASES_INDIVIDUAL.items():
         if all(_eq(p[a], p[b]) for a, b in eqs):
             return case
@@ -572,30 +575,23 @@ def envelope_curves(spec: Stacked2DSpec, t_grid=None) -> EnvelopeCurves:
     2 sqrt(t_r + e^{it} v_dr + e^{-it} v_ur) sqrt(t_l + e^{it} v_dl +
     e^{-it} v_ul); the eigenvalues of a balanced stack lie on the straight
     segments [z_-(t), z_+(t)].  For cases 3 and 4 the two curves join into a
-    single closed loop, returned in `loop`.
+    single closed loop, returned in `loop`; its formula takes real
+    parameters.  The case is `stacked_hn_balance`'s (the triangular lattice
+    is case 4), and z1, h_l, h_r are `_stack_h_coeffs` at s = e^{it}.
     """
-    if spec.family == "triangular":
-        hn_params = {
-            "t_d": 0.0, "t_l": spec.params["t_l"], "t_r": spec.params["t_r"],
-            "u_d": spec.params["t_r"], "v_dl": 0.0, "v_dr": spec.params["t_l"],
-            "u_u": spec.params["t_l"], "v_ul": spec.params["t_r"], "v_ur": 0.0,
-        }
-        spec = Stacked2DSpec("hn", hn_params, spec.n1, spec.n2, spec.delta1,
-                             spec.mode if spec.mode != "open" else "bc1", spec.delta2)
     case = stacked_hn_balance(spec)
     if case == "unbalanced":
         raise ValueError("envelope curves are defined for balanced stacks")
     if t_grid is None:
         t_grid = np.linspace(0.0, 2 * np.pi, 361)
     t_grid = np.asarray(t_grid, dtype=float)
-    p = spec.params
-    e = np.exp(1j * t_grid)
-    z1 = p["t_d"] + e * p["u_d"] + p["u_u"] / e
-    hr = p["t_r"] + e * p["v_dr"] + p["v_ur"] / e
-    hl = p["t_l"] + e * p["v_dl"] + p["v_ul"] / e
-    z2 = 2.0 * np.sqrt(hr) * np.sqrt(hl)
+    h = _stack_h_coeffs(spec, np.exp(1j * t_grid))
+    z1 = h["h_d"]
+    z2 = 2.0 * np.sqrt(h["h_r"]) * np.sqrt(h["h_l"])
     loop = None
     if case in ("case3", "case4"):
+        p = _hn_params(spec)
+        _req_real(p, "the case-3/4 envelope loop")
         t_d, u_d, u_u = p["t_d"].real, p["u_d"].real, p["u_u"].real
         t_l, t_r = p["t_l"].real, p["t_r"].real
         if case == "case3":

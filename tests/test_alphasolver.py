@@ -76,6 +76,49 @@ class TestPolynomialize:
             polynomialize("hn", {"t_l": 0.0, "t_r": 1.0}, 5, 0.0)
 
 
+TRIVIAL_CASES = [
+    ("hn", {"t_l": 1.3, "t_r": 0.4 - 0.2j}, (3, 7, 12), lambda N: N),
+    ("hn", {"t_l": 0.8, "t_r": 1.7, "eps1": 0.3, "epsN": -0.2j}, (4, 9), lambda N: N),
+    ("ssh-even", {"tl1": 1.0, "tr1": 2.0 - 0.5j, "tl2": 0.7, "tr2": 1.5}, (4, 8, 12),
+     lambda N: N // 2),
+    ("ssh-odd", {"tl1": 1.0, "tr1": 2.0 - 0.5j, "tl2": 0.7, "tr2": 1.5}, (5, 9, 11),
+     lambda N: N),
+]
+
+
+class TestTrivialFactors:
+    """The one-band and two-band PolyY carry their y = +-1 factors; `roots`
+    removes them."""
+
+    @pytest.mark.parametrize("equation, params, sizes, expected", TRIVIAL_CASES,
+                             ids=[c[0] for c in TRIVIAL_CASES])
+    @pytest.mark.parametrize("delta", [0.3, 0.9 - 0.2j, (0.4, -0.7)], ids=["real", "complex", "pair"])
+    def test_factors_carried_and_removed(self, equation, params, sizes, expected, delta):
+        for N in sizes:
+            poly = polynomialize(equation, params, N, delta)
+            assert poly.palindromic == ("pal" if equation == "ssh-odd" else "anti")
+            desc = poly.coeffs[::-1]
+            scale = np.abs(poly.coeffs).sum()
+            for tag in poly.removed_factors:
+                y = 1.0 if "y - 1" in tag else -1.0
+                multiplicity = int(tag.split("^")[1]) if "^" in tag else 1
+                for k in range(multiplicity):
+                    value = np.polyval(np.polyder(desc, k), y)
+                    assert abs(value) <= 1e-12 * scale * poly.degree**k, (N, tag, k)
+            ys = roots(poly)
+            assert len(ys) == 2 * expected(N)
+            assert np.abs(ys[:, None] - np.array([1.0, -1.0])[None, :]).min() > 1e-6
+            assert len(alpha_from_roots(ys, "pairs", expected=expected(N))) == expected(N)
+
+    @pytest.mark.parametrize("N", [4, 6, 9])
+    def test_mixed_returns_known_roots(self, N):
+        poly = polynomialize("mixed-longrange", {"t_r": 1.0, "u_l": 2.0 - 0.3j}, N, 0.35)
+        assert poly.degree == 3 * N and not poly.palindromic
+        ys = roots(poly)
+        known = np.asarray(poly.known_roots)
+        assert np.array_equal(ys, known[np.lexsort((known.imag, known.real))])
+
+
 class TestRoots:
     def test_quadratic(self):
         ys = roots(PolyY(np.array([-1.0, 0.0, 1.0])))

@@ -533,6 +533,35 @@ class TestValidationDoesNotBlockRun:
         assert side["validation"]["status"] == "closed-form-failed"
         assert (tmp_path / "zero.csv").read_text().count("\n") == 1 + 10
 
+    @pytest.mark.parametrize("model, params, hopping", [
+        ("hn", {"t_l": 1.0, "t_r": 0.0}, "t_l and t_r"),
+        ("ssh", {"tl1": 1.0, "tr1": 0.0, "tl2": 2.0, "tr2": 3.0}, "all four hoppings"),
+    ])
+    def test_zero_hopping_chain_is_not_compared_with_itself(self, tmp_path, model, params, hopping):
+        # with a vanishing hopping there is no boundary equation: the closed
+        # form must not hand back the oracle and report a 0.0 "pass"
+        cfg = parse_config({"model": model, "task": "spectrum", "params": params,
+                            "sizes": {"N": 30}, "delta": 0.3, "output": "zero"})
+        assert run(cfg, tmp_path) == 0
+        side = json.loads((tmp_path / "zero.json").read_text())
+        assert side["validation"]["status"] == "closed-form-failed"
+        assert hopping in side["validation"]["reason"]
+        rows = (tmp_path / "zero.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 30 and all(row.endswith("oracle") for row in rows)
+
+    def test_triangular_balance_and_envelope_agree(self, tmp_path):
+        # t_l = t_r also meets case 1's equalities once mapped onto the hn
+        # stack; the triangular lattice is case 4, with its loop, in both tasks
+        base = {"model": "triangular", "params": {"t_l": 1.0, "t_r": 1.0},
+                "sizes": {"N1": 6, "N2": 6}, "mode": "bc1", "delta": 0.0}
+        for task in ("balance", "envelope"):
+            assert run(parse_config(dict(base, task=task, output=task)), tmp_path) == 0
+            side = json.loads((tmp_path / f"{task}.json").read_text())
+            assert side[task]["case"] == "case4", task
+        curves = {line.split(",")[0] for line in
+                  (tmp_path / "envelope_envelope.csv").read_text().splitlines()[1:]}
+        assert "loop" in curves
+
 
 STACK_HN = {"t_d": 1, "t_l": 2, "t_r": 2, "u_d": 2, "v_dl": 4, "v_dr": 4, "u_u": -3, "v_ul": 3, "v_ur": 3}
 STACK_SSH = {"td1": 1, "td2": 4, "tl1": 1, "tl2": 8, "tr1": 1, "tr2": 6, "ud1": 3, "ud2": 6,

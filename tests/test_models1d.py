@@ -224,7 +224,7 @@ class TestLongRange:
             assert spectral_mismatch(spec, oracle) < 1e-7
 
     def test_bloch_values(self):
-        p = LongRangeParams("general", t_l=1.0, t_r=2.0, u_l=0.5, u_r=-1.0)
+        p = LongRangeParams(t_l=1.0, t_r=2.0, u_l=0.5, u_r=-1.0)
         assert bloch_1d(p, 0.0) == pytest.approx(2.5)
         tri = triangle_chain_params(1.0, 1.0)
         assert abs(bloch_1d(tri, np.pi)) < 1e-12

@@ -260,6 +260,28 @@ class TestTriangular:
             inc = np.angle(np.roll(env.loop - lam, -1) / (env.loop - lam)).sum() / (2 * np.pi)
             assert abs(round(inc)) >= 1  # loop winds around every eigenvalue
 
+    def test_envelope_case_is_the_balance_case(self):
+        # t_l = t_r meets case 1's equalities too once mapped onto the hn stack
+        spec2d = triangular_spec(1.0, 1.0, 6, 6, 0.0, "bc1")
+        env = envelope_curves(spec2d)
+        assert stacked_hn_balance(spec2d) == env.case == "case4"
+        assert env.loop is not None
+
+    def test_envelope_uses_the_block_coefficients(self):
+        # z1 = h_d and z2^2 = 4 h_l h_r of the Bloch blocks at t = arg(s_j)
+        spec2d = triangular_spec(1.0, 2.5, 5, 6, 0.0, "bc1")
+        s = spec2d.stack_factors()
+        env = envelope_curves(spec2d, np.angle(s))
+        for j, block in enumerate(bc_reduce(spec2d)):
+            assert abs(env.z1[j] - block[0, 0]) < 1e-12
+            assert abs(env.z2[j] ** 2 - 4 * block[0, 1] * block[1, 0]) < 1e-11
+
+    def test_complex_loop_needs_real_parameters(self):
+        spec2d = triangular_spec(1.0, 2.0 + 1j, 6, 6, 0.0, "bc1")
+        assert stacked_hn_balance(spec2d) == "case4"
+        with pytest.raises(ValueError, match="envelope loop assumes real parameters"):
+            envelope_curves(spec2d)
+
     def test_bc2_exponent_modulus_fixed_at_square_aspect(self):
         # [delta2^(1/N2)]^(N1/2) has modulus |delta2|^(1/2) whenever N1 = N2,
         # independent of the common size
