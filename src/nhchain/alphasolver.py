@@ -5,15 +5,18 @@ chains are cleared into polynomials by writing every sin(m*a)/sin(a) ratio as
 a Laurent polynomial in y.  Each known trivial factor is removed once: the
 y = +-1 artifacts of the one-band and two-band equations stay in the cleared
 equation and `roots` leaves them out on its s = y + 1/y route, and the
-builder of the mixed long-range chain divides out its spurious cubic.  The
-remaining roots encode exactly the physical wavenumbers.
+builder of the mixed long-range chain drops the three roots of its spurious
+cubic from the equation's roots.  The remaining roots encode exactly the
+physical wavenumbers; on the s route they come in (y, 1/y) pairs.
 
 This is the paper's route to the chain spectra.  The models1d closed-form
 entries (`hn_closed_form`, `ssh_closed_form`, `mixed_longrange_closed_form`)
 run it, and the command line checks them against the dense oracle at a
 reduced size; the production chain spectra come from the dense eigensolver.
-The route loses digits as the chain grows (root pairing fails from N of
-about 50 for unbalanced chains), and such failures raise `NumericalError`.
+The route loses digits as the chain grows: from N of about 50 for
+unbalanced chains the Newton polish can pull the two roots of a pair apart.
+`alpha_from_roots` then raises `NumericalError` instead of returning a wrong
+spectrum.
 """
 from __future__ import annotations
 
@@ -88,10 +91,12 @@ class AlphaSet:
 
 @dataclass(frozen=True)
 class PolyY:
-    """Polynomial in y with ascending coefficients.  `roots` never returns
-    the roots of `removed_factors`: a `palindromic` PolyY ("anti" or "pal")
-    is the cleared equation, still carrying them; one with `known_roots` is
-    the quotient its builder formed from those roots."""
+    """A cleared boundary equation: a polynomial in y with ascending
+    coefficients.  `roots` never returns the roots of `removed_factors`: a
+    `palindromic` PolyY ("anti" or "pal") still carries them, and
+    `known_roots` are the equation's roots without them, solved by the
+    builder.  `degree` counts the `known_roots` where there are some, else
+    it is the degree of the equation."""
 
     coeffs: np.ndarray
     removed_factors: tuple = ()
@@ -104,6 +109,8 @@ class PolyY:
 
     @property
     def degree(self) -> int:
+        if self.known_roots is not None:
+            return len(self.known_roots)
         return len(self.coeffs) - 1
 
 
@@ -116,12 +123,6 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     while k > 1 and coeffs[k - 1] == 0:
         k -= 1
     return coeffs[:k]
-
-
-def _scaled_companion_roots(coeffs: np.ndarray, scale: float) -> np.ndarray:
-    """Roots via the companion matrix of the polynomial in y = scale * z."""
-    b = coeffs * scale ** np.arange(len(coeffs))
-    return scale * np.roots(b[::-1] / np.abs(b).max())
 
 
 def _sinpoly(coeffs: np.ndarray, m: int, weight: complex, size: int) -> None:
@@ -288,11 +289,13 @@ def _mixed_poly(params: dict, N: int, delta) -> PolyY:
     P = _trim(P)
     # The cleared equation carries the spurious cubic factor 2 y^3 = t_r/u_l.
     # Coefficient-level division is unstable (the quotient's small leading
-    # coefficients are differences of huge terms), so the quotient is rebuilt
-    # from the root multiset with the three cubic roots removed.
+    # coefficients are differences of huge terms), so the equation is rooted
+    # as it is, in y = scale * z, and the three cubic roots are dropped.
     if c == 0:
         raise ValueError("t_r must be nonzero for the mixed-chain polynomial")
-    all_roots = _scaled_companion_roots(P, abs(c) ** (1.0 / 3.0))
+    scale = abs(c) ** (1.0 / 3.0)
+    b = P * scale ** np.arange(len(P))
+    all_roots = scale * np.roots(b[::-1] / np.abs(b).max())
     w3 = np.exp(2j * np.pi / 3)
     y0 = (c / 2.0) ** (1.0 / 3.0)
     keep = list(range(len(all_roots)))
@@ -309,13 +312,7 @@ def _mixed_poly(params: dict, N: int, delta) -> PolyY:
     desc, d1 = P[::-1], np.polyder(P[::-1])
     kept, single = _merge_root_clusters(all_roots[keep], desc)
     kept = _newton_vec(desc, d1, kept, iters=12, mask=single)
-    quotient = np.polymul(np.poly(kept), [P[-1]])[::-1]
-    if quotient.size - 1 != 3 * N:
-        raise NumericalError(
-            f"degenerate mixed-chain polynomial: degree {quotient.size - 1}, "
-            f"expected {3 * N}"
-        )
-    return PolyY(quotient, ("(y^3 - t_r/(2 u_l))",), known_roots=kept)
+    return PolyY(P, ("(y^3 - t_r/(2 u_l))",), known_roots=kept)
 
 
 _EQUATIONS = {
@@ -456,38 +453,27 @@ def _s_reduction_roots(kind: str, c: np.ndarray) -> np.ndarray:
 
 
 def roots(poly: PolyY) -> np.ndarray:
-    """The roots of a PolyY but those of its removed factors, sorted.
+    """The roots of a PolyY but those of its removed factors.
 
-    `known_roots` are returned as they are.  A palindromic equation is
-    solved in s = y + 1/y (`_s_reduction_roots`) and polished by 1 + 11
-    Newton steps; any other PolyY by a companion solve and one step.
+    `known_roots` are returned sorted.  A palindromic equation is solved in
+    s = y + 1/y (`_s_reduction_roots`) and each root polished by 1 + 11
+    Newton steps on the equation; the roots stay in pair order, entries 2k
+    and 2k+1 being y and 1/y before the polish.  Any other PolyY raises
+    ValueError: no builder makes one.
     """
+    if poly.known_roots is not None:
+        ys = np.asarray(poly.known_roots, dtype=complex)
+        return ys[np.lexsort((ys.imag, ys.real))]
     c = _trim(poly.coeffs)
     if c.size < 2:
         raise ValueError("degree must be at least 1")
-    desc = c[::-1]
-    if poly.known_roots is not None:
-        # the factor-removal step already solved the parent equation; its
-        # root multiset is more accurate than re-rooting the rebuilt quotient
-        ys = np.asarray(poly.known_roots, dtype=complex)
-    elif poly.palindromic:
-        ys = _s_reduction_roots(poly.palindromic, c)
-        d1 = np.polyder(desc)
-        # two calls: the second restarts the roots the first step left alone
-        ys = _newton_vec(desc, d1, ys, iters=1)
-        ys = _newton_vec(desc, d1, ys, iters=11)
-    else:
-        # rebalance wide-ranged coefficients by the substitution y = s z
-        # before the companion solve; the Newton polish runs on the
-        # original polynomial
-        deg = c.size - 1
-        s = 1.0
-        if c[0] != 0:
-            s = float(np.clip(abs(c[0] / c[-1]) ** (1.0 / deg), 1e-6, 1e6))
-        ys = _scaled_companion_roots(c, s)
-        ys = _newton_vec(desc, np.polyder(desc), ys, iters=1)
-    order = np.lexsort((ys.imag, ys.real))
-    return ys[order]
+    if not poly.palindromic:
+        raise ValueError("roots needs a palindromic equation or known roots")
+    desc, d1 = c[::-1], np.polyder(c[::-1])
+    ys = _s_reduction_roots(poly.palindromic, c)
+    # two calls: the second restarts the roots the first step left alone
+    ys = _newton_vec(desc, d1, ys, iters=1)
+    return _newton_vec(desc, d1, ys, iters=11)
 
 
 def _link_clusters(n: int, linked) -> list:
@@ -514,14 +500,12 @@ def _divisible_clusters(keys: np.ndarray, size: int, tol: float):
     """Clusters whose sizes are multiples of `size`, escalating the linking
     distance when nearly degenerate groups interleave."""
     scale = max(1.0, np.abs(keys).max())
-    last = None
     for factor in (1.0, 10.0, 100.0, 1e3, 1e4):
         tau = factor * tol * scale
         clusters = _link_clusters(len(keys), lambda i, j: abs(keys[i] - keys[j]) <= tau)
-        last = clusters
         if all(len(c) % size == 0 for c in clusters):
             return clusters
-    sizes = sorted(len(c) for c in last if len(c) % size)
+    sizes = sorted(len(c) for c in clusters if len(c) % size)
     raise NumericalError(
         f"grouping into sets of {size} failed: cluster sizes {sizes} are not "
         f"multiples of {size} (linking distance up to {1e4 * tol * scale:.3g})"
@@ -531,10 +515,13 @@ def _divisible_clusters(keys: np.ndarray, size: int, tol: float):
 def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None) -> AlphaSet:
     """Reduce polynomial roots to an AlphaSet under the model's symmetry.
 
-    pairing='pairs': roots come in (y, 1/y) pairs giving one wavenumber each;
-    pairing='triples': roots come in triples sharing one eigenvalue (mixed
-    long-range chain), which `value_key` (triples only) maps a root to;
-    `expected` is the required number of groups.
+    pairing='pairs': roots in the pair order of `roots`, entries 2k and
+    2k+1 giving one wavenumber; a pair whose product is off 1 by more than
+    GROUP_TOL raises `NumericalError`, as the polish has moved one of its
+    roots onto another root.  pairing='triples': roots come in triples
+    sharing one eigenvalue (mixed long-range chain), which `value_key`
+    (triples only) maps a root to.  `expected` is the required number of
+    groups.
     """
     ys = np.asarray(root_values, dtype=complex).ravel()
     if pairing not in ("pairs", "triples"):
@@ -542,17 +529,16 @@ def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None) -
     size = 2 if pairing == "pairs" else 3
     if len(ys) % size:
         raise ValueError(f"{len(ys)} roots cannot be grouped into {pairing}")
-    alphas = []
     if pairing == "pairs":
-        # the root multiset is closed under y -> 1/y; matching each root
-        # with the one nearest its inverse is far better conditioned than
-        # clustering the keys, whose jitter is amplified by |1/y^2| for
-        # roots well inside the unit circle
-        for members in _pair_by_inversion(ys):
-            y = _canonical_pair(members)
-            alphas.append(-1j * np.log(y))
+        pairs = ys.reshape(-1, 2)
+        off = np.abs(pairs[:, 0] * pairs[:, 1] - 1.0)
+        if off.size and off.max() > GROUP_TOL:
+            k = int(np.argmax(off))
+            raise NumericalError(f"roots {pairs[k, 0]:.6g} and {pairs[k, 1]:.6g} are no "
+                                 f"inversion pair: product off 1 by {off[k]:.3g}")
+        alphas = [-1j * np.log(_canonical_pair(members)) for members in pairs]
     else:
-        keys = np.array([value_key(y) for y in ys])
+        alphas, keys = [], np.array([value_key(y) for y in ys])
         # clusters of nearly equal keys must hold whole groups;
         # near-degenerate eigenvalues may interleave their members, which
         # leaves the assembled multiset unchanged, so groups are carved
@@ -572,39 +558,6 @@ def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None) -
         raise NumericalError(f"reduced to {len(alphas)} wavenumbers, expected {expected}")
     values, mult = dedup_sorted(alphas)
     return AlphaSet(values, mult, 0.0 + 0.0j, pairing)
-
-
-def _pair_by_inversion(ys: np.ndarray) -> list:
-    """Match each root with the one closest to its inverse.
-
-    Pairs are claimed greedily, starting from the roots farthest from the
-    unit circle (their partners are the most distinctive); ties inside
-    near-degenerate clusters are harmless because any assignment there
-    yields the same eigenvalue.
-    """
-    order = sorted(range(len(ys)), key=lambda i: -abs(np.log(abs(ys[i]))))
-    used = np.zeros(len(ys), dtype=bool)
-    pairs = []
-    for i in order:
-        if used[i]:
-            continue
-        used[i] = True
-        target = 1.0 / ys[i]
-        best, best_d = -1, np.inf
-        for j in range(len(ys)):
-            if used[j]:
-                continue
-            d = abs(ys[j] - target)
-            if d < best_d:
-                best, best_d = j, d
-        if best < 0 or best_d > 0.2 * max(1.0, abs(target)):
-            raise NumericalError(
-                f"no inversion partner for root {ys[i]:.6g} "
-                f"(nearest candidate off by {best_d:.3g})"
-            )
-        used[best] = True
-        pairs.append(ys[[i, best]])
-    return pairs
 
 
 def _canonical_pair(members: np.ndarray) -> complex:

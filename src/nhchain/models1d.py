@@ -212,9 +212,9 @@ def hn_closed_form(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     eigenvalues lambda = t_d + 2 sqrt(t_l) sqrt(t_r) cos(alpha_tilde),
     provenance "analytic".  delta = 0 and +-1 (plain chain, symmetric
     corners) take the exact wavenumber sets, every other boundary the cleared
-    polynomial.  Reliable at small N only; see `hn_spectrum`.  A vanishing
-    t_l or t_r raises `NumericalError`: the equation does not exist there,
-    but the eigensolver route does."""
+    polynomial.  Reliable at small N only, and a root pair off inversion
+    raises `NumericalError`; see `hn_spectrum`.  So does a vanishing t_l or
+    t_r: the equation does not exist there, but the eigensolver route does."""
     if p.t_l == 0 or p.t_r == 0:
         raise NumericalError("the hn closed form needs nonzero t_l and t_r")
     aset = _hn_exact_alpha_set(p, N, delta)
@@ -420,8 +420,9 @@ def ssh_closed_form(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     equation (alphasolver).  Odd N: one eigenvalue per wavenumber, sign
     resolved by the sign factor of the odd-chain equation (oracle fallback
     if it is numerically unstable); zero modes arise as ordinary equation
-    roots.  Reliable at small N only; see `ssh_spectrum`.  A vanishing
-    hopping raises `NumericalError`, as in `hn_closed_form`.
+    roots.  Reliable at small N only; see `ssh_spectrum`.  A root pair off
+    inversion or a vanishing hopping raises `NumericalError`, as in
+    `hn_closed_form`.
     """
     if not p.hoppings_nonzero:
         raise NumericalError("the ssh closed form needs all four hoppings nonzero")

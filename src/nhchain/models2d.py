@@ -575,9 +575,11 @@ def envelope_curves(spec: Stacked2DSpec, t_grid=None) -> EnvelopeCurves:
     2 sqrt(t_r + e^{it} v_dr + e^{-it} v_ur) sqrt(t_l + e^{it} v_dl +
     e^{-it} v_ul); the eigenvalues of a balanced stack lie on the straight
     segments [z_-(t), z_+(t)].  For cases 3 and 4 the two curves join into a
-    single closed loop, returned in `loop`; its formula takes real
-    parameters.  The case is `stacked_hn_balance`'s (the triangular lattice
-    is case 4), and z1, h_l, h_r are `_stack_h_coeffs` at s = e^{it}.
+    single closed loop, returned in `loop`: t_d + u_d e^{2it} + u_u e^{-2it}
+    plus the short-range term, written with cos 2t and sin 2t, which holds
+    for complex parameters too.  The case is `stacked_hn_balance`'s (the
+    triangular lattice, complex hoppings included, is case 4), and z1, h_l,
+    h_r are `_stack_h_coeffs` at s = e^{it}.
     """
     case = stacked_hn_balance(spec)
     if case == "unbalanced":
@@ -591,9 +593,7 @@ def envelope_curves(spec: Stacked2DSpec, t_grid=None) -> EnvelopeCurves:
     loop = None
     if case in ("case3", "case4"):
         p = _hn_params(spec)
-        _req_real(p, "the case-3/4 envelope loop")
-        t_d, u_d, u_u = p["t_d"].real, p["u_d"].real, p["u_u"].real
-        t_l, t_r = p["t_l"].real, p["t_r"].real
+        t_d, u_d, u_u, t_l, t_r = (p[k] for k in ("t_d", "u_d", "u_u", "t_l", "t_r"))
         if case == "case3":
             short = 2 * (t_l * np.exp(-1j * t_grid) + t_r * np.exp(1j * t_grid))
         else:

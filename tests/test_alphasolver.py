@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nhchain.alphasolver import (
+    GROUP_TOL,
     AlphaSet,
     alpha_from_roots,
     dirichlet_ratio,
@@ -9,7 +10,7 @@ from nhchain.alphasolver import (
     roots,
     verify_generic,
 )
-from nhchain.core import ChainStencil, build_chain_matrix, dense_spectrum
+from nhchain.core import ChainStencil, NumericalError, build_chain_matrix, dense_spectrum
 from nhchain.alphasolver import PolyY, _p_recursion
 
 from conftest import cnormal
@@ -114,30 +115,33 @@ class TestTrivialFactors:
     def test_mixed_returns_known_roots(self, N):
         poly = polynomialize("mixed-longrange", {"t_r": 1.0, "u_l": 2.0 - 0.3j}, N, 0.35)
         assert poly.degree == 3 * N and not poly.palindromic
+        # the cleared equation itself, the spurious cubic factor included
+        assert poly.coeffs.size - 1 == 3 * N + 3
         ys = roots(poly)
         known = np.asarray(poly.known_roots)
         assert np.array_equal(ys, known[np.lexsort((known.imag, known.real))])
 
 
 class TestRoots:
-    def test_quadratic(self):
-        ys = roots(PolyY(np.array([-1.0, 0.0, 1.0])))
-        assert _set_distance(ys, [1.0, -1.0]) < 1e-14
-
-    def test_cubic(self):
-        ys = roots(PolyY(np.array([-8.0, 0.0, 0.0, 1.0])))
-        w3 = np.exp(2j * np.pi / 3)
-        assert _set_distance(ys, [2.0, 2.0 * w3, 2.0 * w3**2]) < 1e-12
-
-    def test_random_degree_20_residual(self, rng):
-        coeffs = cnormal(rng, 21)
-        ys = roots(PolyY(coeffs))
-        res = np.abs(np.polyval(coeffs[::-1], ys)).sum()
-        assert res < 1e-8 * np.linalg.norm(coeffs)
+    @pytest.mark.parametrize("equation, params, sizes, expected", TRIVIAL_CASES,
+                             ids=[c[0] for c in TRIVIAL_CASES])
+    def test_pair_order(self, equation, params, sizes, expected):
+        # entries 2k and 2k+1 are y and 1/y, each polished to a root
+        for N in sizes:
+            poly = polynomialize(equation, params, N, 0.6 - 0.1j)
+            pairs = roots(poly).reshape(-1, 2)
+            assert np.abs(pairs[:, 0] * pairs[:, 1] - 1.0).max() < 1e-12
+            scale = np.abs(poly.coeffs).sum()
+            assert np.abs(np.polyval(poly.coeffs[::-1], pairs)).max() < 1e-10 * scale
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError, match="degree"):
-            roots(PolyY(np.array([2.0])))
+            roots(PolyY(np.array([2.0]), palindromic="anti"))
+
+    def test_generic_polynomial_rejected(self):
+        # no builder makes a PolyY that is neither palindromic nor solved
+        with pytest.raises(ValueError, match="palindromic equation or known roots"):
+            roots(PolyY(np.array([-8.0, 0.0, 0.0, 1.0])))
 
 
 class TestAlphaFromRoots:
@@ -170,6 +174,37 @@ class TestAlphaFromRoots:
     def test_wrong_group_size(self):
         with pytest.raises(ValueError, match="grouped"):
             alpha_from_roots([1.0, 2.0, 3.0], "pairs")
+
+    def test_pair_off_inversion_raises(self):
+        # 2 * (0.5 + eps) - 1 = 2 eps: accepted below GROUP_TOL, refused above
+        aset = alpha_from_roots([3.0, 1 / 3.0, 2.0, 0.5 + 0.4 * GROUP_TOL], "pairs", expected=2)
+        assert len(aset) == 2
+        with pytest.raises(NumericalError, match="inversion pair"):
+            alpha_from_roots([3.0, 1 / 3.0, 2.0, 0.5 + 0.6 * GROUP_TOL], "pairs", expected=2)
+
+
+# Chains whose closed form returned a spectrum 2.8e-4 to 0.25 off the dense
+# oracle, labelled "analytic", before the pair check: a Newton-polished root
+# had moved onto another root, and its partner was found by a loose search.
+WRONG_PAIRS = [
+    ("hn", (1.0, 1.5), 50, 1e-3),
+    ("hn", (1.0, 1.5), 120, 0.3),
+    ("hn", (1.0, 1.5), 120, 0.9),
+    ("hn", (1.0, 2.0), 120, 1e-3),
+    ("hn", (1.0, 4.0), 80, 1e-3),
+    ("ssh", (2.0, 1.0, 1.0, 3.0), 31, 1e-3),
+]
+
+
+@pytest.mark.parametrize("model, params, N, delta", WRONG_PAIRS,
+                         ids=[f"{m}{p}-N{n}-d{d:g}" for m, p, n, d in WRONG_PAIRS])
+def test_closed_form_refuses_broken_pairs(model, params, N, delta):
+    from nhchain.models1d import HNParams, SSHParams, hn_closed_form, ssh_closed_form
+
+    solve = {"hn": (HNParams, hn_closed_form), "ssh": (SSHParams, ssh_closed_form)}
+    make, closed_form = solve[model]
+    with pytest.raises(NumericalError, match="inversion pair"):
+        closed_form(make(*params), N, delta)
 
 
 class TestVerifyGeneric:

@@ -562,6 +562,22 @@ class TestValidationDoesNotBlockRun:
                   (tmp_path / "envelope_envelope.csv").read_text().splitlines()[1:]}
         assert "loop" in curves
 
+    def test_complex_triangular_envelope_writes_its_loop(self, tmp_path):
+        # complex hoppings: still case 4, and each loop row lies on z+ or z-
+        cfg = parse_config({"model": "triangular", "task": "envelope", "output": "env",
+                            "params": {"t_l": 1.0, "t_r": [2.0, 1.0]},
+                            "sizes": {"N1": 6, "N2": 6}, "mode": "bc1", "delta": 0.0})
+        assert run(cfg, tmp_path) == 0
+        loop = np.array([complex(float(re), float(im)) for name, _, re, im in
+                         (line.split(",") for line in
+                          (tmp_path / "env_envelope.csv").read_text().splitlines()[1:])
+                         if name == "loop"])
+        assert len(loop) > 0
+        fine = nhchain.models2d.envelope_curves(nhchain.models2d.triangular_spec(
+            1.0, 2.0 + 1j, 6, 6, 0.0, "bc1"), np.linspace(0, 2 * np.pi, 4001))
+        ref = np.concatenate([fine.z_plus, fine.z_minus])
+        assert np.abs(loop[:, None] - ref[None, :]).min(axis=1).max() < 0.01
+
 
 STACK_HN = {"t_d": 1, "t_l": 2, "t_r": 2, "u_d": 2, "v_dl": 4, "v_dr": 4, "u_u": -3, "v_ul": 3, "v_ur": 3}
 STACK_SSH = {"td1": 1, "td2": 4, "tl1": 1, "tl2": 8, "tr1": 1, "tr2": 6, "ud1": 3, "ud2": 6,

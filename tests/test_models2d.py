@@ -276,11 +276,16 @@ class TestTriangular:
             assert abs(env.z1[j] - block[0, 0]) < 1e-12
             assert abs(env.z2[j] ** 2 - 4 * block[0, 1] * block[1, 0]) < 1e-11
 
-    def test_complex_loop_needs_real_parameters(self):
-        spec2d = triangular_spec(1.0, 2.0 + 1j, 6, 6, 0.0, "bc1")
-        assert stacked_hn_balance(spec2d) == "case4"
-        with pytest.raises(ValueError, match="envelope loop assumes real parameters"):
-            envelope_curves(spec2d)
+    @pytest.mark.parametrize("t_r", [2.0 + 1j, -1.0 + 0.3j])
+    def test_complex_loop_lies_on_the_curves(self, t_r):
+        # the case-4 loop of a complex triangular lattice is the union of
+        # z+ and z-, up to the 2 pi / 4000 step of the sampled reference
+        spec2d = triangular_spec(1.0, t_r, 6, 6, 0.0, "bc1")
+        env = envelope_curves(spec2d)
+        assert stacked_hn_balance(spec2d) == env.case == "case4"
+        fine = envelope_curves(spec2d, np.linspace(0.0, 2 * np.pi, 4001))
+        ref = np.concatenate([fine.z_plus, fine.z_minus])
+        assert np.abs(env.loop[:, None] - ref[None, :]).min(axis=1).max() < 0.01
 
     def test_bc2_exponent_modulus_fixed_at_square_aspect(self):
         # [delta2^(1/N2)]^(N1/2) has modulus |delta2|^(1/2) whenever N1 = N2,

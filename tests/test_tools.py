@@ -1,14 +1,24 @@
+import ast
 import importlib
 import importlib.util
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import nhchain
+from nhchain import cli
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_hooks_resolve():
@@ -16,9 +26,7 @@ def test_benchmark_hooks_resolve():
     `spans.Tracer().install()` wraps each traced function in its defining
     module and `restore()` puts the original back, and every `self.m1.*`,
     `self.m2.*` and `self.core.*` name in check.py resolves."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load("perfbench_spans", PERFBENCH / "spans.py")
     owners = {owner: importlib.import_module(f"nhchain.{owner}") for owner, *_ in spans.TARGETS}
     targets = [(owners[owner], fname) for owner, fname, *_ in spans.TARGETS]
     assert not [f"{m.__name__}.{f}" for m, f in targets if not hasattr(m, f)]
@@ -35,6 +43,25 @@ def test_benchmark_hooks_resolve():
     used = set(re.findall(r"self\.(m1|m2|core)\.(\w+)", (PERFBENCH / "check.py").read_text()))
     assert used
     assert not sorted(f"{m}.{name}" for m, name in used if not hasattr(modules[m], name))
+
+
+def test_output_digests_cover_every_model_and_task():
+    """Every model and every task runs in the digest tool: in a shipped
+    config, a seed-7 benchmark job or one of its `EXTRAS`.  The extras are
+    read from the tool's source, which pins BLAS threads when it runs."""
+    tree = ast.parse(TOOL.read_text())
+    extras = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "EXTRAS" for t in node.targets))
+    configs = [json.loads(p.read_text()) for p in (TOOL.parent.parent / "configs").glob("*.json")]
+    jobs = _load("perfbench_jobs", PERFBENCH / "jobs.py")
+    for workload in jobs.WORKLOADS:
+        generated = jobs.generate(workload, 7, rounds=3)
+        configs += [job["config"] for rnd in generated["rounds"] for job in rnd]
+    configs += list(extras.values())
+    assert not set(cli.MODELS) - {c["model"] for c in configs}
+    assert not set(cli.TASKS) - {c["task"] for c in configs}
+    for raw in extras.values():
+        cli.parse_config(raw)
 
 
 def test_output_digests_compare(tmp_path):

@@ -6,11 +6,13 @@
     python3 tools/output_digests.py --keep out_a    # also keep the output files
     python3 tools/output_digests.py --compare out_a out_b
 
-Every config in `configs/` and the first three rounds of each benchmark
-workload's jobs at `--seed` (the rounds a `perfbench/run.py --trace 1` run
-executes) go through `nhchain.cli.run` in this process, BLAS pinned to one
-thread, each into a fresh temporary directory, or into `<keep>/<source>/`
-with `--keep`.  Each output file gives one line `<sha256>  <source>/<file>`;
+Every config in `configs/`, the small built-in `EXTRAS` (the models, tasks
+and boundary kinds that neither the shipped configs nor the benchmark jobs
+run) and the first three rounds of each benchmark workload's jobs at
+`--seed` (the rounds a `perfbench/run.py --trace 1` run executes) go through
+`nhchain.cli.run` in this process, BLAS pinned to one thread, each into a
+fresh temporary directory, or into `<keep>/<source>/` with `--keep`;
+`--no-configs` skips both kinds of config.  Each output file gives one line `<sha256>  <source>/<file>`;
 a job that exits non-zero or raises gives one more line `exit=<code>` or
 `raised=<exception type>` in place of the digest.  Lines are sorted, so two
 checkouts compare with `diff`.  nhchain is imported from this checkout's
@@ -48,6 +50,47 @@ from nhchain import cli  # noqa: E402
 from nhchain.core import spectral_mismatch  # noqa: E402
 
 TRACE_ROUNDS = 3  # perfbench/worker.py's TRACE_ROUNDS
+
+# Small configs of what `configs/` and the benchmark jobs leave out: odd
+# two-band chains with a (delta_l, delta_r) pair, end potentials, the models
+# with no shipped config, and `spectrum`, `envelope` and `balance`.  A plain
+# literal, so a test can read it without running this script.
+EXTRAS = {
+    "ssh_odd_pair": {"model": "ssh-odd", "task": "sweep", "sizes": {"N": 31}, "delta": [0.3, 0.7],
+                     "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}},
+    "ssh_odd_complex_pair": {"model": "ssh", "task": "sweep", "sizes": {"N": 13}, "delta": [0.5, -0.2],
+                             "params": {"tl1": [1.0, 0.5], "tr1": 2.0, "tl2": 0.7, "tr2": [1.5, -0.3]}},
+    "hn_general_eps": {"model": "hn-general", "task": "sweep", "sizes": {"N": 20},
+                       "delta": {"start": 0.2, "stop": 0.8, "step": 0.3},
+                       "params": {"t_l": 1.0, "t_r": 1.5, "eps1": 0.3, "epsN": [0.0, -0.2]}},
+    "hn_general_eps_spectrum": {"model": "hn-general", "task": "spectrum", "sizes": {"N": 9},
+                                "delta": [0.4, 0.9],
+                                "params": {"t_l": 0.8, "t_r": 1.7, "t_d": 0.1, "eps1": -0.5, "epsN": 0.25}},
+    "general_chain": {"model": "general-chain", "task": "spectrum", "sizes": {"N": 16}, "delta": 0.4,
+                      "params": {"t_m2": 0.3, "t_m1": 1.0, "t_0": 0.1, "t_p1": 0.5, "t_p2": [0.2, 0.1]}},
+    "unidirectional": {"model": "unidirectional", "task": "sweep", "sizes": {"N": 12},
+                       "delta": {"start": 0.0, "stop": 0.9, "step": 0.45},
+                       "params": {"t_l": 1.0, "u_l": 0.5}},
+    "kagome": {"model": "kagome", "task": "spectrum", "sizes": {"N1": 4, "N2": 3}, "delta": 0.5,
+               "params": {"t_l": 1.0, "t_r": 2.0}},
+    "separable_square": {"model": "separable-square", "task": "sweep", "sizes": {"N1": 6, "N2": 5},
+                         "delta": {"start": 0.25, "stop": 0.75, "step": 0.5}, "delta2": 0.3,
+                         "params": {"a_t_l": 1.0, "a_t_r": 2.0, "b_t_l": 1.0, "b_t_r": 0.5}},
+    "stacked_hn_case3_envelope": {"model": "stacked-hn", "task": "envelope", "sizes": {"N1": 6, "N2": 6},
+                                  "delta": 0.5, "mode": "bc1",
+                                  "params": {"t_d": 1, "t_l": 2, "t_r": 1, "u_d": 2, "v_dl": 1, "v_dr": 0,
+                                             "u_u": -3, "v_ul": 0, "v_ur": 2}},
+    "stacked_hn_unbalanced_balance": {"model": "stacked-hn", "task": "balance", "sizes": {"N1": 6, "N2": 6},
+                                      "mode": "bc1",
+                                      "params": {"t_d": 1, "t_r": 2, "t_l": 3, "u_u": 4, "v_ur": 5,
+                                                 "v_ul": 6, "u_d": 7, "v_dr": 8, "v_dl": 9}},
+    "triangular_envelope": {"model": "triangular", "task": "envelope", "sizes": {"N1": 6, "N2": 6},
+                            "delta": 0.0, "mode": "bc1", "params": {"t_l": 1.0, "t_r": 5.0}},
+    "triangular_complex_envelope": {"model": "triangular", "task": "envelope", "sizes": {"N1": 6, "N2": 6},
+                                    "delta": 0.0, "mode": "bc1", "params": {"t_l": 1.0, "t_r": [2.0, 1.0]}},
+    "triangular_balance": {"model": "triangular", "task": "balance", "sizes": {"N1": 6, "N2": 6},
+                           "mode": "bc2", "delta2": 0.5, "params": {"t_l": 1.0, "t_r": 5.0}},
+}
 
 
 def run_one(raw: dict, source: str, keep: Path | None = None) -> list[str]:
@@ -188,6 +231,8 @@ def main(argv=None) -> int:
     if not args.no_configs:
         for path in sorted((ROOT / "configs").glob("*.json")):
             lines += run_one(json.loads(path.read_text()), f"configs/{path.stem}", args.keep)
+        for name, raw in EXTRAS.items():
+            lines += run_one(raw, f"extras/{name}", args.keep)
     workloads = jobs.WORKLOADS if args.workload == "all" else (args.workload,)
     for workload in workloads:
         # through JSON, as the benchmark worker reads them
