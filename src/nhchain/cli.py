@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
@@ -154,7 +155,12 @@ def _parse_delta(value):
                              for key in ("start", "stop", "step"))
         if step <= 0:
             raise ConfigError(f"delta.step must be positive, got {step}")
-        n = int(round((stop - start) / step))
+        span = (stop - start) / step
+        if not all(map(math.isfinite, (start, step, span))):
+            raise ConfigError(f"delta: expected a finite grid, got {value!r}")
+        n = round(span)
+        if n < 0:
+            raise ConfigError(f"delta: the grid from {start} to {stop} holds no boundary value")
         return ("grid", [start + k * step for k in range(n + 1)])
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return ("pair", (_number(complex, value[0], "delta"), _number(complex, value[1], "delta")))
@@ -354,7 +360,8 @@ def _stacked(family: str, keys, balance, envelope=None, **fields) -> Model:
         if c["mode"] == "open":
             return lambda d: _plain(dense_spectrum(matrix(c, d)))
         eigenvalues = models2d.stacked_line(_stack(family, c, 0.0))
-        js = [j for j in range(c["sizes"]["N2"]) for _ in range(c["sizes"]["N1"])]
+        # each eigenvalue's block as CSV text, converted once per block, not per row
+        js = [j for j in map(str, range(c["sizes"]["N2"])) for _ in range(c["sizes"]["N1"])]
         return lambda d: (eigenvalues(_scalar(d)), js)
 
     return Model(frozenset(keys), frozenset(), sizes=("N1", "N2"), matrix=matrix, line=line,
@@ -499,15 +506,69 @@ def _delta_label(delta) -> str:
     return _fmt(delta)
 
 
+# Spectrum rows are formatted in batches of whole boundary values holding at
+# least this many eigenvalues: enough to spread numpy's per-call cost over a
+# small chain's spectra, few enough that a 30 x 30 stack goes one boundary
+# value at a time, which keeps the batch's temporaries out of the peak RSS.
+_ROW_BATCH = 512
+
+
+def _shared_texts(values: np.ndarray) -> tuple[list, list] | None:
+    """(signs, texts) with signs[i] + texts[i] == f"{values[i]:.17g}" for
+    every float, formatting each distinct |x| once; None where fewer than a
+    quarter of the magnitudes repeat, as the sort that finds them then costs
+    more than it saves.
+
+    The conjugate parts and repeated values of a spectrum share one text; a
+    value with its sign bit set (-0.0 too, NaN not: its text has no sign)
+    gets the sign "-"."""
+    mags = np.abs(values)
+    order = np.argsort(mags)
+    ranked = mags[order]
+    first = np.empty(len(ranked), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    if 4 * len(starts) > 3 * len(values):
+        return None
+    distinct = np.array([f"{x:.17g}" for x in ranked[starts].tolist()], dtype=object)
+    texts = np.empty(len(values), dtype=object)
+    texts[order] = np.repeat(distinct, np.diff(starts, append=len(values)))
+    return np.where(np.signbit(values) & ~np.isnan(values), "-", "").tolist(), texts.tolist()
+
+
+def _batch_rows(batch: list) -> list:
+    """The CSV rows of [(delta label, j labels, Spectrum), ...]."""
+    lam = np.concatenate([spec.eigenvalues for _, _, spec in batch])
+    n = len(lam)
+    shared = _shared_texts(np.concatenate([lam.real, lam.imag]))
+    rows, k = [], 0
+    for lab, js, spec in batch:
+        prov, m = spec.provenance, len(spec)
+        if shared is None:
+            z = spec.eigenvalues
+            rows += [f"{lab},{j},{re:.17g},{im:.17g},{prov}"
+                     for j, re, im in zip(js, z.real.tolist(), z.imag.tolist())]
+        else:
+            signs, texts = shared
+            rows += [f"{lab},{j},{sr}{tr},{si}{ti},{prov}" for j, sr, tr, si, ti in
+                     zip(js, signs[k:k + m], texts[k:k + m], signs[n + k:n + k + m], texts[n + k:n + k + m])]
+        k += m
+    return rows
+
+
 def _spectrum_rows(cfg, deltas) -> list:
+    """One row (delta, j, re, im, provenance) per eigenvalue of each boundary value."""
     line = line_for(cfg)
-    rows = []
+    rows, batch, size = [], [], 0
     for d in deltas:
         spec, js = spectrum_for(cfg, d, line)
-        lab, prov, lam = _delta_label(d), spec.provenance, spec.eigenvalues
-        rows += [f"{lab},{j},{re:.17g},{im:.17g},{prov}"
-                 for j, re, im in zip(js, lam.real.tolist(), lam.imag.tolist())]
-    return rows
+        batch.append((_delta_label(d), js, spec))
+        size += len(spec)
+        if size >= _ROW_BATCH:
+            rows += _batch_rows(batch)
+            batch, size = [], 0
+    return rows + (_batch_rows(batch) if batch else [])
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nhchain
+from nhchain import cli
 from nhchain.cli import ConfigError, main, parse_config, run, validate
+from nhchain.core import Spectrum
 
 
 def write_config(tmp_path, name, payload):
@@ -918,3 +922,79 @@ def test_bloch_grids_equal_per_k_evaluation_bitwise(rng, model, keys):
             ks = np.linspace(-np.pi, np.pi, n + 1)
             want = np.array([np.asarray(per_k(k), dtype=complex) for k in ks])
             assert np.array_equal(sampler.grid(n).view(np.int64), want.view(np.int64))
+
+
+OPEN_TRIANGULAR_SWEEP = {"model": "triangular", "task": "sweep", "params": {"t_l": 1.0, "t_r": 5.0},
+                         "sizes": {"N1": 6, "N2": 3}, "mode": "open", "output": "tri"}
+
+
+@pytest.mark.parametrize("grid", [
+    {"start": 1.0, "stop": 0.0, "step": 0.1},
+    {"start": 0.0, "stop": 1.0, "step": float("nan")},
+    {"start": 0.0, "stop": float("inf"), "step": 0.1},
+], ids=["empty", "nan-step", "infinite-stop"])
+@pytest.mark.parametrize("base", [HN_SWEEP, OPEN_TRIANGULAR_SWEEP], ids=["hn", "open-triangular"])
+def test_grid_without_finite_boundary_values_exits_2(tmp_path, capsys, base, grid):
+    """A delta grid that holds no boundary value, or is not finite, is a
+    configuration error naming delta, for run and validate alike."""
+    path = write_config(tmp_path, "c.json", dict(base, delta=grid))
+    for command in ("run", "validate"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "invalid config: delta" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+_CELL_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1.5e-315,
+                     1e300, -1e300, 1e-300, -1e-300]),
+)
+
+
+def _per_value_rows(batch):
+    """The rows of [(delta label, j labels, Spectrum), ...] with one .17g
+    conversion per value."""
+    return [f"{lab},{j},{re:.17g},{im:.17g},{spec.provenance}" for lab, js, spec in batch
+            for j, re, im in zip(js, spec.eigenvalues.real.tolist(), spec.eigenvalues.imag.tolist())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct=st.lists(st.tuples(_CELL_FLOATS, _CELL_FLOATS), max_size=40),
+       pairs=st.lists(st.tuples(_CELL_FLOATS, _CELL_FLOATS), max_size=30),
+       copies=st.integers(1, 3))
+def test_rows_equal_per_value_format(distinct, pairs, copies):
+    """Every re and im cell is f"{x:.17g}" of its value, whether its
+    magnitude is formatted once for many cells (repeated values, exact
+    conjugate pairs) or each value for itself."""
+    lam = np.array([complex(re, im) for re, im in pairs] * copies, dtype=complex)
+    lam = np.concatenate([lam, lam.conj(), [complex(re, im) for re, im in distinct]])
+    half = len(lam) // 2
+    batch = [("0.5", [0] * half, Spectrum(lam[:half])), ("1", [1] * (len(lam) - half), Spectrum(lam[half:]))]
+    assert cli._batch_rows(batch) == _per_value_rows(batch)
+
+
+def test_rows_of_non_finite_values():
+    """NaN prints without a sign whatever its sign bit; infinities keep theirs."""
+    parts = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0] * 3)
+    lam = np.empty(len(parts), dtype=complex)
+    lam.real, lam.imag = parts, parts[::-1]
+    assert cli._shared_texts(np.concatenate([lam.real, lam.imag])) is not None
+    batch = [("0", [""] * len(lam), Spectrum(lam))]
+    assert cli._batch_rows(batch) == _per_value_rows(batch)
+
+
+def test_stacked_bc1_sweep_csv_equals_per_value_format(tmp_path):
+    """A BC1 stacked sweep through delta 0 and 1 writes, byte for byte, the
+    rows of one .17g conversion per value.  The stack is Hermitian (the
+    down hoppings mirror the up ones), so its Bloch blocks have real
+    eigenvalues, and the rows that conjugate them carry -0 imaginary parts."""
+    hermitian = {"t_d": 1, "t_l": 2, "t_r": 2, "u_u": 3, "u_d": 3, "v_ul": 1, "v_ur": 2,
+                 "v_dl": 2, "v_dr": 1}
+    cfg = parse_config(dict(STACKED_SWEEPS["stacked_hn_small"], params=hermitian,
+                            sizes={"N1": 4, "N2": 4}, output="s"))
+    assert run(cfg, tmp_path) == 0
+    line = cli.line_for(cfg)
+    rows = _per_value_rows([(f"{d:.17g}", *line(d)[::-1]) for d in cli._delta_values(cfg)])
+    text = (tmp_path / "s.csv").read_text()
+    assert text == "\n".join(["delta,j,re,im,provenance", *sorted(rows)]) + "\n"
+    assert ",-0,bloch-oracle" in text

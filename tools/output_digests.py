@@ -53,8 +53,9 @@ TRACE_ROUNDS = 3  # perfbench/worker.py's TRACE_ROUNDS
 
 # Small configs of what `configs/` and the benchmark jobs leave out: odd
 # two-band chains with a (delta_l, delta_r) pair, end potentials, the models
-# with no shipped config, and `spectrum`, `envelope` and `balance`.  A plain
-# literal, so a test can read it without running this script.
+# with no shipped config, BC2 stacked sweeps, and `spectrum`, `envelope` and
+# `balance`.  A plain literal, so a test can read it without running this
+# script.
 EXTRAS = {
     "ssh_odd_pair": {"model": "ssh-odd", "task": "sweep", "sizes": {"N": 31}, "delta": [0.3, 0.7],
                      "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}},
@@ -90,6 +91,18 @@ EXTRAS = {
                                     "delta": 0.0, "mode": "bc1", "params": {"t_l": 1.0, "t_r": [2.0, 1.0]}},
     "triangular_balance": {"model": "triangular", "task": "balance", "sizes": {"N1": 6, "N2": 6},
                            "mode": "bc2", "delta2": 0.5, "params": {"t_l": 1.0, "t_r": 5.0}},
+    "stacked_hn_unbalanced_bc2": {"model": "stacked-hn", "task": "sweep", "sizes": {"N1": 6, "N2": 5},
+                                  "delta": {"start": 0.2, "stop": 0.8, "step": 0.3},
+                                  "mode": "bc2", "delta2": 0.5,
+                                  "params": {"t_d": 1, "t_r": 2, "t_l": 3, "u_u": 4, "v_ur": 5,
+                                             "v_ul": 6, "u_d": 7, "v_dr": 8, "v_dl": 9}},
+    "stacked_ssh_case1_bc2": {"model": "stacked-ssh", "task": "sweep", "sizes": {"N1": 6, "N2": 4},
+                              "delta": {"start": 0.25, "stop": 0.75, "step": 0.5},
+                              "mode": "bc2", "delta2": 2.0,
+                              "params": {"td1": 1, "td2": 4, "tl1": 1, "tl2": 2, "tr1": 1, "tr2": 2,
+                                         "ud1": 3, "ud2": 6, "vdl1": 3, "vdl2": 4, "vdr1": 3,
+                                         "vdr2": 4, "uu1": 2, "uu2": 5, "vul1": 5, "vul2": 6,
+                                         "vur1": 5, "vur2": 6}},
 }
 
 
