@@ -719,10 +719,10 @@ def _sensitivity_task(cfg) -> dict:
         return solved[n, d]
 
     screen = sensitivity.classify_sensitivity(lambda d: family(cfg["sizes"][size_key], d))
-    out = {"screen": screen.as_dict()}
+    out = {"screen": asdict(screen)}
     if cfg["n_list"]:
         report = sensitivity.sensitivity_exponent(family, cfg["threshold"], cfg["n_list"])
-        out["exponent"] = report.as_dict()
+        out["exponent"] = asdict(report)
     return out
 
 

@@ -192,7 +192,17 @@ def build_chain_matrix(stencil: ChainStencil) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A multiset of complex eigenvalues with provenance."""
+    """A multiset of complex eigenvalues with provenance.
+
+    `parameters` is empty but for the keys a caller reads: "fallback" (a
+    chain line's dense solve of a chain with a vanishing hopping; read by
+    the wavenumber recovery and the benchmark tracer), "sign" (the odd
+    two-band closed form took its +- signs from the dense oracle; the
+    tracer), "degree" and "removed_factor" (the mixed long-range closed
+    form's polynomial; `cli.validate`'s triple grouping) and
+    "hermitian_blocks" (Bloch blocks that `models2d.stacked_line` solved as
+    Hermitian matrices; the tests).
+    """
 
     eigenvalues: np.ndarray
     provenance: str = "oracle"
@@ -258,7 +268,7 @@ class EigensolverError(NumericalError, RuntimeError):
     pass
 
 
-def dense_spectrum(matrix, want_vectors: bool = False, parameters=None):
+def dense_spectrum(matrix, want_vectors: bool = False):
     """Dense oracle: all eigenvalues of a general complex matrix.
 
     A real array is solved as it is, and a complex one with no nonzero
@@ -291,15 +301,14 @@ def dense_spectrum(matrix, want_vectors: bool = False, parameters=None):
     A = M.real if M.dtype == complex and not M.imag.any() else M
     try:
         if not want_vectors:
-            vals = np.linalg.eigvals(A)
-            return Spectrum(vals, "oracle", dict(parameters or {}))
+            return Spectrum(np.linalg.eigvals(A), "oracle")
         from scipy.linalg import eig
 
         vals, vl, vr = eig(A, left=True, right=True)
     except np.linalg.LinAlgError as exc:
         fingerprint = f"shape={M.shape}, frob={np.linalg.norm(M):.6g}"
         raise EigensolverError(f"eigensolver failed ({fingerprint}): {exc}") from exc
-    return Spectrum(vals, "oracle", dict(parameters or {})), vr, vl
+    return Spectrum(vals, "oracle"), vr, vl
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,20 @@ even or odd length (with alternating on-site potentials and a zero-mode
 criterion), the unidirectional and mixed long-range chains, and the scalar
 Bloch functions with their three non-winding parameter families.
 
-The per-size lines `hn_line`, `ssh_line` and `mixed_longrange_line` take
-the eigenvalues at each delta from one dense eigensolve of the chain matrix
-(provenance "oracle"): a line builds the matrix without its corners once
-and adds the corners per delta, and the command line uses the lines alone.
-`hn_spectrum`, `ssh_spectrum` and `mixed_longrange_spectrum` call them at
-one delta and also recover the shifted wavenumbers from the eigenvalues:
-cos(alpha_tilde) = (lambda - t_d) / (2 sqrt(t_l) sqrt(t_r)) for the one-band
-chain, the lambda^2 relation for the two-band chain (one alpha_tilde per
-+- pair at even length), and the root of largest modulus of
-u_l y^3 - lambda y + t_r = 0, y = e^{i alpha_tilde}, for the mixed
-long-range chain.  The exact wavenumber sets stay analytic: the plain
-one-band chain at delta = 0 and +-1 and the open odd two-band chain.  The
-stacked lattices of models2d recover their Bloch blocks' wavenumbers with
-the same inversion helpers.
+The per-size lines `hn_line`, `ssh_line` and `mixed_longrange_line` solve
+every delta through one body, `_chain_line`: the chain matrix without its
+corners is built once; an exact wavenumber set (the plain one-band chain at
+delta = 0 and +-1, the open odd two-band chain) gives an "analytic"
+spectrum, and every other delta one dense eigensolve (provenance "oracle"),
+labelled {"fallback": "zero hopping"} when a hopping vanishes.  The command
+line uses the lines alone.  `hn_spectrum`, `ssh_spectrum` and
+`mixed_longrange_spectrum` call them at one delta and also recover the
+shifted wavenumbers from the eigenvalues: cos(alpha_tilde) = (lambda - t_d)
+/ (2 sqrt(t_l) sqrt(t_r)) for the one-band chain, the lambda^2 relation for
+the two-band chain (one alpha_tilde per +- pair at even length), and the
+root of largest modulus of u_l y^3 - lambda y + t_r = 0, y = e^{i alpha_tilde},
+for the mixed long-range chain.  The stacked lattices of models2d recover
+their Bloch blocks' wavenumbers with the same inversion helpers.
 
 The paper's boundary-equation route (alphasolver) is kept behind
 `hn_closed_form`, `ssh_closed_form` and `mixed_longrange_closed_form`.  The
@@ -28,7 +28,7 @@ at large N it loses digits or raises `NumericalError`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable, Optional
 
@@ -52,6 +52,7 @@ from .core import (
     chain_operator,
     cmul,
     dense_spectrum,
+    expectation_profiles,
 )
 from .core import as_corner_pair as _pair
 from .core import principal_sqrt as _sq
@@ -85,9 +86,26 @@ __all__ = [
 ]
 
 
-def _zero_hopping_spectrum(matrix) -> Spectrum:
-    """Dense spectrum of a chain with a vanishing hopping."""
-    return dense_spectrum(matrix, parameters={"fallback": "zero hopping"})
+def _chain_line(op: Callable[[], CornerOperator], hoppings_nonzero: bool,
+                exact: Callable[[object], Optional[Spectrum]]) -> Callable[[object], Spectrum]:
+    """The per-delta body of every chain line: delta -> Spectrum.
+
+    `op` builds the chain's `CornerOperator`; it is called on first use and
+    kept, so the exact sets need no matrix.  A chain with a vanishing
+    hopping gets one dense eigensolve per delta, with parameters
+    {"fallback": "zero hopping"}.  Otherwise each delta takes `exact(delta)`
+    where that gives a spectrum, and one dense eigensolve of the operator at
+    delta (provenance "oracle") everywhere else.
+    """
+    op = cache(op)
+    if not hoppings_nonzero:
+        return lambda delta: replace(dense_spectrum(op().at(delta)), parameters={"fallback": "zero hopping"})
+
+    def line(delta) -> Spectrum:
+        spec = exact(delta)
+        return dense_spectrum(op().at(delta)) if spec is None else spec
+
+    return line
 
 
 def _no_wavenumbers() -> AlphaSet:
@@ -224,41 +242,26 @@ def hn_closed_form(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
         )
         aset = alpha_from_roots(roots(poly), "pairs", expected=N)
         aset = AlphaSet(aset.values, aset.multiplicity, p.shift, "hn-equation")
-    lam = _hn_lambda(p, aset.expand())
-    params = {"model": "hn", "N": N, "delta": _pair(delta)}
-    return Spectrum(lam, "analytic", params), aset
+    return Spectrum(_hn_lambda(p, aset.expand()), "analytic"), aset
 
 
 def hn_line(p: HNParams, N: int) -> Callable[[object], Spectrum]:
-    """delta -> eigenvalues lambda = t_d + 2 sqrt(t_l) sqrt(t_r) cos(alpha_tilde),
-    the chain matrix built once.
+    """delta -> eigenvalues lambda = t_d + 2 sqrt(t_l) sqrt(t_r) cos(alpha_tilde)
+    at a scalar delta or a (delta_l, delta_r) pair, through `_chain_line`.
 
-    Returns a function of a scalar delta or a (delta_l, delta_r) pair; each
-    call takes its matrix from one `CornerOperator`, so a caller that
-    solves the chain at many deformations (a sensitivity fit) pays for the
-    assembly once, and gets the same spectra bit for bit.  The plain chain
-    with symmetric corners at delta = 0 and +-1 has exact wavenumber sets
-    and an "analytic" spectrum.  Otherwise the eigenvalues come from a dense
-    eigensolve (provenance "oracle"); a vanishing hopping gets one too, with
-    parameters {"fallback": "zero hopping"}.
+    A caller that solves the chain at many deformations (a sensitivity fit)
+    pays for the matrix assembly once and gets the same spectra bit for bit.
+    The plain chain with symmetric corners has exact wavenumber sets, and an
+    "analytic" spectrum, at delta = 0 and +-1 (N = 2 has one at delta = 0
+    but no banded matrix); every other delta, and a chain with a vanishing
+    hopping, gets a dense eigensolve.
     """
-    @cache
-    def op() -> CornerOperator:
-        # built on first use: the exact sets need no matrix, and N = 2 has
-        # one at delta = 0 but no banded matrix
-        return chain_operator(hn_stencil(p, N, 0.0))
+    def exact(delta) -> Optional[Spectrum]:
+        aset = _hn_exact_alpha_set(p, N, delta)
+        return None if aset is None else Spectrum(_hn_lambda(p, aset.expand()), "analytic")
 
-    if p.t_l == 0 or p.t_r == 0:
-        return lambda delta: _zero_hopping_spectrum(op().at(delta))
-
-    def line(delta) -> Spectrum:
-        params = {"model": "hn", "N": N, "delta": _pair(delta)}
-        exact = _hn_exact_alpha_set(p, N, delta)
-        if exact is not None:
-            return Spectrum(_hn_lambda(p, exact.expand()), "analytic", params)
-        return dense_spectrum(op().at(delta), parameters=params)
-
-    return line
+    return _chain_line(lambda: chain_operator(hn_stencil(p, N, 0.0)),
+                       p.t_l != 0 and p.t_r != 0, exact)
 
 
 def hn_spectrum(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
@@ -367,31 +370,23 @@ def _ssh_lambda2(p: SSHParams, alphas: np.ndarray) -> np.ndarray:
 
 
 def ssh_line(p: SSHParams, N: int) -> Callable[[object], Spectrum]:
-    """delta -> full eigenvalue multiset of the alternating chain, the chain
-    matrix built once (see `hn_line`).
+    """delta -> full eigenvalue multiset of the alternating chain, through
+    `_chain_line` (see `hn_line`).
 
     Eigenvalues lambda = (v1+v2)/2 +- sqrt(v^2 + tl1 tr1 + tl2 tr2 +
     2 cos(a) sqrt(tl1) sqrt(tr1) sqrt(tl2) sqrt(tr2)).  The open odd chain
-    has an exact wavenumber set and an "analytic" spectrum.  Otherwise the
-    eigenvalues come from a dense eigensolve (provenance "oracle"); a
-    vanishing hopping gets one too, with parameters {"fallback": "zero
-    hopping"}.  Odd chains take no on-site potentials: one with them raises
-    here.
+    has an exact wavenumber set and an "analytic" spectrum; every other
+    delta, and a chain with a vanishing hopping, gets a dense eigensolve.
+    An odd chain with nonzero hoppings takes no on-site potentials: one with
+    them raises here.
     """
-    op = ssh_operator(p, N)
-    if not p.hoppings_nonzero:
-        return lambda delta: _zero_hopping_spectrum(op.at(delta))
-    if N % 2 and (p.v1 != 0 or p.v2 != 0):
+    if p.hoppings_nonzero and N % 2 and (p.v1 != 0 or p.v2 != 0):
         raise ValueError("odd-length chains are solved without on-site potentials")
 
-    def line(delta) -> Spectrum:
-        dl, dr = _pair(delta)
-        meta = {"model": "ssh", "N": N, "delta": (dl, dr)}
-        if N % 2 and dl == 0 and dr == 0:
-            return _ssh_odd_open(p, N, meta)[0]
-        return dense_spectrum(op.at(delta), parameters=meta)
+    def exact(delta) -> Optional[Spectrum]:
+        return _ssh_odd_open(p, N)[0] if N % 2 and _pair(delta) == (0, 0) else None
 
-    return line
+    return _chain_line(lambda: ssh_operator(p, N), p.hoppings_nonzero, exact)
 
 
 def ssh_spectrum(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
@@ -406,7 +401,7 @@ def ssh_spectrum(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     if "fallback" in spec.parameters:
         return spec, _no_wavenumbers()
     if spec.provenance == "analytic":
-        return spec, _ssh_odd_open(p, N, spec.parameters)[1]
+        return spec, _ssh_odd_open(p, N)[1]
     h = {"hd1": p.v1, "hd2": p.v2, "hl1": p.tl1, "hl2": p.tl2, "hr1": p.tr1, "hr2": p.tr2}
     cos_alpha, shift = _ssh_wavenumbers({k: np.array([v]) for k, v in h.items()},
                                         spec.eigenvalues[None, :], pairs=N % 2 == 0)
@@ -429,50 +424,38 @@ def ssh_closed_form(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     dl, dr = _pair(delta)
     shift = p.shift
     params = {"tl1": p.tl1, "tr1": p.tr1, "tl2": p.tl2, "tr2": p.tr2}
-    meta = {"model": "ssh", "N": N, "delta": (dl, dr)}
     if N % 2 == 0:
         poly = polynomialize("ssh-even", params, N, (dl, dr))
         aset = alpha_from_roots(roots(poly), "pairs", expected=N // 2)
         mid = (p.v1 + p.v2) / 2.0
         sq_lam2 = np.sqrt(_ssh_lambda2(p, aset.expand()))
         lam = np.concatenate([mid + sq_lam2, mid - sq_lam2])
-        return Spectrum(lam, "analytic", meta), AlphaSet(aset.values, aset.multiplicity, shift, "ssh-even")
+        return Spectrum(lam, "analytic"), AlphaSet(aset.values, aset.multiplicity, shift, "ssh-even")
     if p.v1 != 0 or p.v2 != 0:
         raise ValueError("odd-length chains are solved without on-site potentials")
     if dl == 0 and dr == 0:
-        return _ssh_odd_open(p, N, meta)
-    poly = polynomialize("ssh-odd", params, N, (dl, dr))
-    ys = roots(poly)
-    aset = alpha_from_roots(ys, "pairs", expected=N)
+        return _ssh_odd_open(p, N)
+    aset = alpha_from_roots(roots(polynomialize("ssh-odd", params, N, (dl, dr))), "pairs", expected=N)
     alphas = aset.expand()
-    lam2 = _ssh_lambda2(p, alphas)
-    lam_plus = np.sqrt(lam2)
+    lam_plus = np.sqrt(_ssh_lambda2(p, alphas))
     signs, flagged = _odd_signs(p, alphas, lam_plus, N, dl, dr)
+    aset = AlphaSet(aset.values, aset.multiplicity, shift, "ssh-odd")
     if flagged:
-        spec = dense_spectrum(ssh_matrix(p, N, delta))
-        lam = _match_signs(lam_plus, spec.eigenvalues)
-        meta["sign"] = "oracle-fallback"
-        return Spectrum(lam, "analytic", meta), AlphaSet(aset.values, aset.multiplicity, shift, "ssh-odd")
-    return (
-        Spectrum(signs * lam_plus, "analytic", meta),
-        AlphaSet(aset.values, aset.multiplicity, shift, "ssh-odd"),
-    )
+        lam = _match_signs(lam_plus, dense_spectrum(ssh_matrix(p, N, delta)).eigenvalues)
+        return Spectrum(lam, "analytic", {"sign": "oracle-fallback"}), aset
+    return Spectrum(signs * lam_plus, "analytic"), aset
 
 
-def _ssh_odd_open(p: SSHParams, N: int, meta: dict) -> tuple[Spectrum, AlphaSet]:
+def _ssh_odd_open(p: SSHParams, N: int) -> tuple[Spectrum, AlphaSet]:
     """Open odd chain: exact zero mode plus symmetric +- pairs."""
     k = np.arange(1, N + 1)
     k = k[k != (N + 1) // 2]
     alph = 2.0 * np.pi * k / (N + 1)
     uniq = alph[: (N - 1) // 2]
-    lam2 = _ssh_lambda2(p, uniq)
-    s = np.sqrt(lam2)
-    lam = np.concatenate([[0.0], s, -s])
+    s = np.sqrt(_ssh_lambda2(p, uniq))
     vals = np.concatenate([uniq + 0j, [_zero_mode_alpha(p)]])
-    return (
-        Spectrum(lam, "analytic", meta),
-        AlphaSet(vals, np.ones(len(vals), dtype=int), p.shift, "ssh-odd-open"),
-    )
+    aset = AlphaSet(vals, np.ones(len(vals), dtype=int), p.shift, "ssh-odd-open")
+    return Spectrum(np.concatenate([[0.0], s, -s]), "analytic"), aset
 
 
 def _zero_mode_alpha(p: SSHParams) -> complex:
@@ -574,14 +557,13 @@ def unidirectional_spectrum(t_l, u_l, delta, N: int) -> Spectrum:
     if N < 3:
         raise ValueError(f"need N >= 3, got {N}")
     d = complex(delta)
-    meta = {"model": "unidirectional", "N": N, "delta": (d, d)}
     if d == 0:
-        return Spectrum(np.zeros(N, dtype=complex), "analytic", meta)
+        return Spectrum(np.zeros(N, dtype=complex), "analytic")
     mod, phi = abs(d), np.angle(d)
     j = np.arange(N)
     w = np.exp(1j * (phi / N + 2 * np.pi * j / N))
     lam = complex(t_l) * mod ** (1.0 / N) * w + complex(u_l) * mod ** (2.0 / N) * w**2
-    return Spectrum(lam, "analytic", meta)
+    return Spectrum(lam, "analytic")
 
 
 def mixed_longrange_matrix(t_r, u_l, delta, N: int) -> np.ndarray:
@@ -590,19 +572,12 @@ def mixed_longrange_matrix(t_r, u_l, delta, N: int) -> np.ndarray:
 
 def mixed_longrange_line(t_r, u_l, N: int) -> Callable[[object], Spectrum]:
     """delta -> spectrum of the chain with +2 and -1 hops, lambda = u_l y^2 +
-    t_r / y, the chain matrix built once (see `hn_line`); delta is a scalar.
-    The eigenvalues come from a dense eigensolve (provenance "oracle"); with
-    a vanishing hopping its parameters are {"fallback": "zero hopping"}."""
+    t_r / y, through `_chain_line` (see `hn_line`); delta is a scalar.  Every
+    delta gets a dense eigensolve: the chain has no exact set."""
     t_r, u_l = complex(t_r), complex(u_l)
-    op = chain_operator(ChainStencil(N, {2: u_l, -1: t_r}, (0.0,)))
-    if t_r == 0 or u_l == 0:
-        return lambda delta: _zero_hopping_spectrum(op.at(complex(delta)))
-
-    def line(delta) -> Spectrum:
-        d = complex(delta)
-        return dense_spectrum(op.at(d), parameters={"model": "mixed-longrange", "N": N, "delta": d})
-
-    return line
+    line = _chain_line(lambda: chain_operator(ChainStencil(N, {2: u_l, -1: t_r}, (0.0,))),
+                       t_r != 0 and u_l != 0, lambda delta: None)
+    return lambda delta: line(complex(delta))
 
 
 def mixed_longrange_spectrum(t_r, u_l, delta, N: int) -> tuple[Spectrum, AlphaSet]:
@@ -644,9 +619,7 @@ def mixed_longrange_closed_form(t_r, u_l, delta, N: int) -> tuple[Spectrum, Alph
     key = lambda y: u_l * y * y + t_r / y
     aset = alpha_from_roots(ys, "triples", value_key=key, expected=N)
     lam = np.array([key(np.exp(1j * a)) for a in aset.expand()])
-    meta = {"model": "mixed-longrange", "N": N, "delta": complex(delta),
-            "degree": poly.degree, "removed_factor": poly.removed_factors[0]}
-    return Spectrum(lam, "analytic", meta), aset
+    return Spectrum(lam, "analytic", {"degree": poly.degree, "removed_factor": poly.removed_factors[0]}), aset
 
 
 def bloch_1d(params: LongRangeParams, k):
@@ -711,8 +684,6 @@ def impurity_states(p: HNParams, N: int, delta):
     bond.  For delta well above 1 the strong bond binds a pair of
     impurity states split symmetrically about t_d.
     """
-    from .core import dense_spectrum, expectation_profiles
-
     H = hn_matrix(p, N, delta)
     spec, vr, vl = dense_spectrum(H, want_vectors=True)
     found = []

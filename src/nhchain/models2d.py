@@ -381,9 +381,7 @@ def stacked_line(spec: Stacked2DSpec) -> Callable[[object], Spectrum]:
         A, B, C = (op.at(delta1) for op in ops)
         lam, n_herm = _bloch_eigvals(A, B, C, s, real_params and paired and complex(delta1).imag == 0,
                                      hermitian)
-        meta = {"model": f"stacked-{spec.family}", "n1": spec.n1, "n2": spec.n2, "mode": spec.mode,
-                "hermitian_blocks": n_herm}
-        return Spectrum(lam.ravel(), "bloch-oracle", meta)
+        return Spectrum(lam.ravel(), "bloch-oracle", {"hermitian_blocks": n_herm})
 
     return line
 
@@ -628,9 +626,7 @@ def triangular_spectrum(spec: Stacked2DSpec):
     if spec.family != "triangular":
         raise ValueError("triangular_spectrum expects a triangular spec")
     if spec.mode == "open":
-        sp = dense_spectrum(build_stacked_matrix(spec),
-                            parameters={"model": "triangular", "mode": "open"})
-        return sp, [None] * spec.n2
+        return dense_spectrum(build_stacked_matrix(spec)), [None] * spec.n2
     return stacked_hn_spectrum(spec)
 
 
@@ -834,5 +830,4 @@ def separable_square_spectrum(spectrum_a, spectrum_b) -> Spectrum:
     va = np.asarray(getattr(spectrum_a, "eigenvalues", spectrum_a), dtype=complex).ravel()
     vb = np.asarray(getattr(spectrum_b, "eigenvalues", spectrum_b), dtype=complex).ravel()
     analytic = all(getattr(s, "provenance", "analytic") == "analytic" for s in (spectrum_a, spectrum_b))
-    return Spectrum((va[:, None] + vb[None, :]).ravel(), "analytic" if analytic else "oracle",
-                    {"model": "separable-square"})
+    return Spectrum((va[:, None] + vb[None, :]).ravel(), "analytic" if analytic else "oracle")

@@ -52,24 +52,12 @@ class SensitivityReport:
     r_squared: float
     verdict: str
     threshold: float
-    at_floor: tuple = ()
-    evaluations: tuple = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "n_list": list(self.n_list),
-            "delta_star": [None if d is None else float(d) for d in self.delta_star],
-            "reached": list(self.reached),
-            "at_floor": list(self.at_floor),
-            "evaluations": list(self.evaluations),
-            "xi": self.xi,
-            "r_squared": self.r_squared,
-            "verdict": self.verdict,
-            "threshold": self.threshold,
-        }
+    at_floor: tuple
+    evaluations: tuple
 
 
 _DELTA_FLOOR = 1e-14        # smallest delta searched: e^{-xi N} is ~1e-10 already at N = 30
+_MAX_STEPS = 60             # midpoints per size at most; a reached size takes about 23
 _BISECT_RATIO = 1.0 + 1e-2  # bracket b/a at which ITP takes over from bisection
 _END_RATIO = 1.0 + 1e-12    # bracket b/a at which the search stops
 _ITP_K1 = 0.2               # truncation kappa_1 = _ITP_K1 / (width of the ITP bracket)
@@ -77,15 +65,15 @@ _ITP_K2 = 2.0               # truncation exponent kappa_2
 _ITP_N0 = 1                 # steps ITP may take beyond bisection's count
 
 
-def _bisect_delta_star(fn, threshold: float, lo: float = _DELTA_FLOOR, max_iter: int = 60):
-    """A crossing delta* in [lo, 1] of the spectral change H(delta) =
-    hausdorff(fn(delta), fn(0)) through `threshold`.
+def _bisect_delta_star(fn, threshold: float):
+    """A crossing delta* in [_DELTA_FLOOR, 1] of the spectral change H(delta)
+    = hausdorff(fn(delta), fn(0)) through `threshold`.
 
     Returns b with H(b) >= threshold for which some a >= b / (1 + 1e-12)
-    has H(a) < threshold; None when H(1) < threshold; exactly `lo` when
-    H(lo) >= threshold already (delta* is then only an upper bound).
+    has H(a) < threshold; None when H(1) < threshold; exactly _DELTA_FLOOR
+    when H(_DELTA_FLOOR) >= threshold already (an upper bound on delta*).
 
-    Geometric bisection first narrows [lo, 1] to b/a < 1.01, so when H is
+    Geometric bisection first narrows the bracket to b/a < 1.01, so when H is
     not monotone the crossing is the one a bisection to the end would find.
     ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2021) on ln H - ln threshold
     over ln delta then finishes the bracket: ln H is close to linear in
@@ -97,9 +85,9 @@ def _bisect_delta_star(fn, threshold: float, lo: float = _DELTA_FLOOR, max_iter:
     h_b = hausdorff(fn(1.0), ref)
     if h_b < threshold:
         return None
-    a, b, h_a = lo, 1.0, None
+    a, b, h_a = _DELTA_FLOOR, 1.0, None
     steps = 0
-    while steps < max_iter and b / a >= _BISECT_RATIO:
+    while steps < _MAX_STEPS and b / a >= _BISECT_RATIO:
         steps += 1
         mid = float(np.sqrt(a * b))
         h = hausdorff(fn(mid), ref)
@@ -122,7 +110,7 @@ def _bisect_delta_star(fn, threshold: float, lo: float = _DELTA_FLOOR, max_iter:
     k1 = _ITP_K1 / (xb - xa)
     n_max = max(math.ceil(math.log2((xb - xa) / (2 * eps))), 0) + _ITP_N0
     j = 0
-    while steps < max_iter and b / a >= _END_RATIO:
+    while steps < _MAX_STEPS and b / a >= _END_RATIO:
         steps += 1
         width = xb - xa
         x_half = 0.5 * (xa + xb)
@@ -223,14 +211,6 @@ class ScreenResult:
     secant_ratio: float
     jump: float
 
-    def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "step_ratio": self.step_ratio,
-            "secant_ratio": self.secant_ratio,
-            "jump": self.jump,
-        }
-
 
 def classify_sensitivity(spectrum_fn: Callable[[float], Spectrum],
                          eps: float = 0.01) -> ScreenResult:
@@ -255,10 +235,6 @@ def classify_sensitivity(spectrum_fn: Callable[[float], Spectrum],
     tiny = 1e-300
     r_step = jump / max(step, tiny)
     r_secant = jump / max(secant, tiny)
-    if jump < tiny:
-        verdict = "non-exponential"
-    elif r_step >= _SCREEN_STEP_RATIO or r_secant >= _SCREEN_SECANT_RATIO:
-        verdict = "exponential"
-    else:
-        verdict = "non-exponential"
+    exponential = jump >= tiny and (r_step >= _SCREEN_STEP_RATIO or r_secant >= _SCREEN_SECANT_RATIO)
+    verdict = "exponential" if exponential else "non-exponential"
     return ScreenResult(verdict, float(r_step), float(r_secant), float(jump))

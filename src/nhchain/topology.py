@@ -32,7 +32,7 @@ UNRELIABLE_MIN_DET = 1e-10
 
 
 class BlochSampler:
-    """Callable k -> H(k) (scalar or square block) with period 2 pi.
+    """Samples of a Bloch function k -> H(k), scalar or square block, period 2 pi.
 
     `fn` takes an array of k and returns H on all of them at once: shape
     (n,) for a scalar curve, (n, dim, dim) for a block (a value that does
@@ -47,9 +47,6 @@ class BlochSampler:
         self.fn = fn
         self.dim = int(dim)
         self._grids: dict[int, np.ndarray] = {}
-
-    def __call__(self, k):
-        return self.fn(k)
 
     def _evaluate(self, ks: np.ndarray) -> np.ndarray:
         shape = ks.shape if self.dim == 1 else ks.shape + (self.dim, self.dim)

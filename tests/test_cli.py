@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,17 @@ class TestValidate:
             report = validate(cfg)
             assert report["sizes"] == {"N": reduced}, (model, n)
             assert report["status"] == "pass"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="known defect: the odd closed form borrows its signs from the oracle")
+    def test_odd_twoband_near_periodic_limit_passes(self):
+        """ssh-odd (1, 2, 1, 2) at N = 11, delta = 1e-9: the closed form's sign
+        factor is unstable, so its "analytic" spectrum takes its +- signs from
+        the dense oracle (parameters["sign"] = "oracle-fallback", shown by no
+        output), and is 1.4e-5 off it."""
+        cfg = parse_config({"model": "ssh-odd", "task": "spectrum", "sizes": {"N": 11}, "delta": 1e-9,
+                            "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 1.0, "tr2": 2.0}})
+        assert validate(cfg)["status"] == "pass"
 
     def test_general_chain_uses_boundary_residual(self):
         cfg = parse_config({
@@ -879,7 +891,7 @@ def test_sensitivity_task_equals_direct_family(monkeypatch, name):
     report = sensitivity.sensitivity_exponent(
         lambda n, d: cli.spectrum_for(dict(cfg, sizes=dict(cfg["sizes"], **{key: n})), d)[0],
         cfg["threshold"], cfg["n_list"])
-    direct = {"screen": screen.as_dict(), "exponent": report.as_dict()}
+    direct = {"screen": asdict(screen), "exponent": asdict(report)}
     n_direct = len(calls)
     calls.clear()
     assert cli._sensitivity_task(cfg) == direct

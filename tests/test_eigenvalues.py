@@ -13,18 +13,24 @@ from nhchain.cli import parse_config, run
 from nhchain.models1d import (
     HNParams,
     SSHParams,
+    hn_closed_form,
     hn_line,
     hn_spectrum,
+    mixed_longrange_closed_form,
     mixed_longrange_line,
     mixed_longrange_spectrum,
+    ssh_closed_form,
     ssh_line,
     ssh_spectrum,
+    unidirectional_spectrum,
 )
 from nhchain.models2d import (
     Stacked2DSpec,
+    separable_square_spectrum,
     stacked_hn_spectrum,
     stacked_line,
     stacked_ssh_spectrum,
+    triangular_spec,
     triangular_spectrum,
 )
 
@@ -206,3 +212,45 @@ def test_run_path_never_recovers_wavenumbers(tmp_path, monkeypatch, name):
                                 output=task))
         assert run(cfg, tmp_path) == 0, task
         assert (tmp_path / f"{task}.json").exists()
+
+
+READ_KEYS = {"fallback", "sign", "degree", "removed_factor", "hermitian_blocks"}
+
+
+def test_spectra_carry_only_read_parameters():
+    """Every `parameters` key of a spectrum that nhchain builds is one that
+    something reads: the zero-hopping fallback, the odd closed form's oracle
+    signs, the mixed closed form's degree and removed factor, and the
+    stacked lines' Hermitian block count."""
+    hn, hn0 = HNParams(1.0, 2.0), HNParams(1.0, 0.0)
+    ssh, ssh0 = SSHParams(1.0, 2.0, 3.0, 4.0), SSHParams(1.0, 0.0, 3.0, 4.0)
+    spectra = {
+        "hn_line": hn_line(hn, 8)(0.3),
+        "hn_line exact": hn_line(HNParams(1.0, 1.0), 8)(1.0),
+        "hn_line zero": hn_line(hn0, 8)(0.3),
+        "ssh_line even": ssh_line(ssh, 8)(0.3),
+        "ssh_line odd": ssh_line(ssh, 9)(0.3),
+        "ssh_line odd open": ssh_line(ssh, 9)(0.0),
+        "ssh_line zero": ssh_line(ssh0, 7)(0.0),
+        "mixed_longrange_line": mixed_longrange_line(1.0, 2.0, 8)(0.3),
+        "mixed_longrange_line zero": mixed_longrange_line(1.0, 0.0, 8)(0.3),
+        "stacked_line": stacked_line(triangular_spec(1.0, 5.0, 6, 4, 0.2))(0.2),
+        "hn_closed_form": hn_closed_form(hn, 8, 0.3)[0],
+        "ssh_closed_form even": ssh_closed_form(ssh, 8, 0.3)[0],
+        "ssh_closed_form odd": ssh_closed_form(ssh, 9, 0.3)[0],
+        "ssh_closed_form odd open": ssh_closed_form(ssh, 9, 0.0)[0],
+        "ssh_closed_form oracle signs": ssh_closed_form(ssh, 9, 1e-9)[0],
+        "mixed_longrange_closed_form": mixed_longrange_closed_form(1.0, 2.0, 0.3, 6)[0],
+        "unidirectional_spectrum": unidirectional_spectrum(1.0, 0.5, 0.3, 8),
+        "unidirectional_spectrum open": unidirectional_spectrum(1.0, 0.5, 0.0, 8),
+        "triangular_spectrum open": triangular_spectrum(triangular_spec(1.0, 5.0, 4, 3, 0.2, "open"))[0],
+        "separable_square_spectrum": separable_square_spectrum(hn_line(hn, 6)(0.3), hn_line(hn0, 5)(0.5)),
+    }
+    assert {name: sorted(set(s.parameters) - READ_KEYS) for name, s in spectra.items()
+            if set(s.parameters) - READ_KEYS} == {}
+    # the keys are there where they are read
+    assert all(spectra[name].parameters == {"fallback": "zero hopping"}
+               for name in ("hn_line zero", "ssh_line zero", "mixed_longrange_line zero"))
+    assert spectra["ssh_closed_form oracle signs"].parameters == {"sign": "oracle-fallback"}
+    assert set(spectra["mixed_longrange_closed_form"].parameters) == {"degree", "removed_factor"}
+    assert spectra["stacked_line"].parameters == {"hermitian_blocks": 4}

@@ -435,8 +435,7 @@ class TestLines:
         for delta in LINE_DELTAS:
             assert _same_spectrum(line(delta), hn_line(p, N)(delta))
             if "fallback" not in line(delta).parameters and line(delta).provenance == "oracle":
-                assert _same_spectrum(line(delta), dense_spectrum(
-                    hn_matrix(p, N, delta), parameters=line(delta).parameters))
+                assert _same_spectrum(line(delta), dense_spectrum(hn_matrix(p, N, delta)))
 
     def test_hn_line_two_sites(self):
         # N = 2 has its exact set at delta = 0 and no banded matrix

@@ -446,9 +446,9 @@ class TestRepresentativeStateVectors:
         calls = []
         real = m2.dense_spectrum
 
-        def spy(matrix, want_vectors=False, parameters=None):
+        def spy(matrix, want_vectors=False):
             calls.append(want_vectors)
-            return real(matrix, want_vectors, parameters)
+            return real(matrix, want_vectors)
 
         monkeypatch.setattr(m2, "dense_spectrum", spy)
         representative_state(build_stacked_matrix(triangular_spec(1.0, 5.0, 6, 4, 0.2, "open")))

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,7 +141,7 @@ class TestExponentFit:
         assert rep.reached == (True, True, True, True)
         assert rep.at_floor == (False, False, False, True)
         assert rep.delta_star[-1] == 1e-14
-        assert rep.as_dict()["at_floor"] == [False, False, False, True]
+        assert json.loads(json.dumps(asdict(rep)))["at_floor"] == [False, False, False, True]
 
     def test_evaluations_count_every_spectrum(self):
         calls = {}
@@ -149,7 +152,7 @@ class TestExponentFit:
 
         rep = sensitivity_exponent(fam, 0.5, [8, 12, 16, 20])
         assert rep.evaluations == tuple(calls[n] for n in (8, 12, 16, 20))
-        assert rep.as_dict()["evaluations"] == list(rep.evaluations)
+        assert json.loads(json.dumps(asdict(rep)))["evaluations"] == list(rep.evaluations)
         balanced = lambda n, d: dense_spectrum(hn_matrix(HNParams(1.0, np.exp(0.4j)), n, d))
         assert sensitivity_exponent(balanced, 0.5, [8, 12, 16, 20]).evaluations == (2, 2, 2, 2)
 

@@ -53,9 +53,10 @@ TRACE_ROUNDS = 3  # perfbench/worker.py's TRACE_ROUNDS
 
 # Small configs of what `configs/` and the benchmark jobs leave out: odd
 # two-band chains with a (delta_l, delta_r) pair, end potentials, the models
-# with no shipped config, BC2 stacked sweeps, and `spectrum`, `envelope` and
-# `balance`.  A plain literal, so a test can read it without running this
-# script.
+# with no shipped config, BC2 stacked sweeps, chains with a vanishing
+# hopping, the open odd chain's exact set, the odd closed form's oracle
+# signs, and `spectrum`, `envelope` and `balance`.  A plain literal, so a
+# test can read it without running this script.
 EXTRAS = {
     "ssh_odd_pair": {"model": "ssh-odd", "task": "sweep", "sizes": {"N": 31}, "delta": [0.3, 0.7],
                      "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}},
@@ -103,6 +104,21 @@ EXTRAS = {
                                          "ud1": 3, "ud2": 6, "vdl1": 3, "vdl2": 4, "vdr1": 3,
                                          "vdr2": 4, "uu1": 2, "uu2": 5, "vul1": 5, "vul2": 6,
                                          "vur1": 5, "vur2": 6}},
+    "hn_zero_hopping": {"model": "hn", "task": "sweep", "sizes": {"N": 8},
+                        "delta": {"start": 0.0, "stop": 1.0, "step": 0.5},
+                        "params": {"t_l": 1.0, "t_r": 0.0}},
+    "ssh_odd_zero_hopping": {"model": "ssh", "task": "sweep", "sizes": {"N": 7},
+                             "delta": {"start": 0.0, "stop": 1.0, "step": 0.5},
+                             "params": {"tl1": 1.0, "tr1": 0.0, "tl2": 3.0, "tr2": 4.0}},
+    "mixed_zero_hopping": {"model": "mixed-longrange", "task": "sweep", "sizes": {"N": 8},
+                           "delta": {"start": 0.0, "stop": 1.0, "step": 0.5},
+                           "params": {"t_r": 1.0, "u_l": 0.0}},
+    "ssh_odd_open_spectrum": {"model": "ssh-odd", "task": "spectrum", "sizes": {"N": 9}, "delta": 0.0,
+                              "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 3.7}},
+    "ssh_odd_oracle_signs": {"model": "ssh-odd", "task": "spectrum", "sizes": {"N": 9}, "delta": 1e-9,
+                             "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}},
+    "ssh_onsite_balance": {"model": "ssh", "task": "balance", "sizes": {"N": 8},
+                           "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0, "v1": 0.2}},
 }
 
 
