@@ -378,8 +378,8 @@ def _merge_root_clusters(ys: np.ndarray, desc: np.ndarray, radius: float = 5e-5)
     out = ys.copy()
     single = np.ones(n, dtype=bool)
     derivs = [np.asarray(desc, dtype=complex)]
-    linked = lambda i, j: abs(ys[i] - ys[j]) < radius * max(1.0, abs(ys[i]))
-    for members in _link_clusters(n, linked):
+    linked = np.abs(ys[:, None] - ys[None, :]) < radius * np.maximum(1.0, np.abs(ys))[:, None]
+    for members in _link_clusters(linked):
         m = len(members)
         if m < 2:
             continue
@@ -476,8 +476,10 @@ def roots(poly: PolyY) -> np.ndarray:
     return _newton_vec(desc, d1, ys, iters=11)
 
 
-def _link_clusters(n: int, linked) -> list:
-    """Connected components of range(n) under the pair predicate linked(i, j)."""
+def _link_clusters(linked: np.ndarray) -> list:
+    """Connected components of range(n) under the n x n boolean matrix
+    `linked`, of which only the pairs i < j are read, in row-major order."""
+    n = len(linked)
     parent = list(range(n))
 
     def find(i):
@@ -486,10 +488,9 @@ def _link_clusters(n: int, linked) -> list:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if linked(i, j):
-                parent[find(i)] = find(j)
+    rows, cols = np.nonzero(np.triu(linked, 1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        parent[find(i)] = find(j)
     clusters = {}
     for i in range(n):
         clusters.setdefault(find(i), []).append(i)
@@ -500,9 +501,10 @@ def _divisible_clusters(keys: np.ndarray, size: int, tol: float):
     """Clusters whose sizes are multiples of `size`, escalating the linking
     distance when nearly degenerate groups interleave."""
     scale = max(1.0, np.abs(keys).max())
+    dist = np.abs(keys[:, None] - keys[None, :])
     for factor in (1.0, 10.0, 100.0, 1e3, 1e4):
         tau = factor * tol * scale
-        clusters = _link_clusters(len(keys), lambda i, j: abs(keys[i] - keys[j]) <= tau)
+        clusters = _link_clusters(dist <= tau)
         if all(len(c) % size == 0 for c in clusters):
             return clusters
     sizes = sorted(len(c) for c in clusters if len(c) % size)

@@ -194,6 +194,13 @@ def build_chain_matrix(stencil: ChainStencil) -> np.ndarray:
 class Spectrum:
     """A multiset of complex eigenvalues with provenance.
 
+    The provenance names the route: "analytic" (an exact closed form),
+    "oracle" (one dense eigensolve of the whole matrix), "bloch-oracle" (the
+    eigensolves of a stacked lattice's Bloch blocks) or "boundary-equation"
+    (a long plain one-band chain's boundary equation solved by Newton, kept
+    only where N disjoint inclusion discs certify one eigenvalue each;
+    `models1d.hn_line`).
+
     `parameters` is empty but for the keys a caller reads: "fallback" (a
     chain line's dense solve of a chain with a vanishing hopping; read by
     the wavenumber recovery and the benchmark tracer), "sign" (the odd

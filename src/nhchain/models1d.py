@@ -11,8 +11,14 @@ every delta through one body, `_chain_line`: the chain matrix without its
 corners is built once; an exact wavenumber set (the plain one-band chain at
 delta = 0 and +-1, the open odd two-band chain) gives an "analytic"
 spectrum, and every other delta one dense eigensolve (provenance "oracle"),
-labelled {"fallback": "zero hopping"} when a hopping vanishes.  The command
-line uses the lines alone.  `hn_spectrum`, `ssh_spectrum` and
+labelled {"fallback": "zero hopping"} when a hopping vanishes.  Between the
+two, a plain one-band chain at N >= 40 whose boundary term |C| = |delta_r
+r^N + delta_l r^(-N)| (r = sqrt(t_r) / sqrt(t_l)) is at least 1e3 solves
+its boundary equation, six terms in u = e^(-i alpha_tilde), by vectorised
+Newton (`_hn_boundary_roots`, provenance "boundary-equation").  It takes
+the roots only under a certificate: N disjoint inclusion discs, one per
+eigenvalue; a refused point gets the dense eigensolve.  The command line
+uses the lines alone.  `hn_spectrum`, `ssh_spectrum` and
 `mixed_longrange_spectrum` call them at one delta and also recover the
 shifted wavenumbers from the eigenvalues: cos(alpha_tilde) = (lambda - t_d)
 / (2 sqrt(t_l) sqrt(t_r)) for the one-band chain, the lambda^2 relation for
@@ -21,7 +27,8 @@ root of largest modulus of u_l y^3 - lambda y + t_r = 0, y = e^{i alpha_tilde},
 for the mixed long-range chain.  The stacked lattices of models2d recover
 their Bloch blocks' wavenumbers with the same inversion helpers.
 
-The paper's boundary-equation route (alphasolver) is kept behind
+The paper's polynomial route (alphasolver: the boundary equations cleared
+into polynomials in y and rooted through companion matrices) is kept behind
 `hn_closed_form`, `ssh_closed_form` and `mixed_longrange_closed_form`.  The
 command line checks it against the dense oracle at a reduced size (N <= 12);
 at large N it loses digits or raises `NumericalError`.
@@ -245,6 +252,108 @@ def hn_closed_form(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     return Spectrum(_hn_lambda(p, aset.expand()), "analytic"), aset
 
 
+# Gates of `_hn_boundary_roots`, measured with one BLAS thread on a 2-core
+# machine (min of 50-300 calls, t_r / t_l in {1.5, 2, 4}).  Per delta the route
+# takes 0.33-0.43 ms at N 30, where the dense eigensolve takes 0.25-0.29 ms;
+# at N 40 0.34-0.41 against 0.45-0.50 ms, at N 60 0.38-0.41 against
+# 1.10-1.19 ms, at N 120 0.43-0.56 against 8.2-15 ms.  Of random plain chains
+# at N 40-200 (real and complex hoppings, delta 1e-14-1) it certified all
+# 2909 with |C| >= 1e3, 115 of 118 with |C| in [1e2, 1e3) and 63 of 242 with
+# |C| in [1, 1e2): below 1e3 the roots |u| ~ |C|^(-1/N) near the unit circle
+# and a refused point pays for both solves.
+_BOUNDARY_MIN_N = 40
+_BOUNDARY_MIN_C = 1e3
+_NEWTON_MAX_STEPS = 30
+_NEWTON_TOL = 1e-13  # the last step, relative to 1 + max|lambda|
+
+
+def _power(u: np.ndarray, n: int) -> np.ndarray:
+    """u**n for an integer n >= 1 by repeated squaring: numpy's complex power
+    takes a slower exp-log route from n = 100 on."""
+    out = None
+    while n:
+        if n & 1:
+            out = u if out is None else out * u
+        n >>= 1
+        u = u * u if n else u
+    return out
+
+
+def _hn_h(u: np.ndarray, N: int, C: complex, D: complex):
+    """h(u) = 1 - D u^2 - C u^N (1 - u^2) - u^(2N+2) + D u^(2N) and h'(u)."""
+    uN, u2 = _power(u, N), u * u
+    w = uN * uN
+    h = 1.0 - D * u2 - C * uN * (1.0 - u2) - w * u2 + D * w
+    dh = -2.0 * D * u - C * uN * (N - (N + 2) * u2) / u - (2 * N + 2) * w * u + 2 * N * D * w / u
+    return h, dh
+
+
+def _hn_boundary_roots(p: HNParams, N: int, delta) -> Optional[np.ndarray]:
+    """The N eigenvalues of the plain chain from its boundary equation, or
+    None where they are not certified.
+
+    With rho = sqrt(t_l) sqrt(t_r), r = sqrt(t_r) / sqrt(t_l), D = delta_l
+    delta_r and C = delta_r r^N + delta_l r^(-N), the characteristic
+    polynomial at lambda = t_d + rho (u + 1/u) is F = rho^N h(u) u^(-N-1) /
+    (1/u - u) (the corner determinant of Molinari, Linear Algebra Appl. 429,
+    2221 (2008)); see `_hn_h`.  The trivial roots u = +-1 of h cancel
+    against 1/u - u, and the other 2N pair as (u, 1/u), so the eigenvalues
+    are the N roots inside the unit circle.  Newton on h runs over all of them at once, from
+    u_k = C^(-1/N) e^(-2 pi i k / N) moved once by the balance u^N = (1 - D
+    u^2) / (C (1 - u^2)) of the leading terms, until its largest step stops
+    shrinking.  The eigenvalues are certified when every |u_k| < 1, the
+    last step moves no lambda_k by more than `_NEWTON_TOL` (1 + max|lambda|),
+    and the N discs |z - lambda_k| <= N |F / F'(lambda_k)| are pairwise
+    disjoint: each such disc holds a root of the degree-N polynomial F, so
+    each then holds exactly one, and no eigenvalue is missed or doubled.
+    The route needs no matrix, and it keeps the digits that the dense
+    eigensolver loses to the imaginary gauge |r|^n near the open limit
+    (Hatano and Nelson, PRL 77, 570 (1996)): at t_r / t_l = 4, N 60, delta
+    1e-12 the dense eigenvalues are 1.1e-6 off, these 1e-16.  A chain with
+    end energies or a vanishing hopping, N < `_BOUNDARY_MIN_N` and |C| <
+    `_BOUNDARY_MIN_C` give None at once.
+    """
+    if not p.is_plain or p.t_l == 0 or p.t_r == 0 or N < _BOUNDARY_MIN_N:
+        return None
+    dl, dr = _pair(delta)
+    rho, r = _sq(p.t_l) * _sq(p.t_r), np.complex128(_sq(p.t_r) / _sq(p.t_l))
+    with np.errstate(all="ignore"):
+        C = complex(dr * r**N + dl * r**-N)
+    if not (np.isfinite(C) and abs(C) >= _BOUNDARY_MIN_C):
+        return None
+    D = dl * dr
+    u = C ** (-1.0 / N) * np.exp(-2j * np.pi * np.arange(N) / N)
+    u = u * ((1.0 - D * u * u) / (1.0 - u * u)) ** (1.0 / N)
+    last = np.inf
+    for _ in range(_NEWTON_MAX_STEPS):
+        h, dh = _hn_h(u, N, C, D)
+        step = h / dh
+        dlam_du = rho * (1.0 - 1.0 / (u * u))
+        size = float(np.abs(dlam_du * step).max())
+        if not size < last:
+            break
+        u, last = u - step, size
+    else:
+        return None
+    lam = p.t_d + rho * (u + 1.0 / u)
+    if not (np.abs(u).max() < 1.0 and size <= _NEWTON_TOL * (1.0 + np.abs(lam).max())):
+        return None
+    # F'/F = (h'/h + g'/g) / lambda'(u) with g = u^(-N-1) / (1/u - u)
+    dlog_g = (1.0 / (u * u) + 1.0) / (1.0 / u - u) - (N + 1) / u
+    radius = N * np.abs(h * dlam_du / (dh + h * dlog_g))
+    if not np.isfinite(radius).all():
+        return None
+    # discs that meet are closer than 2 max(radius) in Re lambda: sorted by
+    # it, only neighbours up to `reach` places apart need a test
+    order = np.argsort(lam.real, kind="stable")
+    z, rad = lam[order], radius[order]
+    reach = np.searchsorted(z.real, z.real + 2.0 * rad.max(), side="right") - np.arange(N)
+    for k in range(1, int(reach.max())):
+        if np.any(np.abs(z[k:] - z[:-k]) <= rad[k:] + rad[:-k]):
+            return None
+    return lam
+
+
 def hn_line(p: HNParams, N: int) -> Callable[[object], Spectrum]:
     """delta -> eigenvalues lambda = t_d + 2 sqrt(t_l) sqrt(t_r) cos(alpha_tilde)
     at a scalar delta or a (delta_l, delta_r) pair, through `_chain_line`.
@@ -253,12 +362,19 @@ def hn_line(p: HNParams, N: int) -> Callable[[object], Spectrum]:
     pays for the matrix assembly once and gets the same spectra bit for bit.
     The plain chain with symmetric corners has exact wavenumber sets, and an
     "analytic" spectrum, at delta = 0 and +-1 (N = 2 has one at delta = 0
-    but no banded matrix); every other delta, and a chain with a vanishing
+    but no banded matrix).  Elsewhere a plain chain at N >= 40 whose
+    boundary term |C| = |delta_r r^N + delta_l r^(-N)| (r = sqrt(t_r) /
+    sqrt(t_l)) is at least 1e3 takes the roots of its boundary equation
+    where a certificate holds (`_hn_boundary_roots`; provenance
+    "boundary-equation").  Every other delta, and a chain with a vanishing
     hopping, gets a dense eigensolve.
     """
     def exact(delta) -> Optional[Spectrum]:
         aset = _hn_exact_alpha_set(p, N, delta)
-        return None if aset is None else Spectrum(_hn_lambda(p, aset.expand()), "analytic")
+        if aset is not None:
+            return Spectrum(_hn_lambda(p, aset.expand()), "analytic")
+        lam = _hn_boundary_roots(p, N, delta)
+        return None if lam is None else Spectrum(lam, "boundary-equation")
 
     return _chain_line(lambda: chain_operator(hn_stencil(p, N, 0.0)),
                        p.t_l != 0 and p.t_r != 0, exact)
@@ -268,8 +384,9 @@ def hn_spectrum(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     """`hn_line(p, N)` at delta and the shifted wavenumbers.
 
     An "analytic" spectrum keeps its exact wavenumber set; each eigenvalue
-    of a dense one gets the alpha_tilde that `_hn_wavenumbers` recovers from
-    it (generator "hn-eig").  A vanishing hopping leaves no wavenumbers.
+    of a dense or "boundary-equation" one gets the alpha_tilde that
+    `_hn_wavenumbers` recovers from it (generator "hn-eig").  A vanishing
+    hopping leaves no wavenumbers.
     """
     spec = hn_line(p, N)(delta)
     if "fallback" in spec.parameters:

@@ -34,12 +34,17 @@ HERE = Path(__file__).resolve().parent
 TWOBAND_BALANCED = {"tl1": [0.0, -1.0], "tr1": 0.5, "tl2": 4.0, "tr2": 8.0}
 
 # name -> (model, params, N, delta), params as in a run config.  At N = 120
-# (and N = 100) the boundary-equation route raised or lost digits; the N = 30
+# (and N = 100) the closed-form (polynomial) route raised or lost digits; the N = 30
 # cases are the boundary values of the shipped two-band and mixed sweeps
 # where that route was furthest from the eigensolver (3.9e-9 to 1.1e-6).
+# The hn chains at delta 1e-9 and 1e-12 are near the open limit, where the
+# dense eigensolver loses digits to the imaginary gauge (3.8e-9 and 1.1e-6
+# off); `hn_line` solves them from the boundary equation.
 CASES = {
     "hn_tr1.5_N120_d0.3": ("hn", {"t_l": 1.0, "t_r": 1.5}, 120, 0.3),
     "hn_tr4_N100_d0.3": ("hn", {"t_l": 1.0, "t_r": 4.0}, 100, 0.3),
+    "hn_tr4_N40_d1e-9": ("hn", {"t_l": 1.0, "t_r": 4.0}, 40, 1e-9),
+    "hn_tr4_N60_d1e-12": ("hn", {"t_l": 1.0, "t_r": 4.0}, 60, 1e-12),
     "ssh_balanced_N120_d0.3": ("ssh", TWOBAND_BALANCED, 120, 0.3),
     "ssh_balanced_N30_d0": ("ssh", TWOBAND_BALANCED, 30, 0.0),
     "mixed_ul1_tr2_N120_d0.3": ("mixed-longrange", {"u_l": 1.0, "t_r": 2.0}, 120, 0.3),

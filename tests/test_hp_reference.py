@@ -2,9 +2,12 @@
 
 The fixtures under tests/fixtures/ hold 50-digit `mpmath.eig` eigenvalues
 written by tests/fixtures/make_hp_reference.py: hn, balanced two-band and
-mixed long-range chains at N = 100 and 120, where the boundary-equation
-route raised or lost digits, and the N = 30 boundary values of the shipped
-two-band and mixed sweeps where it was furthest from the eigensolver.
+mixed long-range chains at N = 100 and 120, where the closed-form
+(polynomial) route raised or lost digits, the N = 30 boundary values of the shipped
+two-band and mixed sweeps where it was furthest from the eigensolver, and
+hn chains at N = 40 and 60 near the open limit (delta 1e-9 and 1e-12), where
+the dense eigensolver is 3.8e-9 and 1.1e-6 off and `hn_line` solves the
+boundary equation instead.
 """
 import json
 from pathlib import Path
@@ -30,7 +33,7 @@ def _spectrum(ref: dict):
 
 def test_fixtures_present():
     models = [json.loads(path.read_text())["model"] for path in FIXTURES]
-    assert {m: models.count(m) for m in set(models)} == {"hn": 2, "ssh": 2, "mixed-longrange": 3}
+    assert {m: models.count(m) for m in set(models)} == {"hn": 4, "ssh": 2, "mixed-longrange": 3}
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)

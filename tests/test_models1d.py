@@ -6,6 +6,7 @@ from nhchain.models1d import (
     HNParams,
     LongRangeParams,
     SSHParams,
+    _hn_boundary_roots,
     _one_per_pair,
     bloch_1d,
     hn_balanced,
@@ -283,9 +284,11 @@ class TestEigRoute:
         b = np.asarray(getattr(b, "eigenvalues", b))
         return match_spectra(a, b) / np.abs(b).max()
 
+    # chains that the boundary-equation route declines: |C| = 91 and 213,
+    # below its 1e3 gate, and end energies
     @pytest.mark.parametrize("p,delta", [
-        (HNParams(1.0, 1.5), 0.3),
-        (HNParams(1.0, 4.0, 0.2 - 0.1j), 0.7),
+        (HNParams(1.0, 1.1), 0.3),
+        (HNParams(1.0, 1.1, 0.2 - 0.1j), 0.7),
         (HNParams(1.1 + 0.4j, -0.7 + 0.9j, 0.0, 0.3, -0.2j), (0.4, -0.25)),
     ])
     def test_hn_wavenumbers_map_back(self, p, delta):
@@ -412,6 +415,60 @@ def _same_spectrum(a, b) -> bool:
     """Equal eigenvalue bits, provenance and parameters."""
     return (np.array_equal(a.eigenvalues.view(np.int64), b.eigenvalues.view(np.int64))
             and a.provenance == b.provenance and a.parameters == b.parameters)
+
+
+def _boundary_c(p: HNParams, N: int, delta) -> complex:
+    dl, dr = as_corner_pair(delta)
+    r = principal_sqrt(p.t_r) / principal_sqrt(p.t_l)
+    return dr * r**N + dl * r**-N
+
+
+class TestBoundaryRoute:
+    """Plain hn chains at N >= 40 with |C| >= 1e3 take the certified roots of
+    the boundary equation; every other chain keeps the dense eigensolve."""
+
+    @pytest.mark.parametrize("N", [40, 60, 120, 200])
+    @pytest.mark.parametrize("t_r", [1.5, 2.0, 4.0, 2.5 * np.exp(0.7j)])
+    def test_agrees_with_dense_spectrum(self, N, t_r):
+        p = HNParams(1.0, t_r)
+        line = hn_line(p, N)
+        for delta in (1e-3, 0.3, 0.9, (0.2, 0.7)):
+            spec = line(delta)
+            gated = abs(_boundary_c(p, N, delta)) >= 1e3
+            assert spec.provenance == ("boundary-equation" if gated else "oracle")
+            assert len(spec) == N
+            assert spectral_mismatch(spec, dense_spectrum(hn_matrix(p, N, delta))) < 1e-12
+
+    @pytest.mark.parametrize("p, N, delta", [
+        (HNParams(1.0, np.exp(0.6j)), 60, 0.3),            # balanced: |C| <= 2
+        (HNParams(1.0, 2.0, eps1=0.3, epsN=-0.2), 60, 0.3),  # end energies
+        (HNParams(1.0, 4.0), 30, 0.3),                     # N below 40
+        (HNParams(1.0, 2.0), 60, 1e-16),                   # |C| = 115
+    ])
+    def test_declined_chains_keep_dense_solve(self, p, N, delta):
+        assert _hn_boundary_roots(p, N, delta) is None
+        spec = hn_line(p, N)(delta)
+        assert spec.provenance == "oracle"
+        assert _same_spectrum(spec, dense_spectrum(hn_matrix(p, N, delta)))
+
+    def test_refused_certificate_falls_back(self):
+        # delta = 3 binds two impurity states with |u| = 1/3, far from the
+        # seeds' circle |u| = |C|^(-1/N) = 0.69: Newton misses them, two
+        # seeds meet on one root, and the disc test refuses
+        p, N, delta = HNParams(1.0, 2.0), 60, 3.0
+        assert abs(_boundary_c(p, N, delta)) >= 1e3
+        assert _hn_boundary_roots(p, N, delta) is None
+        spec = hn_line(p, N)(delta)
+        assert spec.provenance == "oracle"
+        assert _same_spectrum(spec, dense_spectrum(hn_matrix(p, N, delta)))
+
+    def test_wavenumbers_map_back(self):
+        p = HNParams(1.0, 4.0, 0.2 - 0.1j)
+        spec, aset = hn_spectrum(p, 120, 0.7)
+        assert spec.provenance == "boundary-equation" and aset.generator == "hn-eig"
+        assert spectral_mismatch(spec, dense_spectrum(hn_matrix(p, 120, 0.7))) < 1e-12
+        back = p.t_d + 2 * np.sqrt(p.t_l) * np.sqrt(p.t_r) * np.cos(aset.expand())
+        assert match_spectra(back, spec.eigenvalues) / np.abs(spec.eigenvalues).max() < 1e-12
 
 
 LINE_DELTAS = [0.0, 1.0, -1.0, 1e-14, 0.3, (0.2, 0.7), 0.3, 1e-14, -1.0, 1.0, 0.0]
