@@ -498,20 +498,17 @@ def _link_clusters(linked: np.ndarray) -> list:
 
 
 def _divisible_clusters(keys: np.ndarray, size: int, tol: float):
-    """Clusters whose sizes are multiples of `size`, escalating the linking
-    distance when nearly degenerate groups interleave."""
-    scale = max(1.0, np.abs(keys).max())
-    dist = np.abs(keys[:, None] - keys[None, :])
-    for factor in (1.0, 10.0, 100.0, 1e3, 1e4):
-        tau = factor * tol * scale
-        clusters = _link_clusters(dist <= tau)
-        if all(len(c) % size == 0 for c in clusters):
-            return clusters
+    """Clusters of keys linked within tol * max(1, max|key|); every cluster
+    must hold a multiple of `size` keys, or `NumericalError` is raised."""
+    tau = tol * max(1.0, np.abs(keys).max())
+    clusters = _link_clusters(np.abs(keys[:, None] - keys[None, :]) <= tau)
     sizes = sorted(len(c) for c in clusters if len(c) % size)
-    raise NumericalError(
-        f"grouping into sets of {size} failed: cluster sizes {sizes} are not "
-        f"multiples of {size} (linking distance up to {1e4 * tol * scale:.3g})"
-    )
+    if sizes:
+        raise NumericalError(
+            f"grouping into sets of {size} failed: cluster sizes {sizes} are not "
+            f"multiples of {size} (linking distance {tau:.3g})"
+        )
+    return clusters
 
 
 def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None) -> AlphaSet:
@@ -522,8 +519,10 @@ def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None) -
     GROUP_TOL raises `NumericalError`, as the polish has moved one of its
     roots onto another root.  pairing='triples': roots come in triples
     sharing one eigenvalue (mixed long-range chain), which `value_key`
-    (triples only) maps a root to.  `expected` is the required number of
-    groups.
+    (triples only) maps a root to; keys within GROUP_TOL (relative to
+    max(1, max|key|)) of each other link, and a linked cluster whose size
+    is no multiple of 3 raises `NumericalError` ("grouping into sets of 3
+    failed").  `expected` is the required number of groups.
     """
     ys = np.asarray(root_values, dtype=complex).ravel()
     if pairing not in ("pairs", "triples"):

@@ -203,12 +203,12 @@ class Spectrum:
 
     `parameters` is empty but for the keys a caller reads: "fallback" (a
     chain line's dense solve of a chain with a vanishing hopping; read by
-    the wavenumber recovery and the benchmark tracer), "sign" (the odd
-    two-band closed form took its +- signs from the dense oracle; the
-    tracer), "degree" and "removed_factor" (the mixed long-range closed
-    form's polynomial; `cli.validate`'s triple grouping) and
-    "hermitian_blocks" (Bloch blocks that `models2d.stacked_line` solved as
-    Hermitian matrices; the tests).
+    the wavenumber recovery and the benchmark tracer), "degree" and
+    "removed_factor" (the mixed long-range closed form's polynomial;
+    `cli.validate`'s triple grouping) and "hermitian_blocks" (Bloch blocks
+    that `models2d.stacked_line` solved as Hermitian matrices; the tests).
+    No closed form borrows from the dense oracle: one that cannot answer
+    from its own equation raises `NumericalError`.
     """
 
     eigenvalues: np.ndarray

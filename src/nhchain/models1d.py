@@ -31,7 +31,9 @@ The paper's polynomial route (alphasolver: the boundary equations cleared
 into polynomials in y and rooted through companion matrices) is kept behind
 `hn_closed_form`, `ssh_closed_form` and `mixed_longrange_closed_form`.  The
 command line checks it against the dense oracle at a reduced size (N <= 12);
-at large N it loses digits or raises `NumericalError`.
+at large N it loses digits or raises `NumericalError`.  It answers from its
+own equation or not at all: a root pair off inversion, root triples that do
+not group, or an odd-chain sign factor off +-1 raises `NumericalError`.
 """
 from __future__ import annotations
 
@@ -263,6 +265,11 @@ def hn_closed_form(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
 # and a refused point pays for both solves.
 _BOUNDARY_MIN_N = 40
 _BOUNDARY_MIN_C = 1e3
+# Impurity roots |u| = |delta_l delta_r|^(-1/2) well inside the seeds' circle
+# |u| = |C|^(-1/N) are out of Newton's reach: of 14534 gated points (N 40-200)
+# with radius ratio below 0.9 none certified (40 of 396 in [0.9, 1) and all
+# 1792 above did), so they are declined before any Newton step.
+_IMPURITY_MIN_RATIO = 0.9
 _NEWTON_MAX_STEPS = 30
 _NEWTON_TOL = 1e-13  # the last step, relative to 1 + max|lambda|
 
@@ -310,8 +317,9 @@ def _hn_boundary_roots(p: HNParams, N: int, delta) -> Optional[np.ndarray]:
     eigensolver loses to the imaginary gauge |r|^n near the open limit
     (Hatano and Nelson, PRL 77, 570 (1996)): at t_r / t_l = 4, N 60, delta
     1e-12 the dense eigenvalues are 1.1e-6 off, these 1e-16.  A chain with
-    end energies or a vanishing hopping, N < `_BOUNDARY_MIN_N` and |C| <
-    `_BOUNDARY_MIN_C` give None at once.
+    end energies or a vanishing hopping, N < `_BOUNDARY_MIN_N`, |C| <
+    `_BOUNDARY_MIN_C`, and impurity roots |D|^(-1/2) closer to 0 than
+    `_IMPURITY_MIN_RATIO` |C|^(-1/N) give None at once.
     """
     if not p.is_plain or p.t_l == 0 or p.t_r == 0 or N < _BOUNDARY_MIN_N:
         return None
@@ -322,6 +330,8 @@ def _hn_boundary_roots(p: HNParams, N: int, delta) -> Optional[np.ndarray]:
     if not (np.isfinite(C) and abs(C) >= _BOUNDARY_MIN_C):
         return None
     D = dl * dr
+    if abs(D) ** 0.5 * abs(C) ** (-1.0 / N) > 1.0 / _IMPURITY_MIN_RATIO:
+        return None
     u = C ** (-1.0 / N) * np.exp(-2j * np.pi * np.arange(N) / N)
     u = u * ((1.0 - D * u * u) / (1.0 - u * u)) ** (1.0 / N)
     last = np.inf
@@ -529,11 +539,11 @@ def ssh_closed_form(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     """The paper's route for the alternating chain, provenance "analytic".
 
     Even N: one +- pair of eigenvalues per wavenumber of the boundary
-    equation (alphasolver).  Odd N: one eigenvalue per wavenumber, sign
-    resolved by the sign factor of the odd-chain equation (oracle fallback
-    if it is numerically unstable); zero modes arise as ordinary equation
-    roots.  Reliable at small N only; see `ssh_spectrum`.  A root pair off
-    inversion or a vanishing hopping raises `NumericalError`, as in
+    equation (alphasolver).  Odd N: one eigenvalue per wavenumber, its sign
+    given by the sign factor of the odd-chain equation (`_odd_signs`); zero
+    modes arise as ordinary equation roots.  Reliable at small N only; see
+    `ssh_spectrum`.  A root pair off inversion, a sign factor that cannot
+    be read or a vanishing hopping raises `NumericalError`, as in
     `hn_closed_form`.
     """
     if not p.hoppings_nonzero:
@@ -555,12 +565,8 @@ def ssh_closed_form(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     aset = alpha_from_roots(roots(polynomialize("ssh-odd", params, N, (dl, dr))), "pairs", expected=N)
     alphas = aset.expand()
     lam_plus = np.sqrt(_ssh_lambda2(p, alphas))
-    signs, flagged = _odd_signs(p, alphas, lam_plus, N, dl, dr)
-    aset = AlphaSet(aset.values, aset.multiplicity, shift, "ssh-odd")
-    if flagged:
-        lam = _match_signs(lam_plus, dense_spectrum(ssh_matrix(p, N, delta)).eigenvalues)
-        return Spectrum(lam, "analytic", {"sign": "oracle-fallback"}), aset
-    return Spectrum(signs * lam_plus, "analytic"), aset
+    lam = _odd_signs(p, alphas, lam_plus, N, dl, dr) * lam_plus
+    return Spectrum(lam, "analytic"), AlphaSet(aset.values, aset.multiplicity, shift, "ssh-odd")
 
 
 def _ssh_odd_open(p: SSHParams, N: int) -> tuple[Spectrum, AlphaSet]:
@@ -582,37 +588,29 @@ def _zero_mode_alpha(p: SSHParams) -> complex:
     return complex(np.arccos(c))
 
 
-def _odd_signs(p: SSHParams, alphas, lam_plus, N, dl, dr):
-    """Sign factor of the odd-chain equation; flags numerical instability."""
+def _odd_signs(p: SSHParams, alphas, lam_plus, N, dl, dr) -> np.ndarray:
+    """The +-1 sign factor of the odd-chain equation, one per wavenumber.
+
+    Raises `NumericalError` where the factor cannot be read: a denominator
+    that vanishes against its scale, a non-finite factor, or one not within
+    0.5 of +1 or -1.
+    """
     C1 = _sq(p.tl1) * _sq(p.tr1) * _sq(p.tl2) * _sq(p.tr2)
     denom = dl * (_sq(p.tl1) * _sq(p.tl2)) ** N + dr * (_sq(p.tr1) * _sq(p.tr2)) ** N
     scale = (abs(p.tl1) * abs(p.tl2)) ** (N / 2) + (abs(p.tr1) * abs(p.tr2)) ** (N / 2)
     if abs(denom) < 1e-12 * max(scale, 1e-300) or not np.isfinite(denom):
-        return np.ones(len(alphas)), True
-    signs = np.empty(len(alphas))
-    for i, (a, lp) in enumerate(zip(alphas, lam_plus)):
-        bracket = dirichlet_ratio((N + 1) // 2, a) - dl * dr * dirichlet_ratio((N - 1) // 2, a)
-        sigma = lp * bracket * C1 ** ((N - 1) // 2) / denom
-        if not np.isfinite(sigma):
-            return np.ones(len(alphas)), True
-        if abs(sigma - 1.0) < 0.5:
-            signs[i] = 1.0
-        elif abs(sigma + 1.0) < 0.5:
-            signs[i] = -1.0
-        else:
-            return np.ones(len(alphas)), True
-    return signs, False
-
-
-def _match_signs(lam_plus, oracle_vals):
-    """Pick the +- sign per candidate that best matches the oracle multiset."""
-    out = np.empty(len(lam_plus), dtype=complex)
-    pool = list(oracle_vals)
-    for i, lp in enumerate(lam_plus):
-        cand = min(pool, key=lambda z: min(abs(z - lp), abs(z + lp)))
-        out[i] = lp if abs(cand - lp) <= abs(cand + lp) else -lp
-        pool.remove(cand)
-    return out
+        raise NumericalError(f"odd-chain sign factor: denominator {abs(denom):.3g} vanishes "
+                             f"against its scale {scale:.3g}")
+    sigma = np.array([lp * (dirichlet_ratio((N + 1) // 2, a) - dl * dr * dirichlet_ratio((N - 1) // 2, a))
+                      for a, lp in zip(alphas, lam_plus)]) * C1 ** ((N - 1) // 2) / denom
+    if not np.isfinite(sigma).all():
+        raise NumericalError("odd-chain sign factor is not finite")
+    signs = np.where(np.abs(sigma - 1.0) < 0.5, 1.0, -1.0)
+    off = np.abs(sigma - signs)
+    if off.max() >= 0.5:
+        k = int(np.argmax(off))
+        raise NumericalError(f"odd-chain sign factor {sigma[k]:.6g} is not within 0.5 of +1 or -1")
+    return signs
 
 
 def ssh_zero_mode_predicate(p: SSHParams):

@@ -275,16 +275,25 @@ class TestValidate:
             assert report["sizes"] == {"N": reduced}, (model, n)
             assert report["status"] == "pass"
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="known defect: the odd closed form borrows its signs from the oracle")
-    def test_odd_twoband_near_periodic_limit_passes(self):
-        """ssh-odd (1, 2, 1, 2) at N = 11, delta = 1e-9: the closed form's sign
-        factor is unstable, so its "analytic" spectrum takes its +- signs from
-        the dense oracle (parameters["sign"] = "oracle-fallback", shown by no
-        output), and is 1.4e-5 off it."""
-        cfg = parse_config({"model": "ssh-odd", "task": "spectrum", "sizes": {"N": 11}, "delta": 1e-9,
-                            "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 1.0, "tr2": 2.0}})
-        assert validate(cfg)["status"] == "pass"
+    def test_odd_twoband_near_periodic_limit_refuses(self, tmp_path, capsys):
+        """ssh-odd (1, 2, 1, 2) at N = 11, delta = 1e-9: the closed form's
+        sign factor is far from +-1, so the closed form refuses.  `run`
+        records the refusal and writes the dense spectrum; `validate` exits
+        4."""
+        payload = {"model": "ssh-odd", "task": "spectrum", "sizes": {"N": 11}, "delta": 1e-9,
+                   "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 1.0, "tr2": 2.0}, "output": "odd"}
+        path = write_config(tmp_path, "odd_config.json", payload)
+        assert main(["validate", "--config", str(path)]) == 4
+        assert "numerical failure: odd-chain sign factor" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        side = json.loads((tmp_path / "odd.json").read_text())
+        assert side["validation"]["status"] == "closed-form-failed"
+        assert "odd-chain sign factor" in side["validation"]["reason"]
+        rows = [line.split(",") for line in (tmp_path / "odd.csv").read_text().splitlines()[1:]]
+        assert {r[4] for r in rows} == {"oracle"}
+        vals = np.array([complex(float(r[2]), float(r[3])) for r in rows])
+        p = nhchain.SSHParams(1.0, 2.0, 1.0, 2.0)
+        assert nhchain.spectral_mismatch(vals, nhchain.dense_spectrum(nhchain.ssh_matrix(p, 11, 1e-9))) < 1e-12
 
     def test_general_chain_uses_boundary_residual(self):
         cfg = parse_config({

@@ -214,14 +214,14 @@ def test_run_path_never_recovers_wavenumbers(tmp_path, monkeypatch, name):
         assert (tmp_path / f"{task}.json").exists()
 
 
-READ_KEYS = {"fallback", "sign", "degree", "removed_factor", "hermitian_blocks"}
+READ_KEYS = {"fallback", "degree", "removed_factor", "hermitian_blocks"}
 
 
 def test_spectra_carry_only_read_parameters():
     """Every `parameters` key of a spectrum that nhchain builds is one that
-    something reads: the zero-hopping fallback, the odd closed form's oracle
-    signs, the mixed closed form's degree and removed factor, and the
-    stacked lines' Hermitian block count."""
+    something reads: the zero-hopping fallback, the mixed closed form's
+    degree and removed factor, and the stacked lines' Hermitian block
+    count."""
     hn, hn0 = HNParams(1.0, 2.0), HNParams(1.0, 0.0)
     ssh, ssh0 = SSHParams(1.0, 2.0, 3.0, 4.0), SSHParams(1.0, 0.0, 3.0, 4.0)
     spectra = {
@@ -239,7 +239,6 @@ def test_spectra_carry_only_read_parameters():
         "ssh_closed_form even": ssh_closed_form(ssh, 8, 0.3)[0],
         "ssh_closed_form odd": ssh_closed_form(ssh, 9, 0.3)[0],
         "ssh_closed_form odd open": ssh_closed_form(ssh, 9, 0.0)[0],
-        "ssh_closed_form oracle signs": ssh_closed_form(ssh, 9, 1e-9)[0],
         "mixed_longrange_closed_form": mixed_longrange_closed_form(1.0, 2.0, 0.3, 6)[0],
         "unidirectional_spectrum": unidirectional_spectrum(1.0, 0.5, 0.3, 8),
         "unidirectional_spectrum open": unidirectional_spectrum(1.0, 0.5, 0.0, 8),
@@ -251,6 +250,5 @@ def test_spectra_carry_only_read_parameters():
     # the keys are there where they are read
     assert all(spectra[name].parameters == {"fallback": "zero hopping"}
                for name in ("hn_line zero", "ssh_line zero", "mixed_longrange_line zero"))
-    assert spectra["ssh_closed_form oracle signs"].parameters == {"sign": "oracle-fallback"}
     assert set(spectra["mixed_longrange_closed_form"].parameters) == {"degree", "removed_factor"}
     assert spectra["stacked_line"].parameters == {"hermitian_blocks": 4}

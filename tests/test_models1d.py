@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from nhchain.core import as_corner_pair, dense_spectrum, match_spectra, principal_sqrt, spectral_mismatch
+from nhchain import models1d
+from nhchain.core import (
+    NumericalError,
+    as_corner_pair,
+    dense_spectrum,
+    match_spectra,
+    principal_sqrt,
+    spectral_mismatch,
+)
 from nhchain.models1d import (
     HNParams,
     LongRangeParams,
@@ -10,11 +18,13 @@ from nhchain.models1d import (
     _one_per_pair,
     bloch_1d,
     hn_balanced,
+    hn_closed_form,
     hn_eigenvector,
     hn_line,
     hn_matrix,
     hn_spectrum,
     impurity_states,
+    mixed_longrange_closed_form,
     mixed_longrange_line,
     mixed_longrange_matrix,
     mixed_longrange_spectrum,
@@ -185,20 +195,75 @@ class TestSSH:
             oracle = dense_spectrum(ssh_matrix(p, N, deltas))
             assert spectral_mismatch(spec, oracle) < 1e-8
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="known defect: the odd-chain closed form is 5e-7 off the oracle here")
-    def test_odd_closed_form_matches_oracle_near_open_limit(self):
-        """The balanced odd chain at N = 31, delta = 1e-3: the closed form
-        returns an "analytic" spectrum that passes its pair check yet is
-        about 5e-7 (relative to 1 + max|lambda|) off the dense eigenvalues."""
-        p = SSHParams(-1j, 0.5, 4, 8)
-        spec, _ = ssh_closed_form(p, 31, 1e-3)
-        assert spec.provenance == "analytic"
-        assert spectral_mismatch(spec, dense_spectrum(ssh_matrix(p, 31, 1e-3))) < 1e-9
+    def test_odd_closed_form_refuses_near_open_limit(self):
+        """The balanced odd chain at N = 31, delta = 1e-3: the sign factor of
+        the odd-chain equation is far from +-1, so the closed form raises
+        instead of returning an "analytic" spectrum off the dense
+        eigenvalues."""
+        with pytest.raises(NumericalError, match="sign factor .* is not within 0.5"):
+            ssh_closed_form(SSHParams(-1j, 0.5, 4, 8), 31, 1e-3)
 
     def test_zero_hopping_falls_back_to_oracle(self):
         spec, aset = ssh_spectrum(SSHParams(0.0, 1.0, 2.0, 3.0), 8, 0.2)
         assert spec.provenance == "oracle"
+
+
+def _random_delta(rng):
+    """A real, complex or (delta_l, delta_r) boundary with moduli in [1e-12, 1]."""
+    mod = 10.0 ** rng.uniform(-12.0, 0.0, 2)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return float(mod[0])
+    if kind == 1:
+        return complex(mod[0] * np.exp(2j * np.pi * rng.random()))
+    return float(mod[0]), float(mod[1])
+
+
+def _closed_form_cases():
+    """(family, closed form, arguments, N): seeded random chains of every
+    family, plus the odd points whose sign factor is off +-1 (N 9, 11, 31)
+    and the stiff mixed chain whose triples do not group."""
+    rng = np.random.default_rng(22)
+    cases = []
+    for _ in range(30):
+        N = int(rng.integers(3, 13))
+        cases.append(("hn", hn_closed_form, (HNParams(cnormal(rng), cnormal(rng)), N, _random_delta(rng)), N))
+        p = SSHParams(*(cnormal(rng) for _ in range(4)), v1=cnormal(rng), v2=cnormal(rng))
+        N = 2 * int(rng.integers(2, 7))
+        cases.append(("ssh even", ssh_closed_form, (p, N, _random_delta(rng)), N))
+        N = 2 * int(rng.integers(1, 6)) + 1
+        cases.append(("ssh odd", ssh_closed_form,
+                      (SSHParams(*(cnormal(rng) for _ in range(4))), N, _random_delta(rng)), N))
+        N = int(rng.integers(4, 11))
+        delta = _random_delta(rng)
+        delta = delta[0] if isinstance(delta, tuple) else delta
+        cases.append(("mixed", mixed_longrange_closed_form, (cnormal(rng), cnormal(rng), delta, N), N))
+    cases += [("ssh odd", ssh_closed_form, (SSHParams(*p), N, delta), N) for p, N, delta in
+              (((1, 2, 3, 4), 9, 1e-9), ((1, 2, 1, 2), 11, 1e-9), ((-1j, 0.5, 4, 8), 31, 1e-3))]
+    cases.append(("mixed", mixed_longrange_closed_form, (1.0, 1e6, 0.3, 10), 10))
+    return cases
+
+
+def test_closed_forms_answer_from_their_own_equation(monkeypatch):
+    """With the dense eigensolver unavailable, every closed form returns an
+    "analytic" spectrum of N eigenvalues or raises `NumericalError`."""
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("a closed form called the dense eigensolver")
+
+    monkeypatch.setattr(models1d, "dense_spectrum", no_oracle)
+    outcomes = {}
+    for family, closed_form, args, N in _closed_form_cases():
+        try:
+            spec, _ = closed_form(*args)
+            outcome = "analytic"
+            assert spec.provenance == "analytic" and len(spec) == N, (family, args)
+        except NumericalError:
+            outcome = "refused"
+        outcomes.setdefault(family, set()).add(outcome)
+    # every family answers somewhere; the odd and the mixed chain refuse somewhere
+    assert sorted(outcomes) == ["hn", "mixed", "ssh even", "ssh odd"]
+    assert all("analytic" in o for o in outcomes.values())
+    assert outcomes["ssh odd"] == outcomes["mixed"] == {"analytic", "refused"}
 
 
 class TestLongRange:
@@ -451,12 +516,17 @@ class TestBoundaryRoute:
         assert spec.provenance == "oracle"
         assert _same_spectrum(spec, dense_spectrum(hn_matrix(p, N, delta)))
 
-    def test_refused_certificate_falls_back(self):
-        # delta = 3 binds two impurity states with |u| = 1/3, far from the
-        # seeds' circle |u| = |C|^(-1/N) = 0.69: Newton misses them, two
-        # seeds meet on one root, and the disc test refuses
+    def test_refused_certificate_falls_back(self, monkeypatch):
+        # delta = 3 binds two impurity states with |u| = 1/3, far inside the
+        # seeds' circle |u| = |C|^(-1/N) = 0.69 (ratio 0.48 < 0.9), where
+        # Newton would not reach them: the route refuses before any step
         p, N, delta = HNParams(1.0, 2.0), 60, 3.0
         assert abs(_boundary_c(p, N, delta)) >= 1e3
+
+        def no_newton(*args):
+            raise AssertionError("a Newton step was taken")
+
+        monkeypatch.setattr(models1d, "_hn_h", no_newton)
         assert _hn_boundary_roots(p, N, delta) is None
         spec = hn_line(p, N)(delta)
         assert spec.provenance == "oracle"

@@ -54,11 +54,11 @@ TRACE_ROUNDS = 3  # perfbench/worker.py's TRACE_ROUNDS
 # Small configs of what `configs/` and the benchmark jobs leave out: odd
 # two-band chains with a (delta_l, delta_r) pair, end potentials, the models
 # with no shipped config, BC2 stacked sweeps, chains with a vanishing
-# hopping, the open odd chain's exact set, the odd closed form's oracle
-# signs, an hn chain long enough for its boundary-equation route with a
-# complex hopping and a (delta_l, delta_r) pair, and `spectrum`, `envelope`
-# and `balance`.  A plain literal, so a test can read it without running
-# this script.
+# hopping, the open odd chain's exact set, an odd chain whose closed-form
+# sign factor cannot be read (validation records the refusal), an hn chain
+# long enough for its boundary-equation route with a complex hopping and a
+# (delta_l, delta_r) pair, and `spectrum`, `envelope` and `balance`.  A
+# plain literal, so a test can read it without running this script.
 EXTRAS = {
     "ssh_odd_pair": {"model": "ssh-odd", "task": "sweep", "sizes": {"N": 31}, "delta": [0.3, 0.7],
                      "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}},
@@ -117,8 +117,8 @@ EXTRAS = {
                            "params": {"t_r": 1.0, "u_l": 0.0}},
     "ssh_odd_open_spectrum": {"model": "ssh-odd", "task": "spectrum", "sizes": {"N": 9}, "delta": 0.0,
                               "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 3.7}},
-    "ssh_odd_oracle_signs": {"model": "ssh-odd", "task": "spectrum", "sizes": {"N": 9}, "delta": 1e-9,
-                             "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}},
+    "ssh_odd_unstable_signs": {"model": "ssh-odd", "task": "spectrum", "sizes": {"N": 9}, "delta": 1e-9,
+                               "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}},
     "hn_boundary_equation_pair": {"model": "hn", "task": "sweep", "sizes": {"N": 64}, "delta": [0.3, 0.7],
                                   "params": {"t_l": 1.0, "t_r": [2.0, 1.0]}},
     "ssh_onsite_balance": {"model": "ssh", "task": "balance", "sizes": {"N": 8},
