@@ -196,10 +196,13 @@ class Spectrum:
 
     The provenance names the route: "analytic" (an exact closed form),
     "oracle" (one dense eigensolve of the whole matrix), "bloch-oracle" (the
-    eigensolves of a stacked lattice's Bloch blocks) or "boundary-equation"
+    eigensolves of a stacked lattice's Bloch blocks), "boundary-equation"
     (a long plain one-band chain's boundary equation solved by Newton, kept
     only where N disjoint inclusion discs certify one eigenvalue each;
-    `models1d.hn_line`).
+    `models1d.hn_line`) or "sublattice-oracle" (a chain graded into m
+    sublattices: the dense eigensolve of one N/m-site grade block of
+    (H - c)^m and its m-th roots, kept only where the roots amplify the
+    block's error at most 64-fold; `models1d._graded_eigenvalues`).
 
     `parameters` is empty but for the keys a caller reads: "fallback" (a
     chain line's dense solve of a chain with a vanishing hopping; read by

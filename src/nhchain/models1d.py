@@ -10,15 +10,23 @@ The per-size lines `hn_line`, `ssh_line` and `mixed_longrange_line` solve
 every delta through one body, `_chain_line`: the chain matrix without its
 corners is built once; an exact wavenumber set (the plain one-band chain at
 delta = 0 and +-1, the open odd two-band chain) gives an "analytic"
-spectrum, and every other delta one dense eigensolve (provenance "oracle"),
-labelled {"fallback": "zero hopping"} when a hopping vanishes.  Between the
-two, a plain one-band chain at N >= 40 whose boundary term |C| = |delta_r
-r^N + delta_l r^(-N)| (r = sqrt(t_r) / sqrt(t_l)) is at least 1e3 solves
-its boundary equation, six terms in u = e^(-i alpha_tilde), by vectorised
-Newton (`_hn_boundary_roots`, provenance "boundary-equation").  It takes
-the roots only under a certificate: N disjoint inclusion discs, one per
-eigenvalue; a refused point gets the dense eigensolve.  The command line
-uses the lines alone.  `hn_spectrum`, `ssh_spectrum` and
+spectrum, and every other delta an eigensolve, labelled {"fallback": "zero
+hopping"} when a hopping vanishes.  Before the eigensolve, a plain one-band
+chain at N >= 40 whose boundary term |C| = |delta_r r^N + delta_l r^(-N)|
+(r = sqrt(t_r) / sqrt(t_l)) is at least 1e3 solves its boundary equation,
+six terms in u = e^(-i alpha_tilde), by vectorised Newton
+(`_hn_boundary_roots`, provenance "boundary-equation").  It takes the roots
+only under a certificate: N disjoint inclusion discs, one per eigenvalue.
+The eigensolve uses the chain's sublattice grading where it has one (the
+sublattice symmetry of the two-band chain; Kawabata, Shiozaki, Ueda and
+Sato, PRX 9, 041015 (2019)): the plain one-band and the two-band chain of
+even N have two sublattices, the mixed long-range chain of N divisible by 3
+has three, and every hop, corners included, goes from one to the next.
+One N/m-site grade block of (H - c)^m then holds the whole spectrum
+(`_graded_eigenvalues`, provenance "sublattice-oracle"), taken where its
+m-th roots do not amplify the block's error more than 64-fold; everywhere
+else the whole matrix gets one dense eigensolve (provenance "oracle").  The
+command line uses the lines alone.  `hn_spectrum`, `ssh_spectrum` and
 `mixed_longrange_spectrum` call them at one delta and also recover the
 shifted wavenumbers from the eigenvalues: cos(alpha_tilde) = (lambda - t_d)
 / (2 sqrt(t_l) sqrt(t_r)) for the one-band chain, the lambda^2 relation for
@@ -33,7 +41,8 @@ into polynomials in y and rooted through companion matrices) is kept behind
 command line checks it against the dense oracle at a reduced size (N <= 12);
 at large N it loses digits or raises `NumericalError`.  It answers from its
 own equation or not at all: a root pair off inversion, root triples that do
-not group, or an odd-chain sign factor off +-1 raises `NumericalError`.
+not group, an odd-chain sign factor off +-1, or odd-chain signs whose odd
+power sums do not vanish raises `NumericalError`.
 """
 from __future__ import annotations
 
@@ -96,15 +105,19 @@ __all__ = [
 
 
 def _chain_line(op: Callable[[], CornerOperator], hoppings_nonzero: bool,
-                exact: Callable[[object], Optional[Spectrum]]) -> Callable[[object], Spectrum]:
+                exact: Callable[[object], Optional[Spectrum]],
+                grading: Optional[tuple]) -> Callable[[object], Spectrum]:
     """The per-delta body of every chain line: delta -> Spectrum.
 
     `op` builds the chain's `CornerOperator`; it is called on first use and
     kept, so the exact sets need no matrix.  A chain with a vanishing
     hopping gets one dense eigensolve per delta, with parameters
     {"fallback": "zero hopping"}.  Otherwise each delta takes `exact(delta)`
-    where that gives a spectrum, and one dense eigensolve of the operator at
-    delta (provenance "oracle") everywhere else.
+    where that gives a spectrum; then, for a chain that declares a grading
+    (m, c, v) (None: no grading), the eigenvalues of one grade block of
+    (H - c)^m where `_graded_eigenvalues` accepts them (provenance
+    "sublattice-oracle"); and one dense eigensolve of the operator at delta
+    (provenance "oracle") everywhere else.
     """
     op = cache(op)
     if not hoppings_nonzero:
@@ -112,9 +125,64 @@ def _chain_line(op: Callable[[], CornerOperator], hoppings_nonzero: bool,
 
     def line(delta) -> Spectrum:
         spec = exact(delta)
-        return dense_spectrum(op().at(delta)) if spec is None else spec
+        if spec is not None:
+            return spec
+        H = op().at(delta)
+        lam = None if grading is None else _graded_eigenvalues(H, *grading)
+        return dense_spectrum(H) if lam is None else Spectrum(lam, "sublattice-oracle")
 
     return line
+
+
+# Largest amplification (||H - c||_inf / |lambda - c|)^(m - 1) of the m-th
+# root that `_graded_eigenvalues` accepts.  A block eigenvalue mu carries an
+# error of about eps ||H - c||^m, and lambda - c = mu^(1/m) turns it into eps
+# ||H - c|| times this factor.
+_GRADED_MAX_GAIN = 64.0
+_ROOTS_OF_UNITY = {2: np.array([1.0, -1.0]),
+                   3: np.array([1.0, complex(-0.5, 3**0.5 / 2), complex(-0.5, -(3**0.5 / 2))])}
+
+
+def _graded_eigenvalues(H: np.ndarray, m: int, c: complex, v: complex) -> Optional[np.ndarray]:
+    """All eigenvalues of a graded chain matrix from one grade block of
+    (H - c)^m, or None where the m-th root would amplify the block's error.
+
+    Site n has grade n mod m, and m divides N.  The grading (m, c, v) states
+    that H - c is v on grade 0, -v on grade 1 (m = 2 only) and 0 on every
+    other diagonal entry, and that every off-diagonal entry, corners
+    included, carries grade g to g + 1 (mod m): two sublattices for the
+    nearest-neighbour and two-band chains, three for the +2/-1 mixed chain.
+    Then (H - c)^m is block diagonal over grades, and its grade-0 block is
+    P = S_(m-1) ... S_1 S_0, S_g the slice of H from grade g to grade g + 1,
+    plus v^2 when m = 2 ((H - c)^2 = v^2 + (H - c - v diag(1, -1, ...))^2).
+    As diag(w^g) (H - c - v ...) diag(w^-g) = w (H - c - v ...) with w^m = 1,
+    the N eigenvalues are c + mu^(1/m) w^j, j < m, for the N / m eigenvalues
+    mu of P (`dense_spectrum`: a real block is solved in real arithmetic).
+    A real mu takes its real cube root, so real eigenvalues of a real chain
+    stay real, and m = 2 gives each pair as c +- mu^(1/2).
+    They are returned only if P is finite and (||H - c||_inf / min |lambda -
+    c|)^(m - 1) is at most `_GRADED_MAX_GAIN`.
+    """
+    N = len(H)
+    grade = [slice(g, N, m) for g in range(m)]
+    P = H[grade[0], grade[m - 1]]
+    for g in range(m - 1, 0, -1):
+        P = P @ H[grade[g], grade[g - 1]]
+    if v != 0:
+        P[np.diag_indices(N // m)] += v * v
+    if not np.isfinite(P).all():
+        return None
+    mu = dense_spectrum(P).eigenvalues
+    if m == 2:
+        r = np.sqrt(mu)
+    else:
+        r = mu ** (1.0 / 3.0)
+        real = mu.imag == 0
+        r[real] = np.cbrt(mu.real[real])
+    norm = float((np.abs(H).sum(axis=1) - np.abs(H.diagonal())).max()) + abs(v)
+    if not norm ** (m - 1) <= _GRADED_MAX_GAIN * float(np.abs(r).min()) ** (m - 1):
+        return None
+    return (c + np.multiply.outer(_ROOTS_OF_UNITY[m], r)).ravel()
 
 
 def _no_wavenumbers() -> AlphaSet:
@@ -255,10 +323,15 @@ def hn_closed_form(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
 
 
 # Gates of `_hn_boundary_roots`, measured with one BLAS thread on a 2-core
-# machine (min of 50-300 calls, t_r / t_l in {1.5, 2, 4}).  Per delta the route
-# takes 0.33-0.43 ms at N 30, where the dense eigensolve takes 0.25-0.29 ms;
-# at N 40 0.34-0.41 against 0.45-0.50 ms, at N 60 0.38-0.41 against
-# 1.10-1.19 ms, at N 120 0.43-0.56 against 8.2-15 ms.  Of random plain chains
+# machine (min of 300 calls, t_r / t_l in {1.5, 2, 4}, delta 0.5).  Per delta
+# the route takes 0.15-0.18 ms at N 30, where the graded block solve of the
+# even chain (`_graded_eigenvalues`) takes 0.07-0.08 ms and the dense
+# eigensolve 0.13-0.15 ms; at N 40 0.16-0.20 against 0.10-0.11 and 0.25-0.26
+# ms, at N 60 0.19-0.20 against 0.18-0.20 and 0.61-0.63 ms, at N 120
+# 0.21-0.27 against 0.67-0.71 and 7.0-7.8 ms.  The route keeps N 40-60, where
+# the graded solve is faster or as fast, for accuracy: near the open limit
+# both eigensolves lose digits to the imaginary gauge (hn (1, 4), N 40, delta
+# 1e-9: graded 1.3e-9, dense 3.8e-9 off), the route 2e-16.  Of random plain chains
 # at N 40-200 (real and complex hoppings, delta 1e-14-1) it certified all
 # 2909 with |C| >= 1e3, 115 of 118 with |C| in [1e2, 1e3) and 63 of 242 with
 # |C| in [1, 1e2): below 1e3 the roots |u| ~ |C|^(-1/N) near the unit circle
@@ -377,7 +450,10 @@ def hn_line(p: HNParams, N: int) -> Callable[[object], Spectrum]:
     sqrt(t_l)) is at least 1e3 takes the roots of its boundary equation
     where a certificate holds (`_hn_boundary_roots`; provenance
     "boundary-equation").  Every other delta, and a chain with a vanishing
-    hopping, gets a dense eigensolve.
+    hopping, gets an eigensolve: a plain chain of even N declares the
+    grading (2, t_d, 0) to `_chain_line`, whose two sublattices are the odd
+    and even sites, and solves one N/2-site block of (H - t_d)^2 where that
+    is accepted; otherwise the whole matrix.
     """
     def exact(delta) -> Optional[Spectrum]:
         aset = _hn_exact_alpha_set(p, N, delta)
@@ -387,7 +463,8 @@ def hn_line(p: HNParams, N: int) -> Callable[[object], Spectrum]:
         return None if lam is None else Spectrum(lam, "boundary-equation")
 
     return _chain_line(lambda: chain_operator(hn_stencil(p, N, 0.0)),
-                       p.t_l != 0 and p.t_r != 0, exact)
+                       p.t_l != 0 and p.t_r != 0, exact,
+                       (2, p.t_d, 0.0) if p.is_plain and N % 2 == 0 else None)
 
 
 def hn_spectrum(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
@@ -503,9 +580,12 @@ def ssh_line(p: SSHParams, N: int) -> Callable[[object], Spectrum]:
     Eigenvalues lambda = (v1+v2)/2 +- sqrt(v^2 + tl1 tr1 + tl2 tr2 +
     2 cos(a) sqrt(tl1) sqrt(tr1) sqrt(tl2) sqrt(tr2)).  The open odd chain
     has an exact wavenumber set and an "analytic" spectrum; every other
-    delta, and a chain with a vanishing hopping, gets a dense eigensolve.
-    An odd chain with nonzero hoppings takes no on-site potentials: one with
-    them raises here.
+    delta, and a chain with a vanishing hopping, gets an eigensolve.  A
+    chain of even N declares the grading (2, (v1+v2)/2, (v1-v2)/2) and
+    solves one N/2-site block of (H - (v1+v2)/2)^2 where that is accepted;
+    an odd chain, whose corner joins two sites of one sublattice, solves
+    the whole matrix.  An odd chain with nonzero hoppings takes no on-site
+    potentials: one with them raises here.
     """
     if p.hoppings_nonzero and N % 2 and (p.v1 != 0 or p.v2 != 0):
         raise ValueError("odd-length chains are solved without on-site potentials")
@@ -513,7 +593,8 @@ def ssh_line(p: SSHParams, N: int) -> Callable[[object], Spectrum]:
     def exact(delta) -> Optional[Spectrum]:
         return _ssh_odd_open(p, N)[0] if N % 2 and _pair(delta) == (0, 0) else None
 
-    return _chain_line(lambda: ssh_operator(p, N), p.hoppings_nonzero, exact)
+    return _chain_line(lambda: ssh_operator(p, N), p.hoppings_nonzero, exact,
+                       (2, (p.v1 + p.v2) / 2.0, p.v) if N % 2 == 0 else None)
 
 
 def ssh_spectrum(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
@@ -543,8 +624,9 @@ def ssh_closed_form(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     given by the sign factor of the odd-chain equation (`_odd_signs`); zero
     modes arise as ordinary equation roots.  Reliable at small N only; see
     `ssh_spectrum`.  A root pair off inversion, a sign factor that cannot
-    be read or a vanishing hopping raises `NumericalError`, as in
-    `hn_closed_form`.
+    be read, signs whose odd power sums do not vanish
+    (`_check_odd_power_sums`) or a vanishing hopping raises
+    `NumericalError`, as in `hn_closed_form`.
     """
     if not p.hoppings_nonzero:
         raise NumericalError("the ssh closed form needs all four hoppings nonzero")
@@ -566,7 +648,32 @@ def ssh_closed_form(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
     alphas = aset.expand()
     lam_plus = np.sqrt(_ssh_lambda2(p, alphas))
     lam = _odd_signs(p, alphas, lam_plus, N, dl, dr) * lam_plus
+    _check_odd_power_sums(lam, N)
     return Spectrum(lam, "analytic"), AlphaSet(aset.values, aset.multiplicity, shift, "ssh-odd")
+
+
+# Of 6000 random odd chains (N 3-11, complex normal hoppings, delta moduli
+# 1e-12-1) whose sign factors were read, the 4337 spectra right to 1e-6 had
+# power-sum ratios of at most 9.8e-9 and the 6 wrong ones at least 0.049.
+_POWER_SUM_TOL = 1e-6
+
+
+def _check_odd_power_sums(lam: np.ndarray, N: int) -> None:
+    """Raise `NumericalError` unless sum(lambda^k) = tr H^k vanishes for odd
+    k in {1, 3} below N, to `_POWER_SUM_TOL` N max|lambda|^k.
+
+    On a ring of odd length N without on-site terms, a closed walk shorter
+    than N cannot wind around the ring, so it has even length and tr H^k = 0
+    for odd k < N.  The signs of the odd chain are read one wavenumber at a
+    time; this checks them jointly.
+    """
+    scale = float(np.abs(lam).max())
+    for k in (1, 3):
+        if k < N:
+            off = abs(complex(np.sum(lam**k)))
+            if not off <= _POWER_SUM_TOL * N * scale**k:
+                raise NumericalError(f"odd-chain signs: |sum lambda^{k}| = {off:.3g} is not 0 "
+                                     f"(scale N max|lambda|^{k} = {N * scale**k:.3g})")
 
 
 def _ssh_odd_open(p: SSHParams, N: int) -> tuple[Spectrum, AlphaSet]:
@@ -688,10 +795,17 @@ def mixed_longrange_matrix(t_r, u_l, delta, N: int) -> np.ndarray:
 def mixed_longrange_line(t_r, u_l, N: int) -> Callable[[object], Spectrum]:
     """delta -> spectrum of the chain with +2 and -1 hops, lambda = u_l y^2 +
     t_r / y, through `_chain_line` (see `hn_line`); delta is a scalar.  Every
-    delta gets a dense eigensolve: the chain has no exact set."""
+    delta gets an eigensolve: the chain has no exact set.  Both hops go from
+    grade n mod 3 to the next, so a chain of N divisible by 3 declares the
+    grading (3, 0, 0) and solves one N/3-site block of H^3 where that is
+    accepted (its eigenvalues are closed under multiplication by e^(2 pi i /
+    3)).  A chain with eigenvalues near 0, such as u_l = t_r = 1 (declined
+    at all 41 delta in [0, 1] at N 30, 60 and 120: min |lambda| is 0.1 to
+    0.003, the guard asks for 0.25), and any other N solve the whole
+    matrix."""
     t_r, u_l = complex(t_r), complex(u_l)
     line = _chain_line(lambda: chain_operator(ChainStencil(N, {2: u_l, -1: t_r}, (0.0,))),
-                       t_r != 0 and u_l != 0, lambda delta: None)
+                       t_r != 0 and u_l != 0, lambda delta: None, (3, 0.0, 0.0) if N % 3 == 0 else None)
     return lambda delta: line(complex(delta))
 
 

@@ -39,7 +39,9 @@ TWOBAND_BALANCED = {"tl1": [0.0, -1.0], "tr1": 0.5, "tl2": 4.0, "tr2": 8.0}
 # where that route was furthest from the eigensolver (3.9e-9 to 1.1e-6).
 # The hn chains at delta 1e-9 and 1e-12 are near the open limit, where the
 # dense eigensolver loses digits to the imaginary gauge (3.8e-9 and 1.1e-6
-# off); `hn_line` solves them from the boundary equation.
+# off); `hn_line` solves them from the boundary equation.  The unbalanced
+# two-band chain at N = 60 takes the graded route: one 30-site block of
+# (H - c)^2 instead of the 60-site matrix.
 CASES = {
     "hn_tr1.5_N120_d0.3": ("hn", {"t_l": 1.0, "t_r": 1.5}, 120, 0.3),
     "hn_tr4_N100_d0.3": ("hn", {"t_l": 1.0, "t_r": 4.0}, 100, 0.3),
@@ -47,6 +49,7 @@ CASES = {
     "hn_tr4_N60_d1e-12": ("hn", {"t_l": 1.0, "t_r": 4.0}, 60, 1e-12),
     "ssh_balanced_N120_d0.3": ("ssh", TWOBAND_BALANCED, 120, 0.3),
     "ssh_balanced_N30_d0": ("ssh", TWOBAND_BALANCED, 30, 0.0),
+    "ssh_unbalanced_N60_d0.037": ("ssh", {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}, 60, 0.037),
     "mixed_ul1_tr2_N120_d0.3": ("mixed-longrange", {"u_l": 1.0, "t_r": 2.0}, 120, 0.3),
     "mixed_ul1_tr2_N30_d0.92": ("mixed-longrange", {"u_l": 1.0, "t_r": 2.0}, 30, 0.92),
     "mixed_ul1_tr1_N30_d0": ("mixed-longrange", {"u_l": 1.0, "t_r": 1.0}, 30, 0.0),

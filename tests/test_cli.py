@@ -502,8 +502,9 @@ def test_long_chain_run_matches_oracle(tmp_path, name):
     vals = np.array([complex(float(r[2]), float(r[3])) for r in rows])
     oracle = nhchain.dense_spectrum(_chain_matrix(cfg, 0.3))
     assert nhchain.spectral_mismatch(vals, oracle) < 1e-10
-    # long plain hn chains solve their boundary equation, the others eig
-    assert {r[4] for r in rows} == {"boundary-equation" if model == "hn" else "oracle"}
+    # long plain hn chains solve their boundary equation, the even two-band
+    # and 3 | N mixed chains one grade block of (H - c)^m
+    assert {r[4] for r in rows} == {"boundary-equation" if model == "hn" else "sublattice-oracle"}
     side = json.loads((tmp_path / f"{name}.json").read_text())
     assert side["validation"]["status"] == "pass"
 

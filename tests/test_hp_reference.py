@@ -33,7 +33,7 @@ def _spectrum(ref: dict):
 
 def test_fixtures_present():
     models = [json.loads(path.read_text())["model"] for path in FIXTURES]
-    assert {m: models.count(m) for m in set(models)} == {"hn": 4, "ssh": 2, "mixed-longrange": 3}
+    assert {m: models.count(m) for m in set(models)} == {"hn": 4, "ssh": 3, "mixed-longrange": 3}
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)

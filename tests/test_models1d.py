@@ -4,6 +4,7 @@ import pytest
 from nhchain import models1d
 from nhchain.core import (
     NumericalError,
+    Spectrum,
     as_corner_pair,
     dense_spectrum,
     match_spectra,
@@ -14,6 +15,7 @@ from nhchain.models1d import (
     HNParams,
     LongRangeParams,
     SSHParams,
+    _graded_eigenvalues,
     _hn_boundary_roots,
     _one_per_pair,
     bloch_1d,
@@ -203,6 +205,22 @@ class TestSSH:
         with pytest.raises(NumericalError, match="sign factor .* is not within 0.5"):
             ssh_closed_form(SSHParams(-1j, 0.5, 4, 8), 31, 1e-3)
 
+    @pytest.mark.parametrize("p, N, delta", [
+        (SSHParams(-0.7381696708201799 - 1.3186603570491784j, 0.15852287692445555 - 0.38743607312672407j,
+                   -0.3566574936685596 - 0.15562858037957356j, 0.8081908050049532 - 0.07721014434286076j),
+         7, 8.111305317447299e-09),
+        (SSHParams(0.6152159077148137 - 1.263076144028351j, -1.1122546263274737 + 0.5288777346516814j,
+                   1.2063247763788376 + 0.7851628376125396j, -0.3957474535105101 - 0.8016586795265931j),
+         9, (1.1769865425377313e-08, 2.7119729150381955e-07)),
+    ])
+    def test_odd_closed_form_refuses_signs_off_the_power_sums(self, p, N, delta):
+        """Random odd chains near the open limit whose sign factors all read
+        within 0.5 of +-1, yet whose signs are wrong (0.56 and 0.58 off the
+        dense eigenvalues without this check): sum(lambda) or sum(lambda^3)
+        is far from tr H = tr H^3 = 0, so the closed form raises."""
+        with pytest.raises(NumericalError, match=r"odd-chain signs: \|sum lambda\^[13]\|"):
+            ssh_closed_form(p, N, delta)
+
     def test_zero_hopping_falls_back_to_oracle(self):
         spec, aset = ssh_spectrum(SSHParams(0.0, 1.0, 2.0, 3.0), 8, 0.2)
         assert spec.provenance == "oracle"
@@ -340,7 +358,9 @@ class TestLongRange:
 
 
 class TestEigRoute:
-    """Chain spectra from the dense eigensolver, wavenumbers recovered from them."""
+    """Chain spectra from an eigensolver, wavenumbers recovered from them:
+    the even plain hn, even two-band and 3 | N mixed chains below solve one
+    grade block of (H - c)^m, the others the whole matrix."""
 
     N = 120
 
@@ -358,7 +378,8 @@ class TestEigRoute:
     ])
     def test_hn_wavenumbers_map_back(self, p, delta):
         spec, aset = hn_spectrum(p, self.N, delta)
-        assert spec.provenance == "oracle" and aset.generator == "hn-eig"
+        assert spec.provenance == ("sublattice-oracle" if p.is_plain else "oracle")
+        assert aset.generator == "hn-eig"
         assert aset.shift == pytest.approx(p.shift)
         oracle = dense_spectrum(hn_matrix(p, self.N, delta))
         assert spectral_mismatch(spec, oracle) < 1e-10
@@ -372,7 +393,8 @@ class TestEigRoute:
     ])
     def test_ssh_wavenumbers_map_back(self, N, p, delta):
         spec, aset = ssh_spectrum(p, N, delta)
-        assert spec.provenance == "oracle" and aset.generator == "ssh-eig"
+        assert spec.provenance == ("oracle" if N % 2 else "sublattice-oracle")
+        assert aset.generator == "ssh-eig"
         assert len(aset) == (N // 2 if N % 2 == 0 else N)
         oracle = dense_spectrum(ssh_matrix(p, N, delta))
         assert spectral_mismatch(spec, oracle) < 1e-10
@@ -388,7 +410,7 @@ class TestEigRoute:
     @pytest.mark.parametrize("t_r,u_l,delta", [(2.0, 1.0, 0.3), (1.0, 2.0, 0.9), (0.7 - 0.5j, 1.2j, 0.05)])
     def test_mixed_wavenumbers_map_back(self, t_r, u_l, delta):
         spec, aset = mixed_longrange_spectrum(t_r, u_l, delta, self.N)
-        assert spec.provenance == "oracle" and aset.generator == "mixed-eig"
+        assert spec.provenance == "sublattice-oracle" and aset.generator == "mixed-eig"
         oracle = dense_spectrum(mixed_longrange_matrix(t_r, u_l, delta, self.N))
         assert spectral_mismatch(spec, oracle) < 1e-10
         y = np.exp(1j * aset.expand())
@@ -482,6 +504,15 @@ def _same_spectrum(a, b) -> bool:
             and a.provenance == b.provenance and a.parameters == b.parameters)
 
 
+def _eigensolver_route(p: HNParams, N: int, delta) -> Spectrum:
+    """What `hn_line` returns where no exact set or boundary root applies:
+    the graded block of an even plain chain where it is accepted, else the
+    dense eigensolve."""
+    H = hn_matrix(p, N, delta)
+    lam = _graded_eigenvalues(H, 2, p.t_d, 0.0) if p.is_plain and N % 2 == 0 else None
+    return dense_spectrum(H) if lam is None else Spectrum(lam, "sublattice-oracle")
+
+
 def _boundary_c(p: HNParams, N: int, delta) -> complex:
     dl, dr = as_corner_pair(delta)
     r = principal_sqrt(p.t_r) / principal_sqrt(p.t_l)
@@ -490,7 +521,7 @@ def _boundary_c(p: HNParams, N: int, delta) -> complex:
 
 class TestBoundaryRoute:
     """Plain hn chains at N >= 40 with |C| >= 1e3 take the certified roots of
-    the boundary equation; every other chain keeps the dense eigensolve."""
+    the boundary equation; every other chain keeps the eigensolver route."""
 
     @pytest.mark.parametrize("N", [40, 60, 120, 200])
     @pytest.mark.parametrize("t_r", [1.5, 2.0, 4.0, 2.5 * np.exp(0.7j)])
@@ -500,7 +531,7 @@ class TestBoundaryRoute:
         for delta in (1e-3, 0.3, 0.9, (0.2, 0.7)):
             spec = line(delta)
             gated = abs(_boundary_c(p, N, delta)) >= 1e3
-            assert spec.provenance == ("boundary-equation" if gated else "oracle")
+            assert spec.provenance == ("boundary-equation" if gated else "sublattice-oracle")
             assert len(spec) == N
             assert spectral_mismatch(spec, dense_spectrum(hn_matrix(p, N, delta))) < 1e-12
 
@@ -512,9 +543,7 @@ class TestBoundaryRoute:
     ])
     def test_declined_chains_keep_dense_solve(self, p, N, delta):
         assert _hn_boundary_roots(p, N, delta) is None
-        spec = hn_line(p, N)(delta)
-        assert spec.provenance == "oracle"
-        assert _same_spectrum(spec, dense_spectrum(hn_matrix(p, N, delta)))
+        assert _same_spectrum(hn_line(p, N)(delta), _eigensolver_route(p, N, delta))
 
     def test_refused_certificate_falls_back(self, monkeypatch):
         # delta = 3 binds two impurity states with |u| = 1/3, far inside the
@@ -528,9 +557,7 @@ class TestBoundaryRoute:
 
         monkeypatch.setattr(models1d, "_hn_h", no_newton)
         assert _hn_boundary_roots(p, N, delta) is None
-        spec = hn_line(p, N)(delta)
-        assert spec.provenance == "oracle"
-        assert _same_spectrum(spec, dense_spectrum(hn_matrix(p, N, delta)))
+        assert _same_spectrum(hn_line(p, N)(delta), _eigensolver_route(p, N, delta))
 
     def test_wavenumbers_map_back(self):
         p = HNParams(1.0, 4.0, 0.2 - 0.1j)
@@ -539,6 +566,104 @@ class TestBoundaryRoute:
         assert spectral_mismatch(spec, dense_spectrum(hn_matrix(p, 120, 0.7))) < 1e-12
         back = p.t_d + 2 * np.sqrt(p.t_l) * np.sqrt(p.t_r) * np.cos(aset.expand())
         assert match_spectra(back, spec.eigenvalues) / np.abs(spec.eigenvalues).max() < 1e-12
+
+
+def _graded_hopping(rng, complex_):
+    z = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+    return complex(z * np.exp(1j * rng.uniform(-np.pi, np.pi))) if complex_ else z
+
+
+def _graded_chains(seed: int):
+    """(family, line, delta -> matrix, N, grade count m, delta): seeded even
+    plain hn chains, even two-band chains without and with on-site
+    potentials, and 3 | N mixed chains, at real and complex hoppings and a
+    scalar or (delta_l, delta_r) boundary with moduli in [0.1, 1]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for complex_ in (False, True):
+        for pair in (False, True):
+            hop = lambda: _graded_hopping(rng, complex_)
+            mod = rng.uniform(0.1, 1.0, 2)
+            phase = np.exp(1j * rng.uniform(-np.pi, np.pi, 2)) if complex_ else np.ones(2)
+            delta = tuple(complex(z) for z in mod * phase) if pair else complex(mod[0] * phase[0])
+            N = int(rng.integers(3, 16)) * 2
+            p = HNParams(hop(), hop(), hop())
+            out.append(("hn", hn_line(p, N), lambda d, p=p, N=N: hn_matrix(p, N, d), N, 2, delta))
+            for onsite in (0, 2):
+                q = SSHParams(*(hop() for _ in range(4 + onsite)))
+                out.append(("ssh", ssh_line(q, N), lambda d, q=q, N=N: ssh_matrix(q, N, d), N, 2, delta))
+            if not pair:  # the mixed chain takes a scalar delta
+                M, t_r, u_l = int(rng.integers(2, 11)) * 3, hop(), hop()
+                out.append(("mixed", mixed_longrange_line(t_r, u_l, M),
+                            lambda d, t_r=t_r, u_l=u_l, M=M: mixed_longrange_matrix(t_r, u_l, d, M),
+                            M, 3, delta))
+    return out
+
+
+class TestGradedRoute:
+    """Even plain hn, even two-band and 3 | N mixed chains solve one grade
+    block of (H - c)^m where the root amplification allows, and keep the
+    dense eigensolve of the whole matrix, bit for bit, where it does not."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_dense_spectrum(self, seed):
+        accepted = 0
+        for family, line, matrix, N, m, delta in _graded_chains(seed):
+            spec, dense = line(delta), dense_spectrum(matrix(delta))
+            if spec.provenance == "oracle":
+                assert _same_spectrum(spec, dense), (family, N, delta)
+                continue
+            accepted += 1
+            assert spec.provenance == "sublattice-oracle" and len(spec) == N
+            scale = 1.0 + np.abs(dense.eigenvalues).max()
+            assert match_spectra(spec, dense) < 1e-13 * scale, (family, N, delta)
+        assert accepted >= 12
+
+    @pytest.mark.parametrize("line, matrix", [
+        (lambda: mixed_longrange_line(1.0, 1.0, 60)(0.99),               # eigenvalues near 0
+         lambda: mixed_longrange_matrix(1.0, 1.0, 0.99, 60)),
+        (lambda: ssh_line(SSHParams(-1j, 0.5, 4.0, 8.0), 60)(1e-6),      # near-zero modes
+         lambda: ssh_matrix(SSHParams(-1j, 0.5, 4.0, 8.0), 60, 1e-6)),
+        (lambda: ssh_line(SSHParams(1.0, 2.0, 3.0, 4.0), 31)(0.3),       # odd: no grading
+         lambda: ssh_matrix(SSHParams(1.0, 2.0, 3.0, 4.0), 31, 0.3)),
+        (lambda: hn_line(HNParams(1.0, 2.0, eps1=0.3), 30)(0.3),         # end energy
+         lambda: hn_matrix(HNParams(1.0, 2.0, eps1=0.3), 30, 0.3)),
+        (lambda: mixed_longrange_line(2.0, 1.0, 62)(0.3),                # 3 does not divide N
+         lambda: mixed_longrange_matrix(2.0, 1.0, 0.3, 62)),
+    ])
+    def test_declined_points_keep_dense_solve(self, line, matrix):
+        spec = line()
+        assert spec.provenance == "oracle"
+        assert _same_spectrum(spec, dense_spectrum(matrix()))
+
+    def test_accepted_points_solve_no_full_matrix(self, monkeypatch):
+        sizes = []
+
+        def recording(M, *args, **kwargs):
+            sizes.append(len(M))
+            return dense_spectrum(M, *args, **kwargs)
+
+        monkeypatch.setattr(models1d, "dense_spectrum", recording)
+        accepted = 0
+        for family, line, matrix, N, m, delta in _graded_chains(0) + _graded_chains(1):
+            sizes.clear()
+            if line(delta).provenance == "sublattice-oracle":
+                accepted += 1
+                assert sizes == [N // m], (family, N, sizes)
+        assert accepted >= 24
+
+    def test_pairs_are_exact_and_real_chains_stay_conjugate_closed(self):
+        # m = 2, c = 0: the pairs are +-r exactly; a real mixed chain keeps
+        # its real eigenvalues real and the others in exact conjugate pairs
+        spec = ssh_line(SSHParams(1.0, -2.0j, 3.0, 4.0), 20)(0.3)
+        assert spec.provenance == "sublattice-oracle"
+        assert np.array_equal(np.sort_complex(spec.eigenvalues), np.sort_complex(-spec.eigenvalues))
+        spec = mixed_longrange_line(2.0, 1.0, 30)(0.3)
+        assert spec.provenance == "sublattice-oracle"
+        lam = spec.eigenvalues
+        assert np.array_equal(np.sort_complex(lam), np.sort_complex(lam.conj()))
+        assert (lam.imag == 0).sum() == (dense_spectrum(mixed_longrange_matrix(2.0, 1.0, 0.3, 30))
+                                         .eigenvalues.imag == 0).sum()
 
 
 LINE_DELTAS = [0.0, 1.0, -1.0, 1e-14, 0.3, (0.2, 0.7), 0.3, 1e-14, -1.0, 1.0, 0.0]

@@ -57,8 +57,12 @@ TRACE_ROUNDS = 3  # perfbench/worker.py's TRACE_ROUNDS
 # hopping, the open odd chain's exact set, an odd chain whose closed-form
 # sign factor cannot be read (validation records the refusal), an hn chain
 # long enough for its boundary-equation route with a complex hopping and a
-# (delta_l, delta_r) pair, and `spectrum`, `envelope` and `balance`.  A
-# plain literal, so a test can read it without running this script.
+# (delta_l, delta_r) pair, and `spectrum`, `envelope` and `balance`; for the
+# graded (sublattice-block) eigensolve, an even two-band chain with v1 != v2
+# (the v^2 term of its block), a mixed chain whose N is not a multiple of 3,
+# and the mixed chain u_l = t_r = 1 near delta = 1, where the guard declines
+# the block for its eigenvalues near 0.  A plain literal, so a test can read
+# it without running this script.
 EXTRAS = {
     "ssh_odd_pair": {"model": "ssh-odd", "task": "sweep", "sizes": {"N": 31}, "delta": [0.3, 0.7],
                      "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}},
@@ -123,6 +127,14 @@ EXTRAS = {
                                   "params": {"t_l": 1.0, "t_r": [2.0, 1.0]}},
     "ssh_onsite_balance": {"model": "ssh", "task": "balance", "sizes": {"N": 8},
                            "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0, "v1": 0.2}},
+    "ssh_onsite_graded_N40": {"model": "ssh", "task": "sweep", "sizes": {"N": 40},
+                              "delta": {"start": 0.2, "stop": 0.8, "step": 0.3},
+                              "params": {"tl1": 1.0, "tr1": 2.0, "tl2": [3.0, 0.5], "tr2": 4.0,
+                                         "v1": 0.7, "v2": [-0.4, 0.2]}},
+    "mixed_N62": {"model": "mixed-longrange", "task": "sweep", "sizes": {"N": 62},
+                  "delta": {"start": 0.3, "stop": 0.9, "step": 0.3}, "params": {"t_r": 2.0, "u_l": 1.0}},
+    "mixed_ul1_tr1_N60_near_periodic": {"model": "mixed-longrange", "task": "spectrum", "sizes": {"N": 60},
+                                        "delta": 0.99, "params": {"t_r": 1.0, "u_l": 1.0}},
 }
 
 
