@@ -196,7 +196,8 @@ class Spectrum:
 
     The provenance names the route: "analytic" (an exact closed form),
     "oracle" (one dense eigensolve of the whole matrix), "bloch-oracle" (the
-    eigensolves of a stacked lattice's Bloch blocks), "boundary-equation"
+    eigensolves of a stacked lattice's Bloch blocks, at half size for an
+    even N1), "boundary-equation"
     (a long plain one-band chain's boundary equation solved by Newton, kept
     only where N disjoint inclusion discs certify one eigenvalue each;
     `models1d.hn_line`) or "sublattice-oracle" (a chain graded into m
@@ -208,8 +209,11 @@ class Spectrum:
     chain line's dense solve of a chain with a vanishing hopping; read by
     the wavenumber recovery and the benchmark tracer), "degree" and
     "removed_factor" (the mixed long-range closed form's polynomial;
-    `cli.validate`'s triple grouping) and "hermitian_blocks" (Bloch blocks
-    that `models2d.stacked_line` solved as Hermitian matrices; the tests).
+    `cli.validate`'s triple grouping), "hermitian_blocks" (Bloch blocks
+    that `models2d.stacked_line` solved as Hermitian matrices; the tests)
+    and "sublattice_blocks" (Bloch blocks of an even N1 that it solved at
+    half size, by singular values or one grade block of (M - c)^2; the
+    tests).
     No closed form borrows from the dense oracle: one that cannot answer
     from its own equation raises `NumericalError`.
     """

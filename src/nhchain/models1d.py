@@ -33,7 +33,9 @@ shifted wavenumbers from the eigenvalues: cos(alpha_tilde) = (lambda - t_d)
 the two-band chain (one alpha_tilde per +- pair at even length), and the
 root of largest modulus of u_l y^3 - lambda y + t_r = 0, y = e^{i alpha_tilde},
 for the mixed long-range chain.  The stacked lattices of models2d recover
-their Bloch blocks' wavenumbers with the same inversion helpers.
+their Bloch blocks' wavenumbers with the same inversion helpers, and solve
+the Bloch blocks of an even N1, which are two-sublattice chains too, with
+the same `_graded_eigenvalues`.
 
 The paper's polynomial route (alphasolver: the boundary equations cleared
 into polynomials in y and rooted through companion matrices) is kept behind
@@ -128,8 +130,11 @@ def _chain_line(op: Callable[[], CornerOperator], hoppings_nonzero: bool,
         if spec is not None:
             return spec
         H = op().at(delta)
-        lam = None if grading is None else _graded_eigenvalues(H, *grading)
-        return dense_spectrum(H) if lam is None else Spectrum(lam, "sublattice-oracle")
+        if grading is not None:
+            lam, ok = _graded_eigenvalues(H, *grading)
+            if ok:
+                return Spectrum(lam, "sublattice-oracle")
+        return dense_spectrum(H)
 
     return line
 
@@ -139,50 +144,61 @@ def _chain_line(op: Callable[[], CornerOperator], hoppings_nonzero: bool,
 # error of about eps ||H - c||^m, and lambda - c = mu^(1/m) turns it into eps
 # ||H - c|| times this factor.
 _GRADED_MAX_GAIN = 64.0
-_ROOTS_OF_UNITY = {2: np.array([1.0, -1.0]),
-                   3: np.array([1.0, complex(-0.5, 3**0.5 / 2), complex(-0.5, -(3**0.5 / 2))])}
+# Largest ||H - c||_inf that `_graded_eigenvalues` multiplies out: its block
+# entries then stay below 1e300 for m <= 3.
+_GRADED_MAX_NORM = 1e100
+# the m-th roots of unity, as a column
+_ROOTS_OF_UNITY = {2: np.array([[1.0], [-1.0]]),
+                   3: np.array([[1.0], [complex(-0.5, 3**0.5 / 2)], [complex(-0.5, -(3**0.5 / 2))]])}
 
 
-def _graded_eigenvalues(H: np.ndarray, m: int, c: complex, v: complex) -> Optional[np.ndarray]:
-    """All eigenvalues of a graded chain matrix from one grade block of
-    (H - c)^m, or None where the m-th root would amplify the block's error.
+def _graded_eigenvalues(H: np.ndarray, m: int, c, v) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, accepted) of a graded matrix H, or of a batch of them
+    H[b] along a leading axis, each from one grade block of (H[b] - c_b)^m;
+    row b is meaningful where accepted[b].  A chain passes its one matrix,
+    and the Bloch blocks of an even-width stack (models2d) come as a batch.
 
     Site n has grade n mod m, and m divides N.  The grading (m, c, v) states
     that H - c is v on grade 0, -v on grade 1 (m = 2 only) and 0 on every
     other diagonal entry, and that every off-diagonal entry, corners
     included, carries grade g to g + 1 (mod m): two sublattices for the
-    nearest-neighbour and two-band chains, three for the +2/-1 mixed chain.
-    Then (H - c)^m is block diagonal over grades, and its grade-0 block is
-    P = S_(m-1) ... S_1 S_0, S_g the slice of H from grade g to grade g + 1,
-    plus v^2 when m = 2 ((H - c)^2 = v^2 + (H - c - v diag(1, -1, ...))^2).
-    As diag(w^g) (H - c - v ...) diag(w^-g) = w (H - c - v ...) with w^m = 1,
-    the N eigenvalues are c + mu^(1/m) w^j, j < m, for the N / m eigenvalues
-    mu of P (`dense_spectrum`: a real block is solved in real arithmetic).
-    A real mu takes its real cube root, so real eigenvalues of a real chain
-    stay real, and m = 2 gives each pair as c +- mu^(1/2).
-    They are returned only if P is finite and (||H - c||_inf / min |lambda -
-    c|)^(m - 1) is at most `_GRADED_MAX_GAIN`.
+    nearest-neighbour and two-band chains and the Bloch blocks of an
+    even-width stack, three for the +2/-1 mixed chain.  c and v are scalars
+    or arrays over the batch.  Then (H - c)^m is block diagonal over grades,
+    and its grade-0 block is P = S_(m-1) ... S_1 S_0, S_g the slice of H
+    from grade g to grade g + 1, plus v^2 when m = 2 ((H - c)^2 = v^2 +
+    (H - c - v diag(1, -1, ...))^2).  As diag(w^g) (H - c - v ...)
+    diag(w^-g) = w (H - c - v ...) with w^m = 1, the N eigenvalues are c +
+    mu^(1/m) w^j, j < m, for the N / m eigenvalues mu of P.  A single
+    matrix solves its block through `dense_spectrum`, so a real block is
+    solved in real arithmetic; a batch takes one batched eigvals.  A real
+    mu takes its real cube root, so real eigenvalues of a real chain stay
+    real, and m = 2 gives each pair as c +- mu^(1/2).
+    A matrix is accepted only if (||H - c||_inf / min |lambda - c|)^(m - 1)
+    is at most `_GRADED_MAX_GAIN`.  Every entry of P is at most ||H -
+    c||_inf^m, so a batch whose norm reaches `_GRADED_MAX_NORM` (or is not
+    finite) is declined whole before any product, and P never overflows.
     """
-    N = len(H)
-    grade = [slice(g, N, m) for g in range(m)]
-    P = H[grade[0], grade[m - 1]]
+    size = np.abs(H)
+    norm = (size.sum(axis=-1) - size.diagonal(0, -2, -1)).max(axis=-1) + abs(v)
+    if not norm.max() < _GRADED_MAX_NORM:
+        return np.zeros(H.shape[:-1], dtype=complex), np.zeros(H.shape[:-2], dtype=bool)
+    P = H[..., ::m, m - 1::m]
     for g in range(m - 1, 0, -1):
-        P = P @ H[grade[g], grade[g - 1]]
-    if v != 0:
-        P[np.diag_indices(N // m)] += v * v
-    if not np.isfinite(P).all():
-        return None
-    mu = dense_spectrum(P).eigenvalues
+        P = P @ H[..., g::m, g - 1::m]
+    if np.count_nonzero(v):
+        diag = np.arange(P.shape[-1])
+        P[..., diag, diag] += np.asarray(v * v)[..., None]
+    mu = dense_spectrum(P).eigenvalues if P.ndim == 2 else np.linalg.eigvals(P).astype(complex)
     if m == 2:
         r = np.sqrt(mu)
     else:
         r = mu ** (1.0 / 3.0)
         real = mu.imag == 0
         r[real] = np.cbrt(mu.real[real])
-    norm = float((np.abs(H).sum(axis=1) - np.abs(H.diagonal())).max()) + abs(v)
-    if not norm ** (m - 1) <= _GRADED_MAX_GAIN * float(np.abs(r).min()) ** (m - 1):
-        return None
-    return (c + np.multiply.outer(_ROOTS_OF_UNITY[m], r)).ravel()
+    ok = norm <= _GRADED_MAX_GAIN ** (1 / (m - 1)) * np.abs(r).min(axis=-1)
+    lam = np.asarray(c)[..., None, None] + _ROOTS_OF_UNITY[m] * r[..., None, :]
+    return lam.reshape(H.shape[:-1]), ok
 
 
 def _no_wavenumbers() -> AlphaSet:

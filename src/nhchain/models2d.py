@@ -16,18 +16,28 @@ with a real delta2 > 0), block N2-j is the conjugate of block j: each pair
 is solved once, and the self-conjugate blocks (j = 0 and N2/2) in real
 arithmetic; otherwise all N2 blocks are solved in one complex batch.  Of
 the blocks solved once, those that are c_j I + e^{i psi_j} K_j with K_j
-Hermitian at every real delta1 take one batched eigvalsh (a sixth of the
-time of eigvals on a complex 30 x 30 block, one BLAS thread), with
+Hermitian at every real delta1 are solved as Hermitian matrices, with
 eigenvalues on the line c_j + e^{i psi_j} R.  Under BC1 the paper's balance
 condition |h_l(s)| = |h_r(s)| on the unit circle gives every block this
 form: the block is a chain with diagonal h_d and hoppings of equal modulus
-whose products share one phase.  `stacked_line` returns delta1 -> these
-eigenvalues alone, with the blocks' operators, the stacking factors and the
-choice of Hermitian blocks made once; the command line takes them from the
-line.  `stacked_hn_spectrum` and `stacked_ssh_spectrum` also recover each
-block's shifted wavenumbers from its eigenvalues through the dispersion
-relation of the block's effective chain, by the same inversion helpers as
-the 1D chains (models1d).  Those wavenumbers lose digits near
+whose products share one phase.  For even N1 every block is bipartite (the
+sublattice symmetry of Kawabata, Shiozaki, Ueda and Sato, PRX 9, 041015
+(2019)): M_j - c_j, c_j the mean of its two diagonal values, carries the
+even sites to the odd ones and back, corners included.  So the blocks are
+solved at half size: a Hermitian block from the N1/2 singular values of
+K_j[even, odd] (one batched SVD), every other one from the N1/2
+eigenvalues of the grade-0 block of (M_j - c_j)^2 (one batched eigvals,
+`models1d._graded_eigenvalues`, under its amplification guard; a declined
+block is solved whole).  On the shipped 30 x 30 hn stacks this takes a
+third to two fifths of the time of the full-size solves per delta1 (one
+BLAS thread).  An odd N1 takes
+eigvalsh and eigvals on the whole blocks.  `stacked_line` returns delta1 ->
+these eigenvalues alone, with the blocks' operators, the stacking factors
+and the choice of Hermitian blocks made once; the command line takes them
+from the line.  `stacked_hn_spectrum` and `stacked_ssh_spectrum` also
+recover each block's shifted wavenumbers from its eigenvalues through the
+dispersion relation of the block's effective chain, by the same inversion
+helpers as the 1D chains (models1d).  Those wavenumbers lose digits near
 alpha_tilde = 0 and pi, where arccos is ill-conditioned; they get no Newton
 polish, as no caller uses stacked wavenumbers beyond their count.
 The closed forms carry the balance verdicts and the envelope curves.
@@ -41,7 +51,8 @@ import numpy as np
 
 from .alphasolver import AlphaSet
 from .core import ChainStencil, CornerOperator, EigensolverError, Spectrum, chain_operator, dense_spectrum
-from .models1d import SSHParams, _alpha_set_from_cos, _hn_wavenumbers, _ssh_wavenumbers, ssh_operator
+from .models1d import (SSHParams, _alpha_set_from_cos, _graded_eigenvalues, _hn_wavenumbers, _ssh_wavenumbers,
+                       ssh_operator)
 
 __all__ = [
     "Stacked2DSpec",
@@ -305,48 +316,107 @@ def _hermitian_blocks(ops, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shift[:n], np.sqrt(e2[:n])
 
 
-def _bloch_eigvals(A, B, C, s: np.ndarray, conjugate_pairs: bool, hermitian: tuple) -> tuple[np.ndarray, int]:
+def _bloch_eigvals(A, B, C, s: np.ndarray, conjugate_pairs: bool,
+                   hermitian: tuple) -> tuple[np.ndarray, int, int]:
     """(Eigenvalues of the N2 Bloch blocks A + s_j B + C / s_j, one row per
-    block j; the number of blocks solved as Hermitian matrices).
+    block j; the number of blocks solved as Hermitian matrices; the number
+    solved at half size).
 
     With `conjugate_pairs` (real hoppings and delta1, and stacking factors
     in conjugate pairs: BC1, or BC2 with a real delta2 > 0), block N2-j is
     the conjugate of block j, so only the `_solved_blocks` are solved and
     the conjugates of the pairs' rows fill rows N2-j.  `hermitian` is
     (c_j, e^{i psi_j}) from `_hermitian_blocks`: its leading solved blocks
-    are c_j I + e^{i psi_j} K_j with K_j Hermitian, so one batched eigvalsh
-    of the K_j (which reads their lower triangles) gives real mu and
-    lambda = c_j + e^{i psi_j} mu.
-    The other self-conjugate blocks are solved in real arithmetic and the
-    other pairs in one complex batch.  Otherwise all N2 blocks go through
-    one complex batched eigvals.
+    are c_j I + e^{i psi_j} K_j with K_j Hermitian, solved by
+    `_hermitian_eigvals`.  The other self-conjugate blocks are solved in
+    real arithmetic and the other pairs in one complex batch, each by
+    `_block_eigvals`.  Otherwise all N2 blocks go through one complex
+    `_block_eigvals`.  Both solve the blocks of an even N1 at half size, by
+    their sublattice grading; an odd N1 gets the full-block eigvals and
+    eigvalsh.  The counts weigh each solved pair as two blocks.
     """
+    graded = len(A) % 2 == 0
     if not conjugate_pairs:
-        return np.linalg.eigvals(np.stack([A + x * B + C / x for x in s])), 0
+        lam, half = _block_eigvals(np.stack([A + x * B + C / x for x in s]), graded)
+        return lam, 0, int(half.sum())
     n2 = len(s)
     A, B, C = A.real, B.real, C.real
     lam = np.empty((n2, len(A)), dtype=complex)
     shift, phase = hermitian
     solved, n_self = _solved_blocks(n2), 2 - n2 % 2
     herm, selfconj, pairs = solved[:len(shift)], solved[len(shift):n_self], solved[max(len(shift), n_self):]
+    n_herm = 2 * len(herm) - min(len(herm), n_self)
+    n_half = n_herm if graded else 0
     if selfconj:
         r = s[selfconj].real[:, None, None]
-        lam[selfconj] = np.linalg.eigvals(A + r * B + C / r)
+        lam[selfconj], half = _block_eigvals(A + r * B + C / r, graded)
+        n_half += int(half.sum())
     if pairs:
         t = s[pairs][:, None, None]
-        lam[pairs] = np.linalg.eigvals(A + t * B + C / t)
+        lam[pairs], half = _block_eigvals(A + t * B + C / t, graded)
+        n_half += 2 * int(half.sum())
     if herm:
-        t = s[herm][:, None, None]
+        lam[herm] = _hermitian_eigvals(A, B, C, s[herm], shift, phase, graded)
+    mirrored = np.arange(1, (n2 + 1) // 2)
+    lam[n2 - mirrored] = lam[mirrored].conj()
+    return lam, n_herm, n_half
+
+
+def _block_eigvals(M: np.ndarray, graded: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(Eigenvalues of each Bloch block in the stack M, which of them were
+    solved at half size).
+
+    A block of even N1 is a chain graded by its two sublattices: M - c is
+    +-v on them, with c, v = (M_00 +- M_11) / 2, and every hop, corners
+    included, goes from one to the other.  So `models1d._graded_eigenvalues`
+    gives its eigenvalues c +- mu^(1/2) from the N1/2 eigenvalues mu of
+    M[even, odd] M[odd, even] + v^2, all blocks in one batch; the blocks
+    that it declines go through one full-block eigvals.  An odd N1 takes
+    the full-block eigvals alone.
+    """
+    if not graded:
+        return np.linalg.eigvals(M), np.zeros(len(M), dtype=bool)
+    c, v = (M[:, 0, 0] + M[:, 1, 1]) / 2, (M[:, 0, 0] - M[:, 1, 1]) / 2
+    lam, ok = _graded_eigenvalues(M, 2, c, v)
+    if not ok.all():
+        lam[~ok] = np.linalg.eigvals(M[~ok])
+    return lam, ok
+
+
+def _hermitian_eigvals(A, B, C, s, shift, phase, graded: bool) -> np.ndarray:
+    """Eigenvalues c_j + e^{i psi_j} mu of the blocks M_j = A + s_j B + C /
+    s_j that are c_j I + e^{i psi_j} K_j with K_j Hermitian (c_j = M_00),
+    one row per s_j.
+
+    An odd N1 takes one batched eigvalsh of the K_j (which reads their lower
+    triangles).  For an even N1, K_j is zero on the even sites, a real d_j
+    = K_11 on the odd ones (0 for hn-family stacks), and every other entry
+    joins an even site to an odd one.  Its eigenvalues are then mu = d/2 +-
+    (d^2/4 + sigma^2)^(1/2) for the N1/2 singular values sigma of K[even,
+    odd], from one batched SVD (backward stable: no guard).  The root of
+    the sign of d is formed as written and the other as -sigma^2 over it,
+    so neither cancels, and d = 0 gives exactly +-sigma.
+    """
+    t = s[:, None, None]
+    if not graded:
         K = t * B
         K += A
         K += C / t
         diag = np.arange(len(A))
         K[:, diag, diag] -= shift[:, None]
         K *= phase.conj()[:, None, None]
-        lam[herm] = shift[:, None] + phase[:, None] * np.linalg.eigvalsh(K)
-    mirrored = np.arange(1, (n2 + 1) // 2)
-    lam[n2 - mirrored] = lam[mirrored].conj()
-    return lam, 2 * len(herm) - min(len(herm), n_self)
+        return shift[:, None] + phase[:, None] * np.linalg.eigvalsh(K)
+    e, o = slice(0, None, 2), slice(1, None, 2)
+    X = t * B[e, o]
+    X += A[e, o]
+    X += C[e, o] / t
+    X *= phase.conj()[:, None, None]
+    sigma = np.linalg.svd(X, compute_uv=False)
+    half_d = ((s * B[1, 1] + A[1, 1] + C[1, 1] / s - shift) * phase.conj()).real[:, None] / 2
+    big = half_d + np.copysign(np.hypot(half_d, sigma), half_d)
+    ratio = np.divide(sigma, big, out=np.zeros_like(sigma), where=big != 0)
+    mu = np.concatenate([big, -ratio * sigma], axis=1)
+    return shift[:, None] + phase[:, None] * mu
 
 
 def stacked_line(spec: Stacked2DSpec) -> Callable[[object], Spectrum]:
@@ -368,8 +438,10 @@ def stacked_line(spec: Stacked2DSpec) -> Callable[[object], Spectrum]:
     e^{2 i psi}, so e^{-i psi} (M - h_d I) is Hermitian and the block's
     eigenvalues lie on the line h_d + e^{i psi} R.  A stack whose first
     block fails pays for one N1 x N1 check when the line is built and
-    nothing per delta1.  parameters["hermitian_blocks"] counts the blocks
-    (of N2) solved as Hermitian matrices.
+    nothing per delta1.  For even N1 every block is solved at half size
+    (`_bloch_eigvals`).  parameters["hermitian_blocks"] counts the blocks
+    (of N2) solved as Hermitian matrices, parameters["sublattice_blocks"]
+    those solved at half size.
     """
     s = spec.stack_factors()
     ops = block_operators(spec)
@@ -379,9 +451,9 @@ def stacked_line(spec: Stacked2DSpec) -> Callable[[object], Spectrum]:
 
     def line(delta1) -> Spectrum:
         A, B, C = (op.at(delta1) for op in ops)
-        lam, n_herm = _bloch_eigvals(A, B, C, s, real_params and paired and complex(delta1).imag == 0,
-                                     hermitian)
-        return Spectrum(lam.ravel(), "bloch-oracle", {"hermitian_blocks": n_herm})
+        lam, n_herm, n_half = _bloch_eigvals(A, B, C, s, real_params and paired and complex(delta1).imag == 0,
+                                             hermitian)
+        return Spectrum(lam.ravel(), "bloch-oracle", {"hermitian_blocks": n_herm, "sublattice_blocks": n_half})
 
     return line
 

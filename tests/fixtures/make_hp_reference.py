@@ -9,7 +9,8 @@ eigensolve takes about two to three minutes, so the fixtures are generated
 once and committed; `tests/test_hp_reference.py` reads them.
 
 The matrix is built by nhchain's own `hn_matrix`, `ssh_matrix` or
-`mixed_longrange_matrix`, and mpmath takes its double-precision entries
+`mixed_longrange_matrix`, or for a stacked lattice one Bloch block of
+`models2d.bc_reduce`, and mpmath takes its double-precision entries
 exactly, so the high-precision solve sees the same matrix as the
 double-precision one.  Each fixture also records the largest eigenvalue
 condition number of the matrix (from the double-precision left and right
@@ -27,9 +28,11 @@ import mpmath
 import numpy as np
 
 from nhchain.models1d import HNParams, SSHParams, hn_matrix, mixed_longrange_matrix, ssh_matrix
+from nhchain.models2d import Stacked2DSpec, bc_reduce
 
 DPS = 50
 HERE = Path(__file__).resolve().parent
+CONFIGS = HERE.parent.parent / "configs"
 
 TWOBAND_BALANCED = {"tl1": [0.0, -1.0], "tr1": 0.5, "tl2": 4.0, "tr2": 8.0}
 
@@ -55,6 +58,18 @@ CASES = {
     "mixed_ul1_tr1_N30_d0": ("mixed-longrange", {"u_l": 1.0, "t_r": 1.0}, 30, 0.0),
 }
 
+# name -> (shipped BC1 stacked config, delta1, block j): the Bloch block
+# A + s_j B + C / s_j at the config's N1 and N2.  Both are blocks whose
+# half-size solve amplifies rounding strongly, by the guard's measure
+# ||M - c||_inf / min |lambda - c|: 34.8 for block 8 of the unbalanced
+# 30 x 30 hn stack at delta1 = 0.37 (the largest over its sweep is 37.6,
+# block 8 at 0.28), and 47.8 for block 7 of the unbalanced 20 x 20
+# two-band stack at delta1 = 0.16, the largest over its sweep.
+STACKED_CASES = {
+    "stacked_hn_unbalanced_N30_d0.37_j8": ("stacked_chain_unbalanced", 0.37, 8),
+    "stacked_ssh_unbalanced_N20_d0.16_j7": ("stacked_twoband_unbalanced", 0.16, 7),
+}
+
 
 def chain_matrix(model: str, params: dict, N: int, delta: float) -> np.ndarray:
     """The dense matrix of a fixture's chain; complex params are [re, im]."""
@@ -74,9 +89,24 @@ def condition_max(H: np.ndarray) -> float:
     return float((np.linalg.norm(vr, axis=0) * np.linalg.norm(vl, axis=0) / overlap).max())
 
 
+def stacked_block(config: str, delta: float, block: int) -> tuple[dict, np.ndarray]:
+    """(fixture fields, Bloch block) of a shipped stacked config at delta1."""
+    raw = json.loads((CONFIGS / f"{config}.json").read_text())
+    family = {"stacked-hn": "hn", "stacked-ssh": "ssh"}[raw["model"]]
+    n1, n2 = raw["sizes"]["N1"], raw["sizes"]["N2"]
+    spec = Stacked2DSpec(family, raw["params"], n1, n2, delta, raw["mode"])
+    fields = {"model": raw["model"], "params": raw["params"], "N": n1, "N2": n2, "mode": raw["mode"],
+              "block": block, "delta": delta}
+    return fields, bc_reduce(spec)[block]
+
+
 def reference(name: str) -> dict:
-    model, params, N, delta = CASES[name]
-    H = chain_matrix(model, params, N, delta)
+    if name in STACKED_CASES:
+        fields, H = stacked_block(*STACKED_CASES[name])
+    else:
+        model, params, N, delta = CASES[name]
+        fields = {"model": model, "params": params, "N": N, "delta": delta}
+        H = chain_matrix(model, params, N, delta)
     mpmath.mp.dps = DPS
     A = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in H])
     t0 = time.time()
@@ -84,10 +114,7 @@ def reference(name: str) -> dict:
     elapsed = time.time() - t0
     pairs = sorted((mpmath.nstr(z.real, 20), mpmath.nstr(z.imag, 20)) for z in vals)
     return {
-        "model": model,
-        "params": params,
-        "N": N,
-        "delta": delta,
+        **fields,
         "dps": DPS,
         "condition_max": condition_max(H),
         "seconds": round(elapsed, 1),
@@ -96,7 +123,7 @@ def reference(name: str) -> dict:
 
 
 def main(names) -> None:
-    for name in names or sorted(CASES):
+    for name in names or sorted(CASES | STACKED_CASES):
         data = reference(name)
         path = HERE / f"{name}.json"
         path.write_text(json.dumps(data, indent=1) + "\n", encoding="ascii")

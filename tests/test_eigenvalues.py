@@ -214,14 +214,14 @@ def test_run_path_never_recovers_wavenumbers(tmp_path, monkeypatch, name):
         assert (tmp_path / f"{task}.json").exists()
 
 
-READ_KEYS = {"fallback", "degree", "removed_factor", "hermitian_blocks"}
+READ_KEYS = {"fallback", "degree", "removed_factor", "hermitian_blocks", "sublattice_blocks"}
 
 
 def test_spectra_carry_only_read_parameters():
     """Every `parameters` key of a spectrum that nhchain builds is one that
     something reads: the zero-hopping fallback, the mixed closed form's
-    degree and removed factor, and the stacked lines' Hermitian block
-    count."""
+    degree and removed factor, and the stacked lines' counts of Hermitian
+    and half-size blocks."""
     hn, hn0 = HNParams(1.0, 2.0), HNParams(1.0, 0.0)
     ssh, ssh0 = SSHParams(1.0, 2.0, 3.0, 4.0), SSHParams(1.0, 0.0, 3.0, 4.0)
     spectra = {
@@ -251,4 +251,4 @@ def test_spectra_carry_only_read_parameters():
     assert all(spectra[name].parameters == {"fallback": "zero hopping"}
                for name in ("hn_line zero", "ssh_line zero", "mixed_longrange_line zero"))
     assert set(spectra["mixed_longrange_closed_form"].parameters) == {"degree", "removed_factor"}
-    assert spectra["stacked_line"].parameters == {"hermitian_blocks": 4}
+    assert spectra["stacked_line"].parameters == {"hermitian_blocks": 4, "sublattice_blocks": 4}

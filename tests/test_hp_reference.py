@@ -7,7 +7,9 @@ mixed long-range chains at N = 100 and 120, where the closed-form
 two-band and mixed sweeps where it was furthest from the eigensolver, and
 hn chains at N = 40 and 60 near the open limit (delta 1e-9 and 1e-12), where
 the dense eigensolver is 3.8e-9 and 1.1e-6 off and `hn_line` solves the
-boundary equation instead.
+boundary equation instead.  Two more hold one Bloch block each of the
+shipped unbalanced hn and two-band stacks, blocks whose half-size solve
+amplifies rounding strongly (by 34.8 and 47.8 in the guard's measure).
 """
 import json
 from pathlib import Path
@@ -15,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhchain.core import spectral_mismatch
+from nhchain.core import Spectrum, spectral_mismatch
 from nhchain.models1d import HNParams, SSHParams, hn_spectrum, mixed_longrange_spectrum, ssh_spectrum
+from nhchain.models2d import Stacked2DSpec, stacked_line
 
 FIXTURES = sorted((Path(__file__).resolve().parent / "fixtures").glob("*.json"))
 
@@ -24,6 +27,11 @@ FIXTURES = sorted((Path(__file__).resolve().parent / "fixtures").glob("*.json"))
 def _spectrum(ref: dict):
     p = {k: complex(*v) if isinstance(v, list) else v for k, v in ref["params"].items()}
     N, delta = ref["N"], ref["delta"]
+    if ref["model"].startswith("stacked-"):
+        spec = Stacked2DSpec(ref["model"].removeprefix("stacked-"), p, N, ref["N2"], delta, ref["mode"])
+        out = stacked_line(spec)(delta)
+        assert out.parameters["sublattice_blocks"] == ref["N2"]
+        return Spectrum(out.eigenvalues.reshape(ref["N2"], N)[ref["block"]], out.provenance)
     if ref["model"] == "hn":
         return hn_spectrum(HNParams(p["t_l"], p["t_r"]), N, delta)[0]
     if ref["model"] == "ssh":
@@ -33,7 +41,8 @@ def _spectrum(ref: dict):
 
 def test_fixtures_present():
     models = [json.loads(path.read_text())["model"] for path in FIXTURES]
-    assert {m: models.count(m) for m in set(models)} == {"hn": 4, "ssh": 3, "mixed-longrange": 3}
+    assert {m: models.count(m) for m in set(models)} == {"hn": 4, "ssh": 3, "mixed-longrange": 3,
+                                                           "stacked-hn": 1, "stacked-ssh": 1}
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)

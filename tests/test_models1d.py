@@ -509,8 +509,11 @@ def _eigensolver_route(p: HNParams, N: int, delta) -> Spectrum:
     the graded block of an even plain chain where it is accepted, else the
     dense eigensolve."""
     H = hn_matrix(p, N, delta)
-    lam = _graded_eigenvalues(H, 2, p.t_d, 0.0) if p.is_plain and N % 2 == 0 else None
-    return dense_spectrum(H) if lam is None else Spectrum(lam, "sublattice-oracle")
+    if p.is_plain and N % 2 == 0:
+        lam, ok = _graded_eigenvalues(H, 2, p.t_d, 0.0)
+        if ok:
+            return Spectrum(lam, "sublattice-oracle")
+    return dense_spectrum(H)
 
 
 def _boundary_c(p: HNParams, N: int, delta) -> complex:
@@ -630,6 +633,8 @@ class TestGradedRoute:
          lambda: hn_matrix(HNParams(1.0, 2.0, eps1=0.3), 30, 0.3)),
         (lambda: mixed_longrange_line(2.0, 1.0, 62)(0.3),                # 3 does not divide N
          lambda: mixed_longrange_matrix(2.0, 1.0, 0.3, 62)),
+        (lambda: hn_line(HNParams(1e160, 2e160), 8)(0.3),                # the block would overflow
+         lambda: hn_matrix(HNParams(1e160, 2e160), 8, 0.3)),
     ])
     def test_declined_points_keep_dense_solve(self, line, matrix):
         spec = line()

@@ -16,6 +16,7 @@ from nhchain.models1d import (
     unidirectional_matrix,
 )
 from nhchain.models2d import (
+    HN_KEYS,
     SSH_KEYS,
     Stacked2DSpec,
     _hermitian_blocks,
@@ -895,10 +896,27 @@ def _bloch_reference(spec):
     return lam.ravel()
 
 
+def _assert_equals_reference(got: Spectrum, at: Stacked2DSpec):
+    """`got` equals `_bloch_reference(at)` bit for bit in every block solved
+    at full size (an odd N1, or a block the half-size route declines), and
+    to 1e-13 of 1 + max|lambda| block by block where it was solved at half
+    size."""
+    ref = _bloch_reference(at)
+    rows, ref_rows = got.eigenvalues.reshape(at.n2, at.n1), ref.reshape(at.n2, at.n1)
+    exact = [np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(rows, ref_rows)]
+    if at.n1 % 2:
+        assert got.parameters["sublattice_blocks"] == 0 and all(exact)
+    assert sum(exact) >= at.n2 - got.parameters["sublattice_blocks"]
+    tol = 1e-13 * (1 + np.abs(ref).max())
+    assert max(match_spectra(a, b) for a, b in zip(rows, ref_rows)) <= tol
+
+
 class TestStackedLine:
     """One line evaluated at one delta1 after another equals a fresh line
     of the spec at each delta1, bit for bit; with no block solved as a
-    Hermitian matrix, it also equals `_bloch_reference` bit for bit."""
+    Hermitian matrix, it also equals `_bloch_reference` bit for bit in the
+    blocks it solves at full size, and to rounding in those it solves at
+    half size (`_assert_equals_reference`)."""
 
     DELTAS = (0.0, 1.0, -1.0, 1e-14, 0.3, 0.3 + 0.2j, 0.3, 0.0)
 
@@ -917,7 +935,7 @@ class TestStackedLine:
             at = Stacked2DSpec(family, params, n1, n2, d1, mode, delta2)
             got, want = line(d1), stacked_line(at)(d1)
             assert np.array_equal(got.eigenvalues.view(np.int64), want.eigenvalues.view(np.int64))
-            assert np.array_equal(got.eigenvalues.view(np.int64), _bloch_reference(at).view(np.int64))
+            _assert_equals_reference(got, at)
             assert (got.provenance, got.parameters) == (want.provenance, want.parameters)
             assert got.parameters["hermitian_blocks"] == 0
 
@@ -928,7 +946,8 @@ class TestStackedLine:
     ])
     def test_balanced_equals_fresh_line(self, family, params, n1, n2, hermitian):
         """Also with blocks solved as Hermitian matrices at a real delta1;
-        at a complex one, no block is, and the line equals the reference."""
+        at a complex one, no block is, and the line equals the reference as
+        in `test_equals_stacked_eigenvalues`."""
         line = stacked_line(Stacked2DSpec(family, params, n1, n2, 0.9, "bc1"))
         for d1 in self.DELTAS:
             at = Stacked2DSpec(family, params, n1, n2, d1, "bc1")
@@ -938,7 +957,7 @@ class TestStackedLine:
             ref = _bloch_reference(at)
             if isinstance(d1, complex):
                 assert got.parameters["hermitian_blocks"] == 0
-                assert np.array_equal(got.eigenvalues.view(np.int64), ref.view(np.int64))
+                _assert_equals_reference(got, at)
             else:
                 assert got.parameters["hermitian_blocks"] == hermitian
                 assert match_spectra(got, ref) <= 1e-13 * (1 + np.abs(ref).max())
@@ -946,3 +965,58 @@ class TestStackedLine:
     def test_open_stack_raises(self):
         with pytest.raises(ValueError, match="no Bloch reduction"):
             stacked_line(Stacked2DSpec("hn", STACK_HN_CASE1, 4, 4, 0.0, "open"))
+
+
+class TestHalfSizeBlocks:
+    """Bloch blocks of even N1 are solved at half size: the Hermitian ones
+    from the singular values of their sublattice-to-sublattice slice, the
+    others from the grade-0 block of (M - c)^2 under the amplification
+    guard; a declined block is solved whole."""
+
+    KEYS = {"hn": HN_KEYS, "ssh": SSH_KEYS, "triangular": ("t_l", "t_r")}
+
+    # ssh stacks need an even N1, the hn-like chains N1 >= 3
+    @pytest.mark.parametrize("family, n1", [
+        *((f, n1) for f in ("hn", "triangular") for n1 in (4, 5, 6, 8)),
+        *(("ssh", n1) for n1 in (2, 4, 6, 8)),
+    ])
+    def test_matches_assembled_lattice(self, family, n1):
+        """Random stacks (seeded) against the dense eigenvalues of the whole
+        lattice.  delta1 = 0 is left out: there each block is an open chain,
+        whose eigenvalues are ill-conditioned for every route."""
+        rng = np.random.default_rng(1000 + 10 * n1 + len(family))
+        half = 0
+        for mode, delta2 in (("bc1", 1.0), ("bc2", 0.5), ("bc2", -0.7 + 0.2j)):
+            for complex_hops in (False, True):
+                for d1 in (0.37, 1.0, 0.3 + 0.2j):
+                    params = {k: rng.normal() + (1j * rng.normal() if complex_hops else 0)
+                              for k in self.KEYS[family]}
+                    spec = Stacked2DSpec(family, params, n1, int(rng.integers(1, 7)), d1, mode, delta2)
+                    out = stacked_line(spec)(d1)
+                    assert spectral_mismatch(out, dense_spectrum(build_stacked_matrix(spec))) <= 1e-13
+                    half += out.parameters["sublattice_blocks"]
+        assert (half > 0) == (n1 % 2 == 0)
+
+    def test_declined_block_is_solved_whole(self):
+        """h_r(1) = t_r + v_dr + v_ur = 0: at delta1 = 0 block 0 is a
+        one-way open chain, all its eigenvalues at h_d, and the guard
+        declines its half-size solve; it gets the full-block eigvals."""
+        params = dict(STACK_HN_UNBAL, t_r=-(STACK_HN_UNBAL["v_dr"] + STACK_HN_UNBAL["v_ur"]))
+        spec = Stacked2DSpec("hn", params, 6, 5, 0.0, "bc1")
+        out = stacked_line(spec)(0.0)
+        assert out.parameters == {"hermitian_blocks": 0, "sublattice_blocks": 4}
+        full = np.linalg.eigvals(bc_reduce(spec)[0].real)
+        assert np.array_equal(out.eigenvalues[:6].view(np.int64), full.astype(complex).view(np.int64))
+        _assert_equals_reference(out, spec)
+
+    def test_blocks_too_large_to_square_are_solved_whole(self):
+        """Entries of 1e160 would overflow the block of (M - c)^2: the
+        blocks are solved whole, with no warning (the suite turns
+        RuntimeWarnings into errors).  A complex hopping keeps the line
+        from its Hermitian-block check, whose products overflow too."""
+        params = {k: 1e160 * v for k, v in dict(STACK_HN_UNBAL, t_l=3.0 + 0.5j).items()}
+        spec = Stacked2DSpec("hn", params, 6, 5, 0.3, "bc1")
+        out = stacked_line(spec)(0.3)
+        assert out.parameters == {"hermitian_blocks": 0, "sublattice_blocks": 0}
+        ref = _bloch_reference(spec)
+        assert np.array_equal(out.eigenvalues.view(np.int64), ref.view(np.int64))

@@ -61,8 +61,13 @@ TRACE_ROUNDS = 3  # perfbench/worker.py's TRACE_ROUNDS
 # graded (sublattice-block) eigensolve, an even two-band chain with v1 != v2
 # (the v^2 term of its block), a mixed chain whose N is not a multiple of 3,
 # and the mixed chain u_l = t_r = 1 near delta = 1, where the guard declines
-# the block for its eigenvalues near 0.  A plain literal, so a test can read
-# it without running this script.
+# the block for its eigenvalues near 0; for the half-size Bloch blocks of
+# even-N1 stacks, an odd-N1 stacked-hn sweep (full blocks), a stacked-ssh
+# sweep with a complex hopping (all blocks in one complex batch), an
+# even-N1 triangular sweep (Hermitian blocks from singular values) and a
+# stacked-hn sweep whose block 0 loses its hopping h_r(1) = t_r + v_dr +
+# v_ur = 0, so the guard declines that block at delta1 = 0.  A plain
+# literal, so a test can read it without running this script.
 EXTRAS = {
     "ssh_odd_pair": {"model": "ssh-odd", "task": "sweep", "sizes": {"N": 31}, "delta": [0.3, 0.7],
                      "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}},
@@ -135,6 +140,23 @@ EXTRAS = {
                   "delta": {"start": 0.3, "stop": 0.9, "step": 0.3}, "params": {"t_r": 2.0, "u_l": 1.0}},
     "mixed_ul1_tr1_N60_near_periodic": {"model": "mixed-longrange", "task": "spectrum", "sizes": {"N": 60},
                                         "delta": 0.99, "params": {"t_r": 1.0, "u_l": 1.0}},
+    "stacked_hn_odd_n1": {"model": "stacked-hn", "task": "sweep", "sizes": {"N1": 7, "N2": 6},
+                          "delta": {"start": 0.0, "stop": 1.0, "step": 0.25}, "mode": "bc1",
+                          "params": {"t_d": 1, "t_r": 2, "t_l": 3, "u_u": 4, "v_ur": 5,
+                                     "v_ul": 6, "u_d": 7, "v_dr": 8, "v_dl": 9}},
+    "stacked_ssh_complex_hopping": {"model": "stacked-ssh", "task": "sweep", "sizes": {"N1": 8, "N2": 5},
+                                    "delta": {"start": 0.0, "stop": 1.0, "step": 0.25}, "mode": "bc1",
+                                    "params": {"td1": 1, "td2": 4, "tl1": [3, 0.5], "tl2": 4, "tr1": 1,
+                                               "tr2": 2, "ud1": 3, "ud2": 6, "vdl1": 3, "vdl2": 4,
+                                               "vdr1": 1, "vdr2": 2, "uu1": 2, "uu2": 5, "vul1": 3,
+                                               "vul2": 4, "vur1": 1, "vur2": 2}},
+    "triangular_even_n1": {"model": "triangular", "task": "sweep", "sizes": {"N1": 10, "N2": 7},
+                           "delta": {"start": 0.0, "stop": 1.0, "step": 0.25}, "mode": "bc1",
+                           "params": {"t_l": 1.0, "t_r": 5.0}},
+    "stacked_hn_vanishing_block_hopping": {"model": "stacked-hn", "task": "sweep", "sizes": {"N1": 6, "N2": 5},
+                                           "delta": {"start": 0.0, "stop": 1.0, "step": 0.5}, "mode": "bc1",
+                                           "params": {"t_d": 1, "t_r": -13, "t_l": 3, "u_u": 4, "v_ur": 5,
+                                                      "v_ul": 6, "u_d": 7, "v_dr": 8, "v_dl": 9}},
 }
 
 
