@@ -5,9 +5,10 @@ chains are cleared into polynomials by writing every sin(m*a)/sin(a) ratio as
 a Laurent polynomial in y.  Each known trivial factor is removed once: the
 y = +-1 artifacts of the one-band and two-band equations stay in the cleared
 equation and `roots` leaves them out on its s = y + 1/y route, and the
-builder of the mixed long-range chain drops the three roots of its spurious
-cubic from the equation's roots.  The remaining roots encode exactly the
-physical wavenumbers; on the s route they come in (y, 1/y) pairs.
+builder of the mixed long-range chain drops the roots of its spurious cubic
+factor from the equation's roots: one root in w = y^3 when 3 | N, three in
+y otherwise.  The remaining roots encode exactly the physical wavenumbers;
+on the s route they come in (y, 1/y) pairs.
 
 This is the paper's route to the chain spectra.  The models1d closed-form
 entries (`hn_closed_form`, `ssh_closed_form`, `mixed_longrange_closed_form`)
@@ -20,6 +21,7 @@ spectrum.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,101 +220,110 @@ def _ssh_odd_poly(params: dict, N: int, delta) -> PolyY:
 
 def _p_recursion(N: int) -> list[np.ndarray]:
     """p(n) as ascending coefficient arrays in r; p(0) = 0, p(1) = -1."""
-    ps = [np.zeros(1, dtype=complex), np.array([-1.0 + 0j])]
+    ps = [np.zeros(1), np.array([-1.0])]
     for n in range(2, N + 1):
         a = -ps[n - 1]
         b = np.concatenate([[0.0], ps[n - 2]])
-        out = np.zeros(max(len(a), len(b)), dtype=complex)
+        out = np.zeros(max(len(a), len(b)))
         out[: len(a)] += a
         out[: len(b)] += b
         ps.append(out)
     return ps
 
 
+@functools.lru_cache(maxsize=32)
+def _mixed_basis(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The delta-independent parts of the mixed chain's cleared equation,
+    cached per N (so read-only): rows[i] are the ascending coefficients in
+    r = c y^-3 of 1, r, p(N), r p(N), r p(N-1), r^2 p(N-1), r^N and
+    r^(N+1), and exponents[b, k] is the power of y that r^k lands on in
+    block b of `_mixed_poly` (y^(3N+3), y^(2N+3), y^(4N+3), y^(N+3) times
+    an r-polynomial)."""
+    L = N + 2
+    ps = _p_recursion(N)
+    pN, pN1 = ps[N], ps[N - 1]
+    rows = np.zeros((8, L))
+    rows[0, 0] = rows[1, 1] = rows[6, N] = rows[7, N + 1] = 1.0
+    rows[2, : len(pN)] = pN
+    rows[3, 1 : len(pN) + 1] = pN
+    rows[4, 1 : len(pN1) + 1] = pN1
+    rows[5, 2 : len(pN1) + 2] = pN1
+    exponents = np.array([3 * N + 3, 2 * N + 3, 4 * N + 3, N + 3])[:, None] - 3 * np.arange(L)
+    rows.setflags(write=False)
+    exponents.setflags(write=False)
+    return rows, exponents
+
+
 def _mixed_poly(params: dict, N: int, delta) -> PolyY:
     t_r, u_l = complex(params["t_r"]), complex(params["u_l"])
     if u_l == 0:
         raise ValueError("u_l must be nonzero")
-    d = complex(delta) if np.isscalar(delta) else complex(delta[0])
+    d, dr = _pair(delta)
+    if d != dr:
+        raise ValueError("the mixed long-range equation takes one corner value, "
+                         f"got delta_l = {d} and delta_r = {dr}")
     c = t_r / u_l
-    ps = _p_recursion(N)
-    pN, pN1 = ps[N], ps[N - 1]
-
-    terms: dict[int, complex] = {}
-
-    def add_r(rcoefs, shift: int, scale: complex):
-        # accumulate scale * y^shift * sum_k rcoefs[k] (c y^-3)^k
-        for k, v in enumerate(rcoefs):
-            if v != 0:
-                p = shift - 3 * k
-                terms[p] = terms.get(p, 0.0 + 0.0j) + scale * v * c**k
-
-    def shifted(rcoefs, up: int):
-        out = np.zeros(len(rcoefs) + up, dtype=complex)
-        out[up:] = rcoefs
-        return out
-
-    base = 3 * N + 3
-    # -y^(3N+3) [ (2 + r) p(N) - 2 r p(N-1) + (-r)^(N+1) ]
-    add_r(pN, base, -2.0)
-    add_r(shifted(pN, 1), base, -1.0)
-    add_r(shifted(pN1, 1), base, 2.0)
-    add_r(shifted([(-1.0) ** (N + 1)], N + 1), base, -1.0)
-    # + d y^(2N+3) [ 2 + 2 p(N) + 2 r (r-1) p(N-1) + (2 - r) y^(2N) (-r)^N ]
-    b2 = 2 * N + 3
-    add_r([2.0], b2, d)
-    add_r(pN, b2, 2.0 * d)
-    add_r(shifted(pN1, 2), b2, 2.0 * d)
-    add_r(shifted(pN1, 1), b2, -2.0 * d)
+    # the cleared equation, in r = c y^-3 and sgn = (-1)^N, block by block:
+    #   y^(3N+3) [ -(2 + r) p(N) + 2 r p(N-1) + sgn r^(N+1)
+    #              + 2 d^2 (r p(N) + r (1 - r) p(N-1) - sgn r^N) ]
+    # + y^(2N+3) [ 2 d (1 + p(N) + r (r - 1) p(N-1)) - d^3 r (1 + 2 p(N-1) + p(N)) ]
+    # + y^(4N+3) d sgn r^N (2 - r)
+    # + y^(N+3)  d^2 (r - 2)
     sgn = (-1.0) ** N
-    add_r(shifted([sgn], N), b2 + 2 * N, 2.0 * d)
-    add_r(shifted([sgn], N + 1), b2 + 2 * N, -d)
-    # + d^2 y^(3N+3) [ -y^(-2N)(2 - r) + 2 r p(N) + 2 r (1 - r) p(N-1) - 2 (-r)^N ]
-    add_r([2.0], base - 2 * N, -(d**2))
-    add_r(shifted([1.0], 1), base - 2 * N, d**2)
-    add_r(shifted(pN, 1), base, 2.0 * d**2)
-    add_r(shifted(pN1, 1), base, 2.0 * d**2)
-    add_r(shifted(pN1, 2), base, -2.0 * d**2)
-    add_r(shifted([sgn], N), base, -2.0 * d**2)
-    # - d^3 y^(2N+3) r [ 1 + 2 p(N-1) + p(N) ]
-    add_r(shifted([1.0], 1), b2, -(d**3))
-    add_r(shifted(pN1, 1), b2, -2.0 * d**3)
-    add_r(shifted(pN, 1), b2, -(d**3))
-
-    lo = min(p for p, v in terms.items() if v != 0)
-    hi = max(p for p, v in terms.items() if v != 0)
-    if lo < 0:
-        raise AssertionError(f"unexpected Laurent tail down to y^{lo}")
-    P = np.zeros(hi + 1, dtype=complex)
-    for p, v in terms.items():
-        P[p] = v
+    d2, d3 = d * d, d**3
+    weights = np.array([
+        [0, 0, -2, -1 + 2 * d2, 2 + 2 * d2, -2 * d2, -2 * d2 * sgn, sgn],
+        [2 * d, -d3, 2 * d, -d3, -2 * d - 2 * d3, 2 * d, 0, 0],
+        [0, 0, 0, 0, 0, 0, 2 * d * sgn, -d * sgn],
+        [-2 * d2, d2, 0, 0, 0, 0, 0, 0],
+    ], dtype=complex)
+    rows, exponents = _mixed_basis(N)
+    terms = (weights @ rows) * c ** np.arange(N + 2)
+    valid = exponents >= 0
+    if np.any(terms[~valid] != 0):
+        raise AssertionError("unexpected Laurent tail below y^0")
+    P = np.zeros(4 * N + 4, dtype=complex)
+    np.add.at(P, exponents[valid], terms[valid])
     P = _trim(P)
     # The cleared equation carries the spurious cubic factor 2 y^3 = t_r/u_l.
     # Coefficient-level division is unstable (the quotient's small leading
     # coefficients are differences of huge terms), so the equation is rooted
-    # as it is, in y = scale * z, and the three cubic roots are dropped.
+    # as it is and the spurious roots are dropped.  For 3 | N every exponent
+    # of y is a multiple of 3 (the chain's Z3 grading), so the equation is a
+    # polynomial Q of degree N + 1 in w = y^3, the factor is the one root
+    # w = t_r/(2 u_l), and the y are the cube roots of the other N roots;
+    # any other N is rooted in y, where the factor is three roots.
     if c == 0:
         raise ValueError("t_r must be nonzero for the mixed-chain polynomial")
-    scale = abs(c) ** (1.0 / 3.0)
+    if N % 3 == 0:
+        ws = _drop_spurious(P[::3], abs(c), np.array([c / 2.0]))
+        ys = np.outer(ws ** (1.0 / 3.0), np.exp(2j * np.pi / 3 * np.arange(3))).ravel()
+    else:
+        y0 = (c / 2.0) ** (1.0 / 3.0)
+        ys = _drop_spurious(P, abs(c) ** (1.0 / 3.0), y0 * np.exp(2j * np.pi / 3 * np.arange(3)))
+    return PolyY(P, ("(y^3 - t_r/(2 u_l))",), known_roots=ys)
+
+
+def _drop_spurious(P: np.ndarray, scale: float, targets: np.ndarray) -> np.ndarray:
+    """The roots of the ascending polynomial P but one next to each target,
+    rooted in units of `scale`, cluster-merged and Newton-polished;
+    `NumericalError` if a target has no root within 1e-4 max(1, |target|)."""
     b = P * scale ** np.arange(len(P))
     all_roots = scale * np.roots(b[::-1] / np.abs(b).max())
-    w3 = np.exp(2j * np.pi / 3)
-    y0 = (c / 2.0) ** (1.0 / 3.0)
-    keep = list(range(len(all_roots)))
-    for k in range(3):
-        target = y0 * w3**k
-        j = min(keep, key=lambda i: abs(all_roots[i] - target))
+    keep = np.ones(len(all_roots), dtype=bool)
+    for target in targets:
+        dist = np.where(keep, np.abs(all_roots - target), np.inf)
+        j = int(np.argmin(dist))
         # generous tolerance: when the spurious root coincides with a genuine
         # multiple root the companion splits the cluster by ~eps^(1/m)
-        if abs(all_roots[j] - target) > 1e-4 * max(1.0, abs(target)):
+        if dist[j] > 1e-4 * max(1.0, abs(target)):
             raise NumericalError(
-                f"spurious cubic root {target:.6g} not found among the equation roots"
+                f"spurious root {target:.6g} of the cubic factor not found among the equation roots"
             )
-        keep.remove(j)
+        keep[j] = False
     desc, d1 = P[::-1], np.polyder(P[::-1])
     kept, single = _merge_root_clusters(all_roots[keep], desc)
-    kept = _newton_vec(desc, d1, kept, iters=12, mask=single)
-    return PolyY(P, ("(y^3 - t_r/(2 u_l))",), known_roots=kept)
+    return _newton_vec(desc, d1, kept, iters=12, mask=single)
 
 
 _EQUATIONS = {
@@ -342,22 +353,42 @@ def polynomialize(equation: str, params: dict, n_sites: int, delta) -> PolyY:
 
 def _newton_vec(desc: np.ndarray, d1: np.ndarray, ys: np.ndarray, iters: int = 1,
                 mask=None) -> np.ndarray:
-    """Vectorized safeguarded Newton polish over a root array."""
+    """Vectorized safeguarded Newton polish over a root array.
+
+    Each step evaluates p and p' at every root in one Horner pass over an
+    array interleaving the two, two in-place numpy calls per coefficient.
+    That rounds exactly as `np.polyval` does, which matters at the
+    near-multiple roots of the open and periodic limits, where the last
+    bits of the polish decide which check refuses; a Vandermonde product
+    costs about as much at these degrees and does not.
+    """
     ys = np.array(ys, dtype=complex)
     act = np.ones(len(ys), dtype=bool) if mask is None else np.array(mask, dtype=bool)
-    p = np.polyval(desc, ys)
+    coef = np.zeros((len(desc), 2 * len(ys)), dtype=complex)
+    coef[:, 0::2] = np.asarray(desc)[:, None]
+    coef[1:, 1::2] = np.asarray(d1)[:, None]
+
+    def p_dp(x):
+        x = np.repeat(x, 2)
+        out = np.zeros_like(x)
+        for c in coef:
+            out *= x
+            out += c
+        return out[0::2], out[1::2]
+
+    p, dp = p_dp(ys)
     for _ in range(iters):
         if not act.any():
             break
-        dp = np.polyval(d1, ys)
         safe = np.abs(dp) > 1e-30 * np.maximum(1.0, np.abs(p))
         step = np.where(safe, p / np.where(dp == 0, 1.0, dp), 0.0)
         ok = act & safe & (np.abs(step) < 0.5 * np.maximum(1.0, np.abs(ys)))
         cand = ys - np.where(ok, step, 0.0)
-        pc = np.polyval(desc, cand)
+        pc, dpc = p_dp(cand)
         better = ok & (np.abs(pc) < np.abs(p))
         ys = np.where(better, cand, ys)
         p = np.where(better, pc, p)
+        dp = np.where(better, dpc, dp)
         act = better & (np.abs(step) >= 1e-15 * np.maximum(1.0, np.abs(ys)))
     return ys
 
@@ -374,26 +405,24 @@ def _merge_root_clusters(ys: np.ndarray, desc: np.ndarray, radius: float = 5e-5)
     near-collisions of simple roots (for example two root loci crossing
     during a sweep).
     """
-    n = len(ys)
     out = ys.copy()
-    single = np.ones(n, dtype=bool)
+    single = np.ones(len(ys), dtype=bool)
     derivs = [np.asarray(desc, dtype=complex)]
     linked = np.abs(ys[:, None] - ys[None, :]) < radius * np.maximum(1.0, np.abs(ys))[:, None]
-    for members in _link_clusters(linked):
+    labels = _link_clusters(linked)
+    for label in np.flatnonzero(np.bincount(labels) > 1):
+        members = np.flatnonzero(labels == label)
         m = len(members)
-        if m < 2:
-            continue
         z = ys[members].mean()
         while len(derivs) <= m:
             derivs.append(np.polyder(derivs[-1]))
-        diam = max(abs(ys[i] - z) for i in members) * 2.0
+        diam = np.abs(ys[members] - z).max() * 2.0
         lo = abs(np.polyval(derivs[m - 1], z))
         hi = abs(np.polyval(derivs[m], z)) * diam
         if lo > 0.25 * hi:
             continue
-        for i in members:
-            out[i] = z
-            single[i] = False
+        out[members] = z
+        single[members] = False
     return out, single
 
 
@@ -416,21 +445,12 @@ def _s_reduction_roots(kind: str, c: np.ndarray) -> np.ndarray:
     sign = -1.0 if kind == "anti" else 1.0
     if np.abs(c - sign * c[::-1]).max() > 1e-9 * np.abs(c).max():
         raise NumericalError(f"polynomial is not {kind}-palindromic")
-    # T_{j+1} = s T_j - T_{j-1}: (y^j - y^-j)/(y - 1/y) from T_0 = 0, T_1 = 1
-    # (anti, R); y^j + y^-j from T_0 = 2, T_1 = s (pal, Q)
-    if kind == "anti":
-        S = np.zeros(half, dtype=complex)
-        prev, cur = np.zeros(1, dtype=complex), np.array([1.0 + 0.0j])
-    else:
-        S = np.zeros(half + 1, dtype=complex)
-        S[0] = c[half]
-        prev, cur = np.array([2.0 + 0.0j]), np.array([0.0 + 0.0j, 1.0])
-    for j in range(1, half + 1):
-        S[: len(cur)] += c[half + j] * cur
-        nxt = np.zeros(len(cur) + 1, dtype=complex)
-        nxt[1:] += cur
-        nxt[: len(prev)] -= prev
-        prev, cur = cur, nxt
+    # S = sum_j c[half + j] T_j, summed in the order of the recurrence (the
+    # roots of a nearly double s, at y near +-1, move with its last bits)
+    terms = c[half + 1:, None] * _s_basis(kind, half)
+    if kind == "pal":
+        terms[0, 0] += c[half]
+    S = np.add.accumulate(terms, axis=0)[-1]
     S = _trim(S)
     desc = S[::-1] / np.abs(S).max()
     svals = np.roots(desc)
@@ -443,13 +463,34 @@ def _s_reduction_roots(kind: str, c: np.ndarray) -> np.ndarray:
                     f"expected trivial wavenumber at s = {target:+.0f} not found"
                 )
             svals = np.delete(svals, j)
-    ys = np.empty(2 * len(svals), dtype=complex)
-    for i, s in enumerate(svals):
-        root = np.sqrt(s * s - 4.0)
-        big = 0.5 * (s + root) if abs(s + root) >= abs(s - root) else 0.5 * (s - root)
-        ys[2 * i] = big
-        ys[2 * i + 1] = 1.0 / big
-    return ys
+    # s^2 and |s +- root| as one complex value rounds them: numpy's complex
+    # array product and np.abs may differ from those in the last bit
+    sq = np.empty_like(svals)
+    sq.real = svals.real * svals.real - svals.imag * svals.imag
+    sq.imag = svals.real * svals.imag + svals.imag * svals.real
+    root = np.sqrt(sq - 4.0)
+    plus, minus = svals + root, svals - root
+    big = 0.5 * np.where(np.hypot(plus.real, plus.imag) >= np.hypot(minus.real, minus.imag), plus, minus)
+    return np.stack([big, 1.0 / big], axis=1).ravel()
+
+
+@functools.lru_cache(maxsize=32)
+def _s_basis(kind: str, half: int) -> np.ndarray:
+    """Row j - 1 (j = 1 .. half): ascending coefficients in s of
+    T_j = (y^j - y^-j)/(y - 1/y) (anti, from T_0 = 0, T_1 = 1) or
+    T_j = y^j + y^-j (pal, from T_0 = 2, T_1 = s), by T_{j+1} = s T_j - T_{j-1}.
+    Complex, so the product with the coefficients needs no cast; cached per
+    degree, so read-only."""
+    T = np.zeros((half, half if kind == "anti" else half + 1), dtype=complex)
+    prev, cur = (np.zeros(1), np.ones(1)) if kind == "anti" else (np.array([2.0]), np.array([0.0, 1.0]))
+    for j in range(half):
+        T[j, : len(cur)] = cur
+        nxt = np.zeros(len(cur) + 1)
+        nxt[1:] += cur
+        nxt[: len(prev)] -= prev
+        prev, cur = cur, nxt
+    T.setflags(write=False)
+    return T
 
 
 def roots(poly: PolyY) -> np.ndarray:
@@ -476,39 +517,37 @@ def roots(poly: PolyY) -> np.ndarray:
     return _newton_vec(desc, d1, ys, iters=11)
 
 
-def _link_clusters(linked: np.ndarray) -> list:
+def _link_clusters(linked: np.ndarray) -> np.ndarray:
     """Connected components of range(n) under the n x n boolean matrix
-    `linked`, of which only the pairs i < j are read, in row-major order."""
-    n = len(linked)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    rows, cols = np.nonzero(np.triu(linked, 1))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        parent[find(i)] = find(j)
-    clusters = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    return list(clusters.values())
+    `linked`, of which only the pairs i < j are read: the label of each
+    index is the smallest index of its component."""
+    adj = np.triu(linked, 1)
+    adj |= adj.T
+    labels = np.arange(len(linked))
+    while True:
+        # each index takes the smallest label among itself and its
+        # neighbours, then the label of that label (labels only fall)
+        new = np.where(adj, labels[None, :], labels[:, None]).min(axis=1, initial=len(labels))
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
-def _divisible_clusters(keys: np.ndarray, size: int, tol: float):
-    """Clusters of keys linked within tol * max(1, max|key|); every cluster
-    must hold a multiple of `size` keys, or `NumericalError` is raised."""
+def _divisible_clusters(keys: np.ndarray, size: int, tol: float) -> np.ndarray:
+    """Cluster labels (`_link_clusters`) of keys linked within
+    tol * max(1, max|key|); every cluster must hold a multiple of `size`
+    keys, or `NumericalError` is raised."""
     tau = tol * max(1.0, np.abs(keys).max())
-    clusters = _link_clusters(np.abs(keys[:, None] - keys[None, :]) <= tau)
-    sizes = sorted(len(c) for c in clusters if len(c) % size)
+    labels = _link_clusters(np.abs(keys[:, None] - keys[None, :]) <= tau)
+    counts = np.bincount(labels)
+    sizes = sorted(counts[counts % size != 0].tolist())
     if sizes:
         raise NumericalError(
             f"grouping into sets of {size} failed: cluster sizes {sizes} are not "
             f"multiples of {size} (linking distance {tau:.3g})"
         )
-    return clusters
+    return labels
 
 
 def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None) -> AlphaSet:
@@ -519,10 +558,11 @@ def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None) -
     GROUP_TOL raises `NumericalError`, as the polish has moved one of its
     roots onto another root.  pairing='triples': roots come in triples
     sharing one eigenvalue (mixed long-range chain), which `value_key`
-    (triples only) maps a root to; keys within GROUP_TOL (relative to
-    max(1, max|key|)) of each other link, and a linked cluster whose size
-    is no multiple of 3 raises `NumericalError` ("grouping into sets of 3
-    failed").  `expected` is the required number of groups.
+    (triples only) maps the root array to, elementwise; keys within
+    GROUP_TOL (relative to max(1, max|key|)) of each other link, and a
+    linked cluster whose size is no multiple of 3 raises `NumericalError`
+    ("grouping into sets of 3 failed").  `expected` is the required number
+    of groups.
     """
     ys = np.asarray(root_values, dtype=complex).ravel()
     if pairing not in ("pairs", "triples"):
@@ -537,39 +577,42 @@ def alpha_from_roots(root_values, pairing: str, value_key=None, expected=None) -
             k = int(np.argmax(off))
             raise NumericalError(f"roots {pairs[k, 0]:.6g} and {pairs[k, 1]:.6g} are no "
                                  f"inversion pair: product off 1 by {off[k]:.3g}")
-        alphas = [-1j * np.log(_canonical_pair(members)) for members in pairs]
+        alphas = -1j * np.log(_canonical_pairs(pairs))
     else:
-        alphas, keys = [], np.array([value_key(y) for y in ys])
-        # clusters of nearly equal keys must hold whole groups;
-        # near-degenerate eigenvalues may interleave their members, which
-        # leaves the assembled multiset unchanged, so groups are carved
-        # inside each cluster by nearest keys
-        clusters = _divisible_clusters(keys, size, GROUP_TOL)
-        for cluster in clusters:
-            pool = sorted(cluster, key=lambda i: (keys[i].real, keys[i].imag))
+        keys = np.asarray(value_key(ys), dtype=complex)
+        # clusters of nearly equal keys must hold whole groups; a cluster of
+        # three is one group.  Near-degenerate eigenvalues may interleave the
+        # members of larger clusters, which leaves the assembled multiset
+        # unchanged, so groups are carved inside them by nearest keys
+        labels = _divisible_clusters(keys, size, GROUP_TOL)
+        counts = np.bincount(labels)
+        order = np.argsort(labels, kind="stable")
+        triples = order[(counts == size)[labels[order]]].reshape(-1, size)
+        groups = [triples]
+        for label in np.flatnonzero(counts > size):
+            pool = sorted(np.flatnonzero(labels == label), key=lambda i: (keys[i].real, keys[i].imag))
             while pool:
                 i = pool.pop(0)
                 pool.sort(key=lambda j: abs(keys[j] - keys[i]))
-                members = ys[[i] + pool[: size - 1]]
+                groups.append(np.array([[i] + pool[: size - 1]]))
                 del pool[: size - 1]
-                y = canonical_triple(members)
-                alphas.append(-1j * np.log(y))
-    alphas = np.array(alphas)
+        alphas = -1j * np.log(canonical_triple(ys[np.concatenate(groups)]))
     if expected is not None and len(alphas) != expected:
         raise NumericalError(f"reduced to {len(alphas)} wavenumbers, expected {expected}")
     values, mult = dedup_sorted(alphas)
     return AlphaSet(values, mult, 0.0 + 0.0j, pairing)
 
 
-def _canonical_pair(members: np.ndarray) -> complex:
-    # the pair members represent alpha and -alpha; canonicalize to the
-    # branch with Re(alpha) >= 0, preferring |y| >= 1 (Im(alpha) <= 0)
-    a, b = members
-    cands = [a, b, 1.0 / a, 1.0 / b]
-    pos = [y for y in cands if np.angle(y) >= -1e-12]
-    if pos:
-        return max(pos, key=abs)
-    return a
+def _canonical_pairs(pairs: np.ndarray) -> np.ndarray:
+    """One y per row (y_a, y_b) of inversion pairs, the pair members
+    representing alpha and -alpha: of y_a, y_b, 1/y_a and 1/y_b, the first
+    of largest modulus with angle >= -1e-12 (the branch Re(alpha) >= 0,
+    preferring |y| >= 1, Im(alpha) <= 0), or y_a if none has one."""
+    cands = np.concatenate([pairs, 1.0 / pairs], axis=1)
+    # np.hypot rounds as the builtin abs of one complex value; np.abs of a
+    # complex array can differ from it in the last bit and break ties otherwise
+    size = np.where(np.angle(cands) >= -1e-12, np.hypot(cands.real, cands.imag), -1.0)
+    return cands[np.arange(len(cands)), np.argmax(size, axis=1)]
 
 
 def canonical_triple(members: np.ndarray) -> np.ndarray:

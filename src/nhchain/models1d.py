@@ -847,12 +847,16 @@ def mixed_longrange_spectrum(t_r, u_l, delta, N: int) -> tuple[Spectrum, AlphaSe
 
 
 def mixed_longrange_closed_form(t_r, u_l, delta, N: int) -> tuple[Spectrum, AlphaSet]:
-    """The paper's route: the degree-3N boundary polynomial, provenance "analytic".
+    """The paper's route: the 3N roots of the boundary equation, provenance "analytic".
 
-    The 3N roots group into triples sharing one eigenvalue
-    lambda = u_l y^2 + t_r / y; the Spectrum parameters record the degree
-    and the removed factor.  Reliable at small N only; see
-    `mixed_longrange_spectrum`.  A vanishing t_r or u_l raises
+    The cleared equation has degree 3N + 3 in y with the spurious cubic
+    factor 2 y^3 = t_r / u_l.  When 3 | N it holds powers of y^3 only and is
+    rooted as a polynomial of degree N + 1 in w = y^3, whose spurious root
+    is dropped and whose other N roots give three y each; any other N is
+    rooted in y and loses the cubic's three roots.  The 3N roots group into
+    triples sharing one eigenvalue lambda = u_l y^2 + t_r / y; the Spectrum
+    parameters record the degree 3N and the removed factor.  Reliable at
+    small N only; see `mixed_longrange_spectrum`.  A vanishing t_r or u_l raises
     `NumericalError`: the polynomial does not exist there, but the
     eigensolver route does.
     """
@@ -863,7 +867,7 @@ def mixed_longrange_closed_form(t_r, u_l, delta, N: int) -> tuple[Spectrum, Alph
     ys = roots(poly)
     key = lambda y: u_l * y * y + t_r / y
     aset = alpha_from_roots(ys, "triples", value_key=key, expected=N)
-    lam = np.array([key(np.exp(1j * a)) for a in aset.expand()])
+    lam = key(np.exp(1j * aset.expand()))
     return Spectrum(lam, "analytic", {"degree": poly.degree, "removed_factor": poly.removed_factors[0]}), aset
 
 

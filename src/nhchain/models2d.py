@@ -271,9 +271,12 @@ def _phase_check(m: np.ndarray, mt: np.ndarray, diag: np.ndarray):
     (i != k) at d = 0, and c its M_00 there; a block passes if
     K = e^{-i psi} (M - c I) is Hermitian, to HERMITIAN_ULPS ulps of max|M|,
     at every d: K_ik - conj(K_ki) = e^{-i psi} ((M - c I)_ik - e^{2 i psi}
-    conj((M - c I)_ki)).
+    conj((M - c I)_ki)).  The products are taken of entries scaled by a
+    power of two per block, 1/2^e with max|M| < 2^e, so they cannot
+    overflow and round as the unscaled ones, e^{2 i psi} included.
     """
-    prod = np.where(diag, 0, m[0] * mt[0])
+    scale = np.ldexp(1.0, -np.frexp(np.abs(m[0]).max(axis=-1, initial=0.0))[1])[:, None]
+    prod = np.where(diag, 0, (m[0] * scale) * (mt[0] * scale))
     p = prod[np.arange(len(prod)), np.argmax(np.abs(prod), axis=1)]
     p = np.where(p == 0, 1, p)
     e2 = p / np.abs(p)

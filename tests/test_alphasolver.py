@@ -11,7 +11,7 @@ from nhchain.alphasolver import (
     verify_generic,
 )
 from nhchain.core import ChainStencil, NumericalError, build_chain_matrix, dense_spectrum
-from nhchain.alphasolver import PolyY, _p_recursion
+from nhchain.alphasolver import PolyY, _canonical_pairs, _link_clusters, _p_recursion, _trim
 
 from conftest import cnormal
 
@@ -241,6 +241,188 @@ class TestVerifyGeneric:
         st = ChainStencil(8, {1: 1.0, -1: 1.0}, (0.1, -0.1), 0.0)
         with pytest.raises(ValueError, match="uniform"):
             verify_generic(st, 0.0)
+
+
+def _canonical_pair(members) -> complex:
+    """The scalar pair rule `_canonical_pairs` applies to every row at once:
+    the pair members represent alpha and -alpha; canonicalize to the branch
+    with Re(alpha) >= 0, preferring |y| >= 1 (Im(alpha) <= 0)."""
+    a, b = members
+    cands = [a, b, 1.0 / a, 1.0 / b]
+    pos = [y for y in cands if np.angle(y) >= -1e-12]
+    return max(pos, key=abs) if pos else a
+
+
+class TestCanonicalPairs:
+    def _check(self, pairs):
+        pairs = np.asarray(pairs, dtype=complex).reshape(-1, 2)
+        want = np.array([_canonical_pair(row) for row in pairs])
+        got = _canonical_pairs(pairs)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+    def test_random_pairs(self, rng):
+        ys = cnormal(rng, 200) * np.exp(rng.normal(0, 2, 200))
+        self._check(np.stack([ys, 1.0 / ys], axis=1))
+        self._check(np.stack([1.0 / ys, ys], axis=1))
+        self._check(cnormal(rng, 200))
+
+    def test_edge_cases(self):
+        tiny = 1e-12
+        self._check([
+            [complex(-2.0, 0.0), complex(-0.5, 0.0)],     # angle exactly pi
+            [complex(-2.0, -0.0), complex(-0.5, -0.0)],   # angle exactly -pi
+            [complex(-0.5, -0.0), complex(-2.0, 0.0)],
+            [2 * np.exp(-0.5j * tiny), 0.5 * np.exp(0.5j * tiny)],  # within 1e-12 of 0
+            [2 * np.exp(-2j * tiny), 0.5 * np.exp(2j * tiny)],      # just outside
+            [np.exp(-2j * tiny), np.exp(2j * tiny)],
+            [np.exp(0.3j), np.exp(-0.3j)],                 # equal moduli
+            [np.exp(-0.3j), np.exp(0.3j)],
+            [1.0, 1.0],
+            [-1.0, -1.0],
+            [2.0, 0.5],
+            [0.5j, -2j],
+        ])
+
+
+class TestLinkClusters:
+    def test_components_through_chains_of_links(self):
+        # 4 - 0 - 5 - 2 link through three hops; 1 and 3 link; 6 alone; the
+        # lower triangle is not read
+        linked = np.zeros((7, 7), dtype=bool)
+        for i, j in ((0, 4), (0, 5), (2, 5), (1, 3)):
+            linked[i, j] = True
+        linked[6, 0] = True
+        assert _link_clusters(linked).tolist() == [0, 1, 0, 1, 0, 0, 6]
+
+    def test_path_graph(self):
+        n = 9
+        linked = np.zeros((n, n), dtype=bool)
+        order = [8, 3, 5, 0, 7, 1, 6, 2, 4]
+        for a, b in zip(order, order[1:]):
+            linked[min(a, b), max(a, b)] = True
+        assert _link_clusters(linked).tolist() == [0] * n
+        assert _link_clusters(np.zeros((0, 0), dtype=bool)).tolist() == []
+
+
+def _roots_reference(poly: PolyY) -> np.ndarray:
+    """`roots` of a palindromic PolyY as a loop over coefficients and roots:
+    the s-recurrence summed term by term, each (y, 1/y) pair formed from one
+    complex s, and the Newton polish evaluated by `np.polyval`."""
+
+    def newton(desc, d1, ys, iters):
+        ys = np.array(ys, dtype=complex)
+        act = np.ones(len(ys), dtype=bool)
+        p = np.polyval(desc, ys)
+        for _ in range(iters):
+            if not act.any():
+                break
+            dp = np.polyval(d1, ys)
+            safe = np.abs(dp) > 1e-30 * np.maximum(1.0, np.abs(p))
+            step = np.where(safe, p / np.where(dp == 0, 1.0, dp), 0.0)
+            ok = act & safe & (np.abs(step) < 0.5 * np.maximum(1.0, np.abs(ys)))
+            cand = ys - np.where(ok, step, 0.0)
+            pc = np.polyval(desc, cand)
+            better = ok & (np.abs(pc) < np.abs(p))
+            ys = np.where(better, cand, ys)
+            p = np.where(better, pc, p)
+            act = better & (np.abs(step) >= 1e-15 * np.maximum(1.0, np.abs(ys)))
+        return ys
+
+    c = _trim(poly.coeffs)
+    half = (c.size - 1) // 2
+    if poly.palindromic == "anti":
+        S = np.zeros(half, dtype=complex)
+        prev, cur = np.zeros(1, dtype=complex), np.array([1.0 + 0.0j])
+    else:
+        S = np.zeros(half + 1, dtype=complex)
+        S[0] = c[half]
+        prev, cur = np.array([2.0 + 0.0j]), np.array([0.0 + 0.0j, 1.0])
+    for j in range(1, half + 1):
+        S[: len(cur)] += c[half + j] * cur
+        nxt = np.zeros(len(cur) + 1, dtype=complex)
+        nxt[1:] += cur
+        nxt[: len(prev)] -= prev
+        prev, cur = cur, nxt
+    S = _trim(S)
+    desc = S[::-1] / np.abs(S).max()
+    svals = newton(desc, np.polyder(desc), np.roots(desc), 8)
+    if poly.palindromic == "pal":
+        for target in (2.0, -2.0):
+            svals = np.delete(svals, int(np.argmin(np.abs(svals - target))))
+    ys = np.empty(2 * len(svals), dtype=complex)
+    for i, s in enumerate(svals):
+        root = np.sqrt(s * s - 4.0)
+        big = 0.5 * (s + root) if abs(s + root) >= abs(s - root) else 0.5 * (s - root)
+        ys[2 * i], ys[2 * i + 1] = big, 1.0 / big
+    desc, d1 = c[::-1], np.polyder(c[::-1])
+    return newton(desc, d1, newton(desc, d1, ys, 1), 11)
+
+
+def test_roots_equal_the_loop_reference(rng):
+    """The array forms of the s-recurrence, the pair construction and the
+    polish round as the loops did, bit for bit: near the open and periodic
+    limits the last bits decide which check refuses."""
+    for equation, params, sizes, _ in TRIVIAL_CASES:
+        for N in sizes:
+            for delta in (0.3, 1e-9, (0.4, -0.7), cnormal(rng, scale=0.6)):
+                poly = polynomialize(equation, params, N, delta)
+                got, want = roots(poly), _roots_reference(poly)
+                assert np.array_equal(got.view(np.float64), want.view(np.float64)), (equation, N, delta)
+
+
+def test_link_clusters_random_graphs(rng):
+    """Against a breadth-first search over the symmetrised upper triangle."""
+    for n in (1, 5, 30):
+        for density in (0.02, 0.1, 0.3):
+            linked = rng.random((n, n)) < density
+            adj = np.triu(linked, 1)
+            adj = adj | adj.T
+            want = -np.ones(n, dtype=int)
+            for start in range(n):
+                if want[start] < 0:
+                    want[start], todo = start, [start]
+                    while todo:
+                        for j in np.flatnonzero(adj[todo.pop()]):
+                            if want[j] < 0:
+                                want[j] = start
+                                todo.append(j)
+            assert _link_clusters(linked).tolist() == want.tolist()
+
+
+MIXED_SETS = [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (1.0 + 0.5j, 2.0 - 0.3j), (0.7 - 1.2j, 1.1 + 0.4j)]
+
+
+class TestMixedClosedForm:
+    """3 | N roots the equation in w = y^3 (N 9, 12), other N in y (10, 11)."""
+
+    @pytest.mark.parametrize("N", [9, 10, 11, 12])
+    @pytest.mark.parametrize("t_r, u_l", MIXED_SETS, ids=[f"{t}-{u}" for t, u in MIXED_SETS])
+    def test_matches_dense(self, t_r, u_l, N):
+        from nhchain.models1d import mixed_longrange_closed_form, mixed_longrange_matrix
+
+        for delta in (1e-3, 0.3, 0.9):
+            spec, aset = mixed_longrange_closed_form(t_r, u_l, delta, N)
+            assert spec.parameters["degree"] == 3 * N and len(aset) == N
+            lam = np.linalg.eigvals(mixed_longrange_matrix(t_r, u_l, delta, N))
+            assert _set_distance(spec.eigenvalues, lam) <= 1e-10 * (1 + np.abs(lam).max())
+
+    @pytest.mark.parametrize("N", [6, 9, 12])
+    def test_equation_in_cubes(self, N):
+        """3 | N: only powers of y^3 in the equation, and the roots are whole
+        sets of cube roots of the N roots in w."""
+        poly = polynomialize("mixed-longrange", {"t_r": 1.0 + 0.5j, "u_l": 2.0 - 0.3j}, N, 0.3)
+        assert poly.degree == 3 * N
+        assert np.count_nonzero(poly.coeffs[np.arange(len(poly.coeffs)) % 3 != 0]) == 0
+        w = np.sort_complex(poly.known_roots**3)
+        assert np.abs(w.reshape(-1, 3) - w.reshape(-1, 3)[:, :1]).max() < 1e-12 * np.abs(w).max()
+
+    def test_corner_pair_refused(self):
+        """The mixed equation is derived for one corner value."""
+        params = {"t_r": 1.0, "u_l": 2.0}
+        with pytest.raises(ValueError, match="one corner value"):
+            polynomialize("mixed-longrange", params, 6, (0.1, 0.5))
+        same = polynomialize("mixed-longrange", params, 6, (0.1, 0.1))
+        assert np.array_equal(same.coeffs, polynomialize("mixed-longrange", params, 6, 0.1).coeffs)
 
 
 class TestPRecursion:

@@ -1009,6 +1009,18 @@ class TestHalfSizeBlocks:
         assert np.array_equal(out.eigenvalues[:6].view(np.int64), full.astype(complex).view(np.int64))
         _assert_equals_reference(out, spec)
 
+    def test_hermitian_check_of_huge_hoppings(self):
+        """Every hopping times 1e160: the Hermitian-block check scales its
+        products, so the line finds the same Hermitian blocks with no
+        overflow, and the spectrum is 1e160 times the unscaled one."""
+        spec = Stacked2DSpec("hn", STACK_HN_CASE1, 6, 4, 0.3, "bc1")
+        huge = Stacked2DSpec("hn", {k: 1e160 * v for k, v in STACK_HN_CASE1.items()}, 6, 4, 0.3, "bc1")
+        small, big = stacked_line(spec)(0.3), stacked_line(huge)(0.3)
+        assert big.parameters == small.parameters
+        assert small.parameters["hermitian_blocks"] > 0
+        lam = small.eigenvalues
+        assert match_spectra(big.eigenvalues / 1e160, lam) <= 1e-14 * (1 + np.abs(lam).max())
+
     def test_blocks_too_large_to_square_are_solved_whole(self):
         """Entries of 1e160 would overflow the block of (M - c)^2: the
         blocks are solved whole, with no warning (the suite turns

@@ -117,3 +117,16 @@ def test_output_digests_compare_matches_spectra(tmp_path):
         "  spectra per (delta, j): max matched change 5.24e-17 of 1 + max|lambda|",
         "0 files identical, 1 not",
     ]
+
+
+def test_closed_form_grid_compare():
+    """`--compare` counts a point that newly raises, one returned more than
+    1e-6 off dense and one worse by more than 1e-13, and nothing else."""
+    grid = _load("closed_form_grid", TOOL.parent / "closed_form_grid.py")
+    a = {"p1": 1e-14, "p2": 2e-14, "p3": 3e-14, "p4": "raised NumericalError", "p5": 1e-7}
+    b = {"p1": "raised NumericalError", "p2": 2e-5, "p3": 3e-14 + 2e-13, "p4": 1e-15, "p5": 1e-7 + 5e-14}
+    lines, bad = grid.compare(a, b)
+    assert bad == 3
+    assert lines[-1] == "newly raised 1, off dense 1, worse 1, newly returned 1 (of 5 points)"
+    assert grid.compare(a, a) == (["newly raised 0, off dense 0, worse 0, newly returned 0 (of 5 points)"], 0)
+    assert len(list(grid.points())) == 267
