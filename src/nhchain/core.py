@@ -195,15 +195,13 @@ class Spectrum:
     """A multiset of complex eigenvalues with provenance.
 
     The provenance names the route: "analytic" (an exact closed form),
-    "oracle" (one dense eigensolve of the whole matrix), "bloch-oracle" (the
-    eigensolves of a stacked lattice's Bloch blocks, at half size for an
-    even N1), "boundary-equation"
-    (a long plain one-band chain's boundary equation solved by Newton, kept
-    only where N disjoint inclusion discs certify one eigenvalue each;
-    `models1d.hn_line`) or "sublattice-oracle" (a chain graded into m
-    sublattices: the dense eigensolve of one N/m-site grade block of
-    (H - c)^m and its m-th roots, kept only where the roots amplify the
-    block's error at most 64-fold; `models1d._graded_eigenvalues`).
+    "oracle" (one dense eigensolve of the whole matrix), "sublattice-oracle"
+    (a chain graded into m sublattices, solved by one N/m-site grade block
+    where its guard accepts; `models1d.block_eigvals`), "bloch-oracle" (a
+    stacked lattice's Bloch blocks, solved by the same `block_eigvals` or
+    as Hermitian matrices) or "boundary-equation" (a long plain one-band
+    chain's boundary equation solved by Newton, kept only where N disjoint
+    inclusion discs certify one eigenvalue each; `models1d.hn_line`).
 
     `parameters` is empty but for the keys a caller reads: "fallback" (a
     chain line's dense solve of a chain with a vanishing hopping; read by
@@ -282,14 +280,47 @@ class EigensolverError(NumericalError, RuntimeError):
     pass
 
 
-def dense_spectrum(matrix, want_vectors: bool = False):
-    """Dense oracle: all eigenvalues of a general complex matrix.
+def _solver_failure(M: np.ndarray, exc: np.linalg.LinAlgError) -> ValueError:
+    """The error to raise for numpy's LinAlgError from a solve of M (which
+    the command line would report as a configuration error): ValueError
+    where M has a non-finite entry, which LAPACK is never given, and
+    `EigensolverError` otherwise."""
+    if not np.isfinite(M).all():
+        return ValueError("matrix contains non-finite entries")
+    return EigensolverError(f"eigensolver failed (shape={M.shape}, frob={np.linalg.norm(M):.6g}): {exc}")
 
-    A real array is solved as it is, and a complex one with no nonzero
-    imaginary entry through its real part: both in real arithmetic
-    (``dgeev`` instead of ``zgeev``), the same eigenvalues for less work,
-    with the complex ones in exact conjugate pairs.  Other input is cast to
-    complex.
+
+def _eigvals(matrix, vectors: bool = False):
+    """Every dense eigensolve of the package: the eigenvalues of a square
+    matrix, or of each matrix of a batch along leading axes, as a complex
+    array of shape matrix.shape[:-1]; with `vectors` (one matrix), scipy's
+    (eigenvalues, left vectors, right vectors) of one ``eig``.
+
+    float64 input stays real and other input is cast to complex.  Input
+    with no nonzero imaginary entry is solved in real arithmetic (``dgeev``
+    instead of ``zgeev``): the same eigenvalues for less work, the complex
+    ones in exact conjugate pairs.  Non-finite entries raise ValueError
+    (numpy and scipy refuse them before LAPACK), a LAPACK failure
+    `EigensolverError`.
+    """
+    M = np.asarray(matrix)
+    if M.dtype != np.float64:
+        M = M.astype(complex, copy=False)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    A = M.real if M.dtype == complex and not M.imag.any() else M
+    try:
+        if not vectors:
+            return np.linalg.eigvals(A).astype(complex, copy=False)
+        from scipy.linalg import eig
+
+        return eig(A, left=True, right=True)
+    except np.linalg.LinAlgError as exc:
+        raise _solver_failure(M, exc) from exc
+
+
+def dense_spectrum(matrix, want_vectors: bool = False):
+    """Dense oracle: all eigenvalues of one general matrix, by `_eigvals`.
 
     With ``want_vectors=True`` also returns every right and left
     eigenvector from the same decomposition (one ``scipy.linalg.eig``
@@ -305,23 +336,11 @@ def dense_spectrum(matrix, want_vectors: bool = False):
     Spectrum              if not want_vectors
     (Spectrum, vr, vl)    otherwise; vr/vl have eigenvectors in columns.
     """
-    M = np.asarray(matrix)
-    if M.dtype != np.float64:
-        M = M.astype(complex, copy=False)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix contains non-finite entries")
-    A = M.real if M.dtype == complex and not M.imag.any() else M
-    try:
-        if not want_vectors:
-            return Spectrum(np.linalg.eigvals(A), "oracle")
-        from scipy.linalg import eig
-
-        vals, vl, vr = eig(A, left=True, right=True)
-    except np.linalg.LinAlgError as exc:
-        fingerprint = f"shape={M.shape}, frob={np.linalg.norm(M):.6g}"
-        raise EigensolverError(f"eigensolver failed ({fingerprint}): {exc}") from exc
+    if np.ndim(matrix) != 2:
+        raise ValueError(f"expected a square matrix, got shape {np.shape(matrix)}")
+    if not want_vectors:
+        return Spectrum(_eigvals(matrix), "oracle")
+    vals, vl, vr = _eigvals(matrix, vectors=True)
     return Spectrum(vals, "oracle"), vr, vl
 
 

@@ -17,15 +17,11 @@ chain at N >= 40 whose boundary term |C| = |delta_r r^N + delta_l r^(-N)|
 six terms in u = e^(-i alpha_tilde), by vectorised Newton
 (`_hn_boundary_roots`, provenance "boundary-equation").  It takes the roots
 only under a certificate: N disjoint inclusion discs, one per eigenvalue.
-The eigensolve uses the chain's sublattice grading where it has one (the
-sublattice symmetry of the two-band chain; Kawabata, Shiozaki, Ueda and
-Sato, PRX 9, 041015 (2019)): the plain one-band and the two-band chain of
-even N have two sublattices, the mixed long-range chain of N divisible by 3
-has three, and every hop, corners included, goes from one to the next.
-One N/m-site grade block of (H - c)^m then holds the whole spectrum
-(`_graded_eigenvalues`, provenance "sublattice-oracle"), taken where its
-m-th roots do not amplify the block's error more than 64-fold; everywhere
-else the whole matrix gets one dense eigensolve (provenance "oracle").  The
+The eigensolve is `block_eigvals`, which also solves the Bloch blocks of
+models2d: a chain graded into m sublattices (the even plain one-band and
+two-band chains, m = 2, and the mixed chain of N divisible by 3, m = 3)
+solves one N/m-site grade block where its guard accepts (provenance
+"sublattice-oracle"), and the whole matrix otherwise ("oracle").  The
 command line uses the lines alone.  `hn_spectrum`, `ssh_spectrum` and
 `mixed_longrange_spectrum` call them at one delta and also recover the
 shifted wavenumbers from the eigenvalues: cos(alpha_tilde) = (lambda - t_d)
@@ -33,9 +29,7 @@ shifted wavenumbers from the eigenvalues: cos(alpha_tilde) = (lambda - t_d)
 the two-band chain (one alpha_tilde per +- pair at even length), and the
 root of largest modulus of u_l y^3 - lambda y + t_r = 0, y = e^{i alpha_tilde},
 for the mixed long-range chain.  The stacked lattices of models2d recover
-their Bloch blocks' wavenumbers with the same inversion helpers, and solve
-the Bloch blocks of an even N1, which are two-sublattice chains too, with
-the same `_graded_eigenvalues`.
+their Bloch blocks' wavenumbers with the same inversion helpers.
 
 The paper's polynomial route (alphasolver: the boundary equations cleared
 into polynomials in y and rooted through companion matrices) is kept behind
@@ -74,6 +68,7 @@ from .core import (
     dense_spectrum,
     expectation_profiles,
 )
+from .core import _eigvals
 from .core import as_corner_pair as _pair
 from .core import principal_sqrt as _sq
 
@@ -108,18 +103,17 @@ __all__ = [
 
 def _chain_line(op: Callable[[], CornerOperator], hoppings_nonzero: bool,
                 exact: Callable[[object], Optional[Spectrum]],
-                grading: Optional[tuple]) -> Callable[[object], Spectrum]:
+                grading: Optional[int]) -> Callable[[object], Spectrum]:
     """The per-delta body of every chain line: delta -> Spectrum.
 
     `op` builds the chain's `CornerOperator`; it is called on first use and
     kept, so the exact sets need no matrix.  A chain with a vanishing
     hopping gets one dense eigensolve per delta, with parameters
     {"fallback": "zero hopping"}.  Otherwise each delta takes `exact(delta)`
-    where that gives a spectrum; then, for a chain that declares a grading
-    (m, c, v) (None: no grading), the eigenvalues of one grade block of
-    (H - c)^m where `_graded_eigenvalues` accepts them (provenance
-    "sublattice-oracle"); and one dense eigensolve of the operator at delta
-    (provenance "oracle") everywhere else.
+    where that gives a spectrum, and everywhere else `block_eigvals` of the
+    operator at delta as a batch of one, with the chain's number of
+    sublattices `grading` (None: none): provenance "sublattice-oracle"
+    where it solved a grade block, "oracle" where the whole matrix.
     """
     op = cache(op)
     if not hoppings_nonzero:
@@ -129,14 +123,25 @@ def _chain_line(op: Callable[[], CornerOperator], hoppings_nonzero: bool,
         spec = exact(delta)
         if spec is not None:
             return spec
-        H = op().at(delta)
-        if grading is not None:
-            lam, ok = _graded_eigenvalues(H, *grading)
-            if ok:
-                return Spectrum(lam, "sublattice-oracle")
-        return dense_spectrum(H)
+        lam, graded = block_eigvals(op().at(delta)[None], grading)
+        return Spectrum(lam[0], "sublattice-oracle" if graded[0] else "oracle")
 
     return line
+
+
+def block_eigvals(M: np.ndarray, m: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, graded) of a batch M of chain matrices along its
+    leading axis, one row per matrix: the eigensolve of every chain line (a
+    batch of one) and of a stack's Bloch blocks (models2d).  With a grading
+    into m sublattices (None: none), row b comes from one grade block where
+    `_graded_eigenvalues` accepts it (graded[b]); the other matrices are
+    solved whole, together in one batched `core._eigvals`."""
+    if m is None:
+        return _eigvals(M), np.zeros(len(M), dtype=bool)
+    lam, ok = _graded_eigenvalues(M, m)
+    if not ok.all():
+        lam[~ok] = _eigvals(M[~ok])
+    return lam, ok
 
 
 # Largest amplification (||H - c||_inf / |lambda - c|)^(m - 1) of the m-th
@@ -152,44 +157,46 @@ _ROOTS_OF_UNITY = {2: np.array([[1.0], [-1.0]]),
                    3: np.array([[1.0], [complex(-0.5, 3**0.5 / 2)], [complex(-0.5, -(3**0.5 / 2))]])}
 
 
-def _graded_eigenvalues(H: np.ndarray, m: int, c, v) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, accepted) of a graded matrix H, or of a batch of them
-    H[b] along a leading axis, each from one grade block of (H[b] - c_b)^m;
-    row b is meaningful where accepted[b].  A chain passes its one matrix,
-    and the Bloch blocks of an even-width stack (models2d) come as a batch.
+def _graded_eigenvalues(H: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, accepted) of a batch of graded matrices H[b] along the
+    leading axis, each from one grade block of (H[b] - c_b)^m; row b is
+    meaningful where accepted[b].
 
-    Site n has grade n mod m, and m divides N.  The grading (m, c, v) states
-    that H - c is v on grade 0, -v on grade 1 (m = 2 only) and 0 on every
-    other diagonal entry, and that every off-diagonal entry, corners
-    included, carries grade g to g + 1 (mod m): two sublattices for the
-    nearest-neighbour and two-band chains and the Bloch blocks of an
-    even-width stack, three for the +2/-1 mixed chain.  c and v are scalars
-    or arrays over the batch.  Then (H - c)^m is block diagonal over grades,
-    and its grade-0 block is P = S_(m-1) ... S_1 S_0, S_g the slice of H
-    from grade g to grade g + 1, plus v^2 when m = 2 ((H - c)^2 = v^2 +
-    (H - c - v diag(1, -1, ...))^2).  As diag(w^g) (H - c - v ...)
-    diag(w^-g) = w (H - c - v ...) with w^m = 1, the N eigenvalues are c +
-    mu^(1/m) w^j, j < m, for the N / m eigenvalues mu of P.  A single
-    matrix solves its block through `dense_spectrum`, so a real block is
-    solved in real arithmetic; a batch takes one batched eigvals.  A real
-    mu takes its real cube root, so real eigenvalues of a real chain stay
-    real, and m = 2 gives each pair as c +- mu^(1/2).
-    A matrix is accepted only if (||H - c||_inf / min |lambda - c|)^(m - 1)
-    is at most `_GRADED_MAX_GAIN`.  Every entry of P is at most ||H -
-    c||_inf^m, so a batch whose norm reaches `_GRADED_MAX_NORM` (or is not
-    finite) is declined whole before any product, and P never overflows.
+    The grading is the sublattice symmetry of Kawabata, Shiozaki, Ueda and
+    Sato, PRX 9, 041015 (2019).  Site n has grade n mod m, and m divides
+    N.  A grading into m sublattices states that H - c is v on grade 0, -v
+    on grade 1 (m = 2 only) and 0 on every other diagonal entry, with c, v
+    = (H_00 +- H_11) / 2 read off the diagonal, and that every
+    off-diagonal entry, corners included, carries grade g to g + 1 (mod
+    m).  The plain one-band chain (c = t_d), the two-band chain (c, v =
+    (v1 +- v2) / 2) and a stack's Bloch blocks of even N, and the +2/-1
+    mixed chain of N divisible by 3 (m = 3, c = 0) have one.  Then (H -
+    c)^m is block diagonal over grades, and its grade-0 block is P =
+    S_(m-1) ... S_1 S_0, S_g the slice of H from grade g to grade g + 1,
+    plus v^2 when m = 2 ((H - c)^2 = v^2 + (H - c - v diag(1, -1, ...))^2).
+    As diag(w^g) (H - c - v ...) diag(w^-g) = w (H - c - v ...) with w^m =
+    1, the N eigenvalues are c + mu^(1/m) w^j, j < m, for the N / m
+    eigenvalues mu of P, all from one batched `_eigvals`.  A real mu takes
+    its real cube root, so real eigenvalues of a real chain stay real, and
+    m = 2 gives each pair as c +- mu^(1/2).  A matrix is accepted only if
+    (||H - c||_inf / min |lambda - c|)^(m - 1) is at most
+    `_GRADED_MAX_GAIN`.  Every entry of P is at most ||H - c||_inf^m, so a
+    batch whose norm reaches `_GRADED_MAX_NORM` (or is not finite) is
+    declined whole before any product, and P never overflows.
     """
+    h0, h1 = H[:, 0, 0], H[:, 1, 1]
+    c, v = (h0 + h1) / 2, (h0 - h1) / 2
     size = np.abs(H)
-    norm = (size.sum(axis=-1) - size.diagonal(0, -2, -1)).max(axis=-1) + abs(v)
+    norm = (size.sum(axis=-1) - size.diagonal(0, -2, -1)).max(axis=-1) + np.abs(v)
     if not norm.max() < _GRADED_MAX_NORM:
-        return np.zeros(H.shape[:-1], dtype=complex), np.zeros(H.shape[:-2], dtype=bool)
-    P = H[..., ::m, m - 1::m]
+        return np.zeros(H.shape[:-1], dtype=complex), np.zeros(len(H), dtype=bool)
+    P = H[:, ::m, m - 1::m]
     for g in range(m - 1, 0, -1):
-        P = P @ H[..., g::m, g - 1::m]
+        P = P @ H[:, g::m, g - 1::m]
     if np.count_nonzero(v):
         diag = np.arange(P.shape[-1])
-        P[..., diag, diag] += np.asarray(v * v)[..., None]
-    mu = dense_spectrum(P).eigenvalues if P.ndim == 2 else np.linalg.eigvals(P).astype(complex)
+        P[:, diag, diag] += (v * v)[:, None]
+    mu = _eigvals(P)
     if m == 2:
         r = np.sqrt(mu)
     else:
@@ -197,7 +204,7 @@ def _graded_eigenvalues(H: np.ndarray, m: int, c, v) -> tuple[np.ndarray, np.nda
         real = mu.imag == 0
         r[real] = np.cbrt(mu.real[real])
     ok = norm <= _GRADED_MAX_GAIN ** (1 / (m - 1)) * np.abs(r).min(axis=-1)
-    lam = np.asarray(c)[..., None, None] + _ROOTS_OF_UNITY[m] * r[..., None, :]
+    lam = c[:, None, None] + _ROOTS_OF_UNITY[m] * r[:, None, :]
     return lam.reshape(H.shape[:-1]), ok
 
 
@@ -466,10 +473,8 @@ def hn_line(p: HNParams, N: int) -> Callable[[object], Spectrum]:
     sqrt(t_l)) is at least 1e3 takes the roots of its boundary equation
     where a certificate holds (`_hn_boundary_roots`; provenance
     "boundary-equation").  Every other delta, and a chain with a vanishing
-    hopping, gets an eigensolve: a plain chain of even N declares the
-    grading (2, t_d, 0) to `_chain_line`, whose two sublattices are the odd
-    and even sites, and solves one N/2-site block of (H - t_d)^2 where that
-    is accepted; otherwise the whole matrix.
+    hopping, gets an eigensolve, for which a plain chain of even N declares
+    two sublattices, its odd and even sites.
     """
     def exact(delta) -> Optional[Spectrum]:
         aset = _hn_exact_alpha_set(p, N, delta)
@@ -479,8 +484,7 @@ def hn_line(p: HNParams, N: int) -> Callable[[object], Spectrum]:
         return None if lam is None else Spectrum(lam, "boundary-equation")
 
     return _chain_line(lambda: chain_operator(hn_stencil(p, N, 0.0)),
-                       p.t_l != 0 and p.t_r != 0, exact,
-                       (2, p.t_d, 0.0) if p.is_plain and N % 2 == 0 else None)
+                       p.t_l != 0 and p.t_r != 0, exact, 2 if p.is_plain and N % 2 == 0 else None)
 
 
 def hn_spectrum(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
@@ -596,12 +600,10 @@ def ssh_line(p: SSHParams, N: int) -> Callable[[object], Spectrum]:
     Eigenvalues lambda = (v1+v2)/2 +- sqrt(v^2 + tl1 tr1 + tl2 tr2 +
     2 cos(a) sqrt(tl1) sqrt(tr1) sqrt(tl2) sqrt(tr2)).  The open odd chain
     has an exact wavenumber set and an "analytic" spectrum; every other
-    delta, and a chain with a vanishing hopping, gets an eigensolve.  A
-    chain of even N declares the grading (2, (v1+v2)/2, (v1-v2)/2) and
-    solves one N/2-site block of (H - (v1+v2)/2)^2 where that is accepted;
-    an odd chain, whose corner joins two sites of one sublattice, solves
-    the whole matrix.  An odd chain with nonzero hoppings takes no on-site
-    potentials: one with them raises here.
+    delta, and a chain with a vanishing hopping, gets an eigensolve, for
+    which a chain of even N declares two sublattices; an odd chain's corner
+    joins two sites of one.  An odd chain with nonzero hoppings takes no
+    on-site potentials: one with them raises here.
     """
     if p.hoppings_nonzero and N % 2 and (p.v1 != 0 or p.v2 != 0):
         raise ValueError("odd-length chains are solved without on-site potentials")
@@ -609,8 +611,7 @@ def ssh_line(p: SSHParams, N: int) -> Callable[[object], Spectrum]:
     def exact(delta) -> Optional[Spectrum]:
         return _ssh_odd_open(p, N)[0] if N % 2 and _pair(delta) == (0, 0) else None
 
-    return _chain_line(lambda: ssh_operator(p, N), p.hoppings_nonzero, exact,
-                       (2, (p.v1 + p.v2) / 2.0, p.v) if N % 2 == 0 else None)
+    return _chain_line(lambda: ssh_operator(p, N), p.hoppings_nonzero, exact, 2 if N % 2 == 0 else None)
 
 
 def ssh_spectrum(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
@@ -812,16 +813,13 @@ def mixed_longrange_line(t_r, u_l, N: int) -> Callable[[object], Spectrum]:
     """delta -> spectrum of the chain with +2 and -1 hops, lambda = u_l y^2 +
     t_r / y, through `_chain_line` (see `hn_line`); delta is a scalar.  Every
     delta gets an eigensolve: the chain has no exact set.  Both hops go from
-    grade n mod 3 to the next, so a chain of N divisible by 3 declares the
-    grading (3, 0, 0) and solves one N/3-site block of H^3 where that is
-    accepted (its eigenvalues are closed under multiplication by e^(2 pi i /
-    3)).  A chain with eigenvalues near 0, such as u_l = t_r = 1 (declined
-    at all 41 delta in [0, 1] at N 30, 60 and 120: min |lambda| is 0.1 to
-    0.003, the guard asks for 0.25), and any other N solve the whole
-    matrix."""
+    grade n mod 3 to the next, so a chain of N divisible by 3 declares three
+    sublattices.  Its guard declines a chain with eigenvalues near 0, such
+    as u_l = t_r = 1 (all 41 delta in [0, 1] at N 30, 60 and 120: min
+    |lambda| is 0.1 to 0.003, the guard asks for 0.25)."""
     t_r, u_l = complex(t_r), complex(u_l)
     line = _chain_line(lambda: chain_operator(ChainStencil(N, {2: u_l, -1: t_r}, (0.0,))),
-                       t_r != 0 and u_l != 0, lambda delta: None, (3, 0.0, 0.0) if N % 3 == 0 else None)
+                       t_r != 0 and u_l != 0, lambda delta: None, 3 if N % 3 == 0 else None)
     return lambda delta: line(complex(delta))
 
 
@@ -842,7 +840,7 @@ def mixed_longrange_spectrum(t_r, u_l, delta, N: int) -> tuple[Spectrum, AlphaSe
     companion[:, 0, 1] = spec.eigenvalues / u_l
     companion[:, 0, 2] = -t_r / u_l
     companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    ys = canonical_triple(np.linalg.eigvals(companion))
+    ys = canonical_triple(_eigvals(companion))
     return spec, AlphaSet(-1j * np.log(ys), np.ones(N, dtype=int), 0.0, "mixed-eig")
 
 

@@ -20,18 +20,15 @@ Hermitian at every real delta1 are solved as Hermitian matrices, with
 eigenvalues on the line c_j + e^{i psi_j} R.  Under BC1 the paper's balance
 condition |h_l(s)| = |h_r(s)| on the unit circle gives every block this
 form: the block is a chain with diagonal h_d and hoppings of equal modulus
-whose products share one phase.  For even N1 every block is bipartite (the
-sublattice symmetry of Kawabata, Shiozaki, Ueda and Sato, PRX 9, 041015
-(2019)): M_j - c_j, c_j the mean of its two diagonal values, carries the
-even sites to the odd ones and back, corners included.  So the blocks are
-solved at half size: a Hermitian block from the N1/2 singular values of
-K_j[even, odd] (one batched SVD), every other one from the N1/2
-eigenvalues of the grade-0 block of (M_j - c_j)^2 (one batched eigvals,
-`models1d._graded_eigenvalues`, under its amplification guard; a declined
-block is solved whole).  On the shipped 30 x 30 hn stacks this takes a
-third to two fifths of the time of the full-size solves per delta1 (one
-BLAS thread).  An odd N1 takes
-eigvalsh and eigvals on the whole blocks.  `stacked_line` returns delta1 ->
+whose products share one phase.  For even N1 every block is a chain of
+two sublattices, its even and odd sites, so the blocks are solved at half
+size: a Hermitian block from the N1/2 singular values of K_j[even, odd]
+(one batched SVD), every other one by the chains' eigensolve
+(`models1d.block_eigvals`: one grade block of (M_j - c_j)^2 under its
+guard, a declined block whole).  On the shipped 30 x 30 hn stacks this
+takes a third to two fifths of the time of the full-size solves per
+delta1 (one BLAS thread).  An odd N1 takes eigvalsh and eigvals on the
+whole blocks.  `stacked_line` returns delta1 ->
 these eigenvalues alone, with the blocks' operators, the stacking factors
 and the choice of Hermitian blocks made once; the command line takes them
 from the line.  `stacked_hn_spectrum` and `stacked_ssh_spectrum` also
@@ -51,8 +48,8 @@ import numpy as np
 
 from .alphasolver import AlphaSet
 from .core import ChainStencil, CornerOperator, EigensolverError, Spectrum, chain_operator, dense_spectrum
-from .models1d import (SSHParams, _alpha_set_from_cos, _graded_eigenvalues, _hn_wavenumbers, _ssh_wavenumbers,
-                       ssh_operator)
+from .core import _solver_failure
+from .models1d import SSHParams, _alpha_set_from_cos, _hn_wavenumbers, _ssh_wavenumbers, block_eigvals, ssh_operator
 
 __all__ = [
     "Stacked2DSpec",
@@ -333,14 +330,13 @@ def _bloch_eigvals(A, B, C, s: np.ndarray, conjugate_pairs: bool,
     are c_j I + e^{i psi_j} K_j with K_j Hermitian, solved by
     `_hermitian_eigvals`.  The other self-conjugate blocks are solved in
     real arithmetic and the other pairs in one complex batch, each by
-    `_block_eigvals`.  Otherwise all N2 blocks go through one complex
-    `_block_eigvals`.  Both solve the blocks of an even N1 at half size, by
-    their sublattice grading; an odd N1 gets the full-block eigvals and
-    eigvalsh.  The counts weigh each solved pair as two blocks.
+    `models1d.block_eigvals`, with two sublattices for an even N1.
+    Otherwise all N2 blocks go through one complex `block_eigvals`.  The
+    counts weigh each solved pair as two blocks.
     """
-    graded = len(A) % 2 == 0
+    m = 2 if len(A) % 2 == 0 else None  # sublattices of every block
     if not conjugate_pairs:
-        lam, half = _block_eigvals(np.stack([A + x * B + C / x for x in s]), graded)
+        lam, half = block_eigvals(np.stack([A + x * B + C / x for x in s]), m)
         return lam, 0, int(half.sum())
     n2 = len(s)
     A, B, C = A.real, B.real, C.real
@@ -349,41 +345,20 @@ def _bloch_eigvals(A, B, C, s: np.ndarray, conjugate_pairs: bool,
     solved, n_self = _solved_blocks(n2), 2 - n2 % 2
     herm, selfconj, pairs = solved[:len(shift)], solved[len(shift):n_self], solved[max(len(shift), n_self):]
     n_herm = 2 * len(herm) - min(len(herm), n_self)
-    n_half = n_herm if graded else 0
+    n_half = n_herm if m else 0
     if selfconj:
         r = s[selfconj].real[:, None, None]
-        lam[selfconj], half = _block_eigvals(A + r * B + C / r, graded)
+        lam[selfconj], half = block_eigvals(A + r * B + C / r, m)
         n_half += int(half.sum())
     if pairs:
         t = s[pairs][:, None, None]
-        lam[pairs], half = _block_eigvals(A + t * B + C / t, graded)
+        lam[pairs], half = block_eigvals(A + t * B + C / t, m)
         n_half += 2 * int(half.sum())
     if herm:
-        lam[herm] = _hermitian_eigvals(A, B, C, s[herm], shift, phase, graded)
+        lam[herm] = _hermitian_eigvals(A, B, C, s[herm], shift, phase, m is not None)
     mirrored = np.arange(1, (n2 + 1) // 2)
     lam[n2 - mirrored] = lam[mirrored].conj()
     return lam, n_herm, n_half
-
-
-def _block_eigvals(M: np.ndarray, graded: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(Eigenvalues of each Bloch block in the stack M, which of them were
-    solved at half size).
-
-    A block of even N1 is a chain graded by its two sublattices: M - c is
-    +-v on them, with c, v = (M_00 +- M_11) / 2, and every hop, corners
-    included, goes from one to the other.  So `models1d._graded_eigenvalues`
-    gives its eigenvalues c +- mu^(1/2) from the N1/2 eigenvalues mu of
-    M[even, odd] M[odd, even] + v^2, all blocks in one batch; the blocks
-    that it declines go through one full-block eigvals.  An odd N1 takes
-    the full-block eigvals alone.
-    """
-    if not graded:
-        return np.linalg.eigvals(M), np.zeros(len(M), dtype=bool)
-    c, v = (M[:, 0, 0] + M[:, 1, 1]) / 2, (M[:, 0, 0] - M[:, 1, 1]) / 2
-    lam, ok = _graded_eigenvalues(M, 2, c, v)
-    if not ok.all():
-        lam[~ok] = np.linalg.eigvals(M[~ok])
-    return lam, ok
 
 
 def _hermitian_eigvals(A, B, C, s, shift, phase, graded: bool) -> np.ndarray:
@@ -408,13 +383,19 @@ def _hermitian_eigvals(A, B, C, s, shift, phase, graded: bool) -> np.ndarray:
         diag = np.arange(len(A))
         K[:, diag, diag] -= shift[:, None]
         K *= phase.conj()[:, None, None]
-        return shift[:, None] + phase[:, None] * np.linalg.eigvalsh(K)
+        try:
+            return shift[:, None] + phase[:, None] * np.linalg.eigvalsh(K)
+        except np.linalg.LinAlgError as exc:
+            raise _solver_failure(K, exc) from exc
     e, o = slice(0, None, 2), slice(1, None, 2)
     X = t * B[e, o]
     X += A[e, o]
     X += C[e, o] / t
     X *= phase.conj()[:, None, None]
-    sigma = np.linalg.svd(X, compute_uv=False)
+    try:
+        sigma = np.linalg.svd(X, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise _solver_failure(X, exc) from exc
     half_d = ((s * B[1, 1] + A[1, 1] + C[1, 1] / s - shift) * phase.conj()).real[:, None] / 2
     big = half_d + np.copysign(np.hypot(half_d, sigma), half_d)
     ratio = np.divide(sigma, big, out=np.zeros_like(sigma), where=big != 0)
@@ -441,10 +422,10 @@ def stacked_line(spec: Stacked2DSpec) -> Callable[[object], Spectrum]:
     e^{2 i psi}, so e^{-i psi} (M - h_d I) is Hermitian and the block's
     eigenvalues lie on the line h_d + e^{i psi} R.  A stack whose first
     block fails pays for one N1 x N1 check when the line is built and
-    nothing per delta1.  For even N1 every block is solved at half size
-    (`_bloch_eigvals`).  parameters["hermitian_blocks"] counts the blocks
-    (of N2) solved as Hermitian matrices, parameters["sublattice_blocks"]
-    those solved at half size.
+    nothing per delta1.  For even N1 the blocks are solved at half size
+    where the guard allows (`_bloch_eigvals`).  parameters["hermitian_blocks"]
+    counts the blocks (of N2) solved as Hermitian matrices,
+    parameters["sublattice_blocks"] those solved at half size.
     """
     s = spec.stack_factors()
     ops = block_operators(spec)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cmul
+from .core import _eigvals, cmul
 
 __all__ = [
     "BlochSampler",
@@ -137,7 +137,7 @@ def gap_classify(sampler: BlochSampler):
     """
     pts = sampler.grid(512)[:-1]  # k = pi repeats k = -pi
     if sampler.dim > 1:
-        pts = np.linalg.eigvals(pts).ravel()
+        pts = _eigvals(pts).ravel()
     re_lo, re_hi = pts.real.min(), pts.real.max()
     im_lo, im_hi = pts.imag.min(), pts.imag.max()
     dre = max(re_hi - re_lo, 1e-6)

@@ -449,6 +449,16 @@ MIXED_STIFF = {
 }
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the hoppings of two shipped stacks, an unbalanced one and a case-1 one
+STACK_PARAMS = {name: json.loads((CONFIGS / f"stacked_chain_{name}.json").read_text())["params"]
+                for name in ("unbalanced", "case1")}
+
+
+def _lapack_failure(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 class TestExitCodes:
     """0 success, 2 configuration error, 3 validation failure, 4 numerical failure."""
 
@@ -463,6 +473,32 @@ class TestExitCodes:
         path = write_config(tmp_path, "stiff.json", MIXED_STIFF)
         assert main(["validate", "--config", str(path)]) == 4
         assert "numerical failure: grouping into sets of 3 failed" in capsys.readouterr().err
+
+    # (stack, N1, the LAPACK routine that solves its Bloch blocks): the
+    # unbalanced stack takes eigvals (of half-size grade blocks at even N1,
+    # of the whole blocks at odd), the case-1 stack Hermitian solves (svd at
+    # even N1, eigvalsh at odd)
+    @pytest.mark.parametrize("stack, n1, routine", [
+        ("unbalanced", 6, "eigvals"), ("unbalanced", 5, "eigvals"), ("case1", 6, "svd"), ("case1", 5, "eigvalsh"),
+    ])
+    def test_failed_bloch_block_solve_exits_4(self, tmp_path, capsys, monkeypatch, stack, n1, routine):
+        """A LAPACK failure in a Bloch-block solve is a numerical failure,
+        not a configuration error (LinAlgError is a ValueError)."""
+        path = write_config(tmp_path, "stack.json", {
+            "model": "stacked-hn", "task": "sweep", "params": STACK_PARAMS[stack], "sizes": {"N1": n1, "N2": 5},
+            "delta": {"start": 0.0, "stop": 0.5, "step": 0.25}, "output": "out"})
+        monkeypatch.setattr(np.linalg, routine, _lapack_failure)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 4
+        assert "numerical failure: eigensolver failed" in capsys.readouterr().err
+
+    def test_failed_gap_scan_solve_exits_4(self, tmp_path, capsys, monkeypatch):
+        """The two-band gap scan's batched eigvals of its Bloch matrices."""
+        path = write_config(tmp_path, "gap.json", {
+            "model": "ssh", "task": "gap", "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0},
+            "sizes": {"N": 10}, "output": "out"})
+        monkeypatch.setattr(np.linalg, "eigvals", _lapack_failure)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 4
+        assert "numerical failure: eigensolver failed" in capsys.readouterr().err
 
     def test_numerical_failures_share_one_family(self):
         from nhchain.core import EigensolverError, NumericalError

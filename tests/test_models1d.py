@@ -269,6 +269,7 @@ def test_closed_forms_answer_from_their_own_equation(monkeypatch):
         raise AssertionError("a closed form called the dense eigensolver")
 
     monkeypatch.setattr(models1d, "dense_spectrum", no_oracle)
+    monkeypatch.setattr(models1d, "_eigvals", no_oracle)
     outcomes = {}
     for family, closed_form, args, N in _closed_form_cases():
         try:
@@ -510,9 +511,9 @@ def _eigensolver_route(p: HNParams, N: int, delta) -> Spectrum:
     dense eigensolve."""
     H = hn_matrix(p, N, delta)
     if p.is_plain and N % 2 == 0:
-        lam, ok = _graded_eigenvalues(H, 2, p.t_d, 0.0)
-        if ok:
-            return Spectrum(lam, "sublattice-oracle")
+        lam, ok = _graded_eigenvalues(H[None], 2)
+        if ok[0]:
+            return Spectrum(lam[0], "sublattice-oracle")
     return dense_spectrum(H)
 
 
@@ -642,13 +643,16 @@ class TestGradedRoute:
         assert _same_spectrum(spec, dense_spectrum(matrix()))
 
     def test_accepted_points_solve_no_full_matrix(self, monkeypatch):
+        """Every chain solve goes through `core._eigvals`, a batch of one
+        matrix per call; an accepted point solves only its N/m-site block."""
         sizes = []
+        eigvals = models1d._eigvals
 
-        def recording(M, *args, **kwargs):
-            sizes.append(len(M))
-            return dense_spectrum(M, *args, **kwargs)
+        def recording(M):
+            sizes.extend([M.shape[-1]] * len(M))
+            return eigvals(M)
 
-        monkeypatch.setattr(models1d, "dense_spectrum", recording)
+        monkeypatch.setattr(models1d, "_eigvals", recording)
         accepted = 0
         for family, line, matrix, N, m, delta in _graded_chains(0) + _graded_chains(1):
             sizes.clear()

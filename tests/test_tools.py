@@ -130,3 +130,20 @@ def test_closed_form_grid_compare():
     assert lines[-1] == "newly raised 1, off dense 1, worse 1, newly returned 1 (of 5 points)"
     assert grid.compare(a, a) == (["newly raised 0, off dense 0, worse 0, newly returned 0 (of 5 points)"], 0)
     assert len(list(grid.points())) == 267
+
+
+def test_route_times_routes_match_dense():
+    """`tools/route_times.py` at one small point: the hn chain of its table
+    at N 60, where every route it times answers (the grade block is
+    accepted and the boundary equation certified), matches the dense
+    spectrum to 1e-12, and a timing is positive."""
+    rt = _load("route_times", TOOL.parent / "route_times.py")
+    label, build, delta, hn = next(rt.chains())
+    calls = rt.routes(build, 60, delta, hn)
+    assert set(calls) == {"whole", "graded", "boundary", "line"}
+    dense = nhchain.dense_spectrum(nhchain.hn_matrix(hn, 60, delta))
+    for name, call in calls.items():
+        lam, verdict = call()
+        assert verdict in ("", "accepted", "certified", "boundary-equation"), (name, verdict)
+        assert nhchain.spectral_mismatch(lam, dense) <= 1e-12, name
+    assert rt.best_us(calls["whole"], 2) > 0
