@@ -116,6 +116,15 @@ class PolyY:
         return len(self.coeffs) - 1
 
 
+def _np_roots(desc: np.ndarray) -> np.ndarray:
+    """np.roots of the descending coefficients `desc`; a LAPACK failure of
+    its companion eigensolve refuses the closed form (`NumericalError`)."""
+    try:
+        return np.roots(desc)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"companion eigensolve failed: {exc}") from exc
+
+
 def _trim(coeffs: np.ndarray) -> np.ndarray:
     """Drop exactly-zero leading entries only: the cleared equations can have
     a very wide but genuine coefficient range, so no relative cut is safe."""
@@ -309,7 +318,7 @@ def _drop_spurious(P: np.ndarray, scale: float, targets: np.ndarray) -> np.ndarr
     rooted in units of `scale`, cluster-merged and Newton-polished;
     `NumericalError` if a target has no root within 1e-4 max(1, |target|)."""
     b = P * scale ** np.arange(len(P))
-    all_roots = scale * np.roots(b[::-1] / np.abs(b).max())
+    all_roots = scale * _np_roots(b[::-1] / np.abs(b).max())
     keep = np.ones(len(all_roots), dtype=bool)
     for target in targets:
         dist = np.where(keep, np.abs(all_roots - target), np.inf)
@@ -453,7 +462,7 @@ def _s_reduction_roots(kind: str, c: np.ndarray) -> np.ndarray:
     S = np.add.accumulate(terms, axis=0)[-1]
     S = _trim(S)
     desc = S[::-1] / np.abs(S).max()
-    svals = np.roots(desc)
+    svals = _np_roots(desc)
     svals = _newton_vec(desc, np.polyder(desc), svals, iters=8)
     if kind == "pal":
         for target in (2.0, -2.0):
@@ -661,7 +670,7 @@ def verify_generic(stencil, lam) -> float:
     for o, t in hops.items():
         cp[o + p] += t
     cp[p] += diag - complex(lam)
-    xs = np.roots(cp[::-1])
+    xs = _np_roots(cp[::-1])
     if len(xs) != deg:
         raise ValueError("characteristic polynomial degenerated at this energy")
     # confluent basis for repeated roots: k-th duplicate uses n^k x^n;

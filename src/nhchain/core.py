@@ -194,24 +194,27 @@ def build_chain_matrix(stencil: ChainStencil) -> np.ndarray:
 class Spectrum:
     """A multiset of complex eigenvalues with provenance.
 
-    The provenance names the route: "analytic" (an exact closed form),
-    "oracle" (one dense eigensolve of the whole matrix), "sublattice-oracle"
-    (a chain graded into m sublattices, solved by one N/m-site grade block
-    where its guard accepts; `models1d.block_eigvals`), "bloch-oracle" (a
-    stacked lattice's Bloch blocks, solved by the same `block_eigvals` or
-    as Hermitian matrices) or "boundary-equation" (a long plain one-band
-    chain's boundary equation solved by Newton, kept only where N disjoint
-    inclusion discs certify one eigenvalue each; `models1d.hn_line`).
+    The provenance names the route, all taken by the one per-delta body of
+    the chain and stack lines (`models1d._line`): "analytic" (an exact
+    closed form), "oracle" (one eigensolve of the whole matrix, general or,
+    for a chain Hermitian up to a shift and a phase, Hermitian),
+    "sublattice-oracle" (a chain graded into m sublattices, solved by one
+    N/m-site grade block where its guard accepts, `models1d.block_eigvals`,
+    or, Hermitian, by the singular values of its sublattice slice),
+    "bloch-oracle" (a stacked lattice's Bloch blocks, solved by the same
+    routes) or "boundary-equation" (a long plain one-band chain's boundary
+    equation solved by Newton, kept only where N disjoint inclusion discs
+    certify one eigenvalue each; `models1d.hn_line`).
 
     `parameters` is empty but for the keys a caller reads: "fallback" (a
     chain line's dense solve of a chain with a vanishing hopping; read by
     the wavenumber recovery and the benchmark tracer), "degree" and
     "removed_factor" (the mixed long-range closed form's polynomial;
     `cli.validate`'s triple grouping), "hermitian_blocks" (Bloch blocks
-    that `models2d.stacked_line` solved as Hermitian matrices; the tests)
-    and "sublattice_blocks" (Bloch blocks of an even N1 that it solved at
-    half size, by singular values or one grade block of (M - c)^2; the
-    tests).
+    that a stack's line, `models2d.stacked_line`, solved as Hermitian
+    matrices; the tests) and "sublattice_blocks" (Bloch blocks of an even
+    N1 that it solved at half size, by singular values or one grade block
+    of (M - c)^2; the tests).
     No closed form borrows from the dense oracle: one that cannot answer
     from its own equation raises `NumericalError`.
     """

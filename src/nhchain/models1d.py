@@ -6,23 +6,25 @@ even or odd length (with alternating on-site potentials and a zero-mode
 criterion), the unidirectional and mixed long-range chains, and the scalar
 Bloch functions with their three non-winding parameter families.
 
-The per-size lines `hn_line`, `ssh_line` and `mixed_longrange_line` solve
-every delta through one body, `_chain_line`: the chain matrix without its
-corners is built once; an exact wavenumber set (the plain one-band chain at
-delta = 0 and +-1, the open odd two-band chain) gives an "analytic"
-spectrum, and every other delta an eigensolve, labelled {"fallback": "zero
-hopping"} when a hopping vanishes.  Before the eigensolve, a plain one-band
-chain at N >= 40 whose boundary term |C| = |delta_r r^N + delta_l r^(-N)|
-(r = sqrt(t_r) / sqrt(t_l)) is at least 1e3 solves its boundary equation,
-six terms in u = e^(-i alpha_tilde), by vectorised Newton
-(`_hn_boundary_roots`, provenance "boundary-equation").  It takes the roots
-only under a certificate: N disjoint inclusion discs, one per eigenvalue.
-The eigensolve is `block_eigvals`, which also solves the Bloch blocks of
-models2d: a chain graded into m sublattices (the even plain one-band and
-two-band chains, m = 2, and the mixed chain of N divisible by 3, m = 3)
-solves one N/m-site grade block where its guard accepts (provenance
-"sublattice-oracle"), and the whole matrix otherwise ("oracle").  The
-command line uses the lines alone.  `hn_spectrum`, `ssh_spectrum` and
+The per-size lines `hn_line`, `ssh_line` and `mixed_longrange_line`, and
+the stacked lines of models2d, solve every delta through one body, `_line`:
+a chain is a stack of one block.  Its operator is built once; an exact
+wavenumber set (the plain one-band chain at delta = 0 and +-1, the open odd
+two-band chain) gives an "analytic" spectrum.  Else a plain one-band chain
+at N >= 40 whose boundary term |C| = |delta_r r^N + delta_l r^(-N)| (r =
+sqrt(t_r) / sqrt(t_l)) is at least 1e3 solves its boundary equation, six
+terms in u = e^(-i alpha_tilde), by vectorised Newton (`_hn_boundary_roots`,
+provenance "boundary-equation"), under a certificate: N disjoint inclusion
+discs, one per eigenvalue.  Else a balanced chain (|t_l| = |t_r|, the
+paper's insensitivity condition) is t_d + e^{i psi} K with K Hermitian at
+every real scalar delta, and takes eigvalsh, or the singular values of its
+sublattice slice.  Every other delta is solved by `block_eigvals`: a chain
+graded into m sublattices (the even plain one-band and two-band chains, m =
+2, and the mixed chain of N divisible by 3, m = 3) solves one N/m-site grade
+block where its guard accepts (provenance "sublattice-oracle", as for a
+balanced chain's sublattice slice), the whole matrix otherwise ("oracle"),
+labelled {"fallback": "zero hopping"} when a hopping vanishes.  The command
+line uses the lines alone.  `hn_spectrum`, `ssh_spectrum` and
 `mixed_longrange_spectrum` call them at one delta and also recover the
 shifted wavenumbers from the eigenvalues: cos(alpha_tilde) = (lambda - t_d)
 / (2 sqrt(t_l) sqrt(t_r)) for the one-band chain, the lambda^2 relation for
@@ -68,7 +70,7 @@ from .core import (
     dense_spectrum,
     expectation_profiles,
 )
-from .core import _eigvals
+from .core import _eigvals, _solver_failure
 from .core import as_corner_pair as _pair
 from .core import principal_sqrt as _sq
 
@@ -101,39 +103,69 @@ __all__ = [
 ]
 
 
-def _chain_line(op: Callable[[], CornerOperator], hoppings_nonzero: bool,
-                exact: Callable[[object], Optional[Spectrum]],
-                grading: Optional[int]) -> Callable[[object], Spectrum]:
-    """The per-delta body of every chain line: delta -> Spectrum.
+def _line(ops: Callable[[], tuple], s: np.ndarray, m: Optional[int],
+          exact: Callable[[object], Optional[Spectrum]] = lambda delta: None,
+          hoppings_nonzero: bool = True) -> Callable[[object], Spectrum]:
+    """The per-delta body of every chain and stack line: delta -> Spectrum.
 
-    `op` builds the chain's `CornerOperator`; it is called on first use and
-    kept, so the exact sets need no matrix.  A chain with a vanishing
-    hopping gets one dense eigensolve per delta, with parameters
-    {"fallback": "zero hopping"}.  Otherwise each delta takes `exact(delta)`
-    where that gives a spectrum, and everywhere else `block_eigvals` of the
-    operator at delta as a batch of one, with the chain's number of
-    sublattices `grading` (None: none): provenance "sublattice-oracle"
-    where it solved a grade block, "oracle" where the whole matrix.
+    `ops` builds the blocks' operators on first use, and the line keeps
+    them, so the exact sets need no matrix: a chain's one `CornerOperator`,
+    its matrix its one block (s = [1]), or a stack's (A, B, C), block j
+    being A + s_j B + C / s_j.  Each delta takes the first route that
+    answers: `exact(delta)` (a chain's exact set or boundary equation); at a
+    real scalar delta, `_hermitian_eigvals` for the leading blocks that
+    `_hermitian_blocks` found Hermitian up to a shift and a phase (once, on
+    first use); `block_eigvals` with m sublattices (None: none) for the
+    rest.  A stack whose operators are real at delta 0 and 1, with s_(N-j)
+    = conj(s_j) (BC1, or BC2 with a real delta2 > 0), has its blocks in
+    conjugate pairs at a real delta (`_bloch_eigvals`); every other line
+    solves all blocks, in order j = 0, 1, ...
+
+    A chain returns provenance "sublattice-oracle" where its block was
+    solved at 1/m size, "oracle" where whole; a chain with a vanishing
+    hopping takes one dense eigensolve per delta, parameters {"fallback":
+    "zero hopping"}, and no other route.  A stack returns the rows in block
+    order j, provenance "bloch-oracle", with `_bloch_eigvals`' counts as
+    parameters "hermitian_blocks" and "sublattice_blocks".
     """
-    op = cache(op)
+    ops, n = cache(ops), len(s)
     if not hoppings_nonzero:
-        return lambda delta: replace(dense_spectrum(op().at(delta)), parameters={"fallback": "zero hopping"})
+        return lambda delta: replace(dense_spectrum(ops()[0].at(delta)), parameters={"fallback": "zero hopping"})
+
+    @cache
+    def gate():
+        o = ops()  # a chain is never paired: its block is solved as its operator stores it
+        paired = (len(o) == 3 and np.array_equal(s[-np.arange(n)], s.conj())
+                  and not any(op.at(d).imag.any() for op in o for d in (0.0, 1.0)))
+        # pairs: the self-conjugate blocks (0, and n/2 for even n), then one block of each pair
+        order = [0, *([n // 2] if n % 2 == 0 else []), *range(1, (n + 1) // 2)] if paired else list(range(n))
+        return o, paired, order, *_hermitian_blocks(o, s, order)
 
     def line(delta) -> Spectrum:
         spec = exact(delta)
         if spec is not None:
             return spec
-        lam, graded = block_eigvals(op().at(delta)[None], grading)
-        return Spectrum(lam[0], "sublattice-oracle" if graded[0] else "oracle")
+        o, paired, order, shift, phase = gate()
+        dl, dr = _pair(delta)
+        if not (dl == dr and dl.imag == 0):
+            paired, order, shift, phase = False, list(range(n)), shift[:0], phase[:0]
+        if len(o) == 1 and not len(shift):  # a chain's matrix as a batch of one, no copy
+            lam, half = block_eigvals(o[0].at(delta)[None], m)
+            return Spectrum(lam[0], "sublattice-oracle" if half[0] else "oracle")
+        lam, n_herm, n_half = _bloch_eigvals([op.at(delta)[None] for op in o], s, paired, order,
+                                             shift, phase, m)
+        if len(o) == 1:
+            return Spectrum(lam[0], "sublattice-oracle" if n_half else "oracle")
+        return Spectrum(lam.ravel(), "bloch-oracle", {"hermitian_blocks": n_herm, "sublattice_blocks": n_half})
 
     return line
 
 
 def block_eigvals(M: np.ndarray, m: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, graded) of a batch M of chain matrices along its
-    leading axis, one row per matrix: the eigensolve of every chain line (a
-    batch of one) and of a stack's Bloch blocks (models2d).  With a grading
-    into m sublattices (None: none), row b comes from one grade block where
+    leading axis, one row per matrix: the eigensolve of every block of a
+    line (`_line`) not solved as a Hermitian matrix.  With a grading into m
+    sublattices (None: none), row b comes from one grade block where
     `_graded_eigenvalues` accepts it (graded[b]); the other matrices are
     solved whole, together in one batched `core._eigvals`."""
     if m is None:
@@ -142,6 +174,145 @@ def block_eigvals(M: np.ndarray, m: Optional[int]) -> tuple[np.ndarray, np.ndarr
     if not ok.all():
         lam[~ok] = _eigvals(M[~ok])
     return lam, ok
+
+
+def _blocks(mats, t: np.ndarray, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """Entries [rows, cols] of the blocks A + t B + C / t of mats = (A, B,
+    C) as a new array, broadcast over t and the leading axes of A, B and C,
+    formed as (t B + A) + C / t; a chain's mats = (M,) is its own block."""
+    if len(mats) == 1:
+        return mats[0][..., rows, cols].copy()
+    A, B, C = (M[..., rows, cols] for M in mats)
+    X = t * B
+    X += A
+    X += C / t
+    return X
+
+
+def _bloch_eigvals(mats, s: np.ndarray, paired: bool, order: list, shift: np.ndarray, phase: np.ndarray,
+                   m: Optional[int]) -> tuple[np.ndarray, int, int]:
+    """(Eigenvalues of the blocks of mats (`_blocks`; the operators at one
+    delta, each with a leading axis of one), one row per block j; the
+    numbers of blocks solved as Hermitian matrices and at 1/m size, a solved
+    pair counting as two).
+
+    The leading blocks of `order`, one per entry of `shift` and `phase`
+    (from `_hermitian_blocks`), go to `_hermitian_eigvals`, the others to
+    `block_eigvals`.  With `paired` (block N-j the conjugate of block j),
+    the self-conjugate ones are formed in real arithmetic, the others in
+    one complex batch, and the conjugates of the pairs' rows fill rows N-j.
+    """
+    n, k = len(s), len(shift)
+    n_self = 2 - n % 2 if paired else 0
+    mats = [M.real for M in mats] if paired else mats
+    herm, selfconj, rest = order[:k], order[k:n_self], order[max(k, n_self):]
+    lam = np.empty((n, mats[0].shape[-1]), dtype=complex)
+    n_herm = (1 + paired) * k - min(k, n_self)
+    n_half = n_herm if m == 2 else 0
+    for idx, t, weight in ((selfconj, s[selfconj].real, 1), (rest, s[rest], 1 + paired)):
+        if idx:
+            lam[idx], half = block_eigvals(_blocks(mats, t[:, None, None]), m)
+            n_half += weight * int(half.sum())
+    if herm:
+        lam[herm] = _hermitian_eigvals(mats, s[herm][:, None, None], shift, phase, m == 2)
+    if paired:
+        mirrored = np.arange(1, (n + 1) // 2)
+        lam[n - mirrored] = lam[mirrored].conj()
+    return lam, n_herm, n_half
+
+
+# A block passes `_hermitian_blocks` when its K deviates from K^H by at most
+# this many ulps of max|M|.
+HERMITIAN_ULPS = 16
+
+
+def _phase_check(m: np.ndarray, mt: np.ndarray, diag: np.ndarray):
+    """(pass, c, e^{2 i psi}) per block.  m[d, b, e] is the e-th compared
+    entry M_ik of block b at delta = d (d = 0, 1, ...), mt[d, b, e] the
+    entry M_ki, and diag[e] marks i = k, its first True entry being M_00.
+
+    e^{2 i psi} is the phase of the block's largest product M_ik M_ki
+    (i != k) at d = 0, and c its M_00 there; a block passes if
+    K = e^{-i psi} (M - c I) is Hermitian, to HERMITIAN_ULPS ulps of max|M|,
+    at every d: K_ik - conj(K_ki) = e^{-i psi} ((M - c I)_ik - e^{2 i psi}
+    conj((M - c I)_ki)).  The products are taken of entries scaled by a
+    power of two per block, 1/2^e with max|M| < 2^e, so they cannot
+    overflow and round as the unscaled ones, e^{2 i psi} included.
+    """
+    scale = np.ldexp(1.0, -np.frexp(np.abs(m[0]).max(axis=-1, initial=0.0))[1])[:, None]
+    prod = np.where(diag, 0, (m[0] * scale) * (mt[0] * scale))
+    p = prod[np.arange(len(prod)), np.argmax(np.abs(prod), axis=1)]
+    p = np.where(p == 0, 1, p)
+    e2 = p / np.abs(p)
+    shift = m[0][:, np.argmax(diag)]
+    d, dt = m - diag * shift[:, None], mt - diag * shift[:, None]
+    dev = np.abs(d - e2[:, None] * dt.conj()).max(axis=-1)
+    ok = (dev <= HERMITIAN_ULPS * np.finfo(float).eps * np.abs(m).max(axis=-1)).all(axis=0)
+    return ok, shift, e2
+
+
+def _hermitian_blocks(ops, s: np.ndarray, order: list) -> tuple[np.ndarray, np.ndarray]:
+    """(c_j, e^{i psi_j}) of the leading blocks of `order` (see `_blocks`)
+    M_j = c_j I + e^{i psi_j} K_j with K_j Hermitian at every real scalar
+    delta, up to the first block that is not.
+
+    `_phase_check` decides each block at delta = 0 and delta = 1; M is
+    affine in delta, so K then is Hermitian at every real delta.  First the
+    moduli of row 0 and column 0 of the first block at delta = 0 are
+    compared, to twice that tolerance (|M_0k| != |M_k0| fails the check as
+    well), so a line whose first block fails pays for O(N) entries.  Then
+    the blocks are checked together on the entries where an operator is
+    nonzero at delta = 0 or 1, or whose transpose is: O(N) entries per block
+    of the banded chains.
+    """
+    bulk, t = [op.bulk for op in ops], s[order[:1]]
+    row, col = (np.abs(_blocks(bulk, t, i, k)) for i, k in ((0, slice(None)), (slice(None), 0)))
+    if (np.abs(row - col) > 2 * HERMITIAN_ULPS * np.finfo(float).eps * np.maximum(row, col).max()).any():
+        return np.empty(0, dtype=complex), np.empty(0, dtype=complex)
+    X = [np.stack([op.bulk, op.at(1.0)])[:, None] for op in ops]
+    nonzero = sum(np.abs(Y[:, 0]) for Y in X).any(axis=0)
+    nonzero |= nonzero.T
+    np.fill_diagonal(nonzero, True)
+    r, c = np.nonzero(nonzero)
+    t = s[order][:, None]
+    ok, shift, e2 = _phase_check(_blocks(X, t, r, c), _blocks(X, t, c, r), r == c)
+    n = len(ok) if ok.all() else int(np.argmin(ok))
+    return shift[:n], np.sqrt(e2[:n])
+
+
+def _hermitian_eigvals(mats, t: np.ndarray, shift: np.ndarray, phase: np.ndarray, graded: bool) -> np.ndarray:
+    """Eigenvalues c_j + e^{i psi_j} mu of the blocks M_j (`_blocks` of mats
+    at t) that are c_j I + e^{i psi_j} K_j with K_j Hermitian (c_j = M_00),
+    one row per block.
+
+    Ungraded blocks take one batched eigvalsh of the K_j (which reads their
+    lower triangles).  A `graded` block, a chain of two sublattices, has K_j
+    zero on the even sites, a real d_j = K_11 on the odd ones (0 for the
+    plain one-band chain and the hn-family stacks), and every other entry
+    joining an even site to an odd one.  Its eigenvalues are then mu = d/2
+    +- (d^2/4 + sigma^2)^(1/2) for the N/2 singular values sigma of K[even,
+    odd], from one batched SVD (backward stable: no guard) of that slice
+    alone.  The root of the sign of d is formed as written and the other as
+    -sigma^2 over it, so neither cancels, and d = 0 gives exactly +-sigma.
+    """
+    if graded:
+        K, m11 = _blocks(mats, t, slice(0, None, 2), slice(1, None, 2)), _blocks(mats, t, slice(1, 2), slice(1, 2))
+    else:
+        K = _blocks(mats, t)
+        diag = np.arange(K.shape[-1])
+        K[:, diag, diag] -= shift[:, None]
+    K *= phase.conj()[:, None, None]
+    try:
+        if not graded:
+            return shift[:, None] + phase[:, None] * np.linalg.eigvalsh(K)
+        sigma = np.linalg.svd(K, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise _solver_failure(K, exc) from exc
+    half_d = ((m11[:, 0, 0] - shift) * phase.conj()).real[:, None] / 2
+    big = half_d + np.copysign(np.hypot(half_d, sigma), half_d)
+    ratio = np.divide(sigma, big, out=np.zeros_like(sigma), where=big != 0)
+    mu = np.concatenate([big, -ratio * sigma], axis=1)
+    return shift[:, None] + phase[:, None] * mu
 
 
 # Largest amplification (||H - c||_inf / |lambda - c|)^(m - 1) of the m-th
@@ -462,7 +633,7 @@ def _hn_boundary_roots(p: HNParams, N: int, delta) -> Optional[np.ndarray]:
 
 def hn_line(p: HNParams, N: int) -> Callable[[object], Spectrum]:
     """delta -> eigenvalues lambda = t_d + 2 sqrt(t_l) sqrt(t_r) cos(alpha_tilde)
-    at a scalar delta or a (delta_l, delta_r) pair, through `_chain_line`.
+    at a scalar delta or a (delta_l, delta_r) pair, through `_line`.
 
     A caller that solves the chain at many deformations (a sensitivity fit)
     pays for the matrix assembly once and gets the same spectra bit for bit.
@@ -472,9 +643,11 @@ def hn_line(p: HNParams, N: int) -> Callable[[object], Spectrum]:
     boundary term |C| = |delta_r r^N + delta_l r^(-N)| (r = sqrt(t_r) /
     sqrt(t_l)) is at least 1e3 takes the roots of its boundary equation
     where a certificate holds (`_hn_boundary_roots`; provenance
-    "boundary-equation").  Every other delta, and a chain with a vanishing
-    hopping, gets an eigensolve, for which a plain chain of even N declares
-    two sublattices, its odd and even sites.
+    "boundary-equation").  A balanced chain, |t_l| = |t_r|, is solved as a
+    Hermitian matrix at a real scalar delta (|C| <= 2: no boundary
+    equation).  Every other delta, and a chain with a vanishing hopping,
+    gets an eigensolve.  A plain chain of even N declares two sublattices,
+    its odd and even sites.
     """
     def exact(delta) -> Optional[Spectrum]:
         aset = _hn_exact_alpha_set(p, N, delta)
@@ -483,8 +656,8 @@ def hn_line(p: HNParams, N: int) -> Callable[[object], Spectrum]:
         lam = _hn_boundary_roots(p, N, delta)
         return None if lam is None else Spectrum(lam, "boundary-equation")
 
-    return _chain_line(lambda: chain_operator(hn_stencil(p, N, 0.0)),
-                       p.t_l != 0 and p.t_r != 0, exact, 2 if p.is_plain and N % 2 == 0 else None)
+    return _line(lambda: (chain_operator(hn_stencil(p, N, 0.0)),), np.ones(1),
+                 2 if p.is_plain and N % 2 == 0 else None, exact, p.t_l != 0 and p.t_r != 0)
 
 
 def hn_spectrum(p: HNParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
@@ -595,15 +768,17 @@ def _ssh_lambda2(p: SSHParams, alphas: np.ndarray) -> np.ndarray:
 
 def ssh_line(p: SSHParams, N: int) -> Callable[[object], Spectrum]:
     """delta -> full eigenvalue multiset of the alternating chain, through
-    `_chain_line` (see `hn_line`).
+    `_line` (see `hn_line`).
 
     Eigenvalues lambda = (v1+v2)/2 +- sqrt(v^2 + tl1 tr1 + tl2 tr2 +
     2 cos(a) sqrt(tl1) sqrt(tr1) sqrt(tl2) sqrt(tr2)).  The open odd chain
-    has an exact wavenumber set and an "analytic" spectrum; every other
-    delta, and a chain with a vanishing hopping, gets an eigensolve, for
-    which a chain of even N declares two sublattices; an odd chain's corner
-    joins two sites of one.  An odd chain with nonzero hoppings takes no
-    on-site potentials: one with them raises here.
+    has an exact wavenumber set and an "analytic" spectrum.  A chain whose
+    every bond has |tl| = |tr| with one phase of tl tr (and (v2 - v1) on
+    that phase's line) is solved as a Hermitian matrix at a real scalar
+    delta.  Every other delta, and a chain with a vanishing hopping, gets an
+    eigensolve.  A chain of even N declares two sublattices; an odd chain's
+    corner joins two sites of one.  An odd chain with nonzero hoppings takes
+    no on-site potentials: one with them raises here.
     """
     if p.hoppings_nonzero and N % 2 and (p.v1 != 0 or p.v2 != 0):
         raise ValueError("odd-length chains are solved without on-site potentials")
@@ -611,7 +786,7 @@ def ssh_line(p: SSHParams, N: int) -> Callable[[object], Spectrum]:
     def exact(delta) -> Optional[Spectrum]:
         return _ssh_odd_open(p, N)[0] if N % 2 and _pair(delta) == (0, 0) else None
 
-    return _chain_line(lambda: ssh_operator(p, N), p.hoppings_nonzero, exact, 2 if N % 2 == 0 else None)
+    return _line(lambda: (ssh_operator(p, N),), np.ones(1), 2 if N % 2 == 0 else None, exact, p.hoppings_nonzero)
 
 
 def ssh_spectrum(p: SSHParams, N: int, delta) -> tuple[Spectrum, AlphaSet]:
@@ -811,15 +986,16 @@ def mixed_longrange_matrix(t_r, u_l, delta, N: int) -> np.ndarray:
 
 def mixed_longrange_line(t_r, u_l, N: int) -> Callable[[object], Spectrum]:
     """delta -> spectrum of the chain with +2 and -1 hops, lambda = u_l y^2 +
-    t_r / y, through `_chain_line` (see `hn_line`); delta is a scalar.  Every
-    delta gets an eigensolve: the chain has no exact set.  Both hops go from
+    t_r / y, through `_line` (see `hn_line`); delta is a scalar.  Every
+    delta gets an eigensolve: the chain has no exact set and is never
+    Hermitian up to a phase.  Both hops go from
     grade n mod 3 to the next, so a chain of N divisible by 3 declares three
     sublattices.  Its guard declines a chain with eigenvalues near 0, such
     as u_l = t_r = 1 (all 41 delta in [0, 1] at N 30, 60 and 120: min
     |lambda| is 0.1 to 0.003, the guard asks for 0.25)."""
     t_r, u_l = complex(t_r), complex(u_l)
-    line = _chain_line(lambda: chain_operator(ChainStencil(N, {2: u_l, -1: t_r}, (0.0,))),
-                       t_r != 0 and u_l != 0, lambda delta: None, 3 if N % 3 == 0 else None)
+    line = _line(lambda: (chain_operator(ChainStencil(N, {2: u_l, -1: t_r}, (0.0,))),), np.ones(1),
+                 3 if N % 3 == 0 else None, hoppings_nonzero=t_r != 0 and u_l != 0)
     return lambda delta: line(complex(delta))
 
 

@@ -10,31 +10,16 @@ the stacking boundary mode:
 * OPEN -- no corner blocks (numeric route only).
 
 BC1/BC2 spectra come from the N2 Bloch blocks A + s_j B + s_j^{-1} C,
-solved by batched eigensolves (provenance "bloch-oracle").  With real
-hoppings and delta1, and stacking factors in conjugate pairs (BC1, or BC2
-with a real delta2 > 0), block N2-j is the conjugate of block j: each pair
-is solved once, and the self-conjugate blocks (j = 0 and N2/2) in real
-arithmetic; otherwise all N2 blocks are solved in one complex batch.  Of
-the blocks solved once, those that are c_j I + e^{i psi_j} K_j with K_j
-Hermitian at every real delta1 are solved as Hermitian matrices, with
-eigenvalues on the line c_j + e^{i psi_j} R.  Under BC1 the paper's balance
-condition |h_l(s)| = |h_r(s)| on the unit circle gives every block this
-form: the block is a chain with diagonal h_d and hoppings of equal modulus
-whose products share one phase.  For even N1 every block is a chain of
-two sublattices, its even and odd sites, so the blocks are solved at half
-size: a Hermitian block from the N1/2 singular values of K_j[even, odd]
-(one batched SVD), every other one by the chains' eigensolve
-(`models1d.block_eigvals`: one grade block of (M_j - c_j)^2 under its
-guard, a declined block whole).  On the shipped 30 x 30 hn stacks this
-takes a third to two fifths of the time of the full-size solves per
-delta1 (one BLAS thread).  An odd N1 takes eigvalsh and eigvals on the
-whole blocks.  `stacked_line` returns delta1 ->
-these eigenvalues alone, with the blocks' operators, the stacking factors
-and the choice of Hermitian blocks made once; the command line takes them
-from the line.  `stacked_hn_spectrum` and `stacked_ssh_spectrum` also
-recover each block's shifted wavenumbers from its eigenvalues through the
-dispersion relation of the block's effective chain, by the same inversion
-helpers as the 1D chains (models1d).  Those wavenumbers lose digits near
+solved by `stacked_line` through the chains' per-delta body
+(`models1d._line`, provenance "bloch-oracle"): one block of each conjugate
+pair where the blocks come in pairs, balanced blocks as Hermitian
+matrices, and for even N1 every block at half size, its two sublattices
+being its even and odd sites.  On the shipped 30 x 30 hn stacks the
+half-size solves take a third to two fifths of the time of the full-size
+ones per delta1 (one BLAS thread).  `stacked_hn_spectrum` and
+`stacked_ssh_spectrum` also recover each block's shifted wavenumbers from
+its eigenvalues through the dispersion relation of the block's effective
+chain, by the same inversion helpers as the 1D chains (models1d).  Those wavenumbers lose digits near
 alpha_tilde = 0 and pi, where arccos is ill-conditioned; they get no Newton
 polish, as no caller uses stacked wavenumbers beyond their count.
 The closed forms carry the balance verdicts and the envelope curves.
@@ -48,8 +33,7 @@ import numpy as np
 
 from .alphasolver import AlphaSet
 from .core import ChainStencil, CornerOperator, EigensolverError, Spectrum, chain_operator, dense_spectrum
-from .core import _solver_failure
-from .models1d import SSHParams, _alpha_set_from_cos, _hn_wavenumbers, _ssh_wavenumbers, block_eigvals, ssh_operator
+from .models1d import SSHParams, _alpha_set_from_cos, _hn_wavenumbers, _line, _ssh_wavenumbers, ssh_operator
 
 __all__ = [
     "Stacked2DSpec",
@@ -247,199 +231,25 @@ def _stack_h_coeffs(spec: Stacked2DSpec, s: complex) -> dict:
     }
 
 
-def _solved_blocks(n2: int) -> list:
-    """The blocks `_bloch_eigvals` solves when block N2-j is the conjugate
-    of block j: the self-conjugate ones (j = 0, and N2/2 for even N2), then
-    the first block of each conjugate pair, j = 1 .. (N2-1)/2."""
-    return [0, *([n2 // 2] if n2 % 2 == 0 else []), *range(1, (n2 + 1) // 2)]
-
-
-# A Bloch block passes `_hermitian_blocks` when its K deviates from K^H by at
-# most this many ulps of max|M|.
-HERMITIAN_ULPS = 16
-
-
-def _phase_check(m: np.ndarray, mt: np.ndarray, diag: np.ndarray):
-    """(pass, c, e^{2 i psi}) per block.  m[d, b, e] is the e-th compared
-    entry M_ik of block b at delta1 = d (d = 0, 1, ...), mt[d, b, e] the
-    entry M_ki, and diag[e] marks i = k, its first True entry being M_00.
-
-    e^{2 i psi} is the phase of the block's largest product M_ik M_ki
-    (i != k) at d = 0, and c its M_00 there; a block passes if
-    K = e^{-i psi} (M - c I) is Hermitian, to HERMITIAN_ULPS ulps of max|M|,
-    at every d: K_ik - conj(K_ki) = e^{-i psi} ((M - c I)_ik - e^{2 i psi}
-    conj((M - c I)_ki)).  The products are taken of entries scaled by a
-    power of two per block, 1/2^e with max|M| < 2^e, so they cannot
-    overflow and round as the unscaled ones, e^{2 i psi} included.
-    """
-    scale = np.ldexp(1.0, -np.frexp(np.abs(m[0]).max(axis=-1, initial=0.0))[1])[:, None]
-    prod = np.where(diag, 0, (m[0] * scale) * (mt[0] * scale))
-    p = prod[np.arange(len(prod)), np.argmax(np.abs(prod), axis=1)]
-    p = np.where(p == 0, 1, p)
-    e2 = p / np.abs(p)
-    shift = m[0][:, np.argmax(diag)]
-    d, dt = m - diag * shift[:, None], mt - diag * shift[:, None]
-    dev = np.abs(d - e2[:, None] * dt.conj()).max(axis=-1)
-    ok = (dev <= HERMITIAN_ULPS * np.finfo(float).eps * np.abs(m).max(axis=-1)).all(axis=0)
-    return ok, shift, e2
-
-
-def _hermitian_blocks(ops, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c_j, e^{i psi_j}) of the leading solved blocks (`_solved_blocks`
-    order) M_j = c_j I + e^{i psi_j} K_j with K_j Hermitian at every real
-    delta1, up to the first block that is not.
-
-    `_phase_check` decides each block at delta1 = 0 and delta1 = 1; M is
-    affine in delta1, so K then is Hermitian at every real delta1.  The
-    first block is checked alone at delta1 = 0, on its dense N1 x N1 matrix,
-    so a stack whose first block fails pays for that one check.  The others
-    are checked together on the entries where A, B or C is nonzero at
-    delta1 = 0 or 1, or whose transpose is, found by one pass over the
-    operators: O(N1) entries per block, each formed as A + s_j B + C / s_j
-    forms it.
-    """
-    order = _solved_blocks(len(s))
-    A, B, C = (op.bulk for op in ops)
-    t = s[order[0]]
-    M = A + t * B + C / t
-    if not _phase_check(M.reshape(1, 1, -1), M.T.reshape(1, 1, -1), np.eye(len(M), dtype=bool).ravel())[0][0]:
-        return np.empty(0, dtype=complex), np.empty(0, dtype=complex)
-    A, B, C = (np.stack([op.bulk, op.at(1.0)]) for op in ops)
-    nonzero = (np.abs(A) + np.abs(B) + np.abs(C)).any(axis=0)
-    nonzero |= nonzero.T
-    np.fill_diagonal(nonzero, True)
-    r, c = np.nonzero(nonzero)
-    t = s[order][:, None]
-    m, mt = ([X[:, None, i, k] for X in (A, B, C)] for i, k in ((r, c), (c, r)))
-    ok, shift, e2 = _phase_check(*(a + t * b + x / t for a, b, x in (m, mt)), r == c)
-    n = len(ok) if ok.all() else int(np.argmin(ok))
-    return shift[:n], np.sqrt(e2[:n])
-
-
-def _bloch_eigvals(A, B, C, s: np.ndarray, conjugate_pairs: bool,
-                   hermitian: tuple) -> tuple[np.ndarray, int, int]:
-    """(Eigenvalues of the N2 Bloch blocks A + s_j B + C / s_j, one row per
-    block j; the number of blocks solved as Hermitian matrices; the number
-    solved at half size).
-
-    With `conjugate_pairs` (real hoppings and delta1, and stacking factors
-    in conjugate pairs: BC1, or BC2 with a real delta2 > 0), block N2-j is
-    the conjugate of block j, so only the `_solved_blocks` are solved and
-    the conjugates of the pairs' rows fill rows N2-j.  `hermitian` is
-    (c_j, e^{i psi_j}) from `_hermitian_blocks`: its leading solved blocks
-    are c_j I + e^{i psi_j} K_j with K_j Hermitian, solved by
-    `_hermitian_eigvals`.  The other self-conjugate blocks are solved in
-    real arithmetic and the other pairs in one complex batch, each by
-    `models1d.block_eigvals`, with two sublattices for an even N1.
-    Otherwise all N2 blocks go through one complex `block_eigvals`.  The
-    counts weigh each solved pair as two blocks.
-    """
-    m = 2 if len(A) % 2 == 0 else None  # sublattices of every block
-    if not conjugate_pairs:
-        lam, half = block_eigvals(np.stack([A + x * B + C / x for x in s]), m)
-        return lam, 0, int(half.sum())
-    n2 = len(s)
-    A, B, C = A.real, B.real, C.real
-    lam = np.empty((n2, len(A)), dtype=complex)
-    shift, phase = hermitian
-    solved, n_self = _solved_blocks(n2), 2 - n2 % 2
-    herm, selfconj, pairs = solved[:len(shift)], solved[len(shift):n_self], solved[max(len(shift), n_self):]
-    n_herm = 2 * len(herm) - min(len(herm), n_self)
-    n_half = n_herm if m else 0
-    if selfconj:
-        r = s[selfconj].real[:, None, None]
-        lam[selfconj], half = block_eigvals(A + r * B + C / r, m)
-        n_half += int(half.sum())
-    if pairs:
-        t = s[pairs][:, None, None]
-        lam[pairs], half = block_eigvals(A + t * B + C / t, m)
-        n_half += 2 * int(half.sum())
-    if herm:
-        lam[herm] = _hermitian_eigvals(A, B, C, s[herm], shift, phase, m is not None)
-    mirrored = np.arange(1, (n2 + 1) // 2)
-    lam[n2 - mirrored] = lam[mirrored].conj()
-    return lam, n_herm, n_half
-
-
-def _hermitian_eigvals(A, B, C, s, shift, phase, graded: bool) -> np.ndarray:
-    """Eigenvalues c_j + e^{i psi_j} mu of the blocks M_j = A + s_j B + C /
-    s_j that are c_j I + e^{i psi_j} K_j with K_j Hermitian (c_j = M_00),
-    one row per s_j.
-
-    An odd N1 takes one batched eigvalsh of the K_j (which reads their lower
-    triangles).  For an even N1, K_j is zero on the even sites, a real d_j
-    = K_11 on the odd ones (0 for hn-family stacks), and every other entry
-    joins an even site to an odd one.  Its eigenvalues are then mu = d/2 +-
-    (d^2/4 + sigma^2)^(1/2) for the N1/2 singular values sigma of K[even,
-    odd], from one batched SVD (backward stable: no guard).  The root of
-    the sign of d is formed as written and the other as -sigma^2 over it,
-    so neither cancels, and d = 0 gives exactly +-sigma.
-    """
-    t = s[:, None, None]
-    if not graded:
-        K = t * B
-        K += A
-        K += C / t
-        diag = np.arange(len(A))
-        K[:, diag, diag] -= shift[:, None]
-        K *= phase.conj()[:, None, None]
-        try:
-            return shift[:, None] + phase[:, None] * np.linalg.eigvalsh(K)
-        except np.linalg.LinAlgError as exc:
-            raise _solver_failure(K, exc) from exc
-    e, o = slice(0, None, 2), slice(1, None, 2)
-    X = t * B[e, o]
-    X += A[e, o]
-    X += C[e, o] / t
-    X *= phase.conj()[:, None, None]
-    try:
-        sigma = np.linalg.svd(X, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise _solver_failure(X, exc) from exc
-    half_d = ((s * B[1, 1] + A[1, 1] + C[1, 1] / s - shift) * phase.conj()).real[:, None] / 2
-    big = half_d + np.copysign(np.hypot(half_d, sigma), half_d)
-    ratio = np.divide(sigma, big, out=np.zeros_like(sigma), where=big != 0)
-    mu = np.concatenate([big, -ratio * sigma], axis=1)
-    return shift[:, None] + phase[:, None] * mu
-
-
 def stacked_line(spec: Stacked2DSpec) -> Callable[[object], Spectrum]:
     """delta1 -> eigenvalues of a BC1/BC2 stack (hn, ssh or triangular
-    family) at that delta1 (spec.delta1 itself is not used), the blocks'
-    operators and the stacking factors built once.  The N2 Bloch blocks are
-    solved by `_bloch_eigvals`, provenance "bloch-oracle", rows in block
-    order j: N1 eigenvalues of block 0, then of block 1, and so on.  Open
-    stacking has no Bloch reduction and raises ValueError here.
+    family) at that delta1 (spec.delta1 itself is not used), rows in block
+    order j: N1 eigenvalues of block 0, then of block 1, and so on, from
+    `models1d._line`, provenance "bloch-oracle".  Open stacking has no Bloch
+    reduction and raises ValueError here.
 
-    With real hoppings and stacking factors in conjugate pairs, the line
-    also decides once which solved blocks are Hermitian up to a shift and a
-    phase at every real delta1 (`_hermitian_blocks`), and solves those as
-    Hermitian matrices at a real delta1.  Under BC1 these are all the
-    blocks of a stack that the paper's balance condition |h_l(s)| = |h_r(s)|
-    on the unit circle holds for (`stacked_hn_balance` cases 1-4 and
-    'general-r', the triangular lattice): each block is then a chain with
-    diagonal h_d and hoppings of equal modulus whose product has one phase
-    e^{2 i psi}, so e^{-i psi} (M - h_d I) is Hermitian and the block's
-    eigenvalues lie on the line h_d + e^{i psi} R.  A stack whose first
-    block fails pays for one N1 x N1 check when the line is built and
-    nothing per delta1.  For even N1 the blocks are solved at half size
-    where the guard allows (`_bloch_eigvals`).  parameters["hermitian_blocks"]
-    counts the blocks (of N2) solved as Hermitian matrices,
-    parameters["sublattice_blocks"] those solved at half size.
+    At a real delta1 the blocks that are Hermitian up to a shift and a phase
+    at every real delta1 are solved as Hermitian matrices: under BC1 all
+    the blocks of a stack that the paper's balance condition |h_l(s)| =
+    |h_r(s)| on the unit circle holds for (`stacked_hn_balance` cases 1-4
+    and 'general-r', the triangular lattice), real or complex.  Each block
+    is then a chain with diagonal h_d and hoppings of equal modulus whose
+    product has one phase e^{2 i psi}, so its eigenvalues lie on the line
+    h_d + e^{i psi} R.  parameters["hermitian_blocks"] counts the blocks
+    (of N2) solved as Hermitian matrices, parameters["sublattice_blocks"]
+    those solved at half size.
     """
-    s = spec.stack_factors()
-    ops = block_operators(spec)
-    real_params = all(v.imag == 0 for v in spec.params.values())
-    paired = spec.mode == "bc1" or (spec.delta2.imag == 0 and spec.delta2.real > 0)
-    hermitian = _hermitian_blocks(ops, s) if real_params and paired else ((), ())
-
-    def line(delta1) -> Spectrum:
-        A, B, C = (op.at(delta1) for op in ops)
-        lam, n_herm, n_half = _bloch_eigvals(A, B, C, s, real_params and paired and complex(delta1).imag == 0,
-                                             hermitian)
-        return Spectrum(lam.ravel(), "bloch-oracle", {"hermitian_blocks": n_herm, "sublattice_blocks": n_half})
-
-    return line
+    return _line(lambda: block_operators(spec), spec.stack_factors(), 2 if spec.n1 % 2 == 0 else None)
 
 
 def _bloch_spectrum(spec: Stacked2DSpec, hop_keys: tuple, wavenumbers):

@@ -500,6 +500,23 @@ class TestExitCodes:
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 4
         assert "numerical failure: eigensolver failed" in capsys.readouterr().err
 
+    def test_failed_companion_root_solve_refuses_the_closed_form(self, tmp_path, capsys, monkeypatch):
+        """A LAPACK failure in the closed form's companion root solve
+        (`np.roots`) refuses the closed form: `run` records the refusal and
+        writes the line's spectrum, `validate` exits 4."""
+        from numpy.lib import _polynomial_impl
+
+        path = write_config(tmp_path, "hn.json", {
+            "model": "hn", "task": "sweep", "params": {"t_l": 1.0, "t_r": 1.5}, "sizes": {"N": 30},
+            "delta": {"start": 0.1, "stop": 0.5, "step": 0.2}, "output": "out"})
+        monkeypatch.setattr(_polynomial_impl, "eigvals", _lapack_failure)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        side = json.loads((tmp_path / "out.json").read_text())
+        assert side["validation"]["status"] == "closed-form-failed"
+        assert "companion eigensolve failed" in side["validation"]["reason"]
+        assert main(["validate", "--config", str(path)]) == 4
+        assert "numerical failure: companion eigensolve failed" in capsys.readouterr().err
+
     def test_numerical_failures_share_one_family(self):
         from nhchain.core import EigensolverError, NumericalError
 

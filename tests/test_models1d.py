@@ -547,7 +547,8 @@ class TestBoundaryRoute:
     ])
     def test_declined_chains_keep_dense_solve(self, p, N, delta):
         assert _hn_boundary_roots(p, N, delta) is None
-        assert _same_spectrum(hn_line(p, N)(delta), _eigensolver_route(p, N, delta))
+        if not hn_balanced(p)[0]:  # a balanced chain is solved as Hermitian (TestHermitianChains)
+            assert _same_spectrum(hn_line(p, N)(delta), _eigensolver_route(p, N, delta))
 
     def test_refused_certificate_falls_back(self, monkeypatch):
         # delta = 3 binds two impurity states with |u| = 1/3, far inside the
@@ -678,6 +679,39 @@ class TestGradedRoute:
 LINE_DELTAS = [0.0, 1.0, -1.0, 1e-14, 0.3, (0.2, 0.7), 0.3, 1e-14, -1.0, 1.0, 0.0]
 
 
+BALANCED_CHAINS = [HNParams(1.0, 1.0), HNParams(1.0, np.exp(0.7j))]
+
+
+class TestHermitianChains:
+    """A balanced chain, |t_l| = |t_r|, is t_d + e^{i psi} K with K
+    Hermitian at every real scalar delta: its line solves it by eigvalsh
+    (odd N) or from the singular values of K[even, odd] (even N), with no
+    general eigensolve.  At a complex delta or a (delta_l, delta_r) pair it
+    is no such matrix and keeps the eigensolver route bit for bit."""
+
+    @pytest.mark.parametrize("p", BALANCED_CHAINS)
+    @pytest.mark.parametrize("N", [9, 30, 120])
+    def test_solved_without_general_eigensolver(self, p, N, monkeypatch):
+        dense = {d: dense_spectrum(hn_matrix(p, N, d)).eigenvalues for d in (1e-6, 0.3, 0.9)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("general eigensolver called")
+
+        monkeypatch.setattr(models1d, "_eigvals", refuse)
+        line = hn_line(p, N)
+        for delta, ref in dense.items():
+            spec = line(delta)
+            assert spec.provenance == ("sublattice-oracle" if N % 2 == 0 else "oracle")
+            assert match_spectra(spec.eigenvalues, ref) <= 1e-13 * (1 + np.abs(ref).max())
+
+    @pytest.mark.parametrize("p", BALANCED_CHAINS)
+    @pytest.mark.parametrize("N", [9, 30, 120])
+    def test_complex_delta_and_pairs_keep_eigensolver_route(self, p, N):
+        line = hn_line(p, N)
+        for delta in (0.3 + 0.2j, (0.2, 0.5)):
+            assert _same_spectrum(line(delta), _eigensolver_route(p, N, delta))
+
+
 class TestLines:
     """A per-size line evaluated at one delta after another equals a fresh
     line at each delta, bit for bit: the operator it keeps is not changed
@@ -695,7 +729,8 @@ class TestLines:
         line = hn_line(p, N)
         for delta in LINE_DELTAS:
             assert _same_spectrum(line(delta), hn_line(p, N)(delta))
-            if "fallback" not in line(delta).parameters and line(delta).provenance == "oracle":
+            if ("fallback" not in line(delta).parameters and line(delta).provenance == "oracle"
+                    and not hn_balanced(p)[0]):  # balanced: TestHermitianChains
                 assert _same_spectrum(line(delta), dense_spectrum(hn_matrix(p, N, delta)))
 
     def test_hn_line_two_sites(self):

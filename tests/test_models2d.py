@@ -6,6 +6,7 @@ from nhchain.core import CornerOperator, EigensolverError, Spectrum, dense_spect
 from nhchain.models1d import (
     HNParams,
     SSHParams,
+    _hermitian_blocks,
     _one_per_pair,
     hn_closed_form,
     hn_matrix,
@@ -19,7 +20,6 @@ from nhchain.models2d import (
     HN_KEYS,
     SSH_KEYS,
     Stacked2DSpec,
-    _hermitian_blocks,
     _inverse_iteration,
     _median,
     _shifted_pair,
@@ -858,8 +858,20 @@ class TestHermitianBlocks:
         upper, lower = ((0, n - 1, (1.0,)),), ((n - 1, 0, (1.0,)),)
         for corners, hermitian in (((upper, ()), 0), ((upper, lower), 1)):
             A = CornerOperator(bulk.copy(), *corners)
-            shift, phase = _hermitian_blocks((A, zero, zero), np.ones(1, dtype=complex))
+            shift, phase = _hermitian_blocks((A, zero, zero), np.ones(1, dtype=complex), [0])
             assert len(shift) == len(phase) == hermitian
+
+    @pytest.mark.parametrize("n1", [7, 8])
+    def test_complex_hoppings_solve_every_block_as_hermitian(self, n1):
+        """Every hopping of a balanced stack times one phase keeps each
+        block Hermitian up to a shift and a phase; with complex hoppings the
+        blocks are no conjugate pairs, and all N2 are checked and solved."""
+        params = {k: v * np.exp(0.4j) for k, v in STACK_HN_CASE2.items()}
+        for d1 in (0.0, 0.3, 1.0):
+            spec = Stacked2DSpec("hn", params, n1, 6, d1, "bc1")
+            out = stacked_line(spec)(d1)
+            assert out.parameters["hermitian_blocks"] == 6
+            assert spectral_mismatch(out, dense_spectrum(build_stacked_matrix(spec))) <= 1e-13
 
     @pytest.mark.parametrize("n2", [7, 8])
     @pytest.mark.parametrize("d1", [0.0, 1e-14, 0.3, 1.0])

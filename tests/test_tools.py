@@ -133,17 +133,24 @@ def test_closed_form_grid_compare():
 
 
 def test_route_times_routes_match_dense():
-    """`tools/route_times.py` at one small point: the hn chain of its table
-    at N 60, where every route it times answers (the grade block is
-    accepted and the boundary equation certified), matches the dense
+    """`tools/route_times.py` at one small point, N 60: its unbalanced hn
+    chain, where the grade block is accepted and the boundary equation
+    certified, and its balanced one, solved as Hermitian (the boundary
+    equation declines it).  Every route that answers matches the dense
     spectrum to 1e-12, and a timing is positive."""
     rt = _load("route_times", TOOL.parent / "route_times.py")
-    label, build, delta, hn = next(rt.chains())
-    calls = rt.routes(build, 60, delta, hn)
-    assert set(calls) == {"whole", "graded", "boundary", "line"}
-    dense = nhchain.dense_spectrum(nhchain.hn_matrix(hn, 60, delta))
-    for name, call in calls.items():
-        lam, verdict = call()
-        assert verdict in ("", "accepted", "certified", "boundary-equation"), (name, verdict)
-        assert nhchain.spectral_mismatch(lam, dense) <= 1e-12, name
+    rows = {label: (build, delta, hn) for label, build, delta, hn in rt.chains()}
+    for label, answering in (("hn (1, 1.5)", {"whole", "graded", "boundary", "line"}),
+                             ("hn (1, e^0.7i)", {"whole", "graded", "hermitian", "line"})):
+        build, delta, hn = rows[label]
+        calls = rt.routes(build, 60, delta, hn)
+        assert set(calls) == answering | {"boundary"}
+        dense = nhchain.dense_spectrum(nhchain.hn_matrix(hn, 60, delta))
+        for name, call in calls.items():
+            lam, verdict = call()
+            if name not in answering:
+                assert (lam, verdict) == (None, "declined"), name
+                continue
+            assert verdict in ("", "accepted", "certified", "boundary-equation", "sublattice-oracle"), (name, verdict)
+            assert nhchain.spectral_mismatch(lam, dense) <= 1e-12, name
     assert rt.best_us(calls["whole"], 2) > 0

@@ -66,8 +66,13 @@ TRACE_ROUNDS = 3  # perfbench/worker.py's TRACE_ROUNDS
 # sweep with a complex hopping (all blocks in one complex batch), an
 # even-N1 triangular sweep (Hermitian blocks from singular values) and a
 # stacked-hn sweep whose block 0 loses its hopping h_r(1) = t_r + v_dr +
-# v_ur = 0, so the guard declines that block at delta1 = 0.  A plain
-# literal, so a test can read it without running this script.
+# v_ur = 0, so the guard declines that block at delta1 = 0; for the
+# Hermitian route of balanced lines, an odd-N balanced hn sweep (eigvalsh of
+# the whole matrix; the shipped balanced sweep has even N), the same chain
+# at a (delta_l, delta_r) pair, where the route does not apply, and a
+# balanced stacked-hn sweep with complex hoppings (no conjugate pairs, every
+# block checked and solved).  A plain literal, so a test can read it without
+# running this script.
 EXTRAS = {
     "ssh_odd_pair": {"model": "ssh-odd", "task": "sweep", "sizes": {"N": 31}, "delta": [0.3, 0.7],
                      "params": {"tl1": 1.0, "tr1": 2.0, "tl2": 3.0, "tr2": 4.0}},
@@ -157,6 +162,16 @@ EXTRAS = {
                                            "delta": {"start": 0.0, "stop": 1.0, "step": 0.5}, "mode": "bc1",
                                            "params": {"t_d": 1, "t_r": -13, "t_l": 3, "u_u": 4, "v_ur": 5,
                                                       "v_ul": 6, "u_d": 7, "v_dr": 8, "v_dl": 9}},
+    "hn_balanced_odd": {"model": "hn", "task": "sweep", "sizes": {"N": 31},
+                        "delta": {"start": 0.0, "stop": 1.0, "step": 0.25},
+                        "params": {"t_l": 1.0, "t_r": [0.6, 0.8]}},
+    "hn_balanced_pair": {"model": "hn", "task": "sweep", "sizes": {"N": 30}, "delta": [0.3, 0.7],
+                         "params": {"t_l": 1.0, "t_r": [0.6, 0.8]}},
+    "stacked_hn_complex_hermitian": {"model": "stacked-hn", "task": "sweep", "sizes": {"N1": 8, "N2": 6},
+                                     "delta": {"start": 0.0, "stop": 1.0, "step": 0.25}, "mode": "bc1",
+                                     "params": {"t_d": [0.6, 0.8], "t_l": [1.2, 1.6], "t_r": [1.2, 1.6],
+                                                "u_d": [1.2, 1.6], "v_dl": [2.4, 3.2], "v_dr": [2.4, 3.2],
+                                                "u_u": [-1.8, -2.4], "v_ul": [1.8, 2.4], "v_ur": [1.8, 2.4]}},
 }
 
 

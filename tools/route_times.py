@@ -3,7 +3,8 @@
     python3 tools/route_times.py                # the full table
     python3 tools/route_times.py --repeat 50    # fewer calls per timing
 
-The chains: the plain nearest-neighbour chain hn (t_l, t_r) = (1, 1.5), the
+The chains: the plain nearest-neighbour chain hn (t_l, t_r) = (1, 1.5) and
+the balanced hn (1, e^{0.7i}) (|t_l| = |t_r|: Hermitian up to a phase), the
 two-band chain (tl1, tr1, tl2, tr2) = (1, 2, 3, 4) at delta 0.3 and at
 delta 1e-6 (near its zero modes, where the grade block is declined), and
 the mixed long-range chain (t_r, u_l) = (2, 1) and (1, 1) (eigenvalues near
@@ -16,15 +17,20 @@ calls with BLAS on one thread, of
 * `graded`: `models1d._graded_eigenvalues` of it, one grade block of
   (H - c)^m and its roots, with its verdict (accepted or declined); "-"
   where the chain has no grading at this N;
+* `hermitian`: the line's solve of a chain that `models1d._hermitian_blocks`
+  finds Hermitian up to a shift and a phase (`models1d._bloch_eigvals`:
+  singular values of its [even, odd] slice for two sublattices, eigvalsh of
+  the whole matrix otherwise); "-" where it is not;
 * `boundary`: `models1d._hn_boundary_roots` (hn only), gates included,
   with its outcome (certified or declined);
 * `line`: the chain line at that delta, and the route it took (its
   provenance).
 
 A declined point pays for every route it tried: a declined grade block
-costs `graded` on top of `whole`.  The tool reads the routes as the package
-runs them and changes no gate.  nhchain is imported from this checkout's
-`src/`.
+costs `graded` on top of `whole`.  The line decides the Hermitian route
+once, when it first solves, so no column holds that check.  The tool reads
+the routes as the package runs them and changes no gate.  nhchain is
+imported from this checkout's `src/`.
 """
 from __future__ import annotations
 
@@ -40,37 +46,45 @@ from pathlib import Path  # noqa: E402
 
 sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "src")]
 
+import numpy as np  # noqa: E402
+
 from nhchain import models1d  # noqa: E402
-from nhchain.core import _eigvals  # noqa: E402
+from nhchain.core import ChainStencil, _eigvals, chain_operator  # noqa: E402
 
 SIZES = (8, 12, 20, 30, 40, 60, 120)
 
 
 def chains():
-    """(label, N -> (line, matrix at delta, number of sublattices or None), delta, hn params or None)."""
-    hn, ssh = models1d.HNParams(1.0, 1.5), models1d.SSHParams(1.0, 2.0, 3.0, 4.0)
-    yield ("hn (1, 1.5)", lambda N: (models1d.hn_line(hn, N), lambda d: models1d.hn_matrix(hn, N, d),
-                                     2 if N % 2 == 0 else None), 0.3, hn)
+    """(label, N -> (line, operator, number of sublattices or None), delta, hn params or None)."""
+    ssh = models1d.SSHParams(1.0, 2.0, 3.0, 4.0)
+    for label, hn in (("hn (1, 1.5)", models1d.HNParams(1.0, 1.5)),
+                      ("hn (1, e^0.7i)", models1d.HNParams(1.0, np.exp(0.7j)))):
+        yield (label, lambda N, hn=hn: (models1d.hn_line(hn, N), chain_operator(models1d.hn_stencil(hn, N, 0.0)),
+                                        2 if N % 2 == 0 else None), 0.3, hn)
     for delta in (0.3, 1e-6):
-        yield ("two-band (1, 2, 3, 4)", lambda N: (models1d.ssh_line(ssh, N), lambda d: models1d.ssh_matrix(ssh, N, d),
+        yield ("two-band (1, 2, 3, 4)", lambda N: (models1d.ssh_line(ssh, N), models1d.ssh_operator(ssh, N),
                                                    2 if N % 2 == 0 else None), delta, None)
     for t_r, u_l in ((2.0, 1.0), (1.0, 1.0)):
         yield (f"mixed ({t_r:g}, {u_l:g})",
                lambda N, t_r=t_r, u_l=u_l: (models1d.mixed_longrange_line(t_r, u_l, N),
-                                            lambda d: models1d.mixed_longrange_matrix(t_r, u_l, d, N),
+                                            chain_operator(ChainStencil(N, {2: u_l, -1: t_r}, (0.0,))),
                                             3 if N % 3 == 0 else None), 0.3, None)
 
 
 def routes(build, N: int, delta, hn) -> dict:
     """Route name -> zero-argument call returning (eigenvalues or None, verdict) at one point."""
-    line, matrix, m = build(N)
-    H = matrix(delta)[None]
+    line, op, m = build(N)
+    H = op.at(delta)[None]
     out = {"whole": lambda: (_eigvals(H)[0], "")}
     if m is not None:
         def graded():
             lam, ok = models1d._graded_eigenvalues(H, m)
             return (lam[0], "accepted") if ok[0] else (None, "declined")
         out["graded"] = graded
+    one = np.ones(1)
+    shift, phase = models1d._hermitian_blocks((op,), one, [0])
+    if len(shift):
+        out["hermitian"] = lambda: (models1d._bloch_eigvals([H], one, False, [0], shift, phase, m)[0][0], "")
     if hn is not None:
         def boundary():
             lam = models1d._hn_boundary_roots(hn, N, delta)
@@ -97,7 +111,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=200, help="calls per timing (default 200)")
     args = parser.parse_args(argv)
-    print(f"{'chain':22} {'N':>4} {'delta':>6}  {'route':18} {'whole':>8} {'graded':>18} "
+    print(f"{'chain':22} {'N':>4} {'delta':>6}  {'route':18} {'whole':>8} {'graded':>18} {'hermitian':>18} "
           f"{'boundary':>19} {'line':>8}   (us per delta)")
     for label, build, delta, hn in chains():
         for N in SIZES:
@@ -109,7 +123,7 @@ def main(argv=None) -> int:
             fmt = lambda name, width: (f"{cells[name][0]:8.1f} {cells[name][1]:>9}" if name in cells
                                        else "-").rjust(width)
             print(f"{label:22} {N:4d} {delta:6.0e}  {cells['line'][1]:18} {cells['whole'][0]:8.1f} "
-                  f"{fmt('graded', 18)} {fmt('boundary', 19)} {cells['line'][0]:8.1f}")
+                  f"{fmt('graded', 18)} {fmt('hermitian', 18)} {fmt('boundary', 19)} {cells['line'][0]:8.1f}")
     return 0
 
 
