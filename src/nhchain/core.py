@@ -200,7 +200,9 @@ class Spectrum:
     for a chain Hermitian up to a shift and a phase, Hermitian),
     "sublattice-oracle" (a chain graded into m sublattices, solved by one
     N/m-site grade block where its guard accepts, `models1d.block_eigvals`,
-    or, Hermitian, by the singular values of its sublattice slice),
+    or, Hermitian, by the singular values of its sublattice slice; a chain
+    of at most 12 sites whose matrix is real at delta is solved whole and
+    is "oracle" unless Hermitian),
     "bloch-oracle" (a stacked lattice's Bloch blocks, solved by the same
     routes) or "boundary-equation" (a long plain one-band chain's boundary
     equation solved by Newton, kept only where N disjoint inclusion discs

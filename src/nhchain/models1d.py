@@ -22,10 +22,12 @@ sublattice slice.  Every other delta is solved by `block_eigvals`: a chain
 graded into m sublattices (the even plain one-band and two-band chains, m =
 2, and the mixed chain of N divisible by 3, m = 3) solves one N/m-site grade
 block where its guard accepts (provenance "sublattice-oracle", as for a
-balanced chain's sublattice slice), the whole matrix otherwise ("oracle"),
-labelled {"fallback": "zero hopping"} when a hopping vanishes.  The command
-line uses the lines alone.  `hn_spectrum`, `ssh_spectrum` and
-`mixed_longrange_spectrum` call them at one delta and also recover the
+balanced chain's sublattice slice), the whole matrix otherwise ("oracle",
+labelled {"fallback": "zero hopping"} when a hopping vanishes); a chain of
+at most 12 sites whose matrix is real at delta is solved whole, which costs
+less there than the block.  The command line uses the lines alone.
+`hn_spectrum`, `ssh_spectrum` and `mixed_longrange_spectrum` call them at
+one delta and also recover the
 shifted wavenumbers from the eigenvalues: cos(alpha_tilde) = (lambda - t_d)
 / (2 sqrt(t_l) sqrt(t_r)) for the one-band chain, the lambda^2 relation for
 the two-band chain (one alpha_tilde per +- pair at even length), and the
@@ -103,6 +105,15 @@ __all__ = [
 ]
 
 
+# Largest chain that `_line` solves whole at a delta where its matrix is
+# real, graded or not: there the real eigensolve of the whole matrix costs
+# less than forming and solving a grade block of (H - c)^m (hn (1, 1.5),
+# microseconds per delta, whole / graded: 27 / 37 at N 8, 33 / 39 at N 12,
+# 40 / 40 at N 14; `tools/route_times.py`), while a complex chain gains from
+# the block from N 12 on (hn (1, 2.5 e^{0.4i}): 71 / 47).
+_WHOLE_MAX_N = 12
+
+
 def _line(ops: Callable[[], tuple], s: np.ndarray, m: Optional[int],
           exact: Callable[[object], Optional[Spectrum]] = lambda delta: None,
           hoppings_nonzero: bool = True) -> Callable[[object], Spectrum]:
@@ -116,10 +127,12 @@ def _line(ops: Callable[[], tuple], s: np.ndarray, m: Optional[int],
     real scalar delta, `_hermitian_eigvals` for the leading blocks that
     `_hermitian_blocks` found Hermitian up to a shift and a phase (once, on
     first use); `block_eigvals` with m sublattices (None: none) for the
-    rest.  A stack whose operators are real at delta 0 and 1, with s_(N-j)
-    = conj(s_j) (BC1, or BC2 with a real delta2 > 0), has its blocks in
-    conjugate pairs at a real delta (`_bloch_eigvals`); every other line
-    solves all blocks, in order j = 0, 1, ...
+    rest, but with none for a chain of at most `_WHOLE_MAX_N` (12) sites
+    whose matrix is real at delta, solved whole.  A stack whose operators
+    are real at delta 0 and 1, with s_(N-j) = conj(s_j) (BC1, or BC2 with a
+    real delta2 > 0), has its blocks in conjugate pairs at a real delta
+    (`_bloch_eigvals`); every other line solves all blocks, in order j = 0,
+    1, ...
 
     A chain returns provenance "sublattice-oracle" where its block was
     solved at 1/m size, "oracle" where whole; a chain with a vanishing
@@ -150,7 +163,9 @@ def _line(ops: Callable[[], tuple], s: np.ndarray, m: Optional[int],
         if not (dl == dr and dl.imag == 0):
             paired, order, shift, phase = False, list(range(n)), shift[:0], phase[:0]
         if len(o) == 1 and not len(shift):  # a chain's matrix as a batch of one, no copy
-            lam, half = block_eigvals(o[0].at(delta)[None], m)
+            M = o[0].at(delta)
+            whole = len(M) <= _WHOLE_MAX_N and not M.imag.any()
+            lam, half = block_eigvals(M[None], None if whole else m)
             return Spectrum(lam[0], "sublattice-oracle" if half[0] else "oracle")
         lam, n_herm, n_half = _bloch_eigvals([op.at(delta)[None] for op in o], s, paired, order,
                                              shift, phase, m)
@@ -647,7 +662,8 @@ def hn_line(p: HNParams, N: int) -> Callable[[object], Spectrum]:
     Hermitian matrix at a real scalar delta (|C| <= 2: no boundary
     equation).  Every other delta, and a chain with a vanishing hopping,
     gets an eigensolve.  A plain chain of even N declares two sublattices,
-    its odd and even sites.
+    its odd and even sites, solved as one grade block above 12 sites or
+    where its matrix is complex.
     """
     def exact(delta) -> Optional[Spectrum]:
         aset = _hn_exact_alpha_set(p, N, delta)
@@ -776,8 +792,9 @@ def ssh_line(p: SSHParams, N: int) -> Callable[[object], Spectrum]:
     every bond has |tl| = |tr| with one phase of tl tr (and (v2 - v1) on
     that phase's line) is solved as a Hermitian matrix at a real scalar
     delta.  Every other delta, and a chain with a vanishing hopping, gets an
-    eigensolve.  A chain of even N declares two sublattices; an odd chain's
-    corner joins two sites of one.  An odd chain with nonzero hoppings takes
+    eigensolve.  A chain of even N declares two sublattices (a grade block
+    above 12 sites or where its matrix is complex); an odd chain's corner
+    joins two sites of one.  An odd chain with nonzero hoppings takes
     no on-site potentials: one with them raises here.
     """
     if p.hoppings_nonzero and N % 2 and (p.v1 != 0 or p.v2 != 0):
@@ -990,8 +1007,9 @@ def mixed_longrange_line(t_r, u_l, N: int) -> Callable[[object], Spectrum]:
     delta gets an eigensolve: the chain has no exact set and is never
     Hermitian up to a phase.  Both hops go from
     grade n mod 3 to the next, so a chain of N divisible by 3 declares three
-    sublattices.  Its guard declines a chain with eigenvalues near 0, such
-    as u_l = t_r = 1 (all 41 delta in [0, 1] at N 30, 60 and 120: min
+    sublattices, solved as one grade block above 12 sites or where its
+    matrix is complex.  Its guard declines a chain with eigenvalues near 0,
+    such as u_l = t_r = 1 (all 41 delta in [0, 1] at N 30, 60 and 120: min
     |lambda| is 0.1 to 0.003, the guard asks for 0.25)."""
     t_r, u_l = complex(t_r), complex(u_l)
     line = _line(lambda: (chain_operator(ChainStencil(N, {2: u_l, -1: t_r}, (0.0,))),), np.ones(1),

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Spectrum, hausdorff_points
+from .core import NumericalError, Spectrum, hausdorff_points
 
 __all__ = [
     "SensitivityReport",
@@ -57,10 +57,10 @@ class SensitivityReport:
 
 
 _DELTA_FLOOR = 1e-14        # smallest delta searched: e^{-xi N} is ~1e-10 already at N = 30
-_MAX_STEPS = 60             # midpoints per size at most; a reached size takes about 23
+_MAX_STEPS = 60             # midpoints per size at most; a reached size takes about 18
 _BISECT_RATIO = 1.0 + 1e-2  # bracket b/a at which ITP takes over from bisection
 _END_RATIO = 1.0 + 1e-12    # bracket b/a at which the search stops
-_ITP_K1 = 0.2               # truncation kappa_1 = _ITP_K1 / (width of the ITP bracket)
+_ITP_K1 = 0.002             # truncation kappa_1 = _ITP_K1 / (width of the ITP bracket)
 _ITP_K2 = 2.0               # truncation exponent kappa_2
 _ITP_N0 = 1                 # steps ITP may take beyond bisection's count
 
@@ -72,14 +72,22 @@ def _bisect_delta_star(fn, threshold: float):
     Returns b with H(b) >= threshold for which some a >= b / (1 + 1e-12)
     has H(a) < threshold; None when H(1) < threshold; exactly _DELTA_FLOOR
     when H(_DELTA_FLOOR) >= threshold already (an upper bound on delta*).
+    Raises NumericalError when _MAX_STEPS midpoints leave the bracket open.
 
     Geometric bisection first narrows the bracket to b/a < 1.01, so when H is
     not monotone the crossing is the one a bisection to the end would find.
     ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2021) on ln H - ln threshold
-    over ln delta then finishes the bracket: ln H is close to linear in
-    ln delta, and ITP never takes more than bisection's steps plus _ITP_N0.
-    Each side is decided by H >= threshold alone; the logarithms only
-    place the next point.
+    over ln delta then finishes the bracket, and never takes more than
+    bisection's steps plus _ITP_N0.  ln H is close to linear in ln delta,
+    so the truncation that keeps regula falsi off one end is small
+    (kappa_1 = 0.002 / width; at 0 regula falsi stalls).  A point that the
+    projection places within eps (half of ln(1 + 1e-12)) of an end of the
+    bracket moves to 1.5 eps inside that end, where the projection radius
+    allows it: if the crossing lies within eps of that end, that one
+    spectrum closes the bracket.  Each side is decided by H >= threshold
+    alone; the logarithms only place the next point.  A size that reaches
+    the threshold takes about 20 spectra, delta = 0 and 1 included, and at
+    most 49.
     """
     ref = fn(0.0)
     h_b = hausdorff(fn(1.0), ref)
@@ -119,7 +127,11 @@ def _bisect_delta_star(fn, threshold: float):
         trunc = k1 * width ** _ITP_K2
         x_t = x_f + sigma * trunc if trunc <= abs(x_half - x_f) else x_half
         r = max(eps * 2.0 ** (n_max - j) - 0.5 * width, 0.0)
-        mid = math.exp(x_t if abs(x_t - x_half) <= r else x_half - sigma * r)
+        x = x_t if abs(x_t - x_half) <= r else x_half - sigma * r
+        near = xa + 1.5 * eps if x - xa < eps else xb - 1.5 * eps if xb - x < eps else x
+        if abs(near - x_half) <= r:
+            x = near
+        mid = math.exp(x)
         if not a < mid < b:
             mid = float(np.sqrt(a * b))
         h = hausdorff(fn(mid), ref)
@@ -128,6 +140,8 @@ def _bisect_delta_star(fn, threshold: float):
         else:
             a, xa, ya = mid, math.log(mid), excess(h)
         j += 1
+    if b / a >= _END_RATIO:
+        raise NumericalError(f"the delta* search left [{a!r}, {b!r}] open after {_MAX_STEPS} midpoints")
     return b
 
 
@@ -143,6 +157,10 @@ def sensitivity_exponent(family_fn: Callable[[int, float], Spectrum], threshold:
     whose spectrum has moved by the threshold already at 1e-14 reports
     delta* = 1e-14, an upper bound, with `at_floor` set.  Sizes that never
     reach the threshold at delta = 1 are flagged and excluded from the fit.
+    `evaluations` counts the spectra of each size: 2 for one that never
+    reaches the threshold, about 20 for one that does, and at most 49; a
+    search whose bracket is still open after 60 midpoints raises
+    NumericalError.
     `drop_smallest` removes that many smallest-|lambda| eigenvalues from
     every spectrum first (used to separate a gradually moving zero-mode
     branch from the bulk).  The verdict is 'exponential' when the fitted

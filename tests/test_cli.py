@@ -517,6 +517,18 @@ class TestExitCodes:
         assert main(["validate", "--config", str(path)]) == 4
         assert "numerical failure: companion eigensolve failed" in capsys.readouterr().err
 
+    def test_open_delta_star_bracket_exits_4(self, tmp_path, capsys, monkeypatch):
+        """A delta* search that runs out of midpoints before its bracket
+        closes is a numerical failure, not a delta* outside the contract."""
+        from nhchain import sensitivity
+
+        path = write_config(tmp_path, "sens.json", {
+            "model": "hn", "task": "sensitivity", "params": {"t_l": 1.0, "t_r": 2.0}, "sizes": {"N": 8},
+            "delta": 0.0, "n_list": [8, 12, 16, 20], "threshold": 0.5, "output": "out"})
+        monkeypatch.setattr(sensitivity, "_MAX_STEPS", 16)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 4
+        assert "numerical failure: the delta* search left" in capsys.readouterr().err
+
     def test_numerical_failures_share_one_family(self):
         from nhchain.core import EigensolverError, NumericalError
 

@@ -582,7 +582,8 @@ def _graded_chains(seed: int):
     """(family, line, delta -> matrix, N, grade count m, delta): seeded even
     plain hn chains, even two-band chains without and with on-site
     potentials, and 3 | N mixed chains, at real and complex hoppings and a
-    scalar or (delta_l, delta_r) boundary with moduli in [0.1, 1]."""
+    scalar or (delta_l, delta_r) boundary with moduli in [0.1, 1].  N is at
+    least 14 and M at least 15, above the sizes a line solves whole."""
     rng = np.random.default_rng(seed)
     out = []
     for complex_ in (False, True):
@@ -591,14 +592,14 @@ def _graded_chains(seed: int):
             mod = rng.uniform(0.1, 1.0, 2)
             phase = np.exp(1j * rng.uniform(-np.pi, np.pi, 2)) if complex_ else np.ones(2)
             delta = tuple(complex(z) for z in mod * phase) if pair else complex(mod[0] * phase[0])
-            N = int(rng.integers(3, 16)) * 2
+            N = int(rng.integers(7, 16)) * 2
             p = HNParams(hop(), hop(), hop())
             out.append(("hn", hn_line(p, N), lambda d, p=p, N=N: hn_matrix(p, N, d), N, 2, delta))
             for onsite in (0, 2):
                 q = SSHParams(*(hop() for _ in range(4 + onsite)))
                 out.append(("ssh", ssh_line(q, N), lambda d, q=q, N=N: ssh_matrix(q, N, d), N, 2, delta))
             if not pair:  # the mixed chain takes a scalar delta
-                M, t_r, u_l = int(rng.integers(2, 11)) * 3, hop(), hop()
+                M, t_r, u_l = int(rng.integers(5, 11)) * 3, hop(), hop()
                 out.append(("mixed", mixed_longrange_line(t_r, u_l, M),
                             lambda d, t_r=t_r, u_l=u_l, M=M: mixed_longrange_matrix(t_r, u_l, d, M),
                             M, 3, delta))
@@ -674,6 +675,41 @@ class TestGradedRoute:
         assert np.array_equal(np.sort_complex(lam), np.sort_complex(lam.conj()))
         assert (lam.imag == 0).sum() == (dense_spectrum(mixed_longrange_matrix(2.0, 1.0, 0.3, 30))
                                          .eigenvalues.imag == 0).sum()
+
+
+class TestSmallRealChains:
+    """A chain of at most 12 sites whose matrix is real at delta is solved
+    whole, bit for bit as `dense_spectrum`, with no grade block; above 12
+    sites, or where the matrix is complex, the grade block stays."""
+
+    @pytest.mark.parametrize("line, matrix", [
+        (lambda N: hn_line(HNParams(1.0, 1.5), N), lambda N, d: hn_matrix(HNParams(1.0, 1.5), N, d)),
+        (lambda N: ssh_line(SSHParams(1.0, 2.0, 3.0, 4.0), N),
+         lambda N, d: ssh_matrix(SSHParams(1.0, 2.0, 3.0, 4.0), N, d)),
+    ], ids=["hn", "two-band"])
+    def test_gate_at_twelve_sites(self, line, matrix, monkeypatch):
+        graded = models1d._graded_eigenvalues
+        calls = []
+
+        def recording(H, m):
+            calls.append(H.shape[-1])
+            return graded(H, m)
+
+        monkeypatch.setattr(models1d, "_graded_eigenvalues", recording)
+        for delta in (0.3, (0.2, 0.7)):
+            spec = line(12)(delta)
+            assert calls == [] and _same_spectrum(spec, dense_spectrum(matrix(12, delta)))
+            assert line(14)(delta).provenance == "sublattice-oracle" and calls.pop() == 14
+
+    @pytest.mark.parametrize("p, N, delta", [
+        (HNParams(1.0, 2.5 * np.exp(0.4j)), 8, 0.3),  # complex hoppings
+        (HNParams(1.0, 1.5), 8, 0.3 + 0.2j),           # real hoppings, complex delta
+    ], ids=["complex-hoppings", "complex-delta"])
+    def test_complex_matrices_keep_grade_block(self, p, N, delta):
+        spec = hn_line(p, N)(delta)
+        assert spec.provenance == "sublattice-oracle"
+        dense = dense_spectrum(hn_matrix(p, N, delta))
+        assert match_spectra(spec, dense) < 1e-13 * (1.0 + np.abs(dense.eigenvalues).max())
 
 
 LINE_DELTAS = [0.0, 1.0, -1.0, 1e-14, 0.3, (0.2, 0.7), 0.3, 1e-14, -1.0, 1.0, 0.0]

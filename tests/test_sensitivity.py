@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhchain.core import Spectrum
+from nhchain import sensitivity
+from nhchain.core import NumericalError, Spectrum
 from nhchain.models1d import (
     HNParams,
     SSHParams,
@@ -222,13 +224,64 @@ class TestCriticalSearch:
 
     def test_fewer_spectra_than_bisection(self):
         # plain bisection takes 47 spectra per size here (423 in all); the
-        # interpolating finish takes 22-24
+        # interpolating finish takes 19-20 (175 in all)
         total = 0
         for fn in SEARCH_FAMILIES.values():
             wrapped, calls = counted(fn)
             _bisect_delta_star(wrapped, 0.5)
             total += calls[0]
-        assert total <= 30 * len(SEARCH_FAMILIES)
+        assert total <= 21 * len(SEARCH_FAMILIES)
+
+    def test_open_bracket_raises(self, monkeypatch):
+        # 12 bisection midpoints reach b/a < 1.01; the finish needs more
+        # than 4 further ones to close b/a < 1 + 1e-12
+        monkeypatch.setattr(sensitivity, "_MAX_STEPS", 16)
+        with pytest.raises(NumericalError, match="left .* open after 16 midpoints"):
+            _bisect_delta_star(SEARCH_FAMILIES["hn-8"], 0.5)
+
+
+def _synthetic(kind: str, crossing: float, power: float, threshold: float):
+    """delta -> a one-point spectrum whose distance from the delta = 0 one
+    is H(delta): a power law through threshold at `crossing`, a step whose
+    upper value is the threshold itself, or the power law times a sawtooth
+    of 1e-9 relative noise in ln delta, so H crosses many times near
+    `crossing`."""
+    def h(d):
+        if d == 0:
+            return 0.0
+        if kind == "step":
+            return threshold if d >= crossing else 0.5 * threshold
+        value = threshold * (d / crossing) ** power
+        if kind == "sawtooth":
+            value *= 1.0 + 1e-9 * (2.0 * ((math.log(d) / 3e-11) % 1.0) - 1.0)
+        return value
+    return lambda d: np.array([h(d)])
+
+
+class TestSearchContract:
+    """The crossing contract of `_bisect_delta_star` on synthetic H: the
+    returned b has H(b) >= threshold, some evaluated a >= b / (1 + 1e-12)
+    has H(a) < threshold, and a size takes at most 49 spectra (12
+    bisection midpoints, one at the floor, ITP's 34, delta = 0 and 1)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["power", "step", "sawtooth"]), st.floats(-13.8, -0.01),
+           st.floats(0.02, 3.0), st.sampled_from([0.01, 0.5, 2.0]))
+    def test_crossing_bracketed(self, kind, log10_crossing, power, threshold):
+        fn = _synthetic(kind, 10.0 ** log10_crossing, power, threshold)
+        seen = {}
+
+        def recorded(d):
+            spec = fn(d)
+            seen[d] = hausdorff(spec, fn(0.0))
+            return spec
+
+        b = _bisect_delta_star(recorded, threshold)
+        assert len(seen) <= 49
+        assert b is not None and seen[b] >= threshold
+        if b == 1e-14:
+            return
+        assert any(a >= b / (1 + 1e-12) and h < threshold for a, h in seen.items())
 
 
 class TestBalancedLineProperty:

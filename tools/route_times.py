@@ -3,14 +3,14 @@
     python3 tools/route_times.py                # the full table
     python3 tools/route_times.py --repeat 50    # fewer calls per timing
 
-The chains: the plain nearest-neighbour chain hn (t_l, t_r) = (1, 1.5) and
-the balanced hn (1, e^{0.7i}) (|t_l| = |t_r|: Hermitian up to a phase), the
-two-band chain (tl1, tr1, tl2, tr2) = (1, 2, 3, 4) at delta 0.3 and at
-delta 1e-6 (near its zero modes, where the grade block is declined), and
-the mixed long-range chain (t_r, u_l) = (2, 1) and (1, 1) (eigenvalues near
-0: declined), each at N in {8, 12, 20, 30, 40, 60, 120} and delta 0.3 unless
-named.  Each row gives microseconds per delta, the minimum over `--repeat`
-calls with BLAS on one thread, of
+The chains: the plain nearest-neighbour chain hn (t_l, t_r) = (1, 1.5), the
+complex hn (1, 2.5 e^{0.4i}) and the balanced hn (1, e^{0.7i}) (|t_l| =
+|t_r|: Hermitian up to a phase), the two-band chain (tl1, tr1, tl2, tr2) =
+(1, 2, 3, 4) at delta 0.3 and at delta 1e-6 (near its zero modes, where the
+grade block is declined), and the mixed long-range chain (t_r, u_l) = (2,
+1) and (1, 1) (eigenvalues near 0: declined), each at N in {8, 12, 14, 20,
+30, 40, 60, 120} and delta 0.3 unless named.  Each row gives microseconds
+per delta, the minimum over `--repeat` calls with BLAS on one thread, of
 
 * `whole`: `core._eigvals` of the chain matrix as a batch of one, the
   line's solve of the whole matrix;
@@ -27,10 +27,14 @@ calls with BLAS on one thread, of
   provenance).
 
 A declined point pays for every route it tried: a declined grade block
-costs `graded` on top of `whole`.  The line decides the Hermitian route
-once, when it first solves, so no column holds that check.  The tool reads
-the routes as the package runs them and changes no gate.  nhchain is
-imported from this checkout's `src/`.
+costs `graded` on top of `whole`.  A chain of at most
+`models1d._WHOLE_MAX_N` (12) sites whose matrix is real at delta is solved
+whole, graded or not: the rows of hn (1, 1.5) and the two-band chain at N
+12 and 14 show why, and the complex hn rows why the gate asks for a real
+matrix.  The line decides the Hermitian route once, when it first solves,
+so no column holds that check.  The tool reads the routes as the package
+runs them and changes no gate.  nhchain is imported from this checkout's
+`src/`.
 """
 from __future__ import annotations
 
@@ -51,13 +55,14 @@ import numpy as np  # noqa: E402
 from nhchain import models1d  # noqa: E402
 from nhchain.core import ChainStencil, _eigvals, chain_operator  # noqa: E402
 
-SIZES = (8, 12, 20, 30, 40, 60, 120)
+SIZES = (8, 12, 14, 20, 30, 40, 60, 120)
 
 
 def chains():
     """(label, N -> (line, operator, number of sublattices or None), delta, hn params or None)."""
     ssh = models1d.SSHParams(1.0, 2.0, 3.0, 4.0)
     for label, hn in (("hn (1, 1.5)", models1d.HNParams(1.0, 1.5)),
+                      ("hn (1, 2.5e^0.4i)", models1d.HNParams(1.0, 2.5 * np.exp(0.4j))),
                       ("hn (1, e^0.7i)", models1d.HNParams(1.0, np.exp(0.7j)))):
         yield (label, lambda N, hn=hn: (models1d.hn_line(hn, N), chain_operator(models1d.hn_stencil(hn, N, 0.0)),
                                         2 if N % 2 == 0 else None), 0.3, hn)
