@@ -136,11 +136,16 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[:k]
 
 
-def _sinpoly(coeffs: np.ndarray, m: int, weight: complex, size: int) -> None:
-    """Accumulate weight * (y^(c+m) - y^(c-m)) with c = (size-1)//2 center."""
-    c = size // 2
-    coeffs[c + m] += weight
-    coeffs[c - m] -= weight
+def _anti_poly(n: int, a: complex, b: complex, c: complex) -> PolyY:
+    """The cleared four-term equation of the one-band and even two-band chains,
+    -(y^(2n+2) - 1) + a (y^(2n+1) - y) + b (y^(2n) - y^2) + c (y^(n+2) - y^n) = 0:
+    antipalindromic, with the factors y - 1 and y + 1."""
+    P = np.zeros(2 * n + 3, dtype=complex)
+    terms = ((n + 1, -1.0), (n, a), (n - 1, b), (1, c))
+    for m, weight in terms if c != 0 else terms[:3]:  # a vanishing c leaves signed zeros as they are
+        P[n + 1 + m] += weight
+        P[n + 1 - m] -= weight
+    return PolyY(P, ("(y - 1)", "(y + 1)"), "anti")
 
 
 def _hn_poly(params: dict, N: int, delta) -> PolyY:
@@ -154,16 +159,8 @@ def _hn_poly(params: dict, N: int, delta) -> PolyY:
     E = (e1 + eN) / (_sq(t_r) * _sq(t_l))
     F = dl * dr - e1 * eN / (t_l * t_r)
     G = dl * rho**N + dr * rho ** (-N)
-    # sin-cleared equation, multiplied by 2i y^(N+1):
-    #   -(y^(2N+2) - 1) + E (y^(2N+1) - y) + F (y^(2N) - y^2) + G (y^(N+2) - y^N) = 0
-    P = np.zeros(2 * N + 3, dtype=complex)
-    size = 2 * N + 3
-    _sinpoly(P, N + 1, -1.0, size)
-    _sinpoly(P, N, E, size)
-    _sinpoly(P, N - 1, F, size)
-    if G != 0:
-        _sinpoly(P, 1, G, size)
-    return PolyY(P, ("(y - 1)", "(y + 1)"), "anti")
+    # the sin-cleared equation, multiplied by 2i y^(N+1)
+    return _anti_poly(N, E, F, G)
 
 
 def _ssh_even_poly(params: dict, N: int, delta) -> PolyY:
@@ -179,16 +176,8 @@ def _ssh_even_poly(params: dict, N: int, delta) -> PolyY:
     rho = (_sq(tr1) * _sq(tr2)) / (_sq(tl1) * _sq(tl2))
     B = dr * rho**M + dl * rho ** (-M)
     dd = dl * dr
-    # multiplied by 2i y^(M+1):
-    #   -(y^(2M+2)-1) + (dd-1) R (y^(2M+1)-y) + dd (y^(2M)-y^2) + B (y^(M+2)-y^M) = 0
-    size = 2 * M + 3
-    P = np.zeros(size, dtype=complex)
-    _sinpoly(P, M + 1, -1.0, size)
-    _sinpoly(P, M, (dd - 1) * R, size)
-    _sinpoly(P, M - 1, dd, size)
-    if B != 0:
-        _sinpoly(P, 1, B, size)
-    return PolyY(P, ("(y - 1)", "(y + 1)"), "anti")
+    # multiplied by 2i y^(M+1)
+    return _anti_poly(M, (dd - 1) * R, dd, B)
 
 
 def _ssh_odd_poly(params: dict, N: int, delta) -> PolyY:

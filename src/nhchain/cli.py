@@ -234,11 +234,6 @@ def _plain_line(line: Callable) -> Callable:
     return lambda d: _plain(line(d))
 
 
-def _per_delta(spectrum: Callable) -> Callable:
-    """The line of a model with nothing to build ahead: spectrum(c, d) per d."""
-    return lambda c: lambda d: spectrum(c, d)
-
-
 def _scalar(delta):
     if isinstance(delta, tuple):
         raise ConfigError("this model supports only a scalar delta")
@@ -247,7 +242,8 @@ def _scalar(delta):
 
 def _chain_sizes(offsets: dict) -> Callable:
     """`fit_sizes` of a chain with the hoppings {param: offset}: one site
-    more than the range p+q of the nonzero ones, as `ChainStencil` needs."""
+    more than the range p+q of the nonzero ones, as `ChainStencil` needs
+    (offset 0, the on-site energy, adds nothing)."""
     def sizes(p):
         used = [o for name, o in offsets.items() if p.get(name, 0) != 0]
         return 1 + max([0] + [-o for o in used]) + max([0] + used), 1
@@ -255,18 +251,28 @@ def _chain_sizes(offsets: dict) -> Callable:
     return sizes
 
 
+# The Bloch functions take an array of k; `cmul` rounds each product as a
+# per-k evaluation would, so winding outputs do not depend on the grid batch.
+def _chain_bloch(offsets: dict) -> Callable:
+    """p -> the Bloch sampler of a one-band chain with the hoppings
+    {param: offset}: the sum of p[param] e^(i offset k) over the params set."""
+    def bloch(p):
+        terms = [(off, p[name]) for name, off in offsets.items() if name in p]
+        return topology.BlochSampler(lambda k: sum(cmul(t, np.exp(1j * o * k)) for o, t in terms))
+
+    return bloch
+
+
+# the one-band chains' params as {param: offset}
+_HN_OFFSETS = {"t_d": 0, "t_l": 1, "t_r": -1}
+_MIXED_OFFSETS = {"u_l": 2, "t_r": -1}
+_GENERAL_CHAIN_OFFSETS = {"t_m2": -2, "t_m1": -1, "t_0": 0, "t_p1": 1, "t_p2": 2}
+
+
 def _hn(c, *d) -> tuple:
     """(HNParams, N, delta), or (HNParams, N) without d; the param names are
     the HNParams field names."""
     return (models1d.HNParams(**c["params"]), c["sizes"]["N"], *d)
-
-
-# The Bloch functions take an array of k; `cmul` rounds each product as a
-# per-k evaluation would, so winding outputs do not depend on the grid batch.
-def _hn_bloch(p):
-    t_l, t_r, t_d = p["t_l"], p["t_r"], p.get("t_d", 0.0)
-    return topology.BlochSampler(
-        lambda k: t_d + cmul(t_l, np.exp(1j * k)) + cmul(t_r, np.exp(-1j * k)))
 
 
 def _ssh(c, *d) -> tuple:
@@ -305,27 +311,26 @@ def _mixed_line(c):
     return lambda d: _plain(line(_scalar(d)))
 
 
-_GENERAL_CHAIN_OFFSETS = {"t_m2": -2, "t_m1": -1, "t_0": 0, "t_p1": 1, "t_p2": 2}
-
-
 def _general_chain_stencil(c, d) -> ChainStencil:
     p = c["params"]
     hops = {off: p[name] for name, off in _GENERAL_CHAIN_OFFSETS.items() if off and name in p}
     return ChainStencil(c["sizes"]["N"], hops, (p.get("t_0", 0.0),), d)
 
 
-def _general_chain_bloch(p):
-    terms = [(off, p[name]) for name, off in _GENERAL_CHAIN_OFFSETS.items() if name in p]
-    return topology.BlochSampler(lambda k: sum(cmul(t, np.exp(1j * o * k)) for o, t in terms))
-
-
-def _separable(solve, c, d) -> tuple:
-    """`solve(p, N, delta)` (hn_matrix, hn_closed_form, ...) on the two chains of the
-    separable square lattice."""
+def _separable(c, d) -> tuple:
+    """The (HNParams, N, delta) of the two chains of the separable square
+    lattice: the first at d, the second at delta2."""
     p, sizes = c["params"], c["sizes"]
-    a = models1d.HNParams(p["a_t_l"], p["a_t_r"], p.get("a_t_d", 0.0))
-    b = models1d.HNParams(p["b_t_l"], p["b_t_r"], p.get("b_t_d", 0.0))
-    return solve(a, sizes["N1"], d), solve(b, sizes["N2"], c["delta2"])
+    return ((models1d.HNParams(p["a_t_l"], p["a_t_r"], p.get("a_t_d", 0.0)), sizes["N1"], d),
+            (models1d.HNParams(p["b_t_l"], p["b_t_r"], p.get("b_t_d", 0.0)), sizes["N2"], c["delta2"]))
+
+
+def _separable_line(c) -> Callable:
+    """Both chains' lines built once; the second chain, whose delta2 is
+    fixed, solved once for every d."""
+    (a, n1, _), (b, n2, delta2) = _separable(c, None)
+    line, second = models1d.hn_line(a, n1), models1d.hn_line(b, n2)(delta2)
+    return lambda d: _plain(models2d.separable_square_spectrum(line(d), second))
 
 
 def _stack(family: str, c, d) -> models2d.Stacked2DSpec:
@@ -375,8 +380,8 @@ _HN = Model(
     matrix=lambda c, d: models1d.hn_matrix(*_hn(c, d)),
     line=lambda c: _plain_line(models1d.hn_line(*_hn(c))),
     closed_form=lambda c, d: models1d.hn_closed_form(*_hn(c, d))[0],
-    fit_sizes=_chain_sizes({"t_l": 1, "t_r": -1}),
-    bloch=_hn_bloch,
+    fit_sizes=_chain_sizes(_HN_OFFSETS),
+    bloch=_chain_bloch(_HN_OFFSETS),
     balance=lambda c: dict(zip(("balanced", "theta"), models1d.hn_balanced(_hn(c, 0.0)[0]))),
 )
 _SSH = Model(
@@ -395,26 +400,23 @@ MODELS: dict[str, Model] = {
     "unidirectional": Model(
         frozenset({"t_l", "u_l"}), frozenset(),
         matrix=lambda c, d: models1d.unidirectional_matrix(*_long_range(c, d, "t_l")),
-        line=_per_delta(lambda c, d: _plain(
-            models1d.unidirectional_spectrum(*_long_range(c, d, "t_l")))),
+        line=lambda c: lambda d: _plain(models1d.unidirectional_spectrum(*_long_range(c, d, "t_l"))),
         fit_sizes=lambda p: (3, 1),
-        bloch=lambda p: topology.BlochSampler(
-            lambda k: cmul(p["t_l"], np.exp(1j * k)) + cmul(p["u_l"], np.exp(2j * k))),
+        bloch=_chain_bloch({"t_l": 1, "u_l": 2}),
     ),
     "mixed-longrange": Model(
         frozenset({"t_r", "u_l"}), frozenset(),
         matrix=lambda c, d: models1d.mixed_longrange_matrix(*_long_range(c, d, "t_r")),
         line=_mixed_line,
         closed_form=lambda c, d: models1d.mixed_longrange_closed_form(*_long_range(c, d, "t_r"))[0],
-        fit_sizes=_chain_sizes({"u_l": 2, "t_r": -1}),
-        bloch=lambda p: topology.BlochSampler(
-            lambda k: cmul(p["u_l"], np.exp(2j * k)) + cmul(p["t_r"], np.exp(-1j * k))),
+        fit_sizes=_chain_sizes(_MIXED_OFFSETS),
+        bloch=_chain_bloch(_MIXED_OFFSETS),
     ),
     "general-chain": Model(
         frozenset(), frozenset(_GENERAL_CHAIN_OFFSETS), check="boundary residual",
         matrix=lambda c, d: build_chain_matrix(_general_chain_stencil(c, d)),
         fit_sizes=_chain_sizes(_GENERAL_CHAIN_OFFSETS),
-        bloch=_general_chain_bloch,
+        bloch=_chain_bloch(_GENERAL_CHAIN_OFFSETS),
     ),
     "stacked-hn": _stacked(
         "hn", models2d.HN_KEYS, lambda s: models2d.stacked_hn_balance(s),
@@ -441,11 +443,11 @@ MODELS: dict[str, Model] = {
     ),
     "separable-square": Model(
         frozenset({"a_t_l", "a_t_r", "b_t_l", "b_t_r"}), frozenset({"a_t_d", "b_t_d"}),
-        matrix=lambda c, d: models2d.separable_square_matrix(*_separable(models1d.hn_matrix, c, d)),
-        line=_per_delta(lambda c, d: _plain(models2d.separable_square_spectrum(
-            *_separable(lambda p, n, delta: models1d.hn_line(p, n)(delta), c, d)))),
+        matrix=lambda c, d: models2d.separable_square_matrix(
+            *(models1d.hn_matrix(*chain) for chain in _separable(c, d))),
+        line=_separable_line,
         closed_form=lambda c, d: models2d.separable_square_spectrum(
-            *(s[0] for s in _separable(models1d.hn_closed_form, c, d))),
+            *(models1d.hn_closed_form(*chain)[0] for chain in _separable(c, d))),
         sizes=("N1", "N2"), fit_sizes=_chain_sizes({"a_t_l": 1, "a_t_r": -1}),
         second_size=_chain_sizes({"b_t_l": 1, "b_t_r": -1}),
     ),

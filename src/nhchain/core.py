@@ -67,6 +67,18 @@ def cmul(a, b) -> np.ndarray:
     return out
 
 
+def _segment_distance(z, a, d) -> np.ndarray:
+    """|z - w| for w the point of the segment [a, a + d] nearest z,
+    broadcast over z, a and d; a zero-length segment is its point a.
+
+    |d| is the builtin abs: numpy's modulus of an array d, Python's (libm
+    hypot) of a complex one, which differ in the last bit."""
+    L2 = np.atleast_1d(abs(d) ** 2)
+    L2[L2 == 0] = 1e-300
+    t = np.clip(((z - a) * np.conj(d)).real / L2, 0.0, 1.0)
+    return np.abs(z - (a + t * d))
+
+
 @dataclass(frozen=True)
 class ChainStencil:
     """One-band chain: hopping amplitudes by signed offset plus corner scaling.
@@ -233,6 +245,12 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
+def _values(x) -> np.ndarray:
+    """The eigenvalues of a Spectrum, or any array of them, as a flat
+    complex array."""
+    return np.asarray(getattr(x, "eigenvalues", x), dtype=complex).ravel()
+
+
 def _min_spacing(v: np.ndarray) -> float:
     """Smallest distance between two entries of a nonempty v; inf for one."""
     d = np.abs(v[:, None] - v[None, :])
@@ -252,8 +270,7 @@ def match_spectra(a, b) -> float:
     the unique optimum and r its maximum.  Only otherwise is the assignment
     problem solved (scipy).
     """
-    va = np.asarray(getattr(a, "eigenvalues", a), dtype=complex).ravel()
-    vb = np.asarray(getattr(b, "eigenvalues", b), dtype=complex).ravel()
+    va, vb = _values(a), _values(b)
     if va.shape != vb.shape:
         raise ValueError(f"cardinality mismatch: {len(va)} vs {len(vb)}")
     cost = np.abs(va[:, None] - vb[None, :])
@@ -269,8 +286,7 @@ def match_spectra(a, b) -> float:
 
 def spectral_mismatch(a, b) -> float:
     """match_spectra normalized by 1 + max|lambda|."""
-    va = np.asarray(getattr(a, "eigenvalues", a), dtype=complex).ravel()
-    vb = np.asarray(getattr(b, "eigenvalues", b), dtype=complex).ravel()
+    va, vb = _values(a), _values(b)
     scale = 1.0 + max(np.abs(va).max(initial=0.0), np.abs(vb).max(initial=0.0))
     return match_spectra(va, vb) / scale
 
@@ -450,8 +466,7 @@ def hausdorff_points(a, b) -> float:
     distances and only its result is square-rooted: sqrt is monotone and
     correctly rounded, so that is the same number.
     """
-    va = np.asarray(getattr(a, "eigenvalues", a), dtype=complex).ravel()
-    vb = np.asarray(getattr(b, "eigenvalues", b), dtype=complex).ravel()
+    va, vb = _values(a), _values(b)
     if len(va) == 0 or len(vb) == 0:
         raise ValueError("empty spectrum")
     D = np.subtract.outer(va.real, vb.real)

@@ -33,6 +33,7 @@ import numpy as np
 
 from .alphasolver import AlphaSet
 from .core import ChainStencil, CornerOperator, EigensolverError, Spectrum, chain_operator, dense_spectrum
+from .core import _segment_distance, _values
 from .models1d import SSHParams, _alpha_set_from_cos, _hn_wavenumbers, _line, _ssh_wavenumbers, ssh_operator
 
 __all__ = [
@@ -346,9 +347,15 @@ def stacked_hn_balance(spec: Stacked2DSpec) -> str:
         return "case3"
     if _eq(t_l, v_dr) and _eq(v_dl, 0) and _eq(v_ur, 0) and _eq(v_ul, t_r):
         return "case4"
+    return _per_block_case(spec, lambda h: (h["h_l"], h["h_r"]))
+
+
+def _per_block_case(spec: Stacked2DSpec, ratio: Callable) -> str:
+    """'general-r' when |num / den| is 1 within `_BALANCE_TOL` on every
+    block, (num, den) = ratio of its `_stack_h_coeffs`, else 'unbalanced'."""
     for s in spec.stack_factors():
-        h = _stack_h_coeffs(spec, s)
-        if abs(h["h_r"]) == 0 or abs(abs(h["h_l"] / h["h_r"]) - 1.0) > _BALANCE_TOL:
+        num, den = ratio(_stack_h_coeffs(spec, s))
+        if abs(den) == 0 or abs(abs(num / den) - 1.0) > _BALANCE_TOL:
             return "unbalanced"
     return "general-r"
 
@@ -369,27 +376,17 @@ _SSH_CASES_INDIVIDUAL = {
 def _ssh_product_case_residual(p: dict, shift: int) -> float:
     """Residual of h_r1 h_r2 = omega^shift h_l1 h_l2 as a Laurent identity.
 
-    The products are quadratics in omega; the case holds when the right
-    coefficient list, shifted by `shift`, matches the left one.
+    Each h is vu/omega + t + vd omega, so each product is a Laurent
+    quadratic; its coefficients of omega^-2..2, convolved from the two
+    triples (vu, t, vd), go to slots -4..4, the left ones `shift` slots up,
+    and the residual is the largest difference of a slot.
     """
-    def coeffs(tA, vdA, vuA, tB, vdB, vuB):
-        # (t + w vd + vu/w)(t' + w vd' + vu'/w) -> powers -2..2
-        return {
-            -2: vuA * vuB,
-            -1: tA * vuB + vuA * tB,
-            0: tA * tB + vdA * vuB + vuA * vdB,
-            1: tA * vdB + vdA * tB,
-            2: vdA * vdB,
-        }
+    def product(side: str, at: int) -> np.ndarray:
+        slots = np.zeros(9)
+        slots[at:at + 5] = np.convolve(*([p[f"{h}{side}{i}"] for h in ("vu", "t", "vd")] for i in (1, 2)))
+        return slots
 
-    right = coeffs(p["tr1"], p["vdr1"], p["vur1"], p["tr2"], p["vdr2"], p["vur2"])
-    left = coeffs(p["tl1"], p["vdl1"], p["vul1"], p["tl2"], p["vdl2"], p["vul2"])
-    res = 0.0
-    for power in range(-4, 5):
-        r = right.get(power, 0.0)
-        l = left.get(power - shift, 0.0)
-        res = max(res, abs(r - l))
-    return res
+    return float(np.abs(product("r", 2) - product("l", 2 + shift)).max())
 
 
 def stacked_ssh_balance(spec: Stacked2DSpec) -> str:
@@ -408,12 +405,7 @@ def stacked_ssh_balance(spec: Stacked2DSpec) -> str:
     for case, shift in (("case5", 0), ("case6", 1), ("case7", 2)):
         if _ssh_product_case_residual(p, shift) <= _BALANCE_TOL:
             return case
-    for s in spec.stack_factors():
-        h = _stack_h_coeffs(spec, s)
-        denom = h["hl1"] * h["hl2"]
-        if abs(denom) == 0 or abs(abs(h["hr1"] * h["hr2"] / denom) - 1.0) > _BALANCE_TOL:
-            return "unbalanced"
-    return "general-r"
+    return _per_block_case(spec, lambda h: (h["hr1"] * h["hr2"], h["hl1"] * h["hl2"]))
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +460,8 @@ def envelope_curves(spec: Stacked2DSpec, t_grid=None) -> EnvelopeCurves:
 
 def segment_distance(points, z_minus, z_plus) -> np.ndarray:
     """Distance of complex points to the segment [z_minus, z_plus]."""
-    pts = np.asarray(points, dtype=complex).ravel()
-    a, b = complex(z_minus), complex(z_plus)
-    d = b - a
-    L2 = abs(d) ** 2
-    if L2 == 0:
-        return np.abs(pts - a)
-    t = ((pts - a) * np.conj(d)).real / L2
-    t = np.clip(t, 0.0, 1.0)
-    return np.abs(pts - (a + t * d))
+    a = complex(z_minus)
+    return _segment_distance(np.asarray(points, dtype=complex).ravel(), a, complex(z_plus) - a)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +678,6 @@ def separable_square_spectrum(spectrum_a, spectrum_b) -> Spectrum:
     analytic), else "oracle": the 1D chain spectra mostly come from the
     dense eigensolver.
     """
-    va = np.asarray(getattr(spectrum_a, "eigenvalues", spectrum_a), dtype=complex).ravel()
-    vb = np.asarray(getattr(spectrum_b, "eigenvalues", spectrum_b), dtype=complex).ravel()
+    va, vb = _values(spectrum_a), _values(spectrum_b)
     analytic = all(getattr(s, "provenance", "analytic") == "analytic" for s in (spectrum_a, spectrum_b))
     return Spectrum((va[:, None] + vb[None, :]).ravel(), "analytic" if analytic else "oracle")

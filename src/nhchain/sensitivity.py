@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NumericalError, Spectrum, hausdorff_points
+from .core import NumericalError, Spectrum, _values, hausdorff_points
 
 __all__ = [
     "SensitivityReport",
@@ -173,8 +173,7 @@ def sensitivity_exponent(family_fn: Callable[[int, float], Spectrum], threshold:
         raise ValueError(f"need at least 4 sizes for the exponent fit, all distinct; got {n_list}")
 
     def spectrum_at(n, d):
-        s = family_fn(n, d)
-        vals = np.asarray(getattr(s, "eigenvalues", s), dtype=complex).ravel()
+        vals = _values(family_fn(n, d))
         if drop_smallest:
             vals = vals[np.argsort(np.abs(vals))][drop_smallest:]
         return vals

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _eigvals, cmul
+from .core import _eigvals, _segment_distance, cmul
 
 __all__ = [
     "BlochSampler",
@@ -165,13 +165,7 @@ def gap_classify(sampler: BlochSampler):
 
 def _polyline_distance(pts: np.ndarray, z: complex) -> float:
     """Distance of z to the closed polyline through consecutive curve samples."""
-    a = pts
-    b = np.roll(pts, -1)
-    d = b - a
-    L2 = np.abs(d) ** 2
-    L2[L2 == 0] = 1e-300
-    t = np.clip(((z - a) * np.conj(d)).real / L2, 0.0, 1.0)
-    return float(np.abs(z - (a + t * d)).min())
+    return float(_segment_distance(z, pts, np.roll(pts, -1) - pts).min())
 
 
 def tridiag_bloch_det(t_l, t_r, k, n_rows: int):

@@ -501,3 +501,79 @@ class TestClosedFormInvariants:
             p = HNParams(1.0, np.exp(1j * theta))
             _, aset = hn_closed_form(p, 16, delta)
             assert np.abs(aset.expand().imag).max() < 1e-8
+
+
+def _old_sinpoly(coeffs, m, weight, size):
+    c = size // 2
+    coeffs[c + m] += weight
+    coeffs[c - m] -= weight
+
+
+def _old_hn_poly(params, N, delta):
+    """The one-band builder as it was before `_anti_poly`."""
+    from nhchain.core import as_corner_pair as _pair, principal_sqrt as _sq
+
+    t_l, t_r = complex(params["t_l"]), complex(params["t_r"])
+    e1, eN = complex(params.get("eps1", 0.0)), complex(params.get("epsN", 0.0))
+    dl, dr = _pair(delta)
+    rho = _sq(t_l) / _sq(t_r)
+    E = (e1 + eN) / (_sq(t_r) * _sq(t_l))
+    F = dl * dr - e1 * eN / (t_l * t_r)
+    G = dl * rho**N + dr * rho ** (-N)
+    P = np.zeros(2 * N + 3, dtype=complex)
+    size = 2 * N + 3
+    _old_sinpoly(P, N + 1, -1.0, size)
+    _old_sinpoly(P, N, E, size)
+    _old_sinpoly(P, N - 1, F, size)
+    if G != 0:
+        _old_sinpoly(P, 1, G, size)
+    return P
+
+
+def _old_ssh_even_poly(params, N, delta):
+    """The even two-band builder as it was before `_anti_poly`."""
+    from nhchain.core import as_corner_pair as _pair, principal_sqrt as _sq
+
+    tl1, tr1 = complex(params["tl1"]), complex(params["tr1"])
+    tl2, tr2 = complex(params["tl2"]), complex(params["tr2"])
+    dl, dr = _pair(delta)
+    M = N // 2
+    R = (_sq(tl2) * _sq(tr2)) / (_sq(tl1) * _sq(tr1))
+    rho = (_sq(tr1) * _sq(tr2)) / (_sq(tl1) * _sq(tl2))
+    B = dr * rho**M + dl * rho ** (-M)
+    dd = dl * dr
+    size = 2 * M + 3
+    P = np.zeros(size, dtype=complex)
+    _old_sinpoly(P, M + 1, -1.0, size)
+    _old_sinpoly(P, M, (dd - 1) * R, size)
+    _old_sinpoly(P, M - 1, dd, size)
+    if B != 0:
+        _old_sinpoly(P, 1, B, size)
+    return P
+
+
+def test_anti_poly_equals_the_replaced_builders(rng):
+    """`_hn_poly` and `_ssh_even_poly`, now one `_anti_poly` each, give the
+    coefficient arrays of the builders they replaced bit for bit (signed
+    zeros included), at sizes where the four terms' slots coincide (N 1, 2;
+    M 1, 2), at delta 0 (a vanishing last term) and at (delta_l, delta_r)
+    pairs, with end energies on the one-band chain."""
+    from nhchain.alphasolver import _hn_poly, _ssh_even_poly
+
+    def draw():
+        return complex(rng.normal(), rng.normal()) if rng.random() < 0.5 else float(rng.normal())
+
+    for trial in range(400):
+        delta = (0.0, 1.0, draw(), (draw(), draw()))[trial % 4]
+        hn = {"t_l": draw(), "t_r": draw()}
+        if trial % 3 == 0:
+            hn.update(eps1=draw(), epsN=draw())
+        ssh = {k: draw() for k in ("tl1", "tr1", "tl2", "tr2")}
+        for N in (1, 2, 3, 7, 30):
+            got = _hn_poly(hn, N, delta)
+            assert got.removed_factors == ("(y - 1)", "(y + 1)") and got.palindromic == "anti"
+            assert np.array_equal(got.coeffs.view(np.int64), _old_hn_poly(hn, N, delta).view(np.int64))
+        for N in (2, 4, 6, 30):
+            got = _ssh_even_poly(ssh, N, delta)
+            assert got.removed_factors == ("(y - 1)", "(y + 1)") and got.palindromic == "anti"
+            assert np.array_equal(got.coeffs.view(np.int64), _old_ssh_even_poly(ssh, N, delta).view(np.int64))

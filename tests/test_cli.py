@@ -1086,3 +1086,39 @@ def test_stacked_bc1_sweep_csv_equals_per_value_format(tmp_path):
     text = (tmp_path / "s.csv").read_text()
     assert text == "\n".join(["delta,j,re,im,provenance", *sorted(rows)]) + "\n"
     assert ",-0,bloch-oracle" in text
+
+
+# the Bloch functions of the one-band rows before `cli._chain_bloch`
+_REPLACED_CHAIN_BLOCH = {
+    "hn": lambda p: lambda k: (p.get("t_d", 0.0) + nhchain.core.cmul(p["t_l"], np.exp(1j * k))
+                               + nhchain.core.cmul(p["t_r"], np.exp(-1j * k))),
+    "unidirectional": lambda p: lambda k: (nhchain.core.cmul(p["t_l"], np.exp(1j * k))
+                                           + nhchain.core.cmul(p["u_l"], np.exp(2j * k))),
+    "mixed-longrange": lambda p: lambda k: (nhchain.core.cmul(p["u_l"], np.exp(2j * k))
+                                            + nhchain.core.cmul(p["t_r"], np.exp(-1j * k))),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_REPLACED_CHAIN_BLOCH))
+def test_chain_bloch_equals_the_replaced_functions_bitwise(rng, model):
+    """Each one-band row's Bloch sampler, now the general chain's sum over
+    its offsets, equals the function it replaced bit for bit on 1025 k:
+    real (as a config gives them: imaginary part +0), complex and zero
+    hoppings, hn with t_d absent, zero or set.  A hopping written as
+    [re, -0.0] can turn a -0 of a sample into +0, and nothing more."""
+    keys = sorted(cli.MODELS[model].required | cli.MODELS[model].optional)
+    ks = np.linspace(-np.pi, np.pi, 1025)
+    for trial in range(300):
+        p = {k: complex(rng.normal(), rng.normal() if trial % 3 else 0.0) for k in keys}
+        signed = {k: complex(v.real, -0.0) for k, v in p.items()}
+        assert np.array_equal(cli.MODELS[model].bloch(signed).grid(1024),
+                              _REPLACED_CHAIN_BLOCH[model](signed)(ks))
+        if model == "hn":
+            p = {k: v for k, v in p.items() if k != "t_d"} if trial % 4 == 0 else p
+            p["t_d"] = 0j if trial % 4 == 1 else p.get("t_d")
+            p = {k: v for k, v in p.items() if v is not None}
+        if trial % 7 == 0:
+            p[keys[trial % len(keys)]] = 0j
+        want = np.asarray(_REPLACED_CHAIN_BLOCH[model](p)(ks), dtype=complex)
+        got = cli.MODELS[model].bloch(p).grid(1024)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), p

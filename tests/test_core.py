@@ -365,3 +365,47 @@ def test_hausdorff_equals_cdist_reference(rng):
         b = a[rng.integers(0, n, size=m)] + noise
         D = cdist(np.column_stack([a.real, a.imag]), np.column_stack([b.real, b.imag]))
         assert hausdorff_points(a, b) == max(D.min(axis=1).max(), D.min(axis=0).max())
+
+
+def _old_polyline_distance(pts, z):
+    """`topology._polyline_distance` as it was before `core._segment_distance`."""
+    a = pts
+    b = np.roll(pts, -1)
+    d = b - a
+    L2 = np.abs(d) ** 2
+    L2[L2 == 0] = 1e-300
+    t = np.clip(((z - a) * np.conj(d)).real / L2, 0.0, 1.0)
+    return float(np.abs(z - (a + t * d)).min())
+
+
+def _old_segment_distance(points, z_minus, z_plus):
+    """`models2d.segment_distance` as it was before `core._segment_distance`."""
+    pts = np.asarray(points, dtype=complex).ravel()
+    a, b = complex(z_minus), complex(z_plus)
+    d = b - a
+    L2 = abs(d) ** 2
+    if L2 == 0:
+        return np.abs(pts - a)
+    t = ((pts - a) * np.conj(d)).real / L2
+    t = np.clip(t, 0.0, 1.0)
+    return np.abs(pts - (a + t * d))
+
+
+def test_segment_distance_equals_the_replaced_formulas_bitwise(rng):
+    """Both callers of the one point-to-segment kernel give what their own
+    formulas gave, bit for bit: the closed polyline of 512 curve samples
+    (repeated samples make zero-length segments) and one segment of many
+    points, a zero-length segment included."""
+    from nhchain.models2d import segment_distance
+    from nhchain.topology import _polyline_distance
+
+    for trial in range(200):
+        pts = cnormal(rng, 512, scale=10.0 ** rng.integers(-3, 4))
+        pts[rng.integers(0, 511, 8)] = pts[rng.integers(0, 511, 8)]
+        pts[1:40:3] = pts[0:39:3]  # runs of equal samples
+        for z in (complex(*rng.normal(size=2)), pts[5], (pts[7] + pts[8]) / 2):
+            assert _polyline_distance(pts, z).hex() == _old_polyline_distance(pts, z).hex()
+        ends = cnormal(rng, 2)
+        for zm, zp in ((ends[0], ends[1]), (ends[0], ends[0]), (0.0, 0.0), (pts[3], pts[3] + 1e-200)):
+            got, want = segment_distance(pts, zm, zp), _old_segment_distance(pts, zm, zp)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -564,6 +564,19 @@ class TestBoundaryRoute:
         assert _hn_boundary_roots(p, N, delta) is None
         assert _same_spectrum(hn_line(p, N)(delta), _eigensolver_route(p, N, delta))
 
+    @pytest.mark.parametrize("name, value", [
+        ("_NEWTON_MAX_STEPS", 1),  # every step still shrinks: Newton runs out of steps
+        ("_NEWTON_TOL", 0.0),      # the last step never moves a lambda by 0 or less
+    ])
+    def test_uncertified_roots_fall_back(self, monkeypatch, name, value):
+        p, N, delta = HNParams(1.0, 4.0), 60, 0.3
+        assert hn_line(p, N)(delta).provenance == "boundary-equation"
+        monkeypatch.setattr(models1d, name, value)
+        assert _hn_boundary_roots(p, N, delta) is None
+        spec = hn_line(p, N)(delta)
+        assert spec.provenance != "boundary-equation"
+        assert spectral_mismatch(spec, dense_spectrum(hn_matrix(p, N, delta))) < 1e-10
+
     def test_wavenumbers_map_back(self):
         p = HNParams(1.0, 4.0, 0.2 - 0.1j)
         spec, aset = hn_spectrum(p, 120, 0.7)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from nhchain.models2d import (
     _inverse_iteration,
     _median,
     _shifted_pair,
+    _ssh_product_case_residual,
     _stack_h_coeffs,
     bc_reduce,
     blocks,
@@ -614,6 +618,66 @@ class TestStackedSSH:
     def test_odd_n1_rejected(self):
         with pytest.raises(ValueError, match="even"):
             Stacked2DSpec("ssh", STACK_SSH_CASE1, 5, 4, 0.0)
+
+    def test_product_residual_equals_hand_expansion(self, rng):
+        """The convolved Laurent products give the residual of the hand
+        expansion they replaced within 1e-15 of the products' scale, on
+        random real hoppings with zeros among them, at every shift."""
+        for _ in range(500):
+            p = {k: float(rng.normal()) * (rng.random() > 0.2) for k in STACK_SSH_CASE1}
+            scale = max((abs(p[f"t{s}{i}"]) + abs(p[f"vd{s}{i}"]) + abs(p[f"vu{s}{i}"]))
+                        for s in "lr" for i in (1, 2)) ** 2
+            for shift in (0, 1, 2):
+                got = _ssh_product_case_residual(p, shift)
+                assert abs(got - _hand_product_residual(p, shift)) <= 1e-15 * scale
+
+    def test_balance_tags_unchanged(self, rng):
+        """`stacked_ssh_balance` tags the shipped configs, the test sets and
+        their perturbations inside and outside the tolerance as the
+        classification it replaced did (hand-expanded products and its own
+        per-block loop)."""
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        sets = [parse_config(json.loads(path.read_text()))["params"]
+                for path in sorted(configs.glob("*.json")) if '"stacked-ssh"' in path.read_text()]
+        sets += [STACK_SSH_CASE1, STACK_SSH_CASE2, STACK_SSH_CASE4, STACK_SSH_CASE7, STACK_SSH_UNBAL]
+        sets += [{k: v + eps * rng.normal() for k, v in p.items()} for p in list(sets) for eps in (1e-12, 1e-8)]
+        tags = set()
+        for p in sets:
+            for n2 in (4, 7):
+                spec = Stacked2DSpec("ssh", {k: complex(v) for k, v in p.items()}, 6, n2, 0.0)
+                tags.add(stacked_ssh_balance(spec))
+                assert stacked_ssh_balance(spec) == _replaced_ssh_balance(spec)
+        assert tags >= {"case1", "case4", "case7", "unbalanced"}
+
+
+def _hand_product_residual(p, shift):
+    """`_ssh_product_case_residual` as it was: both products expanded by hand."""
+    def coeffs(tA, vdA, vuA, tB, vdB, vuB):
+        return {-2: vuA * vuB, -1: tA * vuB + vuA * tB, 0: tA * tB + vdA * vuB + vuA * vdB,
+                1: tA * vdB + vdA * tB, 2: vdA * vdB}
+
+    right = coeffs(p["tr1"], p["vdr1"], p["vur1"], p["tr2"], p["vdr2"], p["vur2"])
+    left = coeffs(p["tl1"], p["vdl1"], p["vul1"], p["tl2"], p["vdl2"], p["vul2"])
+    return max(abs(right.get(power, 0.0) - left.get(power - shift, 0.0)) for power in range(-4, 5))
+
+
+def _replaced_ssh_balance(spec):
+    """`stacked_ssh_balance` as it was before its per-block loop was shared."""
+    from nhchain import models2d
+
+    p = {k: v.real for k, v in spec.params.items()}
+    for case, eqs in models2d._SSH_CASES_INDIVIDUAL.items():
+        if all(models2d._eq(p[a], p[b]) for a, b in eqs):
+            return case
+    for case, shift in (("case5", 0), ("case6", 1), ("case7", 2)):
+        if _hand_product_residual(p, shift) <= models2d._BALANCE_TOL:
+            return case
+    for s in spec.stack_factors():
+        h = _stack_h_coeffs(spec, s)
+        denom = h["hl1"] * h["hl2"]
+        if abs(denom) == 0 or abs(abs(h["hr1"] * h["hr2"] / denom) - 1.0) > models2d._BALANCE_TOL:
+            return "unbalanced"
+    return "general-r"
 
 
 class TestSeparableSquare:

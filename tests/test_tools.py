@@ -154,3 +154,31 @@ def test_route_times_routes_match_dense():
             assert verdict in ("", "accepted", "certified", "boundary-equation", "sublattice-oracle"), (name, verdict)
             assert nhchain.spectral_mismatch(lam, dense) <= 1e-12, name
     assert rt.best_us(calls["whole"], 2) > 0
+
+
+def test_code_lines_counts_tokens_outside_comments_and_docstrings():
+    """`tools/code_lines.py` counts a line that holds a token, however
+    short, and skips blank, comment and docstring lines; a string that is
+    not a docstring counts on every line it spans."""
+    cl = _load("code_lines", TOOL.parent / "code_lines.py")
+    source = '''"""Module docstring,
+over two lines."""
+import os  # a comment after code
+
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring."""
+        text = """a string
+that is no docstring"""
+        return (text,
+                os.sep)
+'''
+    # import, class, def, the string's two lines, return and its continuation
+    assert cl.code_lines(source) == 7
+    assert cl.code_lines("") == 0
+    assert cl.code_lines('"""only a docstring"""\n') == 0
